@@ -9,7 +9,7 @@ reaction) for the reaction-diffusion evolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
-from scipy.special import betainc, beta as beta_fn, gamma as gamma_fn
+from scipy.special import betainc, gamma as gamma_fn
 
 from .errors import LinearSolveFailure, QuadratureFailure, ReactionOverflow
 from .nonlinearity import NonlinearitySpec
@@ -90,6 +90,14 @@ class RadialGrid:
 
     def key(self):
         return (self.r.tobytes(), self.dim, self.bc.kind, self.bc.value)
+
+    def cell_volumes(self) -> np.ndarray:
+        """Finite-volume cell of each node per unit solid angle: the shell
+        between the neighbouring midpoints, (right^N - left^N) / N."""
+        faces = 0.5 * (self.r[:-1] + self.r[1:])
+        left = np.concatenate([[0.0], faces])
+        right = np.concatenate([faces, [self.r[-1]]])
+        return (right ** self.dim - left ** self.dim) / self.dim
 
     def refined(self) -> "RadialGrid":
         """Grid with every interval halved (nodes doubled)."""
@@ -188,12 +196,11 @@ def _angular_table(dim: int):
     a_vals = np.expm1(x)
     logs = np.empty_like(a_vals)
     for i, a in enumerate(a_vals):
-        # substitute w = 1 - cos(theta); integrand concentrates near 0
+        # substitute w = 1 - cos(theta); integrand concentrates near 0, and
+        # the tail cut off beyond 60/a is below e^{-60}
         hi = 2.0 if a < 30.0 else min(2.0, 60.0 / a)
         val, err = quad(lambda w: math.exp(-a * w) * (w * (2.0 - w)) ** nu,
                         0.0, hi, epsabs=0.0, epsrel=1e-12, limit=200)
-        if a >= 30.0 and hi < 2.0:
-            pass  # truncated tail < e^{-60}, negligible
         if not np.isfinite(val) or val <= 0.0:
             raise QuadratureFailure(f"angular kernel quadrature at a={a:g}")
         logs[i] = math.log(om * val) + 0.5 * (dim - 1) * math.log1p(a)
@@ -384,6 +391,10 @@ def _cap_area_factor(dim: int, cos_t: np.ndarray) -> np.ndarray:
     return np.where(cos_t >= 0.0, half, 1.0 - half)
 
 
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+_N_CENTERS = 512          # equispaced window centres scanned in [0, R_outer]
+
+
 def _window_integral(field: RadialField, p: float, z: float) -> float:
     """integral over the unit ball centered at distance z of |u|^p,
     in spherical shells: the shell of radius rho contributes its cap area
@@ -392,7 +403,6 @@ def _window_integral(field: RadialField, p: float, z: float) -> float:
     dim = grid.dim
     r = grid.r
     u = field.u
-    area = sphere_area(dim)
 
     lo = max(0.0, z - 1.0)
     hi = z + 1.0
@@ -401,79 +411,45 @@ def _window_integral(field: RadialField, p: float, z: float) -> float:
         brk.append(1.0 - z)
     brk.extend(r[(r > lo) & (r < hi)])
     brk = np.unique(np.asarray(brk))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-
-    total = 0.0
-    for a, b in zip(brk[:-1], brk[1:]):
-        if b <= a:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        rho = mid + half * gl_x
-        w = half * gl_w
-        uv = np.interp(rho, r, u, right=u[-1])
-        if z == 0.0:
-            frac = np.ones_like(rho)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cos_t = (rho ** 2 + z ** 2 - 1.0) / (2.0 * rho * z)
-            frac = _cap_area_factor(dim, cos_t)
-            frac = np.where(rho <= 1.0 - z, 1.0, frac)
-        shell = area * rho ** (dim - 1) * frac
-        total += float(np.sum(w * uv ** p * shell))
-    return total
+    # one row of Gauss-Legendre nodes per segment between breakpoints
+    mid = 0.5 * (brk[:-1] + brk[1:])[:, None]
+    half = 0.5 * (brk[1:] - brk[:-1])[:, None]
+    rho = mid + half * _GL_X
+    uv = np.interp(rho, r, u, right=u[-1])
+    shell = sphere_area(dim) * rho ** (dim - 1)
+    if z != 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos_t = (rho ** 2 + z ** 2 - 1.0) / (2.0 * rho * z)
+        shell = shell * np.where(rho <= 1.0 - z, 1.0,
+                                 _cap_area_factor(dim, cos_t))
+    return float(np.sum(half * _GL_W * uv ** p * shell))
 
 
-def ul_norm(field: RadialField, p: float = 1.0,
-            n_scan: int = 512) -> ULNormEstimate:
+def ul_norm(field: RadialField, p: float = 1.0) -> ULNormEstimate:
     """Uniformly local norm: sup over window centers of the integral of
     |u|^p over a unit ball.
 
-    For radial data the sup reduces to one scalar center coordinate.
-    Monotone profiles are unimodal in the center, so a golden-section
-    search suffices; otherwise a dense scan over centers is used.
+    For radial data the sup reduces to one scalar center coordinate z.
+    A radially nonincreasing field is its own symmetric-decreasing
+    rearrangement, and so is the indicator of the unit ball at the origin;
+    by the Hardy-Littlewood inequality
+
+        int_{B(z,1)} u^p = int u^p 1_{B(z,1)} <= int (u^p)* 1_{B(z,1)}*
+                         = int_{B(0,1)} u^p,
+
+    so the window at the origin is a maximizer and is the only center
+    evaluated.  Any other field is scanned over equispaced centers in
+    [0, R_outer].
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    grid = field.grid
     monotone = bool(np.all(np.diff(field.u) <= 1e-12 * max(1.0, field.sup)))
-    evals = 0
-
-    def F(z):
-        nonlocal evals
-        evals += 1
-        return _window_integral(field, p, z)
-
-    if monotone:
-        # decreasing profile: the best window sits at the origin, but run
-        # the search anyway as a guard against plateaus
-        lo, hi = 0.0, min(2.0, grid.R_outer)
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = hi - phi * (hi - lo)
-        d = lo + phi * (hi - lo)
-        fc, fd = F(c), F(d)
-        for _ in range(40):
-            if hi - lo < 1e-6:
-                break
-            if fc >= fd:
-                hi, d, fd = d, c, fc
-                c = hi - phi * (hi - lo)
-                fc = F(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + phi * (hi - lo)
-                fd = F(d)
-        z_best = 0.5 * (lo + hi)
-        f_best = F(z_best)
-        f0 = F(0.0)
-        if f0 >= f_best:
-            z_best, f_best = 0.0, f0
-    else:
-        zs = np.linspace(0.0, grid.R_outer, n_scan)
-        vals = [F(z) for z in zs]
-        k = int(np.argmax(vals))
-        z_best, f_best = float(zs[k]), float(vals[k])
-    return ULNormEstimate(p=p, value=f_best, center=z_best,
-                          centers_sampled=evals)
+    zs = (np.zeros(1) if monotone
+          else np.linspace(0.0, field.grid.R_outer, _N_CENTERS))
+    vals = [_window_integral(field, p, z) for z in zs]
+    k = int(np.argmax(vals))
+    return ULNormEstimate(p=p, value=vals[k], center=float(zs[k]),
+                          centers_sampled=len(zs))
 
 
 # ---------------------------------------------------------------------------
@@ -487,35 +463,19 @@ def _laplacian_bands(grid: RadialGrid, dt: float):
     """Banded form of I - dt*L for the finite-volume radial Laplacian with
     metric weights r^{N-1}, reflecting at the origin."""
     r = grid.r
-    dim = grid.dim
-    M = len(r)
+    vol = grid.cell_volumes()
     faces = 0.5 * (r[:-1] + r[1:])
-    vol = np.empty(M)
-    left = np.concatenate([[0.0], faces])
-    right = np.concatenate([faces, [r[-1]]])
-    vol = (right ** dim - left ** dim) / dim
-    area = faces ** (dim - 1)
-    h = np.diff(r)
-    cond = area / h  # conductance between neighbours
-
-    lower = np.zeros(M)
-    diag = np.ones(M)
-    upper = np.zeros(M)
-    for i in range(M):
-        c_l = cond[i - 1] if i > 0 else 0.0
-        c_r = cond[i] if i < M - 1 else 0.0
-        diag[i] += dt * (c_l + c_r) / vol[i]
-        if i > 0:
-            lower[i] = -dt * c_l / vol[i]
-        if i < M - 1:
-            upper[i] = -dt * c_r / vol[i]
+    cond = faces ** (grid.dim - 1) / np.diff(r)  # conductance i <-> i+1
+    # node i couples to i-1 through cond[i-1] and to i+1 through cond[i];
+    # the first and last nodes have one neighbour each
+    c_sum = np.concatenate([[0.0], cond]) + np.concatenate([cond, [0.0]])
+    ab = np.zeros((3, len(r)))
+    ab[0, 1:] = -dt * cond / vol[:-1]
+    ab[1] = 1.0 + dt * c_sum / vol
+    ab[2, :-1] = -dt * cond / vol[1:]
     if grid.bc.kind == "dirichlet":
-        lower[-1] = 0.0
-        diag[-1] = 1.0
-    ab = np.zeros((3, M))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = diag
-    ab[2, :-1] = lower[1:]
+        ab[2, -2] = 0.0
+        ab[1, -1] = 1.0
     return ab
 
 

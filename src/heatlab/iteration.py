@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
 
 from .errors import OrderingViolation, ReactionOverflow, TimeMeshMismatch
 from .evolution import (
+    REACTION_GUARD,
     RadialField,
     RadialGrid,
-    apply_semigroup,
     semigroup_operator,
     ul_norm,
 )
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 IDENTITY_TIME = 1e-6      # below this, S(t) is taken as the identity
-REACTION_GUARD = 1e100
 
 
 @dataclass

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Tuple, Union
 
@@ -230,12 +229,8 @@ def _inner_mass(field: RadialField, spec: Optional[NonlinearitySpec],
     if spec is None:
         return 0.0
     grid = field.grid
-    r = grid.r
-    faces = 0.5 * (r[:-1] + r[1:])
-    left = np.concatenate([[0.0], faces])
-    right = np.concatenate([faces, [r[-1]]])
-    vol = (right ** grid.dim - left ** grid.dim) / grid.dim
-    sel = r <= r_star
+    vol = grid.cell_volumes()
+    sel = grid.r <= r_star
     with np.errstate(over="ignore"):
         fu = np.asarray(spec.f(np.minimum(field.u[sel], 1e60)), dtype=float)
     fu = np.minimum(np.nan_to_num(fu, posinf=1e200), 1e200)
@@ -267,10 +262,9 @@ def run_case(spec: Optional[NonlinearitySpec], table,
     """
     if isinstance(perts, (RadialBump, Scaling, Truncation)):
         perts = [perts]
-    dim = table.dim if hasattr(table, "dim") else 5
     outcomes = {}
     for cap in caps:
-        grid = case_grid(table, cap, dim, R_outer, n_nodes, spec)
+        grid = case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
         u0, side = initial_data(table, grid, perts, cap, spec)
         r_star = inner_radius
         if r_star is None:
@@ -474,23 +468,18 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
                    horizon: float = 0.5,
                    caps: Sequence[float] = (1e4, 1e5),
                    n_nodes: int = 129,
-                   R_outer: float = 8.0,
-                   workers: int = 4) -> ScanReport:
+                   R_outer: float = 8.0) -> ScanReport:
     """Sweep signed bump amplitudes and verify the sign dichotomy.
 
     bump_shape fixes r_c and sigma; its amplitude field is ignored in
-    favour of each entry of A_grid.  Cases run concurrently.
+    favour of each entry of A_grid.
     """
     amps = np.asarray(sorted(float(a) for a in A_grid))
-
-    def one(a: float) -> CaseReport:
+    cases = {}
+    for a in amps.tolist():
         bump = RadialBump(bump_shape.r_c, bump_shape.sigma, a)
-        return run_case(spec, table, bump, horizon=horizon, caps=caps,
-                        n_nodes=n_nodes, R_outer=R_outer)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(one, amps))
-    cases = dict(zip(amps.tolist(), reports))
+        cases[a] = run_case(spec, table, bump, horizon=horizon, caps=caps,
+                            n_nodes=n_nodes, R_outer=R_outer)
     _check_monotone(amps, [cases[a].classification for a in amps])
     return ScanReport(amplitudes=amps, cases=cases, config={
         "r_c": bump_shape.r_c, "sigma": bump_shape.sigma,

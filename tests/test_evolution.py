@@ -11,6 +11,7 @@ from heatlab.errors import ReactionOverflow
 from heatlab.evolution import (
     BoundaryCondition,
     RadialField,
+    _window_integral,
     apply_semigroup,
     field_from_table,
     make_grid,
@@ -183,6 +184,22 @@ def test_ul_norm_monotone_profile_peaks_at_origin(grid3):
     u = 1.0 / (1.0 + grid3.r ** 2)
     est = ul_norm(RadialField(grid3, u), 2.0)
     assert est.center == pytest.approx(0.0, abs=1e-5)
+
+
+def test_ul_norm_origin_window_dominates_for_nonincreasing_fields(
+        grid3, table_cubic):
+    # a nonincreasing field is evaluated at the origin only; no window
+    # centre elsewhere may do better
+    g5 = make_grid(5, 8.0, 257)
+    cases = [(RadialField(grid3, 1.0 / (1.0 + grid3.r ** 2)), 2.0)]
+    for cap in (1e2, 1e4):
+        fld = field_from_table(table_cubic, g5, cap=cap, spec=CUBIC)
+        cases += [(fld, 1.0), (fld, 5.0)]
+    for fld, p in cases:
+        est = ul_norm(fld, p)
+        assert est.center == 0.0
+        for z in np.linspace(0.0, fld.grid.R_outer, 64):
+            assert est.value >= _window_integral(fld, p, z) * (1.0 - 1e-12)
 
 
 def test_ul_norm_l1_of_capped_singular_is_cap_stable(table_cubic):
