@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -98,6 +98,21 @@ class RadialGrid:
         left = np.concatenate([[0.0], faces])
         right = np.concatenate([faces, [self.r[-1]]])
         return (right ** self.dim - left ** self.dim) / self.dim
+
+    @cached_property
+    def diffusion_coefficients(self):
+        """dt-free parts of the Laplacian bands, built once per grid: cell
+        volumes, face conductances r^{N-1}/h (node i <-> i+1) and each
+        node's summed conductance.  The arrays are read-only."""
+        vol = self.cell_volumes()
+        faces = 0.5 * (self.r[:-1] + self.r[1:])
+        cond = faces ** (self.dim - 1) / np.diff(self.r)
+        # node i couples to i-1 through cond[i-1] and to i+1 through
+        # cond[i]; the first and last nodes have one neighbour each
+        c_sum = np.concatenate([[0.0], cond]) + np.concatenate([cond, [0.0]])
+        for a in (vol, cond, c_sum):
+            a.setflags(write=False)
+        return vol, cond, c_sum
 
     def refined(self) -> "RadialGrid":
         """Grid with every interval halved (nodes doubled)."""
@@ -462,14 +477,8 @@ REACTION_GUARD = 1e100
 def _laplacian_bands(grid: RadialGrid, dt: float):
     """Banded form of I - dt*L for the finite-volume radial Laplacian with
     metric weights r^{N-1}, reflecting at the origin."""
-    r = grid.r
-    vol = grid.cell_volumes()
-    faces = 0.5 * (r[:-1] + r[1:])
-    cond = faces ** (grid.dim - 1) / np.diff(r)  # conductance i <-> i+1
-    # node i couples to i-1 through cond[i-1] and to i+1 through cond[i];
-    # the first and last nodes have one neighbour each
-    c_sum = np.concatenate([[0.0], cond]) + np.concatenate([cond, [0.0]])
-    ab = np.zeros((3, len(r)))
+    vol, cond, c_sum = grid.diffusion_coefficients
+    ab = np.zeros((3, grid.n_nodes))
     ab[0, 1:] = -dt * cond / vol[:-1]
     ab[1] = 1.0 + dt * c_sum / vol
     ab[2, :-1] = -dt * cond / vol[1:]

@@ -90,6 +90,10 @@ class NonlinearitySpec:
     gpp: Callable
     tail: TailGrowth
     label: str = ""
+    # log F at the bracket points 2^k of eval_F_inverse_log, keyed by
+    # (u, tol); private to that function
+    _bracket_log_F: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
@@ -150,9 +154,21 @@ def power_exp(p: float, q: float) -> NonlinearitySpec:
 
 # quintic cutoff: chi'(u) is the C^1 piecewise quartic below; chi is its
 # antiderivative with chi(0) = 0, giving chi = 20 for u >= 4 and chi = u^5
-# for u <= 1, with C^2 joins.
+# for u <= 1, with C^2 joins.  A 0-d input (every quad node) evaluates only
+# its own piece, with the np.select arm's expressions on the same 0-d array,
+# so the bits agree; np.select would evaluate all three pieces.  The branch
+# is chosen on float(u): exact, and far cheaper than 0-d array comparisons.
 def _chi(u):
     u = np.asarray(u, dtype=float)
+    if u.ndim == 0:
+        x = float(u)
+        if x <= 1.0:
+            return u ** 5
+        if x <= 3.0:
+            return 10.0 * (u - 1.0) - (u - 2.0) ** 5
+        if x <= 4.0:
+            return 20.0 + (u - 4.0) ** 5
+        return np.float64(20.0)
     return np.select(
         [u <= 1.0, u <= 3.0, u <= 4.0],
         [u ** 5, 10.0 * (u - 1.0) - (u - 2.0) ** 5,
@@ -162,6 +178,15 @@ def _chi(u):
 
 def _chi_p(u):
     u = np.asarray(u, dtype=float)
+    if u.ndim == 0:
+        x = float(u)
+        if x <= 1.0:
+            return 5.0 * u ** 4
+        if x <= 3.0:
+            return 10.0 - 5.0 * (u - 2.0) ** 4
+        if x <= 4.0:
+            return 5.0 * (u - 4.0) ** 4
+        return np.float64(0.0)
     return np.select(
         [u <= 1.0, u <= 3.0, u <= 4.0],
         [5.0 * u ** 4, 10.0 - 5.0 * (u - 2.0) ** 4, 5.0 * (u - 4.0) ** 4],
@@ -170,6 +195,15 @@ def _chi_p(u):
 
 def _chi_pp(u):
     u = np.asarray(u, dtype=float)
+    if u.ndim == 0:
+        x = float(u)
+        if x <= 1.0:
+            return 20.0 * u ** 3
+        if x <= 3.0:
+            return -20.0 * (u - 2.0) ** 3
+        if x <= 4.0:
+            return 20.0 * (u - 4.0) ** 3
+        return np.float64(0.0)
     return np.select(
         [u <= 1.0, u <= 3.0, u <= 4.0],
         [20.0 * u ** 3, -20.0 * (u - 2.0) ** 3, 20.0 * (u - 4.0) ** 3],
@@ -364,20 +398,34 @@ def eval_F(spec: NonlinearitySpec, u: float, tol: float = TOL_F) -> float:
 
 def eval_F_inverse_log(spec: NonlinearitySpec, log_y: float,
                        tol: float = TOL_F) -> float:
-    """Solve F(u) = exp(log_y) for u.  F is strictly decreasing."""
+    """Solve F(u) = exp(log_y) for u.  F is strictly decreasing.
+
+    The bracket is searched over the fixed points 1, 2, 4, ... or
+    1, 1/2, 1/4, ..., so log F there depends only on (spec, tol) and is
+    memoized on the spec; brentq reads the bracket ends from that memo.
+    """
+    memo = spec._bracket_log_F
 
     def h(u):
-        return eval_F_log(spec, u, tol) - log_y
+        log_F = memo.get((u, tol))
+        if log_F is None:
+            log_F = eval_F_log(spec, u, tol)
+        return log_F - log_y
+
+    def bracket_h(u):
+        if (u, tol) not in memo:
+            memo[(u, tol)] = eval_F_log(spec, u, tol)
+        return h(u)
 
     lo = hi = 1.0
-    h1 = h(1.0)
+    h1 = bracket_h(1.0)
     if h1 == 0.0:
         return 1.0
     if h1 > 0.0:
         # F(1) too large: move right
         for _ in range(600):
             lo, hi = hi, hi * 2.0
-            if h(hi) <= 0.0:
+            if bracket_h(hi) <= 0.0:
                 break
         else:
             raise OutOfRange("no preimage found at large u")
@@ -387,7 +435,7 @@ def eval_F_inverse_log(spec: NonlinearitySpec, log_y: float,
             hi, lo = lo, lo / 2.0
             if lo < 1e-290:
                 raise OutOfRange("requested value exceeds sup F")
-            if h(lo) >= 0.0:
+            if bracket_h(lo) >= 0.0:
                 break
         else:
             raise OutOfRange("requested value exceeds sup F")
@@ -453,12 +501,12 @@ class AdmissibilityReport:
         return json.dumps(doc, indent=2)
 
 
-def _normalized_reaction_deficit(spec: NonlinearitySpec, u: float,
-                                 p_crit: float) -> float:
-    """Q(u)/(u f(u)) where Q(u) = u f(u) - (p_crit+1) int_0^u f.
+def _reaction_integral_ratio(spec: NonlinearitySpec, u: float) -> float:
+    """integral_0^u f(s) ds / f(u) for u > 0, computed in log space.
 
-    Normalizing by u f(u) keeps the check finite where f overflows; the sign
-    of Q is unchanged since u f(u) > 0.
+    The integrand f(s)/f(u) decays away from s = u on the scale 1/g'(u);
+    that boundary layer (width at most 60/g'(u)) is integrated on its own
+    before the rest of [0, u].
     """
     gu = float(spec.g(u))
     gpu = float(spec.gp(u))
@@ -466,18 +514,26 @@ def _normalized_reaction_deficit(spec: NonlinearitySpec, u: float,
     def integrand(s):
         if s <= 0.0:
             return 0.0
-        return math.exp(float(spec.g(s)) - gu)
+        arg = float(spec.g(s)) - gu
+        return math.exp(arg) if arg > -745.0 else 0.0
 
-    if gpu > 0.0:
-        w = min(u, 60.0 / gpu)
-    else:
-        w = u
+    w = min(u, 60.0 / gpu) if gpu > 0.0 else u
     total, _ = quad(integrand, u - w, u, epsabs=1e-15, epsrel=1e-13, limit=400)
     if w < u:
         rest, _ = quad(integrand, 0.0, u - w, epsabs=1e-15, epsrel=1e-13,
                        limit=400)
         total += rest
-    return 1.0 - (p_crit + 1.0) * total / u
+    return total
+
+
+def _normalized_reaction_deficit(spec: NonlinearitySpec, u: float,
+                                 p_crit: float) -> float:
+    """Q(u)/(u f(u)) where Q(u) = u f(u) - (p_crit+1) int_0^u f.
+
+    Normalizing by u f(u) keeps the check finite where f overflows; the sign
+    of Q is unchanged since u f(u) > 0.
+    """
+    return 1.0 - (p_crit + 1.0) * _reaction_integral_ratio(spec, u) / u
 
 
 def check_admissibility(spec: NonlinearitySpec, dim: int,

@@ -18,11 +18,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .errors import PatchMismatch, StepUnderflow
-from .nonlinearity import NonlinearitySpec, eval_F_inverse_log, eval_F_log
+from .nonlinearity import (
+    NonlinearitySpec,
+    _reaction_integral_ratio,
+    eval_F_inverse_log,
+    eval_F_log,
+)
 
 __all__ = [
     "SingularSolutionTable",
@@ -388,21 +393,9 @@ def eval_F0(spec: NonlinearitySpec, u: float) -> float:
     if u <= 0.0:
         return 0.0
     gu = float(spec.g(u))
-    gpu = float(spec.gp(u))
-
-    def integrand(s):
-        if s <= 0.0:
-            return 0.0
-        arg = float(spec.g(s)) - gu
-        return math.exp(arg) if arg > -745.0 else 0.0
-
-    w = min(u, 60.0 / gpu) if gpu > 0 else u
-    total, _ = quad(integrand, u - w, u, epsabs=1e-15, epsrel=1e-13, limit=400)
-    if w < u:
-        rest, _ = quad(integrand, 0.0, u - w, epsabs=1e-15, epsrel=1e-13,
-                       limit=400)
-        total += rest
-    return total * math.exp(gu) if gu < 700.0 else math.inf
+    if gu >= 700.0:
+        return math.inf
+    return _reaction_integral_ratio(spec, u) * math.exp(gu)
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:

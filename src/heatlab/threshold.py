@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NonMonotoneScan, ReactionOverflow
+from .errors import NonMonotoneScan, OutOfRange, ReactionOverflow
 from .evolution import (
     BoundaryCondition,
     RadialField,
@@ -193,10 +193,20 @@ class CaseReport:
 
 def _cap_radius(table, cap: float,
                 spec: Optional[NonlinearitySpec]) -> float:
-    """Radius where the singular profile crosses the cap."""
+    """Radius where the singular profile crosses the cap.
+
+    Raises OutOfRange when the profile stays below the cap down to
+    r = 1e-12 (slowly growing u*, such as the exponential class).
+    """
     lo, hi = 1e-12, float(table.r[-1])
     if float(table.u_star(hi, spec)) >= cap:
         return hi
+    u_lo = float(table.u_star(lo, spec))
+    if u_lo < cap:
+        raise OutOfRange(
+            f"cap {cap:g} is above the singular profile at the smallest "
+            f"resolvable radius: u*({lo:g}) = {u_lo:.6g}; choose a cap "
+            f"below {u_lo:.6g}")
     return float(brentq(lambda r: float(table.u_star(r, spec)) - cap,
                         lo, hi, xtol=1e-15, rtol=1e-12))
 

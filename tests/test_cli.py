@@ -93,6 +93,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "p >=" in capsys.readouterr().err
 
 
+def test_scan_unreachable_cap_exit_code(tmp_path, capsys):
+    # default caps 1e4, 1e5 lie above u*(1e-12) = 6.6 for power_exp(5, 2)
+    rc = main(["scan", "--family", "power-exp", "--p", "5", "--q", "2",
+               "--dim", "3", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("OutOfRange: cap 10000 ")
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

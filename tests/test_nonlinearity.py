@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from heatlab import nonlinearity
 from heatlab.errors import DivisionNearZero, OutOfRange
 from heatlab.nonlinearity import (
+    TOL_F,
     check_admissibility,
     check_fprime_F_limit,
     check_log_convexity_ratio,
@@ -79,6 +81,39 @@ def test_cutoff_shape_function_plateau():
         assert spec.fpp(lo) == pytest.approx(spec.fpp(hi), rel=1e-6)
 
 
+def _select_reference(name, u):
+    """The three-piece np.select formulation of the cutoff polynomial."""
+    pieces, default = {
+        "_chi": ([u ** 5, 10.0 * (u - 1.0) - (u - 2.0) ** 5,
+                  20.0 + (u - 4.0) ** 5], 20.0),
+        "_chi_p": ([5.0 * u ** 4, 10.0 - 5.0 * (u - 2.0) ** 4,
+                    5.0 * (u - 4.0) ** 4], 0.0),
+        "_chi_pp": ([20.0 * u ** 3, -20.0 * (u - 2.0) ** 3,
+                     20.0 * (u - 4.0) ** 3], 0.0),
+    }[name]
+    return np.select([u <= 1.0, u <= 3.0, u <= 4.0], pieces, default=default)
+
+
+@pytest.mark.parametrize("name", ["_chi", "_chi_p", "_chi_pp"])
+def test_cutoff_polynomial_scalar_branch_is_bit_identical(name):
+    # the scalar branch must return exactly what np.select returns for the
+    # same 0-d input.  Against a 1-d array input the match is only to an
+    # ulp: numpy evaluates ** on a scalar through libm pow and on an array
+    # through its SIMD loop, and those differ in the last bit for some x.
+    fn = getattr(nonlinearity, name)
+    pts = [0.0, 1.0, 3.0, 4.0]
+    for b in (1.0, 3.0, 4.0):
+        pts += [np.nextafter(b, 0.0), np.nextafter(b, 6.0)]
+    pts += np.random.default_rng(3).uniform(0.0, 6.0, 200).tolist()
+    from_array = fn(np.array(pts))
+    for x, y_arr in zip(pts, from_array):
+        y = fn(x)
+        assert np.ndim(y) == 0
+        ref = _select_reference(name, np.asarray(x))
+        assert np.asarray(y).view(np.uint64) == ref.view(np.uint64), x
+        assert y == pytest.approx(y_arr, rel=1e-15, abs=0.0)
+
+
 def test_family_constructors_reject_bad_parameters():
     with pytest.raises(ValueError):
         power_exp(5.0, 1.0)     # tail not superexponential
@@ -134,6 +169,33 @@ def test_inverse_roundtrip(name):
         log_y = eval_F_log(spec, float(u))
         back = eval_F_inverse_log(spec, log_y)
         assert back == pytest.approx(float(u), rel=1e-8)
+
+
+@pytest.mark.parametrize("make", [lambda: power_exp(5.0, 2.0),
+                                  lambda: cutoff_exp(20.0)])
+def test_inverse_bracket_memo_keeps_roots(make, monkeypatch):
+    # patch-seed targets log(r^2/2) plus a few away from the origin
+    targets = [2.0 * math.log(r) - math.log(2.0)
+               for r in np.geomspace(1e-6, 1e-3, 8)] + [-60.0, -2.0, 1.5]
+    fresh = [eval_F_inverse_log(make(), t) for t in targets]
+    warm = make()
+    for t in np.linspace(-40.0, 2.0, 7):
+        eval_F_inverse_log(warm, float(t))
+    assert [eval_F_inverse_log(warm, t) for t in targets] == fresh
+    # the memo holds bracket points 2^k only, and brentq reads both
+    # bracket ends from it instead of re-evaluating them
+    assert all(math.frexp(u)[0] == 0.5 for u, _ in warm._bracket_log_F)
+    seen = []
+    real = nonlinearity.eval_F_log
+
+    def counting(spec, u, tol=TOL_F):
+        seen.append(u)
+        return real(spec, u, tol)
+
+    monkeypatch.setattr(nonlinearity, "eval_F_log", counting)
+    assert eval_F_inverse_log(warm, targets[0]) == fresh[0]
+    assert seen
+    assert not any((u, TOL_F) in warm._bracket_log_F for u in seen)
 
 
 def test_inverse_plain_interface():

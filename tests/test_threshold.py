@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from heatlab.errors import NonMonotoneScan
-from heatlab.nonlinearity import pure_power
+from heatlab.errors import NonMonotoneScan, OutOfRange
+from heatlab.nonlinearity import power_exp, pure_power
 from heatlab.singular_ode import build_singular
 from heatlab.threshold import (
     CaseReport,
@@ -96,6 +96,14 @@ def test_case_grid_resolves_capped_zone(table):
         r1 = g.r[1]
         assert float(table.u_star(r1, CUBIC)) > cap
         assert g.bc.kind == "dirichlet"
+
+
+def test_case_grid_rejects_unreachable_cap():
+    # u* of power_exp grows like sqrt(2 log 1/r): 6.6 at r = 1e-12
+    spec = power_exp(5.0, 2.0)
+    tab = build_singular(spec, 3)
+    with pytest.raises(OutOfRange, match=r"cap 10000 .* u\*\(1e-12\) = 6\.6"):
+        case_grid(tab, 1e4, 3, 8.0, 129, spec)
 
 
 # ---------------------------------------------------------------------------
