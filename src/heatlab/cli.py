@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import HeatLabError
 from .evolution import (
+    RadialField,
+    field_from_table,
     write_norm_series_csv,
     write_snapshot_csv,
 )
@@ -37,9 +39,8 @@ from .singular_ode import (
     trace_pohozaev,
     verify_flux_identity,
 )
-from .threshold import RadialBump, Truncation, run_case, threshold_scan
-from .evolution import RadialField, field_from_table
-from .threshold import case_grid
+from .threshold import (RadialBump, Truncation, case_grid, run_case,
+                        threshold_scan)
 
 __all__ = ["RunConfig", "load_config", "main",
            "cmd_check", "cmd_singular", "cmd_evolve", "cmd_iterate",
@@ -228,10 +229,7 @@ def cmd_singular(cfg: RunConfig, out: Artifacts) -> int:
         out.commit()
         return 1
     table = _build_table(cfg)
-    with open(out.path("singular_table.csv"), "w", newline="") as fh:
-        fh.write("r,u,du\n")
-        for r, u, du in zip(table.r, table.u, table.du):
-            fh.write(f"{r:.17g},{u:.17g},{du:.17g}\n")
+    table.to_csv(out.path("singular_table.csv"))
     ratio = asymptotic_ratio(table, spec)
     with open(out.path("asymptotic_ratio.csv"), "w", newline="") as fh:
         fh.write("r,ratio\n")
@@ -317,8 +315,7 @@ def cmd_scan(cfg: RunConfig, out: Artifacts) -> int:
     report.to_csv(out.path("scan.csv"))
     doc = json.loads(report.to_json())
     doc["config"]["run"] = cfg.echo()
-    with open(out.path("scan.json"), "w") as fh:
-        json.dump(doc, fh, indent=2)
+    out.write_json("scan.json", doc)
     out.commit()
     return 0
 

@@ -114,6 +114,13 @@ class RadialGrid:
             a.setflags(write=False)
         return vol, cond, c_sum
 
+    def exterior_value(self, u: np.ndarray) -> float:
+        """Value a field with nodal values u takes beyond the outer
+        radius: the Dirichlet value, or the last nodal value."""
+        if self.bc.kind == "dirichlet":
+            return self.bc.value
+        return float(u[-1])
+
     def refined(self) -> "RadialGrid":
         """Grid with every interval halved (nodes doubled)."""
         mids = 0.5 * (self.r[:-1] + self.r[1:])
@@ -350,12 +357,15 @@ class SemigroupOperator:
             ext[i] = contrib.ravel()[cols.ravel() < 0].sum()
         return A, ext
 
+    def apply(self, u: np.ndarray, u_ext: float) -> np.ndarray:
+        """S(t) on nodal values u extended by the value u_ext beyond the
+        outer radius."""
+        return self.matrix @ u + self.ext * u_ext
+
     def __call__(self, field: RadialField) -> RadialField:
         if field.grid.key() != self.grid.key():
             raise ValueError("field lives on a different grid")
-        bc = self.grid.bc
-        u_ext = bc.value if bc.kind == "dirichlet" else field.u[-1]
-        out = self.matrix @ field.u + self.ext * u_ext
+        out = self.apply(field.u, self.grid.exterior_value(field.u))
         # cubic interpolation can undershoot by strictly tiny amounts
         return field.copy_with(np.maximum(out, 0.0))
 

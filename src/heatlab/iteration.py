@@ -93,24 +93,6 @@ class Trajectory:
         return cls(field.grid, times, vals)
 
 
-def _affine_ops(grid: RadialGrid, t: float, interp: str):
-    """(matrix, ext_weight) of S(t); applied to (vector, ext_value) pairs."""
-    op = semigroup_operator(grid, t, interp)
-    return op.matrix, op.ext
-
-
-def _apply(pair, vec, ext):
-    A, e = pair
-    return A @ vec + e * ext
-
-
-def _ext_value(grid: RadialGrid, vec: np.ndarray) -> float:
-    """Value the field takes beyond the outer radius."""
-    if grid.bc.kind == "dirichlet":
-        return grid.bc.value
-    return float(vec[-1])
-
-
 def _reaction(spec: NonlinearitySpec, vec: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         out = np.asarray(spec.f(vec), dtype=float)
@@ -141,17 +123,17 @@ def duhamel_map(prev: Trajectory, u0: RadialField, spec: NonlinearitySpec,
     dt = t_obs / n
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_time_quad)
 
-    step_op = _affine_ops(grid, dt, interp)
+    step_op = semigroup_operator(grid, dt, interp)
     # lag-one factors S(dt*(0.5 - 0.5 x_q)); longer lags come from powers
     # of the one-slice operator
     offsets = dt * (0.5 - 0.5 * gl_x)
-    lag_ops = [None if tau < IDENTITY_TIME else _affine_ops(grid, tau, interp)
-               for tau in offsets]
+    lag_ops = [None if tau < IDENTITY_TIME
+               else semigroup_operator(grid, tau, interp) for tau in offsets]
 
     values = np.empty((n + 1, grid.n_nodes))
     values[0] = u0.u
     hom = u0.u.copy()                      # S(t_j) u0
-    hom_ext = _ext_value(grid, u0.u)
+    hom_ext = grid.exterior_value(u0.u)
     duh = np.zeros(grid.n_nodes)           # accumulated Duhamel integral
     duh_ext = 0.0
     for j in range(n):
@@ -161,18 +143,18 @@ def duhamel_map(prev: Trajectory, u0: RadialField, spec: NonlinearitySpec,
         b_ext = 0.0
         for q in range(n_time_quad):
             s = prev.times[j] + dt * (0.5 + 0.5 * gl_x[q])
-            fvec = _reaction(spec, prev.interp(s))
-            f_ext = _reaction(spec, np.array([_ext_value(grid,
-                                                         prev.interp(s))]))[0]
+            u_s = prev.interp(s)
+            fvec = _reaction(spec, u_s)
+            f_ext = _reaction(spec, np.array([grid.exterior_value(u_s)]))[0]
             w = 0.5 * dt * gl_w[q]
             if lag_ops[q] is None:
                 b += w * fvec
             else:
-                b += w * _apply(lag_ops[q], fvec, f_ext)
+                b += w * lag_ops[q].apply(fvec, f_ext)
             b_ext += w * f_ext
-        duh = _apply(step_op, duh, duh_ext) + b
+        duh = step_op.apply(duh, duh_ext) + b
         duh_ext += b_ext
-        hom = _apply(step_op, hom, hom_ext)
+        hom = step_op.apply(hom, hom_ext)
         values[j + 1] = np.maximum(hom + duh, 0.0)
     return Trajectory(grid, prev.times.copy(), values)
 

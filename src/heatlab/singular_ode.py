@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .errors import PatchMismatch, StepUnderflow
@@ -91,7 +91,14 @@ def _patch_method(spec: NonlinearitySpec) -> str:
 
 @dataclass
 class SingularSolutionTable:
-    """Tabulated singular profile (r, u*, u*') on (r_patch, R_max]."""
+    """Tabulated singular profile (r, u*, u*') on (r_patch, R_max].
+
+    Fields: the table ``r``, ``u``, ``du`` on [r_patch, R_max] in dimension
+    ``dim``; its provenance (``patch_method``, ``spec_descriptor``,
+    ``tolerances``, ``cross_check``); and the optional evaluation aids
+    ``spec`` (for the patch formula), ``inner`` (a fine (r, u, du) table
+    below r_patch) and ``dense`` (the solver's dense output).
+    """
 
     r: np.ndarray
     u: np.ndarray
@@ -103,72 +110,53 @@ class SingularSolutionTable:
     spec_descriptor: dict
     tolerances: dict = field(default_factory=dict)
     cross_check: dict = field(default_factory=dict)
+    spec: Optional[NonlinearitySpec] = field(default=None, repr=False,
+                                             compare=False)
+    inner: Optional[tuple] = field(default=None, repr=False, compare=False)
+    dense: Optional[Callable] = field(default=None, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         self._interp_u = PchipInterpolator(np.log(self.r), np.log(self.u))
         self._interp_du = PchipInterpolator(np.log(self.r), self.du)
-        self._spec = None
-        self._inner = None  # optional fine (r, u, du) table below r_patch
-        self._dense = None  # optional dense-output callable from the solver
 
-    def attach_spec(self, spec: NonlinearitySpec):
-        """Keep the spec at hand so the patch formula can be evaluated."""
-        self._spec = spec
-        return self
+    def _evaluate(self, r, spec, k: int):
+        """Column k (0: u*, 1: u*') at arbitrary radii: the patch formula
+        below the inner table, log-log interpolation of |column| on the
+        inner table, and monotone interpolation on the main table."""
+        spec = spec if spec is not None else self.spec
+        sign = 1.0 if k == 0 else -1.0
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        out = np.empty_like(r)
+        inside = r < self.r[0]
+        if np.any(inside):
+            ri = r[inside]
+            vals = np.empty_like(ri)
+            covered = np.zeros_like(ri, dtype=bool)
+            if self.inner is not None:
+                rin, col = self.inner[0], self.inner[1 + k]
+                covered = ri >= rin[0]
+                vals[covered] = sign * np.exp(np.interp(
+                    np.log(ri[covered]), np.log(rin), np.log(sign * col)))
+            if np.any(~covered):
+                if spec is None:
+                    raise ValueError(
+                        "need the nonlinearity to evaluate the patch")
+                vals[~covered] = [patch_seed(spec, self.dim, x)[k]
+                                  for x in ri[~covered]]
+            out[inside] = vals
+        x = np.log(np.clip(r[~inside], self.r[0], self.r[-1]))
+        out[~inside] = (np.exp(self._interp_u(x)) if k == 0
+                        else self._interp_du(x))
+        return out if out.size > 1 else float(out[0])
 
     def u_star(self, r, spec: Optional[NonlinearitySpec] = None):
-        """Profile value at arbitrary radii; uses the patch formula below
-        r_patch and monotone log-log interpolation on the table."""
-        spec = spec or self._spec
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        inside = r < self.r[0]
-        if np.any(inside):
-            ri = r[inside]
-            vals = np.empty_like(ri)
-            if self._inner is not None:
-                rin, uin, _ = self._inner
-                covered = ri >= rin[0]
-                vals[covered] = np.exp(np.interp(np.log(ri[covered]),
-                                                 np.log(rin), np.log(uin)))
-            else:
-                covered = np.zeros_like(ri, dtype=bool)
-            if np.any(~covered):
-                if spec is None:
-                    raise ValueError(
-                        "need the nonlinearity to evaluate the patch")
-                vals[~covered] = [patch_seed(spec, self.dim, x)[0]
-                                  for x in ri[~covered]]
-            out[inside] = vals
-        rr = np.clip(r[~inside], self.r[0], self.r[-1])
-        out[~inside] = np.exp(self._interp_u(np.log(rr)))
-        return out if out.size > 1 else float(out[0])
+        """Profile value at arbitrary radii."""
+        return self._evaluate(r, spec, 0)
 
     def du_star(self, r, spec: Optional[NonlinearitySpec] = None):
-        spec = spec or self._spec
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        inside = r < self.r[0]
-        if np.any(inside):
-            ri = r[inside]
-            vals = np.empty_like(ri)
-            if self._inner is not None:
-                rin, _, duin = self._inner
-                covered = ri >= rin[0]
-                vals[covered] = -np.exp(np.interp(
-                    np.log(ri[covered]), np.log(rin), np.log(-duin)))
-            else:
-                covered = np.zeros_like(ri, dtype=bool)
-            if np.any(~covered):
-                if spec is None:
-                    raise ValueError(
-                        "need the nonlinearity to evaluate the patch")
-                vals[~covered] = [patch_seed(spec, self.dim, x)[1]
-                                  for x in ri[~covered]]
-            out[inside] = vals
-        rr = np.clip(r[~inside], self.r[0], self.r[-1])
-        out[~inside] = self._interp_du(np.log(rr))
-        return out if out.size > 1 else float(out[0])
+        """Profile derivative at arbitrary radii."""
+        return self._evaluate(r, spec, 1)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -202,9 +190,8 @@ class ShootingSolution:
     du: np.ndarray
     termination: str          # "reached_rmax" | "vanished"
     r_end: float
-
-    def __post_init__(self):
-        self._dense = None
+    dense: Optional[Callable] = field(default=None, repr=False,
+                                      compare=False)
 
     def value_at(self, r: float) -> float:
         return float(np.interp(r, self.r, self.u))
@@ -288,10 +275,8 @@ def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
     r_out = np.concatenate([[0.0], r_grid])
     u_out = np.concatenate([[alpha], y[0]])
     du_out = np.concatenate([[0.0], y[1]])
-    shot = ShootingSolution(alpha, r_out, u_out, np.asarray(du_out),
-                            termination, r_end)
-    shot._dense = sol.sol
-    return shot
+    return ShootingSolution(alpha, r_out, u_out, np.asarray(du_out),
+                            termination, r_end, dense=sol.sol)
 
 
 def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol, n_points,
@@ -343,10 +328,8 @@ def build_singular(spec: NonlinearitySpec, dim: int,
         r=r, u=u, du=du, dim=dim, r_patch=r_patch, R_max=R_max,
         patch_method=_patch_method(spec),
         spec_descriptor=spec.descriptor(),
-        tolerances={"rtol": rtol, "atol": atol, "patch_tol": patch_tol})
-    table.attach_spec(spec)
-    table._inner = inner
-    table._dense = dense
+        tolerances={"rtol": rtol, "atol": atol, "patch_tol": patch_tol},
+        spec=spec, inner=inner, dense=dense)
 
     if check_patch:
         r2, u2, _, _, _ = _integrate_singular(spec, dim, r_patch / 2.0, R_max,
@@ -398,33 +381,6 @@ def eval_F0(spec: NonlinearitySpec, u: float) -> float:
     return _reaction_integral_ratio(spec, u) * math.exp(gu)
 
 
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral of samples, Simpson-accurate on nonuniform grids
-    (local quadratic through each point triple)."""
-    out = np.zeros_like(y)
-    for i in range(1, len(x)):
-        if i == 1:
-            x0, x1, x2 = x[0], x[1], x[2]
-            y0, y1, y2 = y[0], y[1], y[2]
-        else:
-            x0, x1, x2 = x[i - 2], x[i - 1], x[i]
-            y0, y1, y2 = y[i - 2], y[i - 1], y[i]
-        a, b = (x[i - 1], x[i])
-        # integrate the Lagrange quadratic through the triple over [a, b]
-        seg = 0.0
-        for xv, yv, others in ((x0, y0, (x1, x2)), (x1, y1, (x0, x2)),
-                               (x2, y2, (x0, x1))):
-            c1, c2 = others
-            denom = (xv - c1) * (xv - c2)
-            # integral of (x-c1)(x-c2)/denom over [a, b]
-            def prim(t):
-                return (t ** 3 / 3.0 - (c1 + c2) * t ** 2 / 2.0
-                        + c1 * c2 * t)
-            seg += yv * (prim(b) - prim(a)) / denom
-        out[i] = out[i - 1] + seg
-    return out
-
-
 def ode_residual(obj, spec: NonlinearitySpec, dim: int,
                  r_lo: float, r_hi: float, steps=(2e-4, 6e-4, 1.2e-3),
                  n: int = 400) -> float:
@@ -436,7 +392,7 @@ def ode_residual(obj, spec: NonlinearitySpec, dim: int,
     the dense-output interpolation error, and the best-resolved of a few
     steps is reported.
     """
-    dense = getattr(obj, "_dense", None)
+    dense = obj.dense
     if dense is None:
         raise ValueError("no dense solver output attached")
     r = np.linspace(r_lo, r_hi, n)
@@ -473,15 +429,15 @@ def verify_flux_identity(table: SingularSolutionTable,
                 for si in s]
         return float(np.dot(w, vals))
 
-    if table._inner is not None:
-        rin, uin, _ = table._inner
+    if table.inner is not None:
+        rin, uin, _ = table.inner
         patch_part = patch_flux(rin[0])
         inner_integrand = np.asarray(spec.f(uin)) * rin ** (dim - 1)
-        patch_part += _cumulative_simpson(inner_integrand, rin)[-1]
+        patch_part += cumulative_simpson(inner_integrand, x=rin)[-1]
     else:
         patch_part = patch_flux(table.r[0])
     integrand = np.asarray(spec.f(table.u)) * table.r ** (dim - 1)
-    rhs = patch_part + _cumulative_simpson(integrand, table.r)
+    rhs = patch_part + cumulative_simpson(integrand, x=table.r, initial=0.0)
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
     return float(rel.max())
 

@@ -20,7 +20,6 @@ from .evolution import (
     BoundaryCondition,
     RadialField,
     RadialGrid,
-    field_from_table,
     make_grid,
     sphere_area,
     stability_dt,
@@ -117,6 +116,15 @@ def _combined_side(perts: Sequence[Perturbation]) -> str:
     return sides.pop() if sides else "below"
 
 
+def _star_on_nodes(table, grid: RadialGrid,
+                   spec: Optional[NonlinearitySpec]) -> np.ndarray:
+    """The singular profile at the grid nodes, infinite at the origin."""
+    star = np.empty(grid.n_nodes)
+    star[0] = np.inf
+    star[1:] = np.asarray(table.u_star(grid.r[1:], spec))
+    return star
+
+
 def initial_data(table, grid: RadialGrid, perts: Sequence[Perturbation],
                  cap: float, spec: Optional[NonlinearitySpec] = None
                  ) -> Tuple[RadialField, str]:
@@ -128,11 +136,7 @@ def initial_data(table, grid: RadialGrid, perts: Sequence[Perturbation],
     one-sided away from the capped zone and returned with its side label.
     """
     side = _combined_side(perts)
-    base = field_from_table(table, grid, cap=cap, spec=spec)
-    star = base.u.copy()
-    star[0] = np.inf
-    star[1:] = np.asarray(table.u_star(grid.r[1:], spec))
-
+    star = _star_on_nodes(table, grid, spec)
     u = np.minimum(star, cap)
     for p in perts:
         if isinstance(p, Scaling):
@@ -148,7 +152,7 @@ def initial_data(table, grid: RadialGrid, perts: Sequence[Perturbation],
     else:
         u = np.maximum(u, np.minimum(star, cap))
     u = np.maximum(u, 0.0)
-    mask = base.cap_mask | (u > cap)
+    mask = (star > cap) | (u > cap)
     u = np.minimum(u, cap)
     return RadialField(grid, u, mask), side
 
@@ -301,15 +305,18 @@ def _evolve_and_classify(spec, table, u0: RadialField, side: str,
                          r_star: float) -> EvolutionOutcome:
     grid = u0.grid
     sample_times = np.geomspace(horizon / 1e4, horizon, n_samples)
-    star = np.empty(grid.n_nodes)
-    star[0] = np.inf
-    star[1:] = np.asarray(table.u_star(grid.r[1:], spec))
+    star = _star_on_nodes(table, grid, spec)
 
-    times = [0.0]
-    sups = [u0.sup]
-    l1s = [ul_norm(u0, 1.0).norm]
-    masses = [_inner_mass(u0, spec, r_star)]
-    snapshots = [(0.0, u0)]
+    times, sups, l1s, masses, snapshots = [], [], [], [], []
+
+    def record(t, fld: RadialField):
+        times.append(float(t))
+        sups.append(fld.sup)
+        l1s.append(ul_norm(fld, 1.0).norm)
+        masses.append(_inner_mass(fld, spec, r_star))
+        snapshots.append((float(t), fld))
+
+    record(0.0, u0)
     mass0 = max(masses[0], 1e-300)
     excess = _excess_over_star(u0, star, grid.r, 0.1) if side == "below" \
         else None
@@ -333,11 +340,7 @@ def _evolve_and_classify(spec, table, u0: RadialField, side: str,
         if diverged:
             classification = "BlowUp"
             t_detect = float(t)
-            times.append(float(t))
-            sups.append(cur.sup)
-            l1s.append(ul_norm(cur, 1.0).norm)
-            masses.append(_inner_mass(cur, spec, r_star))
-            snapshots.append((float(t), cur))
+            record(t, cur)
             break
         if t >= horizon:
             break
@@ -353,20 +356,12 @@ def _evolve_and_classify(spec, table, u0: RadialField, side: str,
             classification = "BlowUp" if cur.sup > SUP_GUARD \
                 else "Undetermined"
             t_detect = float(t) if classification == "BlowUp" else None
-            times.append(float(t))
-            sups.append(cur.sup)
-            l1s.append(ul_norm(cur, 1.0).norm)
-            masses.append(_inner_mass(cur, spec, r_star))
-            snapshots.append((float(t), cur))
+            record(t, cur)
             break
         t += dt
         if (next_sample < len(sample_times)
                 and t >= sample_times[next_sample] * (1 - 1e-12)):
-            times.append(t)
-            sups.append(cur.sup)
-            l1s.append(ul_norm(cur, 1.0).norm)
-            masses.append(_inner_mass(cur, spec, r_star))
-            snapshots.append((t, cur))
+            record(t, cur)
             if side == "below":
                 excess = max(excess,
                              _excess_over_star(cur, star, grid.r, 0.1))

@@ -119,7 +119,7 @@ def test_singular_pure_power_artifacts(tmp_path):
     assert rc == 0
     assert not any(p.name.endswith(".partial") for p in out.iterdir())
     rows = (out / "singular_table.csv").read_text().strip().splitlines()
-    assert rows[0] == "r,u,du"
+    assert rows[0] == "r,u_star,du_star"
     r, u, _ = map(float, rows[200].split(","))
     assert u == pytest.approx(math.sqrt(2.0) / r, rel=1e-3)
     doc = json.loads((out / "singular_verification.json").read_text())

@@ -118,6 +118,19 @@ def test_profile_evaluation_below_inner_uses_asymptotic(table_power_exp):
     assert eval_F_log(POWER_EXP, u) == pytest.approx(log_v, rel=0.05)
 
 
+def test_du_star_matches_closed_form_in_all_regions(table_cubic):
+    # u*' = -sqrt(2)/r^2 for the five-dimensional cubic: check it below
+    # the inner table (patch formula), on the inner table and on the main
+    # table
+    rin = table_cubic.inner[0]
+    r = np.concatenate([np.geomspace(1e-8, 0.5 * rin[0], 20),
+                        np.geomspace(rin[0], 0.9 * table_cubic.r[0], 20),
+                        np.geomspace(table_cubic.r[0], 5.0, 20)])
+    assert r[0] < rin[0] <= r[20] and r[39] < table_cubic.r[0] <= r[40]
+    du = np.asarray(table_cubic.du_star(r))
+    assert np.abs(-du * r ** 2 / math.sqrt(2.0) - 1.0).max() <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # conservation identities
 # ---------------------------------------------------------------------------
