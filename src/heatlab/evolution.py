@@ -9,6 +9,7 @@ reaction) for the reaction-diffusion evolution.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.special import betainc, gamma as gamma_fn
 
 from .errors import LinearSolveFailure, QuadratureFailure, ReactionOverflow
@@ -370,7 +371,10 @@ class SemigroupOperator:
         return field.copy_with(np.maximum(out, 0.0))
 
 
-_OPERATOR_CACHE: dict = {}
+# least recently used operators are dropped beyond this many; a ladder or
+# fixed-point check uses about a dozen
+_OPERATOR_CACHE_SIZE = 64
+_OPERATOR_CACHE: OrderedDict = OrderedDict()
 
 
 def semigroup_operator(grid: RadialGrid, t: float,
@@ -381,6 +385,10 @@ def semigroup_operator(grid: RadialGrid, t: float,
     if op is None:
         op = SemigroupOperator(grid, t, interp)
         _OPERATOR_CACHE[key] = op
+        if len(_OPERATOR_CACHE) > _OPERATOR_CACHE_SIZE:
+            _OPERATOR_CACHE.popitem(last=False)
+    else:
+        _OPERATOR_CACHE.move_to_end(key)
     return op
 
 
@@ -530,10 +538,11 @@ def step_imex(field: RadialField, spec: Optional[NonlinearitySpec],
     if grid.bc.kind == "dirichlet":
         u_half[-1] = grid.bc.value
     ab = _laplacian_bands(grid, dt)
-    try:
-        u_new = solve_banded((1, 1), ab, u_half)
-    except Exception as exc:   # singular matrix: should not happen
-        raise LinearSolveFailure(str(exc)) from exc
+    # the tridiagonal LAPACK solver that solve_banded((1, 1), ...) calls,
+    # on the same band slices, without its wrapper and input checks
+    *_, u_new, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], u_half)
+    if info != 0:   # singular matrix: should not happen
+        raise LinearSolveFailure(f"tridiagonal solve failed (info={info})")
     if not np.all(np.isfinite(u_new)):
         raise LinearSolveFailure("non-finite diffusion solve")
     return field.copy_with(np.maximum(u_new, 0.0))

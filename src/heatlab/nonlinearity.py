@@ -77,7 +77,11 @@ class NonlinearitySpec:
     """An immutable bundle of evaluators for one nonlinearity.
 
     All evaluators accept floats or numpy arrays; the domain is u >= 0 for
-    f, f', f'' and u > 0 for the log-profile g and its derivatives.
+    f, f', f'' and u > 0 for the log-profile g and its derivatives.  For
+    the built-in families a scalar input (a float, numpy.float64 included)
+    returns a plain float computed with ``math``, with numpy's IEEE value
+    where Python would raise (overflow, division by zero, log(0)); any
+    other input returns a numpy array.
     """
 
     family: str
@@ -107,6 +111,30 @@ class NonlinearitySpec:
 # built-in families
 # ---------------------------------------------------------------------------
 
+def _evaluator(expr: Callable) -> Callable:
+    """The evaluator u -> expr(u, xp) of a built-in family, where expr is
+    one expression written against the namespace xp.
+
+    A scalar (a float, numpy.float64 included) is computed on the Python
+    float with xp = math and returned as a plain float: quadrature
+    integrands and ODE right-hand sides call the evaluators once per node,
+    and 0-d numpy arithmetic costs several times the expression itself.
+    Anything else is computed as a float array with xp = numpy.  Where
+    Python raises or leaves the reals and numpy returns an IEEE value (exp
+    or ** overflow, division by zero, log(0), a fractional power of a
+    negative number), the scalar is recomputed on the array path, so both
+    paths give the same inf/nan.
+    """
+    def evaluate(u):
+        if isinstance(u, float):
+            try:
+                return float(expr(float(u), math))
+            except (ArithmeticError, ValueError, TypeError):
+                return float(expr(np.asarray(u, dtype=float), np))
+        return expr(np.asarray(u, dtype=float), np)
+    return evaluate
+
+
 def power_exp(p: float, q: float) -> NonlinearitySpec:
     """f(u) = u^p exp(u^q): power behaviour at 0, superexponential tail.
 
@@ -117,31 +145,31 @@ def power_exp(p: float, q: float) -> NonlinearitySpec:
     if p <= 1.0:
         raise ValueError("power_exp requires p > 1 so that f'(0) = 0")
 
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        return u ** p * np.exp(u ** q)
+    @_evaluator
+    def f(u, xp):
+        return u ** p * xp.exp(u ** q)
 
-    def fp(u):
-        u = np.asarray(u, dtype=float)
-        return (p * u ** (p - 1) + q * u ** (p + q - 1)) * np.exp(u ** q)
+    @_evaluator
+    def fp(u, xp):
+        return (p * u ** (p - 1) + q * u ** (p + q - 1)) * xp.exp(u ** q)
 
-    def fpp(u):
-        u = np.asarray(u, dtype=float)
+    @_evaluator
+    def fpp(u, xp):
         poly = (p * (p - 1) * u ** (p - 2)
                 + q * (2 * p + q - 1) * u ** (p + q - 2)
                 + q * q * u ** (p + 2 * q - 2))
-        return poly * np.exp(u ** q)
+        return poly * xp.exp(u ** q)
 
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        return p * np.log(u) + u ** q
+    @_evaluator
+    def g(u, xp):
+        return p * xp.log(u) + u ** q
 
-    def gp(u):
-        u = np.asarray(u, dtype=float)
+    @_evaluator
+    def gp(u, xp):
         return p / u + q * u ** (q - 1)
 
-    def gpp(u):
-        u = np.asarray(u, dtype=float)
+    @_evaluator
+    def gpp(u, xp):
         return -p / u ** 2 + q * (q - 1) * u ** (q - 2)
 
     convex_from = (p / (q * (q - 1))) ** (1.0 / q)
@@ -154,21 +182,20 @@ def power_exp(p: float, q: float) -> NonlinearitySpec:
 
 # quintic cutoff: chi'(u) is the C^1 piecewise quartic below; chi is its
 # antiderivative with chi(0) = 0, giving chi = 20 for u >= 4 and chi = u^5
-# for u <= 1, with C^2 joins.  A 0-d input (every quad node) evaluates only
-# its own piece, with the np.select arm's expressions on the same 0-d array,
-# so the bits agree; np.select would evaluate all three pieces.  The branch
-# is chosen on float(u): exact, and far cheaper than 0-d array comparisons.
+# for u <= 1, with C^2 joins.  A scalar input (every quad node) returns a
+# plain float computed on the Python float, evaluating only its own piece;
+# np.select would evaluate all three.  Array input keeps np.select.
 def _chi(u):
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
+    if isinstance(u, float):
         x = float(u)
         if x <= 1.0:
-            return u ** 5
+            return x ** 5
         if x <= 3.0:
-            return 10.0 * (u - 1.0) - (u - 2.0) ** 5
+            return 10.0 * (x - 1.0) - (x - 2.0) ** 5
         if x <= 4.0:
-            return 20.0 + (u - 4.0) ** 5
-        return np.float64(20.0)
+            return 20.0 + (x - 4.0) ** 5
+        return 20.0
+    u = np.asarray(u, dtype=float)
     return np.select(
         [u <= 1.0, u <= 3.0, u <= 4.0],
         [u ** 5, 10.0 * (u - 1.0) - (u - 2.0) ** 5,
@@ -177,16 +204,16 @@ def _chi(u):
 
 
 def _chi_p(u):
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
+    if isinstance(u, float):
         x = float(u)
         if x <= 1.0:
-            return 5.0 * u ** 4
+            return 5.0 * x ** 4
         if x <= 3.0:
-            return 10.0 - 5.0 * (u - 2.0) ** 4
+            return 10.0 - 5.0 * (x - 2.0) ** 4
         if x <= 4.0:
-            return 5.0 * (u - 4.0) ** 4
-        return np.float64(0.0)
+            return 5.0 * (x - 4.0) ** 4
+        return 0.0
+    u = np.asarray(u, dtype=float)
     return np.select(
         [u <= 1.0, u <= 3.0, u <= 4.0],
         [5.0 * u ** 4, 10.0 - 5.0 * (u - 2.0) ** 4, 5.0 * (u - 4.0) ** 4],
@@ -194,16 +221,16 @@ def _chi_p(u):
 
 
 def _chi_pp(u):
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
+    if isinstance(u, float):
         x = float(u)
         if x <= 1.0:
-            return 20.0 * u ** 3
+            return 20.0 * x ** 3
         if x <= 3.0:
-            return -20.0 * (u - 2.0) ** 3
+            return -20.0 * (x - 2.0) ** 3
         if x <= 4.0:
-            return 20.0 * (u - 4.0) ** 3
-        return np.float64(0.0)
+            return 20.0 * (x - 4.0) ** 3
+        return 0.0
+    u = np.asarray(u, dtype=float)
     return np.select(
         [u <= 1.0, u <= 3.0, u <= 4.0],
         [20.0 * u ** 3, -20.0 * (u - 2.0) ** 3, 20.0 * (u - 4.0) ** 3],
@@ -219,28 +246,28 @@ def cutoff_exp(a: float = 20.0) -> NonlinearitySpec:
     if a <= 0.0:
         raise ValueError("cutoff_exp requires a > 0")
 
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        return _chi(u) * np.exp(a * u)
+    @_evaluator
+    def f(u, xp):
+        return _chi(u) * xp.exp(a * u)
 
-    def fp(u):
-        u = np.asarray(u, dtype=float)
-        return (_chi_p(u) + a * _chi(u)) * np.exp(a * u)
+    @_evaluator
+    def fp(u, xp):
+        return (_chi_p(u) + a * _chi(u)) * xp.exp(a * u)
 
-    def fpp(u):
-        u = np.asarray(u, dtype=float)
-        return (_chi_pp(u) + 2.0 * a * _chi_p(u) + a * a * _chi(u)) * np.exp(a * u)
+    @_evaluator
+    def fpp(u, xp):
+        return (_chi_pp(u) + 2.0 * a * _chi_p(u) + a * a * _chi(u)) * xp.exp(a * u)
 
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        return np.log(_chi(u)) + a * u
+    @_evaluator
+    def g(u, xp):
+        return xp.log(_chi(u)) + a * u
 
-    def gp(u):
-        u = np.asarray(u, dtype=float)
+    @_evaluator
+    def gp(u, xp):
         return _chi_p(u) / _chi(u) + a
 
-    def gpp(u):
-        u = np.asarray(u, dtype=float)
+    @_evaluator
+    def gpp(u, xp):
         c = _chi(u)
         return (_chi_pp(u) * c - _chi_p(u) ** 2) / c ** 2
 
@@ -261,28 +288,28 @@ def pure_power(p: float) -> NonlinearitySpec:
     if p <= 1.0:
         raise ValueError("pure_power requires p > 1")
 
-    def f(u):
-        u = np.asarray(u, dtype=float)
+    @_evaluator
+    def f(u, xp):
         return u ** p
 
-    def fp(u):
-        u = np.asarray(u, dtype=float)
+    @_evaluator
+    def fp(u, xp):
         return p * u ** (p - 1)
 
-    def fpp(u):
-        u = np.asarray(u, dtype=float)
+    @_evaluator
+    def fpp(u, xp):
         return p * (p - 1) * u ** (p - 2)
 
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        return p * np.log(u)
+    @_evaluator
+    def g(u, xp):
+        return p * xp.log(u)
 
-    def gp(u):
-        u = np.asarray(u, dtype=float)
+    @_evaluator
+    def gp(u, xp):
         return p / u
 
-    def gpp(u):
-        u = np.asarray(u, dtype=float)
+    @_evaluator
+    def gpp(u, xp):
         return -p / u ** 2
 
     def log_exact_tail(M):

@@ -2,19 +2,24 @@
 semigroup action, uniformly local norms and the IMEX stepper."""
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
+from heatlab import evolution
 from heatlab.errors import ReactionOverflow
 from heatlab.evolution import (
     BoundaryCondition,
     RadialField,
+    _laplacian_bands,
     _window_integral,
     apply_semigroup,
     field_from_table,
     make_grid,
+    semigroup_operator,
     stability_dt,
     step_imex,
     ul_norm,
@@ -155,6 +160,22 @@ def test_strong_continuity(grid3):
     assert errs[2] < 1e-3
 
 
+def test_operator_cache_evicts_least_recently_used(monkeypatch):
+    assert evolution._OPERATOR_CACHE_SIZE >= 64
+    monkeypatch.setattr(evolution, "_OPERATOR_CACHE", OrderedDict())
+    monkeypatch.setattr(evolution, "_OPERATOR_CACHE_SIZE", 3)
+    g = make_grid(3, 4.0, 16)
+    ops = [semigroup_operator(g, t) for t in (0.01, 0.02, 0.03)]
+    # a hit returns the cached object and makes it the most recent entry
+    assert semigroup_operator(g, 0.01) is ops[0]
+    semigroup_operator(g, 0.04)
+    assert len(evolution._OPERATOR_CACHE) == 3
+    assert semigroup_operator(g, 0.01) is ops[0]
+    assert semigroup_operator(g, 0.03) is ops[2]
+    # 0.02 was the least recently used entry at the bound: rebuilt
+    assert semigroup_operator(g, 0.02) is not ops[1]
+
+
 def test_dirichlet_extension_feeds_boundary_value():
     bc = BoundaryCondition("dirichlet", 2.0)
     g = make_grid(3, 8.0, 257, bc=bc)
@@ -286,6 +307,26 @@ def test_capped_singular_profile_near_stationary(table_cubic):
     assert residuals[1] < 0.05
 
 
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("n_nodes", [65, 129])
+@pytest.mark.parametrize("bc", [BoundaryCondition("neumann"),
+                                BoundaryCondition("dirichlet", 0.5)])
+def test_step_solve_matches_solve_banded(dim, n_nodes, bc):
+    # step_imex calls LAPACK gtsv on the bands directly; solve_banded
+    # dispatches (1, 1) bands to the same routine, so the bits agree
+    g = make_grid(dim, 8.0, n_nodes, bc=bc)
+    rng = np.random.default_rng(dim + n_nodes)
+    u0 = 1.0 / (1.0 + g.r ** 2) + rng.uniform(0.0, 0.1, n_nodes)
+    fld = RadialField(g, u0)
+    for dt in np.geomspace(1e-8, 1e-1, 10):
+        rhs = fld.u.copy()
+        if bc.kind == "dirichlet":
+            rhs[-1] = bc.value
+        ref = solve_banded((1, 1), _laplacian_bands(g, dt), rhs)
+        out = step_imex(fld, None, dt).u
+        assert out.tobytes() == np.maximum(ref, 0.0).tobytes(), dt
+
+
 def test_reaction_overflow_raised():
     g = make_grid(3, 8.0, 65)
     fld = RadialField(g, np.full(g.n_nodes, 500.0))
@@ -301,6 +342,17 @@ def test_stability_dt_tracks_sup():
     dt_small = stability_dt(small, spec)
     dt_large = stability_dt(large, spec)
     assert dt_large < dt_small <= 0.5 * 1e-2
+
+
+@pytest.mark.parametrize("spec,sup", [(power_exp(5.0, 2.0), 30.0),
+                                      (pure_power(3.0), 1e200)])
+def test_stability_dt_overflow_is_typed(spec, sup):
+    # f'(sup) overflows double precision; Python float arithmetic would
+    # raise OverflowError, the bound must report ReactionOverflow instead
+    g = make_grid(3, 8.0, 65)
+    fld = RadialField(g, np.full(g.n_nodes, sup))
+    with np.errstate(over="ignore"), pytest.raises(ReactionOverflow):
+        stability_dt(fld, spec)
 
 
 def test_invalid_dt_rejected():

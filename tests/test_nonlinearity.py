@@ -81,25 +81,30 @@ def test_cutoff_shape_function_plateau():
         assert spec.fpp(lo) == pytest.approx(spec.fpp(hi), rel=1e-6)
 
 
-def _select_reference(name, u):
-    """The three-piece np.select formulation of the cutoff polynomial."""
+def _piece_reference(name, x):
+    """The three-piece formulation of the cutoff polynomial on a Python
+    float."""
+    x = float(x)
     pieces, default = {
-        "_chi": ([u ** 5, 10.0 * (u - 1.0) - (u - 2.0) ** 5,
-                  20.0 + (u - 4.0) ** 5], 20.0),
-        "_chi_p": ([5.0 * u ** 4, 10.0 - 5.0 * (u - 2.0) ** 4,
-                    5.0 * (u - 4.0) ** 4], 0.0),
-        "_chi_pp": ([20.0 * u ** 3, -20.0 * (u - 2.0) ** 3,
-                     20.0 * (u - 4.0) ** 3], 0.0),
+        "_chi": ((x ** 5, 10.0 * (x - 1.0) - (x - 2.0) ** 5,
+                  20.0 + (x - 4.0) ** 5), 20.0),
+        "_chi_p": ((5.0 * x ** 4, 10.0 - 5.0 * (x - 2.0) ** 4,
+                    5.0 * (x - 4.0) ** 4), 0.0),
+        "_chi_pp": ((20.0 * x ** 3, -20.0 * (x - 2.0) ** 3,
+                     20.0 * (x - 4.0) ** 3), 0.0),
     }[name]
-    return np.select([u <= 1.0, u <= 3.0, u <= 4.0], pieces, default=default)
+    for bound, value in zip((1.0, 3.0, 4.0), pieces):
+        if x <= bound:
+            return value
+    return default
 
 
 @pytest.mark.parametrize("name", ["_chi", "_chi_p", "_chi_pp"])
 def test_cutoff_polynomial_scalar_branch_is_bit_identical(name):
-    # the scalar branch must return exactly what np.select returns for the
-    # same 0-d input.  Against a 1-d array input the match is only to an
-    # ulp: numpy evaluates ** on a scalar through libm pow and on an array
-    # through its SIMD loop, and those differ in the last bit for some x.
+    # the scalar branch must return exactly the piece formula evaluated on
+    # the Python float.  Against a 1-d array input the match is only to an
+    # ulp: Python evaluates ** through libm pow and numpy's array loop
+    # differs from it in the last bit for some x.
     fn = getattr(nonlinearity, name)
     pts = [0.0, 1.0, 3.0, 4.0]
     for b in (1.0, 3.0, 4.0):
@@ -108,10 +113,57 @@ def test_cutoff_polynomial_scalar_branch_is_bit_identical(name):
     from_array = fn(np.array(pts))
     for x, y_arr in zip(pts, from_array):
         y = fn(x)
-        assert np.ndim(y) == 0
-        ref = _select_reference(name, np.asarray(x))
-        assert np.asarray(y).view(np.uint64) == ref.view(np.uint64), x
+        assert type(y) is float
+        ref = _piece_reference(name, x)
+        assert np.float64(y).tobytes() == np.float64(ref).tobytes(), x
         assert y == pytest.approx(y_arr, rel=1e-15, abs=0.0)
+
+
+# overflow inputs per family: f overflows there in double precision
+_OVERFLOW_POINTS = {"power_exp": [30.0, 1e3], "cutoff_exp": [50.0],
+                    "pure_power": [1e200]}
+
+
+def _scalar_contract_points(name):
+    pts = [0.0, 1e-6]
+    for b in (1.0, 3.0, 4.0):
+        pts += [b, float(np.nextafter(b, 0.0)), float(np.nextafter(b, 6.0))]
+    pts += np.random.default_rng(11).uniform(0.0, 6.0, 200).tolist()
+    return pts + _OVERFLOW_POINTS[name]
+
+
+@pytest.mark.parametrize("ev", ["f", "fp", "fpp", "g", "gp", "gpp"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_scalar_evaluation_matches_array_path(name, ev):
+    # a scalar goes through Python float arithmetic and math, an array
+    # through numpy; the scalar must come back as a plain float, never
+    # raise (overflow, log(0), division by zero), carry the array's inf/nan
+    # and agree with it to 1e-15 relative.  At 0 the log-profile g and its
+    # derivatives are outside their domain; only the inf/nan must agree.
+    spec = FAMILIES[name]
+    fn = getattr(spec, ev)
+    pts = _scalar_contract_points(name)
+    with np.errstate(all="ignore"):
+        from_array = fn(np.array(pts))
+        # scale of the agreement: |value|, except for the cutoff g'', where
+        # chi'' chi - chi'^2 cancels up to a factor 9 for u <= 1 and the
+        # last-bit pow differences are measured against the two terms
+        scale = np.abs(from_array)
+        if (name, ev) == ("cutoff_exp", "gpp"):
+            u = np.array(pts)
+            c = nonlinearity._chi(u)
+            scale = (np.abs(nonlinearity._chi_pp(u) * c)
+                     + nonlinearity._chi_p(u) ** 2) / c ** 2
+        for x, y_arr, s in zip(pts, from_array, scale):
+            for arg in (x, np.float64(x)):
+                y = fn(arg)
+                assert type(y) is float, (x, type(y))
+                assert np.isnan(y) == np.isnan(y_arr), (x, y, y_arr)
+                assert np.isinf(y) == np.isinf(y_arr), (x, y, y_arr)
+                if np.isfinite(y_arr):
+                    assert abs(y - y_arr) <= 1e-15 * s, (x, y, y_arr)
+                elif np.isinf(y_arr):
+                    assert y == y_arr, (x, y, y_arr)
 
 
 def test_family_constructors_reject_bad_parameters():
