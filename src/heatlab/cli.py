@@ -107,8 +107,11 @@ class RunConfig:
                 raise ValueError(f"{key} must be positive")
         if self.n_nodes < 8:
             raise ValueError("n_nodes must be >= 8")
+        if self.k_max < 1 or self.n_slices < 1:
+            raise ValueError("k_max and n_slices must be >= 1")
         if any(c <= 0 for c in self.cap_list()):
             raise ValueError("caps must be positive")
+        self.amplitude_factors()    # a malformed list raises ValueError
 
     def spec(self):
         if self.family == "power-exp":

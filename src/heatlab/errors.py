@@ -30,10 +30,6 @@ class PatchMismatch(HeatLabError):
     """Re-seeding the singular solution at a smaller patch radius changed it."""
 
 
-class QuadratureFailure(HeatLabError):
-    """A quadrature did not converge within its iteration cap."""
-
-
 class LinearSolveFailure(HeatLabError):
     """The implicit diffusion solve failed."""
 

@@ -11,16 +11,15 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgtsv
-from scipy.special import betainc, gamma as gamma_fn
+from scipy.sparse import csr_matrix
+from scipy.special import betainc, gamma as gamma_fn, ive
 
-from .errors import LinearSolveFailure, QuadratureFailure, ReactionOverflow
+from .errors import LinearSolveFailure, ReactionOverflow
 from .nonlinearity import NonlinearitySpec
 
 __all__ = [
@@ -202,46 +201,36 @@ def field_from_table(table, grid: RadialGrid, cap: float = 1e6,
 #   [S(t)u](r) = (4 pi t)^{-N/2} int_0^inf e^{-(r-rho)^2/4t} B(a)
 #                u(rho) rho^{N-1} drho,        a = r rho / 2t,
 #
-# with the angular factor
+# with the angular factor (w = 1 - cos theta, nu = (N-2)/2, and
+# ive(nu, a) = e^{-a} I_nu(a))
 #
 #   B(a) = omega_{N-2} int_0^2 e^{-a w} (w(2-w))^{(N-3)/2} dw
-#        -> (2 pi / a)^{(N-1)/2}  as a -> inf,  B(0) = omega_{N-1}.
+#        = omega_{N-2} sqrt(pi) Gamma((N-1)/2) (2/a)^nu ive(nu, a)
+#        = 2 pi^{N/2} (2/a)^nu ive(nu, a).
+#
+# _log_angular uses the closed form on [_A_MIN, _A_MAX].  Below _A_MIN it
+# uses log B(0) - a with B(0) = omega_{N-1}, exact to O(a^2): the origin
+# row has a = 0, and for N >= 5 ive(nu, 1e-300) underflows to 0.  Above
+# _A_MAX it uses the asymptote (2 pi / a)^{(N-1)/2}, exact to O(N^2 / a):
+# ive returns nan from about a = 1e9.
 
+_A_MIN = 1e-8
 _A_MAX = 1e8
-
-
-@lru_cache(maxsize=8)
-def _angular_table(dim: int):
-    """Spline of log[B(a) (1+a)^{(N-1)/2}] against log(1+a)."""
-    nu = (dim - 3.0) / 2.0
-    om = sphere_area(dim - 1)
-    x = np.linspace(0.0, math.log1p(_A_MAX), 900)
-    a_vals = np.expm1(x)
-    logs = np.empty_like(a_vals)
-    for i, a in enumerate(a_vals):
-        # substitute w = 1 - cos(theta); integrand concentrates near 0, and
-        # the tail cut off beyond 60/a is below e^{-60}
-        hi = 2.0 if a < 30.0 else min(2.0, 60.0 / a)
-        val, err = quad(lambda w: math.exp(-a * w) * (w * (2.0 - w)) ** nu,
-                        0.0, hi, epsabs=0.0, epsrel=1e-12, limit=200)
-        if not np.isfinite(val) or val <= 0.0:
-            raise QuadratureFailure(f"angular kernel quadrature at a={a:g}")
-        logs[i] = math.log(om * val) + 0.5 * (dim - 1) * math.log1p(a)
-    return CubicSpline(x, logs)
+# kernel widths sqrt(4t) beyond which the Gaussian factor is below e^{-81}:
+# the extension region ends there, and so does each row's band
+_KERNEL_REACH = 9.0
 
 
 def _log_angular(dim: int, a: np.ndarray) -> np.ndarray:
-    """log B(a), vectorized, exact asymptotic beyond the table."""
+    """log B(a), vectorized."""
     a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    small = a <= _A_MAX
-    if np.any(small):
-        x = np.log1p(a[small])
-        out[small] = _angular_table(dim)(x) - 0.5 * (dim - 1) * x
-    if np.any(~small):
-        out[~small] = 0.5 * (dim - 1) * (math.log(2.0 * math.pi)
-                                         - np.log(a[~small]))
-    return out
+    nu = 0.5 * (dim - 2)
+    return np.piecewise(a, [a < _A_MIN, a > _A_MAX], [
+        lambda a: math.log(sphere_area(dim)) - a,
+        lambda a: 0.5 * (dim - 1) * (math.log(2.0 * math.pi) - np.log(a)),
+        lambda a: (math.log(2.0) + 0.5 * dim * math.log(math.pi)
+                   + nu * np.log(2.0 / a) + np.log(ive(nu, a))),
+    ])
 
 
 class SemigroupOperator:
@@ -267,96 +256,68 @@ class SemigroupOperator:
         self.matrix, self.ext = self._assemble()
 
     def _quad_nodes(self):
-        grid, t = self.grid, self.t
-        width = math.sqrt(4.0 * t)
-        r = grid.r
-        R = grid.R_outer
-        edges = [r]
-        # extension region: constant field out to where the kernel has died
-        R_ext = R + 9.0 * width
+        """Gauss-Legendre nodes, weights and the segment of each node.  The
+        segments are the grid intervals and the extension region, each cut
+        into sub-segments at most 0.45 kernel widths wide."""
+        width = math.sqrt(4.0 * self.t)
+        R = self.grid.R_outer
+        R_ext = R + _KERNEL_REACH * width
         n_ext = max(4, int(math.ceil((R_ext - R) / (0.45 * width))))
-        edges.append(np.linspace(R, R_ext, n_ext + 1)[1:])
-        edges = np.concatenate(edges)
-        gl_x, gl_w = np.polynomial.legendre.leggauss(6)
+        edges = np.concatenate([self.grid.r,
+                                np.linspace(R, R_ext, n_ext + 1)[1:]])
         lo, hi = edges[:-1], edges[1:]
-        # subdivide wide segments so the Gaussian factor is resolved
-        nodes, weights, seg_of = [], [], []
-        for j in range(len(lo)):
-            w_seg = hi[j] - lo[j]
-            nsub = max(1, int(math.ceil(w_seg / (0.45 * width))))
-            sub = np.linspace(lo[j], hi[j], nsub + 1)
-            for k in range(nsub):
-                mid = 0.5 * (sub[k] + sub[k + 1])
-                half = 0.5 * (sub[k + 1] - sub[k])
-                nodes.append(mid + half * gl_x)
-                weights.append(half * gl_w)
-                seg_of.append(np.full(len(gl_x), j, dtype=int))
-        return (np.concatenate(nodes), np.concatenate(weights),
-                np.concatenate(seg_of))
+        nsub = np.maximum(1, np.ceil((hi - lo) / (0.45 * width)).astype(int))
+        seg = np.repeat(np.arange(len(lo)), nsub)
+        k = np.arange(len(seg)) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+        half = (0.5 * (hi - lo) / nsub)[seg, None]
+        mid = lo[seg, None] + (2 * k + 1)[:, None] * half
+        gl_x, gl_w = np.polynomial.legendre.leggauss(6)
+        return ((mid + half * gl_x).ravel(), (half * gl_w).ravel(),
+                np.repeat(seg, len(gl_x)))
 
-    def _interp_weights(self, rho, seg):
-        """Cubic Lagrange weights mapping nodal values to values at rho.
-
-        Quadrature nodes beyond the last grid segment take the boundary
-        value (column index -1 marks the extension).
-        """
+    def _interp_matrix(self, rho, seg):
+        """Sparse P mapping the nodal values, with the extension value as
+        column M, to the field at the quadrature nodes rho: Lagrange weights
+        on the four nodes around a node's segment (cubic) or on its two ends
+        (linear), and weight 1 on the extension value beyond the grid."""
         r = self.grid.r
         M = len(r)
-        n = len(rho)
-        cols = np.zeros((n, 4), dtype=int)
-        wts = np.zeros((n, 4))
+        n = 4 if self.interp == "cubic" else 2
         inside = seg < M - 1
-        out = ~inside
-        cols[out, 0] = -1
-        wts[out, 0] = 1.0
-        idx = np.where(inside)[0]
-        j = seg[idx]
-        if self.interp == "linear":
-            lam = (rho[idx] - r[j]) / (r[j + 1] - r[j])
-            cols[idx, 0] = j
-            cols[idx, 1] = j + 1
-            wts[idx, 0] = 1.0 - lam
-            wts[idx, 1] = lam
-            return cols, wts
-        base = np.clip(j - 1, 0, M - 4)
-        for c in range(4):
-            cols[idx, c] = base + c
-        xs = r[cols[idx]]
-        x = rho[idx]
-        for c in range(4):
-            num = np.ones(len(idx))
-            den = np.ones(len(idx))
-            for c2 in range(4):
-                if c2 == c:
-                    continue
-                num *= x - xs[:, c2]
-                den *= xs[:, c] - xs[:, c2]
-            wts[idx, c] = num / den
-        return cols, wts
+        cols = np.full((len(rho), n), M)
+        wts = np.zeros((len(rho), n))
+        wts[~inside, 0] = 1.0
+        cols[inside] = (np.clip(seg[inside] - n // 2 + 1, 0, M - n)[:, None]
+                        + np.arange(n))
+        xs = r[cols[inside]]
+        for c in range(n):
+            o = np.arange(n) != c
+            wts[inside, c] = np.prod((rho[inside, None] - xs[:, o])
+                                     / (xs[:, [c]] - xs[:, o]), axis=1)
+        return csr_matrix((wts.ravel(), (np.repeat(np.arange(len(rho)), n),
+                                         cols.ravel())),
+                          shape=(len(rho), M + 1))
 
     def _assemble(self):
-        grid, t = self.grid, self.t
-        dim = grid.dim
-        r = grid.r
+        t, dim, r = self.t, self.grid.dim, self.grid.r
         M = len(r)
         rho, w, seg = self._quad_nodes()
-        cols, iw = self._interp_weights(rho, seg)
-        log_pref = -0.5 * dim * math.log(4.0 * math.pi * t)
-        with np.errstate(divide="ignore"):
-            log_rho_metric = (dim - 1) * np.log(rho)
-        A = np.zeros((M, M))
-        ext = np.zeros(M)
-        for i in range(M):
-            ri = r[i]
-            a = ri * rho / (2.0 * t)
-            log_k = (log_pref - (ri - rho) ** 2 / (4.0 * t)
-                     + _log_angular(dim, a) + log_rho_metric)
-            kv = np.exp(log_k) * w
-            contrib = kv[:, None] * iw
-            np.add.at(A[i], cols.ravel().clip(min=0),
-                      np.where(cols.ravel() >= 0, contrib.ravel(), 0.0))
-            ext[i] = contrib.ravel()[cols.ravel() < 0].sum()
-        return A, ext
+        # [matrix | ext] = K P, where row i of K holds kernel times weight on
+        # its band: the (sorted) quadrature nodes within reach of r_i
+        reach = _KERNEL_REACH * math.sqrt(4.0 * t)
+        first = np.searchsorted(rho, r - reach, side="left")
+        count = np.searchsorted(rho, r + reach, side="right") - first
+        indptr = np.concatenate([[0], np.cumsum(count)])
+        row = np.repeat(np.arange(M), count)
+        q = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], count)
+        log_k = (-0.5 * dim * math.log(4.0 * math.pi * t)
+                 - (r[row] - rho[q]) ** 2 / (4.0 * t)
+                 + _log_angular(dim, r[row] * rho[q] / (2.0 * t))
+                 + (dim - 1) * np.log(rho[q]))
+        K = csr_matrix((np.exp(log_k) * w[q], q, indptr),
+                       shape=(M, len(rho)))
+        A = (K @ self._interp_matrix(rho, seg)).toarray()
+        return A[:, :M], A[:, M]
 
     def apply(self, u: np.ndarray, u_ext: float) -> np.ndarray:
         """S(t) on nodal values u extended by the value u_ext beyond the

@@ -330,7 +330,7 @@ def check_immediate_boundedness(ladder: IterationLadder,
     for j in idx[:: max(1, len(idx) // 8)]:
         fvals = _reaction(spec, tr3.values[j])
         est = ul_norm(RadialField(ladder.final.grid, fvals), p)
-        worst_reaction = max(worst_reaction, est.value ** (1.0 / p))
+        worst_reaction = max(worst_reaction, est.norm)
     return {
         "window": (t0, T),
         "sup_iterate4": sup4,

@@ -31,6 +31,9 @@ def test_defaults_validate():
     {"horizon": -1.0},
     {"caps": "1e4,-2"},
     {"n_nodes": 4},
+    {"k_max": 0},
+    {"n_slices": 0},
+    {"amplitudes": "abc"},
 ])
 def test_invalid_config_rejected(overrides):
     with pytest.raises(ValueError):
@@ -91,6 +94,17 @@ def test_config_error_exit_code(tmp_path, capsys):
                "--dim", "3", "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "p >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["iterate", "--k-max", "0"], "k_max and n_slices must be >= 1"),
+    (["scan", "--amplitudes=abc"], "'abc'"),
+])
+def test_bad_run_option_is_config_error(tmp_path, capsys, argv, message):
+    rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
 
 
 def test_scan_unreachable_cap_exit_code(tmp_path, capsys):

@@ -15,6 +15,7 @@ from heatlab.evolution import (
     BoundaryCondition,
     RadialField,
     _laplacian_bands,
+    _log_angular,
     _window_integral,
     apply_semigroup,
     field_from_table,
@@ -182,6 +183,81 @@ def test_dirichlet_extension_feeds_boundary_value():
     fld = RadialField(g, np.full(g.n_nodes, 2.0))
     out = apply_semigroup(fld, 1e-3)
     assert np.abs(out.u - 2.0).max() <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
+def test_angular_factor_matches_quadrature(dim):
+    # B(a) = omega_{N-2} int_0^2 e^{-aw} (w(2-w))^{(N-3)/2} dw, the weight
+    # w^{(N-3)/2} taken by QUADPACK's algebraic-singularity rule
+    alpha = 0.5 * (dim - 3)
+    a_vals = [0.0, 1e-300, 1e-9, 1e-3, 0.5, 3.0, 40.0, 1e3, 1e6, 1e8]
+    got = _log_angular(dim, np.array(a_vals))
+    assert np.all(np.isfinite(got))
+    for a, log_b in zip(a_vals, got):
+        hi = 2.0 if a < 30.0 else 60.0 / a    # integrand < e^{-60} beyond
+        val, _ = quad(lambda w: math.exp(-a * w) * (2.0 - w) ** alpha,
+                      0.0, hi, weight="alg", wvar=(alpha, 0.0),
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        ref = math.log(evolution.sphere_area(dim - 1) * val)
+        assert abs(log_b - ref) <= 1e-12, (a, log_b - ref)
+    big = np.array([1.0000001e8, 1e9, 1e12, 1e300])
+    asymptote = 0.5 * (dim - 1) * np.log(2.0 * math.pi / big)
+    assert np.all(np.isfinite(_log_angular(dim, big)))
+    assert np.abs(_log_angular(dim, big) - asymptote).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-3, 1e-1])
+def test_quad_nodes_match_segment_loop(t):
+    op = evolution.SemigroupOperator(make_grid(5, 4.0, 24), t)
+    rho, w, seg = op._quad_nodes()
+    # reference: each segment cut by np.linspace, one sub-segment at a time
+    width = math.sqrt(4.0 * t)
+    R = op.grid.R_outer
+    R_ext = R + evolution._KERNEL_REACH * width
+    n_ext = max(4, int(math.ceil((R_ext - R) / (0.45 * width))))
+    edges = np.concatenate([op.grid.r, np.linspace(R, R_ext, n_ext + 1)[1:]])
+    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
+    ref = []
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        sub = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / (0.45 * width)))
+                          + 1)
+        for a, b in zip(sub[:-1], sub[1:]):
+            ref.extend((0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * g, j)
+                       for x, g in zip(gl_x, gl_w))
+    ref_rho, ref_w, ref_seg = map(np.array, zip(*ref))
+    assert np.array_equal(seg, ref_seg)
+    assert np.allclose(rho, ref_rho, rtol=1e-15, atol=0.0)
+    assert np.allclose(w, ref_w, rtol=1e-12, atol=0.0)
+
+
+def _full_row_sum(op):
+    """Reference assembly: each row sums the kernel over every quadrature
+    node, with no band cut-off."""
+    t, dim, r = op.t, op.grid.dim, op.grid.r
+    rho, w, seg = op._quad_nodes()
+    P = op._interp_matrix(rho, seg).toarray()
+    A = np.empty((len(r), len(r) + 1))
+    for i, ri in enumerate(r):
+        log_k = (-0.5 * dim * math.log(4.0 * math.pi * t)
+                 - (ri - rho) ** 2 / (4.0 * t)
+                 + _log_angular(dim, ri * rho / (2.0 * t))
+                 + (dim - 1) * np.log(rho))
+        A[i] = (np.exp(log_k) * w) @ P
+    return A[:, :-1], A[:, -1]
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("interp", ["cubic", "linear"])
+@pytest.mark.parametrize("bc", [BoundaryCondition("neumann"),
+                                BoundaryCondition("dirichlet", 1.5)])
+@pytest.mark.parametrize("t", [1e-5, 1e-3, 1e-1])
+def test_banded_assembly_matches_full_row_sums(dim, interp, bc, t):
+    op = evolution.SemigroupOperator(make_grid(dim, 4.0, 24, bc=bc), t,
+                                     interp)
+    ref_matrix, ref_ext = _full_row_sum(op)
+    scale = np.abs(ref_matrix).sum(axis=1) + np.abs(ref_ext)
+    err = np.abs(op.matrix - ref_matrix).sum(axis=1) + np.abs(op.ext - ref_ext)
+    assert np.all(err <= 1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------
