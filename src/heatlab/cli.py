@@ -80,11 +80,19 @@ class RunConfig:
     pure_heat: bool = False
     verbose: bool = False
 
+    def _float_list(self, key):
+        raw = str(getattr(self, key))
+        try:
+            return tuple(float(x) for x in raw.split(","))
+        except ValueError:
+            raise ValueError(f"{key} must be a comma-separated list of "
+                             f"numbers, got '{raw}'") from None
+
     def cap_list(self):
-        return tuple(float(c) for c in str(self.caps).split(","))
+        return self._float_list("caps")
 
     def amplitude_factors(self):
-        return tuple(float(a) for a in str(self.amplitudes).split(","))
+        return self._float_list("amplitudes")
 
     def validate(self) -> None:
         if self.family not in ("power-exp", "cutoff-exp", "pure-power"):
@@ -100,11 +108,17 @@ class RunConfig:
                     f"in dimension {self.dim}")
         if self.family == "pure-power" and self.p <= 1:
             raise ValueError("pure-power requires p > 1")
+        if self.family == "cutoff-exp" and self.a <= 0:
+            raise ValueError("cutoff-exp requires a > 0")
         for key in ("r_patch", "R_max", "R_outer", "cap", "horizon",
-                    "patch_tol", "t_obs", "scan_horizon", "bump_sigma",
-                    "iterate_cap"):
+                    "patch_tol", "t_obs", "scan_horizon", "bump_r_c",
+                    "bump_sigma", "iterate_cap"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive")
+        if self.r_patch >= self.R_max:
+            raise ValueError("r_patch must be < R_max")
+        if self.seed_factor < 0:
+            raise ValueError("seed_factor must be >= 0")
         if self.n_nodes < 8:
             raise ValueError("n_nodes must be >= 8")
         if self.k_max < 1 or self.n_slices < 1:

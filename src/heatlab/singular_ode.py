@@ -95,9 +95,9 @@ class SingularSolutionTable:
 
     Fields: the table ``r``, ``u``, ``du`` on [r_patch, R_max] in dimension
     ``dim``; its provenance (``patch_method``, ``spec_descriptor``,
-    ``tolerances``, ``cross_check``); and the optional evaluation aids
-    ``spec`` (for the patch formula), ``inner`` (a fine (r, u, du) table
-    below r_patch) and ``dense`` (the solver's dense output).
+    ``tolerances``, ``cross_check``); the solver's dense output ``dense``
+    on [dense.t_min, R_max], the only representation of the profile below
+    r_patch; and the optional ``spec`` for the patch formula below that.
     """
 
     r: np.ndarray
@@ -108,36 +108,30 @@ class SingularSolutionTable:
     R_max: float
     patch_method: str
     spec_descriptor: dict
+    dense: Callable = field(repr=False, compare=False)
     tolerances: dict = field(default_factory=dict)
     cross_check: dict = field(default_factory=dict)
     spec: Optional[NonlinearitySpec] = field(default=None, repr=False,
                                              compare=False)
-    inner: Optional[tuple] = field(default=None, repr=False, compare=False)
-    dense: Optional[Callable] = field(default=None, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
         self._interp_u = PchipInterpolator(np.log(self.r), np.log(self.u))
         self._interp_du = PchipInterpolator(np.log(self.r), self.du)
 
     def _evaluate(self, r, spec, k: int):
-        """Column k (0: u*, 1: u*') at arbitrary radii: the patch formula
-        below the inner table, log-log interpolation of |column| on the
-        inner table, and monotone interpolation on the main table."""
+        """Column k (0: u*, 1: u*') at arbitrary radii: the solver's dense
+        output on [dense.t_min, r_patch), the patch formula below that, and
+        monotone interpolation on the main table."""
         spec = spec if spec is not None else self.spec
-        sign = 1.0 if k == 0 else -1.0
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.empty_like(r)
         inside = r < self.r[0]
         if np.any(inside):
             ri = r[inside]
             vals = np.empty_like(ri)
-            covered = np.zeros_like(ri, dtype=bool)
-            if self.inner is not None:
-                rin, col = self.inner[0], self.inner[1 + k]
-                covered = ri >= rin[0]
-                vals[covered] = sign * np.exp(np.interp(
-                    np.log(ri[covered]), np.log(rin), np.log(sign * col)))
+            covered = ri >= self.dense.t_min
+            if np.any(covered):     # OdeSolution rejects an empty array
+                vals[covered] = self.dense(ri[covered])[k]
             if np.any(~covered):
                 if spec is None:
                     raise ValueError(
@@ -279,12 +273,12 @@ def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
                             termination, r_end, dense=sol.sol)
 
 
-def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol, n_points,
-                        inner_factor, n_inner=2000):
+def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol,
+                        inner_factor):
     """Integrate outward from r_inner = r_patch/inner_factor so that the
     seeding error of the asymptotic formula has decayed by the time the
-    tabulated range starts.  Returns the main table and the fine inner
-    table on [r_inner, r_patch]."""
+    tabulated range starts.  Returns the solver's dense output on
+    [r_inner, R_max]."""
     r_inner = r_patch / inner_factor
     u0, du0 = patch_seed(spec, dim, r_inner)
     sol = solve_ivp(_rhs(spec, dim), (r_inner, R_max), [u0, du0],
@@ -295,18 +289,14 @@ def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol, n_points,
             f"singular integration stopped at r={sol.t[-1]:.3e}: "
             f"{sol.message}", r=sol.t[-1],
             state=(sol.y[0, -1], sol.y[1, -1]))
-    r_grid = np.geomspace(r_patch, R_max, n_points)
-    y = sol.sol(r_grid)
-    r_in = np.geomspace(r_inner, r_patch, n_inner)
-    y_in = sol.sol(r_in)
-    return r_grid, y[0], y[1], (r_in, y_in[0], y_in[1]), sol.sol
+    return sol.sol
 
 
 def build_singular(spec: NonlinearitySpec, dim: int,
                    r_patch: float = 1e-3, R_max: float = 10.0,
                    rtol: float = 1e-11, atol: float = 1e-13,
                    n_points: int = 500, patch_tol: float = 1e-5,
-                   inner_factor: float = 1024.0, n_inner: int = 2000,
+                   inner_factor: float = 1024.0,
                    check_patch: bool = True,
                    cross_check: bool = True) -> SingularSolutionTable:
     """Construct the singular profile table on [r_patch, R_max].
@@ -314,13 +304,14 @@ def build_singular(spec: NonlinearitySpec, dim: int,
     Outward integration is the stable direction (nearby solutions are
     attracted to the singular one as r grows), so the seeding error decays
     downstream.  Consistency is guarded by re-seeding at r_patch/2 and
-    comparing on [2 r_patch, R_max].
+    comparing the two dense outputs on the table radii in [2 r_patch, R_max].
     """
     if not (0.0 < r_patch < R_max):
         raise ValueError("need 0 < r_patch < R_max")
-    r, u, du, inner, dense = _integrate_singular(spec, dim, r_patch, R_max,
-                                                 rtol, atol, n_points,
-                                                 inner_factor, n_inner)
+    dense = _integrate_singular(spec, dim, r_patch, R_max, rtol, atol,
+                                inner_factor)
+    r = np.geomspace(r_patch, R_max, n_points)
+    u, du = dense(r)
     if np.any(u <= 0.0):
         raise StepUnderflow("singular profile lost positivity", r=r[u <= 0][0])
 
@@ -329,15 +320,13 @@ def build_singular(spec: NonlinearitySpec, dim: int,
         patch_method=_patch_method(spec),
         spec_descriptor=spec.descriptor(),
         tolerances={"rtol": rtol, "atol": atol, "patch_tol": patch_tol},
-        spec=spec, inner=inner, dense=dense)
+        spec=spec, dense=dense)
 
     if check_patch:
-        r2, u2, _, _, _ = _integrate_singular(spec, dim, r_patch / 2.0, R_max,
-                                              rtol, atol, n_points,
-                                              inner_factor)
+        dense2 = _integrate_singular(spec, dim, r_patch / 2.0, R_max,
+                                     rtol, atol, inner_factor)
         window = r >= 2.0 * r_patch
-        u2_on = np.exp(np.interp(np.log(r[window]), np.log(r2), np.log(u2)))
-        rel = np.abs(u2_on - u[window]) / u[window]
+        rel = np.abs(dense2(r[window])[0] - u[window]) / u[window]
         mismatch = float(rel.max())
         table.tolerances["patch_mismatch"] = mismatch
         if mismatch > patch_tol:
@@ -412,10 +401,13 @@ def verify_flux_identity(table: SingularSolutionTable,
                          spec: NonlinearitySpec) -> float:
     """Max relative residual of -r^(N-1) u*' = integral_0^r f(u*) s^(N-1).
 
-    The contribution of (0, r_patch) is quadrature of the patch formula;
-    the rest is composite quadrature over the table.
+    The contribution of (0, r_patch) is quadrature of the patch formula
+    below the solver's dense output and Simpson quadrature of 2000 dense
+    samples on [dense.t_min, r_patch]; the rest is composite quadrature
+    over the table.
     """
     dim = table.dim
+    n_dense = 2000      # samples of the dense output below r_patch
     lhs = -table.r ** (dim - 1) * table.du
 
     def patch_flux(r_hi, n=64):
@@ -429,13 +421,11 @@ def verify_flux_identity(table: SingularSolutionTable,
                 for si in s]
         return float(np.dot(w, vals))
 
-    if table.inner is not None:
-        rin, uin, _ = table.inner
-        patch_part = patch_flux(rin[0])
-        inner_integrand = np.asarray(spec.f(uin)) * rin ** (dim - 1)
-        patch_part += cumulative_simpson(inner_integrand, x=rin)[-1]
-    else:
-        patch_part = patch_flux(table.r[0])
+    rin = np.geomspace(table.dense.t_min, table.r_patch, n_dense)
+    uin = table.dense(rin)[0]
+    inner_integrand = np.asarray(spec.f(uin)) * rin ** (dim - 1)
+    patch_part = (patch_flux(rin[0])
+                  + cumulative_simpson(inner_integrand, x=rin)[-1])
     integrand = np.asarray(spec.f(table.u)) * table.r ** (dim - 1)
     rhs = patch_part + cumulative_simpson(integrand, x=table.r, initial=0.0)
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)

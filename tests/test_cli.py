@@ -34,6 +34,11 @@ def test_defaults_validate():
     {"k_max": 0},
     {"n_slices": 0},
     {"amplitudes": "abc"},
+    {"caps": "abc"},
+    {"r_patch": 20.0, "R_max": 10.0},
+    {"family": "cutoff-exp", "a": -1.0},
+    {"bump_r_c": -1.0},
+    {"seed_factor": -1.0},
 ])
 def test_invalid_config_rejected(overrides):
     with pytest.raises(ValueError):
@@ -99,8 +104,22 @@ def test_config_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["iterate", "--k-max", "0"], "k_max and n_slices must be >= 1"),
     (["scan", "--amplitudes=abc"], "'abc'"),
+    (["scan", "--amplitudes=0.1,x"],
+     "amplitudes must be a comma-separated list of numbers, got '0.1,x'"),
+    (["scan", "--caps=abc"],
+     "caps must be a comma-separated list of numbers, got 'abc'"),
+    (["singular", "--r-patch", "20", "--R-max", "10"],
+     "r_patch must be < R_max"),
+    (["check", "--family", "cutoff-exp", "--a", "-1"],
+     "cutoff-exp requires a > 0"),
+    (["scan", "--r-c", "-1"], "bump_r_c must be positive"),
+    (["iterate", "--config", "bad_seed.ini"], "seed_factor must be >= 0"),
 ])
-def test_bad_run_option_is_config_error(tmp_path, capsys, argv, message):
+def test_bad_run_option_is_config_error(tmp_path, monkeypatch, capsys, argv,
+                                        message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad_seed.ini").write_text(
+        "[experiment]\nseed_factor = -1\n")
     rc = main([*argv, "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -125,6 +144,15 @@ def test_missing_subcommand_is_usage_error():
 # ---------------------------------------------------------------------------
 # singular
 # ---------------------------------------------------------------------------
+
+def test_singular_power_exp_small_patch_radius(tmp_path):
+    # the re-seed check reads both integrations through their dense
+    # outputs, so interpolation error cannot trip it at a tiny r_patch
+    rc = main(["singular", "--family", "power-exp", "--p", "5", "--q", "2",
+               "--dim", "3", "--r-patch", "1e-9",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+
 
 def test_singular_pure_power_artifacts(tmp_path):
     out = tmp_path / "out"

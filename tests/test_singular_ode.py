@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from heatlab.nonlinearity import (
+    custom,
     cutoff_exp,
     eval_F_log,
     power_exp,
@@ -30,6 +31,10 @@ from heatlab.singular_ode import (
 POWER_EXP = power_exp(5.0, 2.0)
 CUTOFF = cutoff_exp(20.0)
 CUBIC = pure_power(3.0)
+# Gelfand nonlinearity f = e^u: outside the exponential class (f(0) = 1),
+# but u* = log(2(N-2)) - 2 log r and F(u*) = r^2/(2N-4) hold exactly
+GELFAND = custom(np.exp, np.exp, np.exp, log_convex_from=0.0,
+                 log_exact_tail=lambda M: -M)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +64,21 @@ def test_cubic_profile_matches_closed_form(table_cubic):
     assert np.allclose(table_cubic.u, want, rtol=1e-9)
     want_d = -math.sqrt(2.0) / table_cubic.r ** 2
     assert np.allclose(table_cubic.du, want_d, rtol=1e-8)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_gelfand_profile_matches_closed_form(dim):
+    # R_max = 1 keeps u* positive: it vanishes at r = sqrt(2(N-2))
+    tab = build_singular(GELFAND, dim, R_max=1.0)
+    assert tab.tolerances["patch_mismatch"] <= 1e-10
+    r = np.geomspace(1e-9, 0.999 * tab.r_patch, 200)
+    want = math.log(2.0 * (dim - 2)) - 2.0 * np.log(r)
+    assert np.abs(np.asarray(tab.u_star(r)) / want - 1.0).max() <= 1e-10
+    du = np.asarray(tab.du_star(r))
+    assert np.abs(-0.5 * du * r - 1.0).max() <= 1e-9
+    assert verify_flux_identity(tab, GELFAND) <= 1e-8
+    ratio = asymptotic_ratio(tab, GELFAND)[:, 1]
+    assert np.abs(ratio - 1.0).max() <= 1e-9
 
 
 def test_patch_reseeding_is_stable(table_power_exp, table_cutoff,
@@ -120,13 +140,13 @@ def test_profile_evaluation_below_inner_uses_asymptotic(table_power_exp):
 
 def test_du_star_matches_closed_form_in_all_regions(table_cubic):
     # u*' = -sqrt(2)/r^2 for the five-dimensional cubic: check it below
-    # the inner table (patch formula), on the inner table and on the main
-    # table
-    rin = table_cubic.inner[0]
-    r = np.concatenate([np.geomspace(1e-8, 0.5 * rin[0], 20),
-                        np.geomspace(rin[0], 0.9 * table_cubic.r[0], 20),
+    # the dense output (patch formula), on the dense output below r_patch
+    # and on the main table
+    r_lo = table_cubic.dense.t_min
+    r = np.concatenate([np.geomspace(1e-8, 0.5 * r_lo, 20),
+                        np.geomspace(r_lo, 0.9 * table_cubic.r[0], 20),
                         np.geomspace(table_cubic.r[0], 5.0, 20)])
-    assert r[0] < rin[0] <= r[20] and r[39] < table_cubic.r[0] <= r[40]
+    assert r[0] < r_lo <= r[20] and r[39] < table_cubic.r[0] <= r[40]
     du = np.asarray(table_cubic.du_star(r))
     assert np.abs(-du * r ** 2 / math.sqrt(2.0) - 1.0).max() <= 1e-6
 
