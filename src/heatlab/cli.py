@@ -117,6 +117,9 @@ class RunConfig:
                 raise ValueError(f"{key} must be positive")
         if self.r_patch >= self.R_max:
             raise ValueError("r_patch must be < R_max")
+        for key in ("R_outer", "bump_r_c"):    # u* is evaluated there
+            if getattr(self, key) > self.R_max:
+                raise ValueError(f"{key} must be <= R_max")
         if self.seed_factor < 0:
             raise ValueError("seed_factor must be >= 0")
         if self.n_nodes < 8:
@@ -166,6 +169,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
     values = {}
     if path is not None:
         parser = configparser.ConfigParser()
+        parser.optionxform = str    # keep the case of R_max and R_outer
         read = parser.read(path)
         if not read:
             raise ValueError(f"cannot read config file '{path}'")
@@ -322,7 +326,7 @@ def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
 def cmd_scan(cfg: RunConfig, out: Artifacts) -> int:
     spec = None if cfg.pure_heat else cfg.spec()
     table = _build_table(cfg)
-    u_ref = float(table.u_star(cfg.bump_r_c, cfg.spec()))
+    u_ref = float(table.u_star(cfg.bump_r_c))
     A_grid = [fa * u_ref for fa in cfg.amplitude_factors()]
     bump = RadialBump(cfg.bump_r_c, cfg.bump_sigma, 0.0)
     report = threshold_scan(spec, table, bump, A_grid,

@@ -29,7 +29,6 @@ __all__ = [
     "ULNormEstimate",
     "make_grid",
     "field_from_table",
-    "unit_ball_volume",
     "sphere_area",
     "apply_semigroup",
     "semigroup_operator",
@@ -44,10 +43,6 @@ __all__ = [
 def sphere_area(dim: int) -> float:
     """Surface area of the unit sphere in R^dim."""
     return 2.0 * math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0)
-
-
-def unit_ball_volume(dim: int) -> float:
-    return sphere_area(dim) / dim
 
 
 @dataclass(frozen=True)

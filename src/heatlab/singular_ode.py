@@ -19,9 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.interpolate import PchipInterpolator
 
-from .errors import PatchMismatch, StepUnderflow
+from .errors import OutOfRange, PatchMismatch, StepUnderflow
 from .nonlinearity import (
     NonlinearitySpec,
     _reaction_integral_ratio,
@@ -91,13 +90,15 @@ def _patch_method(spec: NonlinearitySpec) -> str:
 
 @dataclass
 class SingularSolutionTable:
-    """Tabulated singular profile (r, u*, u*') on (r_patch, R_max].
+    """Singular profile u* on (0, R_max] with its sample on [r_patch, R_max].
 
-    Fields: the table ``r``, ``u``, ``du`` on [r_patch, R_max] in dimension
-    ``dim``; its provenance (``patch_method``, ``spec_descriptor``,
-    ``tolerances``, ``cross_check``); the solver's dense output ``dense``
-    on [dense.t_min, R_max], the only representation of the profile below
-    r_patch; and the optional ``spec`` for the patch formula below that.
+    The solver's dense output ``dense`` represents u* and u*' on its whole
+    range [dense.t_min, R_max], and the optional ``spec`` gives the patch
+    formula below that.  The table ``r``, ``u``, ``du`` in dimension ``dim``
+    is the dense output sampled on [r_patch, R_max]: the CSV artifact and
+    the nodes of the flux, Pohozaev, asymptotic-ratio and growth-bound
+    checks.  Provenance: ``patch_method``, ``spec_descriptor``,
+    ``tolerances``, ``cross_check``.
     """
 
     r: np.ndarray
@@ -114,42 +115,31 @@ class SingularSolutionTable:
     spec: Optional[NonlinearitySpec] = field(default=None, repr=False,
                                              compare=False)
 
-    def __post_init__(self):
-        self._interp_u = PchipInterpolator(np.log(self.r), np.log(self.u))
-        self._interp_du = PchipInterpolator(np.log(self.r), self.du)
-
     def _evaluate(self, r, spec, k: int):
-        """Column k (0: u*, 1: u*') at arbitrary radii: the solver's dense
-        output on [dense.t_min, r_patch), the patch formula below that, and
-        monotone interpolation on the main table."""
+        """Column k (0: u*, 1: u*') at radii up to R_max: the solver's
+        dense output on [dense.t_min, R_max], the patch formula below."""
         spec = spec if spec is not None else self.spec
         r = np.atleast_1d(np.asarray(r, dtype=float))
+        if np.any(r > self.R_max):
+            raise OutOfRange(f"u* is built on (0, {self.R_max:g}], "
+                             f"asked at r = {r.max():g}")
         out = np.empty_like(r)
-        inside = r < self.r[0]
-        if np.any(inside):
-            ri = r[inside]
-            vals = np.empty_like(ri)
-            covered = ri >= self.dense.t_min
-            if np.any(covered):     # OdeSolution rejects an empty array
-                vals[covered] = self.dense(ri[covered])[k]
-            if np.any(~covered):
-                if spec is None:
-                    raise ValueError(
-                        "need the nonlinearity to evaluate the patch")
-                vals[~covered] = [patch_seed(spec, self.dim, x)[k]
-                                  for x in ri[~covered]]
-            out[inside] = vals
-        x = np.log(np.clip(r[~inside], self.r[0], self.r[-1]))
-        out[~inside] = (np.exp(self._interp_u(x)) if k == 0
-                        else self._interp_du(x))
+        covered = r >= self.dense.t_min
+        if np.any(covered):         # OdeSolution rejects an empty array
+            out[covered] = self.dense(r[covered])[k]
+        if not np.all(covered):
+            if spec is None:
+                raise ValueError("need the nonlinearity to evaluate the patch")
+            out[~covered] = [patch_seed(spec, self.dim, x)[k]
+                             for x in r[~covered]]
         return out if out.size > 1 else float(out[0])
 
     def u_star(self, r, spec: Optional[NonlinearitySpec] = None):
-        """Profile value at arbitrary radii."""
+        """Profile value at radii in (0, R_max]."""
         return self._evaluate(r, spec, 0)
 
     def du_star(self, r, spec: Optional[NonlinearitySpec] = None):
-        """Profile derivative at arbitrary radii."""
+        """Profile derivative at radii in (0, R_max]."""
         return self._evaluate(r, spec, 1)
 
     def to_csv(self, path):

@@ -49,13 +49,14 @@ def test_config_file_and_flag_precedence(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(
         "[nonlinearity]\nfamily = pure-power\np = 3\n"
-        "[domain]\ndim = 5\nn_nodes = 65\n"
+        "[domain]\ndim = 5\nn_nodes = 65\nR_max = 4\nR_outer = 4\n"
         "[solver]\nhorizon = 0.25\n"
         "[experiment]\npure_heat = true\n")
     cfg = load_config(path)
     assert cfg.family == "pure-power"
     assert cfg.dim == 5
     assert cfg.horizon == 0.25
+    assert (cfg.R_max, cfg.R_outer) == (4.0, 4.0)
     assert cfg.pure_heat is True
     # flags beat the file
     cfg = load_config(path, overrides={"horizon": 0.125})
@@ -114,12 +115,16 @@ def test_config_error_exit_code(tmp_path, capsys):
      "cutoff-exp requires a > 0"),
     (["scan", "--r-c", "-1"], "bump_r_c must be positive"),
     (["iterate", "--config", "bad_seed.ini"], "seed_factor must be >= 0"),
+    (["scan", "--config", "far_outer.ini"], "R_outer must be <= R_max"),
+    (["scan", "--r-c", "12"], "bump_r_c must be <= R_max"),
 ])
 def test_bad_run_option_is_config_error(tmp_path, monkeypatch, capsys, argv,
                                         message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad_seed.ini").write_text(
         "[experiment]\nseed_factor = -1\n")
+    (tmp_path / "far_outer.ini").write_text(
+        "[domain]\nR_max = 4\nR_outer = 8\n")
     rc = main([*argv, "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from heatlab.errors import OutOfRange
 from heatlab.nonlinearity import (
     custom,
     cutoff_exp,
@@ -71,7 +72,8 @@ def test_gelfand_profile_matches_closed_form(dim):
     # R_max = 1 keeps u* positive: it vanishes at r = sqrt(2(N-2))
     tab = build_singular(GELFAND, dim, R_max=1.0)
     assert tab.tolerances["patch_mismatch"] <= 1e-10
-    r = np.geomspace(1e-9, 0.999 * tab.r_patch, 200)
+    # below, across and above r_patch, up to R_max
+    r = np.geomspace(1e-9, 1.0, 3000)
     want = math.log(2.0 * (dim - 2)) - 2.0 * np.log(r)
     assert np.abs(np.asarray(tab.u_star(r)) / want - 1.0).max() <= 1e-10
     du = np.asarray(tab.du_star(r))
@@ -110,6 +112,17 @@ def test_stationary_residual_small(table_power_exp, table_cutoff):
     assert ode_residual(table_cutoff, CUTOFF, 3, 0.5, 5.0) <= 1e-6
 
 
+def test_u_star_beyond_R_max_is_out_of_range():
+    tab = build_singular(CUBIC, 5, R_max=4.0, check_patch=False,
+                         cross_check=False)
+    assert tab.u_star(4.0) == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-9)
+    with pytest.raises(OutOfRange,
+                       match=r"built on \(0, 4\], asked at r = 8"):
+        tab.u_star(8.0)
+    with pytest.raises(OutOfRange):
+        tab.du_star(np.array([1.0, 8.0]))
+
+
 def test_invalid_patch_radius_rejected():
     with pytest.raises(ValueError):
         build_singular(CUBIC, 5, r_patch=20.0, R_max=10.0)
@@ -140,8 +153,8 @@ def test_profile_evaluation_below_inner_uses_asymptotic(table_power_exp):
 
 def test_du_star_matches_closed_form_in_all_regions(table_cubic):
     # u*' = -sqrt(2)/r^2 for the five-dimensional cubic: check it below
-    # the dense output (patch formula), on the dense output below r_patch
-    # and on the main table
+    # the dense output (patch formula) and on the dense output below and
+    # above r_patch
     r_lo = table_cubic.dense.t_min
     r = np.concatenate([np.geomspace(1e-8, 0.5 * r_lo, 20),
                         np.geomspace(r_lo, 0.9 * table_cubic.r[0], 20),
