@@ -117,9 +117,6 @@ class RunConfig:
                 raise ValueError(f"{key} must be positive")
         if self.r_patch >= self.R_max:
             raise ValueError("r_patch must be < R_max")
-        for key in ("R_outer", "bump_r_c"):    # u* is evaluated there
-            if getattr(self, key) > self.R_max:
-                raise ValueError(f"{key} must be <= R_max")
         if self.seed_factor < 0:
             raise ValueError("seed_factor must be >= 0")
         if self.n_nodes < 8:
@@ -419,6 +416,10 @@ def main(argv=None) -> int:
                  if k in _FIELD_TYPES and v is not None}
     try:
         cfg = load_config(args.config, overrides)
+        if args.command in ("evolve", "iterate", "scan"):
+            for key in ("R_outer", "bump_r_c"):    # u* is evaluated there
+                if getattr(cfg, key) > cfg.R_max:
+                    raise ValueError(f"{key} must be <= R_max")
     except (ValueError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ __all__ = [
     "RadialField",
     "ULNormEstimate",
     "make_grid",
+    "transition_radius",
     "field_from_table",
     "sphere_area",
     "apply_semigroup",
@@ -86,28 +87,30 @@ class RadialGrid:
     def key(self):
         return (self.r.tobytes(), self.dim, self.bc.kind, self.bc.value)
 
+    @cached_property
     def cell_volumes(self) -> np.ndarray:
-        """Finite-volume cell of each node per unit solid angle: the shell
-        between the neighbouring midpoints, (right^N - left^N) / N."""
+        """Read-only finite-volume cell of each node per unit solid angle:
+        the shell between the neighbouring midpoints, (right^N - left^N)/N."""
         faces = 0.5 * (self.r[:-1] + self.r[1:])
         left = np.concatenate([[0.0], faces])
         right = np.concatenate([faces, [self.r[-1]]])
-        return (right ** self.dim - left ** self.dim) / self.dim
+        vol = (right ** self.dim - left ** self.dim) / self.dim
+        vol.setflags(write=False)
+        return vol
 
     @cached_property
     def diffusion_coefficients(self):
         """dt-free parts of the Laplacian bands, built once per grid: cell
         volumes, face conductances r^{N-1}/h (node i <-> i+1) and each
         node's summed conductance.  The arrays are read-only."""
-        vol = self.cell_volumes()
         faces = 0.5 * (self.r[:-1] + self.r[1:])
         cond = faces ** (self.dim - 1) / np.diff(self.r)
         # node i couples to i-1 through cond[i-1] and to i+1 through
         # cond[i]; the first and last nodes have one neighbour each
         c_sum = np.concatenate([[0.0], cond]) + np.concatenate([cond, [0.0]])
-        for a in (vol, cond, c_sum):
+        for a in (cond, c_sum):
             a.setflags(write=False)
-        return vol, cond, c_sum
+        return self.cell_volumes, cond, c_sum
 
     def exterior_value(self, u: np.ndarray) -> float:
         """Value a field with nodal values u takes beyond the outer
@@ -123,16 +126,23 @@ class RadialGrid:
         return RadialGrid(r=r, dim=self.dim, bc=self.bc)
 
 
+GEOMETRIC_SHARE = 0.45    # share of make_grid's intervals that are geometric
+
+
+def transition_radius(R_outer: float) -> float:
+    """Where make_grid's geometric section ends: min(1, R_outer / 4)."""
+    return min(1.0, R_outer / 4.0)
+
+
 def make_grid(dim: int, R_outer: float, n_nodes: int = 257,
-              r1_frac: float = 1e-3, transition: Optional[float] = None,
+              r1_frac: float = 1e-3,
               bc: BoundaryCondition = BoundaryCondition("neumann")
               ) -> RadialGrid:
     """Geometric-then-uniform node layout with r_1 = r1_frac * R_outer."""
     if n_nodes < 8:
         raise ValueError("need at least 8 nodes")
-    if transition is None:
-        transition = min(1.0, R_outer / 4.0)
-    n_geo = max(4, int(0.45 * (n_nodes - 1)))
+    transition = transition_radius(R_outer)
+    n_geo = max(4, int(GEOMETRIC_SHARE * (n_nodes - 1)))
     n_uni = n_nodes - 1 - n_geo
     if n_uni < 3:
         raise ValueError("too few nodes for the uniform outer section")
@@ -448,6 +458,16 @@ def ul_norm(field: RadialField, p: float = 1.0) -> ULNormEstimate:
 REACTION_GUARD = 1e100
 
 
+def _reaction(spec: NonlinearitySpec, u: np.ndarray, dt: float) -> np.ndarray:
+    """f(u) for the reaction increment dt * f(u) (dt = 1 guards f itself);
+    ReactionOverflow when f is non-finite or dt * f > REACTION_GUARD."""
+    with np.errstate(over="ignore"):
+        fu = np.asarray(spec.f(u), dtype=float)
+    if not np.all(np.isfinite(fu)) or float(fu.max()) * dt > REACTION_GUARD:
+        raise ReactionOverflow(f"reaction overflow at u={np.max(u):.3e}")
+    return fu
+
+
 def _laplacian_bands(grid: RadialGrid, dt: float):
     """Banded form of I - dt*L for the finite-volume radial Laplacian with
     metric weights r^{N-1}, reflecting at the origin."""
@@ -463,12 +483,12 @@ def _laplacian_bands(grid: RadialGrid, dt: float):
 
 
 def stability_dt(field: RadialField, spec: NonlinearitySpec,
-                 dt_max: float = 1e-2, safety: float = 0.5) -> float:
-    """Explicit-reaction stability bound safety * min(dt_max, 1/f'(sup u))."""
+                 dt_max: float = 1e-2) -> float:
+    """Explicit-reaction stability bound 0.5 * min(dt_max, 1/f'(sup u))."""
     fp = float(spec.fp(field.sup))
     if not np.isfinite(fp):
         raise ReactionOverflow(f"f'({field.sup:g}) overflows")
-    return safety * min(dt_max, 1.0 / max(fp, 1e-300))
+    return 0.5 * min(dt_max, 1.0 / max(fp, 1e-300))
 
 
 def step_imex(field: RadialField, spec: Optional[NonlinearitySpec],
@@ -483,12 +503,7 @@ def step_imex(field: RadialField, spec: Optional[NonlinearitySpec],
         raise ValueError("dt must be positive")
     grid = field.grid
     if spec is not None:
-        with np.errstate(over="ignore"):
-            fu = np.asarray(spec.f(field.u), dtype=float)
-        if not np.all(np.isfinite(fu)) or float(fu.max()) * dt > REACTION_GUARD:
-            raise ReactionOverflow(
-                f"reaction increment overflow: f(sup)={np.nanmax(fu):.3e}")
-        u_half = field.u + dt * fu
+        u_half = field.u + dt * _reaction(spec, field.u, dt)
     else:
         u_half = field.u.copy()
     if grid.bc.kind == "dirichlet":

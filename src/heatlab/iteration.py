@@ -20,11 +20,11 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import OrderingViolation, ReactionOverflow, TimeMeshMismatch
+from .errors import OrderingViolation, TimeMeshMismatch
 from .evolution import (
-    REACTION_GUARD,
     RadialField,
     RadialGrid,
+    _reaction,
     semigroup_operator,
     ul_norm,
 )
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 IDENTITY_TIME = 1e-6      # below this, S(t) is taken as the identity
+N_TIME_QUAD = 3           # Gauss-Legendre nodes per time slice
 
 
 @dataclass
@@ -93,23 +94,14 @@ class Trajectory:
         return cls(field.grid, times, vals)
 
 
-def _reaction(spec: NonlinearitySpec, vec: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        out = np.asarray(spec.f(vec), dtype=float)
-    if not np.all(np.isfinite(out)) or float(out.max()) > REACTION_GUARD:
-        raise ReactionOverflow(
-            f"reaction overflow at u={float(np.max(vec)):.3e}")
-    return out
-
-
 def duhamel_map(prev: Trajectory, u0: RadialField, spec: NonlinearitySpec,
-                t_obs: float, n_time_quad: int = 3,
-                interp: str = "linear") -> Trajectory:
+                t_obs: float, interp: str = "linear") -> Trajectory:
     """One Picard step on a full trajectory.
 
-    The time integral uses composite Gauss-Legendre on the mesh slices; the
-    semigroup factors are generated recursively from the one-slice operator,
-    so the whole step costs O(n_slices) matrix-vector products. The default
+    The time integral uses composite Gauss-Legendre with N_TIME_QUAD nodes
+    on each mesh slice; the semigroup factors are generated recursively
+    from the one-slice operator, so the whole step costs O(n_slices)
+    matrix-vector products. The default
     linear field interpolation makes every weight nonnegative, so the map
     is monotone: ordered inputs give ordered outputs.
     """
@@ -121,7 +113,7 @@ def duhamel_map(prev: Trajectory, u0: RadialField, spec: NonlinearitySpec,
         raise TimeMeshMismatch("initial data lives on a different grid")
     n = prev.n_slices
     dt = t_obs / n
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_time_quad)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(N_TIME_QUAD)
 
     step_op = semigroup_operator(grid, dt, interp)
     # lag-one factors S(dt*(0.5 - 0.5 x_q)); longer lags come from powers
@@ -141,11 +133,12 @@ def duhamel_map(prev: Trajectory, u0: RadialField, spec: NonlinearitySpec,
         # through its sub-slice semigroup factor
         b = np.zeros(grid.n_nodes)
         b_ext = 0.0
-        for q in range(n_time_quad):
+        for q in range(N_TIME_QUAD):
             s = prev.times[j] + dt * (0.5 + 0.5 * gl_x[q])
             u_s = prev.interp(s)
-            fvec = _reaction(spec, u_s)
-            f_ext = _reaction(spec, np.array([grid.exterior_value(u_s)]))[0]
+            fvec = _reaction(spec, u_s, 1.0)
+            f_ext = _reaction(spec, np.array([grid.exterior_value(u_s)]),
+                              1.0)[0]
             w = 0.5 * dt * gl_w[q]
             if lag_ops[q] is None:
                 b += w * fvec
@@ -222,18 +215,15 @@ class MaximalSolutionEstimate:
 
 def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
                spec: NonlinearitySpec, t_obs: float, k_max: int = 8,
-               n_slices: int = 64, n_time_quad: int = 3,
-               ladder_tol: float = 1e-8, order_tol: float = 1e-6,
-               certify_r_min: float = 0.0,
+               n_slices: int = 64, ladder_tol: float = 1e-8,
+               order_tol: float = 1e-6,
                interp: str = "linear") -> IterationLadder:
     """Run a monotone Picard ladder up to k_max iterates or convergence.
 
     The chain must be monotone in k (nondecreasing from below,
-    nonincreasing from above); a violation beyond order_tol raises
-    OrderingViolation, smaller ones are recorded in the certificate.
-    A capped envelope is not a supersolution inside its capped zone, so
-    certify_r_min lets the certificate start outside that zone; the raw
-    extremes are still recorded.
+    nonincreasing from above) on every node and mesh time; a violation
+    beyond order_tol raises OrderingViolation, smaller ones are recorded
+    in the certificate.
     """
     if isinstance(seed, str):
         seed = LadderSeed(seed)
@@ -248,9 +238,6 @@ def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
         if base.grid.key() != grid.key():
             raise TimeMeshMismatch("envelope lives on a different grid")
         sign = -1.0
-    certified = grid.r >= certify_r_min
-    if not np.any(certified):
-        raise ValueError("certify_r_min excludes every node")
     cur = Trajectory.constant(base, t_obs, n_slices)
     trajectories = [cur]
     sups = [float(cur.values.max())]
@@ -258,9 +245,9 @@ def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
     worst = 0.0
     converged = False
     for _ in range(k_max):
-        nxt = duhamel_map(cur, u0, spec, t_obs, n_time_quad, interp)
+        nxt = duhamel_map(cur, u0, spec, t_obs, interp)
         diff = nxt.values - cur.values
-        violation = float(np.max(-sign * diff[:, certified], initial=0.0))
+        violation = float(np.max(-sign * diff, initial=0.0))
         worst = max(worst, violation)
         if violation > order_tol:
             raise OrderingViolation(
@@ -284,11 +271,9 @@ def maximal_solution(ladder: IterationLadder) -> MaximalSolutionEstimate:
 
 
 def fixed_point_residual(envelope: RadialField, spec: NonlinearitySpec,
-                         t_obs: float, n_slices: int = 64,
-                         n_time_quad: int = 3, interp: str = "cubic",
-                         r_window: tuple = (0.3, 6.0)) -> float:
-    """Sup-norm defect of one Duhamel application to the constant-in-time
-    envelope trajectory, measured over uncapped nodes in a radial window.
+                         t_obs: float) -> float:
+    """Sup-norm defect of one Duhamel application (64 slices, cubic) to the
+    constant-in-time envelope, over the uncapped nodes with 0.3 <= r <= 6.
 
     The window keeps clear of the capped zone near the origin (where the
     capped profile is genuinely non-stationary) and of the outer boundary
@@ -296,10 +281,9 @@ def fixed_point_residual(envelope: RadialField, spec: NonlinearitySpec,
     discretization error that contracts under grid refinement.
     """
     grid = envelope.grid
-    traj = Trajectory.constant(envelope, t_obs, n_slices)
-    out = duhamel_map(traj, envelope, spec, t_obs, n_time_quad, interp)
-    mask = ((grid.r >= r_window[0]) & (grid.r <= r_window[1])
-            & ~envelope.cap_mask)
+    traj = Trajectory.constant(envelope, t_obs, 64)
+    out = duhamel_map(traj, envelope, spec, t_obs, "cubic")
+    mask = (grid.r >= 0.3) & (grid.r <= 6.0) & ~envelope.cap_mask
     if not np.any(mask):
         raise ValueError("residual window contains no nodes")
     return float(np.abs(out.values[-1] - envelope.u)[mask].max())
@@ -328,7 +312,7 @@ def check_immediate_boundedness(ladder: IterationLadder,
     # sampling a few mesh times inside the window is enough: the norm
     # varies slowly compared to the mesh
     for j in idx[:: max(1, len(idx) // 8)]:
-        fvals = _reaction(spec, tr3.values[j])
+        fvals = _reaction(spec, tr3.values[j], 1.0)
         est = ul_norm(RadialField(ladder.final.grid, fvals), p)
         worst_reaction = max(worst_reaction, est.norm)
     return {

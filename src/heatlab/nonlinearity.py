@@ -43,7 +43,7 @@ __all__ = [
     "check_log_convexity_ratio",
 ]
 
-#: default relative tolerance for the barrier integral
+#: relative tolerance of the barrier integral F and of its inverse
 TOL_F = 1e-10
 #: denominators below this trigger DivisionNearZero
 DIV_TOL = 1e-14
@@ -94,8 +94,8 @@ class NonlinearitySpec:
     gpp: Callable
     tail: TailGrowth
     label: str = ""
-    # log F at the bracket points 2^k of eval_F_inverse_log, keyed by
-    # (u, tol); private to that function
+    # log F at the bracket points 2^k of eval_F_inverse_log, keyed by u;
+    # private to that function
     _bracket_log_F: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
 
@@ -382,12 +382,12 @@ def _log_head(spec: NonlinearitySpec, u: float, M: float) -> float:
     return -gu + math.log(val)
 
 
-def eval_F_log(spec: NonlinearitySpec, u: float, tol: float = TOL_F) -> float:
+def eval_F_log(spec: NonlinearitySpec, u: float) -> float:
     """log F(u), stable even where F(u) underflows to zero.
 
     The head integral_u^M is adaptive quadrature; the tail over [M, inf) is
     either a family closed form or, for log-convex g, the envelope bound
-    1/(f(M) g'(M)) whose size is forced below tol relative to the head.
+    1/(f(M) g'(M)) whose size is forced below TOL_F relative to the head.
     """
     u = float(u)
     if u <= 0.0:
@@ -406,7 +406,7 @@ def eval_F_log(spec: NonlinearitySpec, u: float, tol: float = TOL_F) -> float:
         gpM = float(spec.gp(M))
         if gpM > 0.0 and float(spec.gpp(M)) >= 0.0:
             log_tail = -float(spec.g(M)) - math.log(gpM)
-            if log_tail - log_head < math.log(tol):
+            if log_tail - log_head < math.log(TOL_F):
                 return float(np.logaddexp(log_head, log_tail))
         M_new = 2.0 * M
         seg = _log_head(spec, M, M_new)
@@ -418,30 +418,29 @@ def eval_F_log(spec: NonlinearitySpec, u: float, tol: float = TOL_F) -> float:
         f"{spec.label}: could not certify an integrable tail for F({u:g})")
 
 
-def eval_F(spec: NonlinearitySpec, u: float, tol: float = TOL_F) -> float:
-    """Barrier integral F(u) = integral_u^inf ds/f(s), relative error <= tol."""
-    return math.exp(eval_F_log(spec, u, tol))
+def eval_F(spec: NonlinearitySpec, u: float) -> float:
+    """Barrier integral F(u) = integral_u^inf ds/f(s), to relative TOL_F."""
+    return math.exp(eval_F_log(spec, u))
 
 
-def eval_F_inverse_log(spec: NonlinearitySpec, log_y: float,
-                       tol: float = TOL_F) -> float:
+def eval_F_inverse_log(spec: NonlinearitySpec, log_y: float) -> float:
     """Solve F(u) = exp(log_y) for u.  F is strictly decreasing.
 
     The bracket is searched over the fixed points 1, 2, 4, ... or
-    1, 1/2, 1/4, ..., so log F there depends only on (spec, tol) and is
-    memoized on the spec; brentq reads the bracket ends from that memo.
+    1, 1/2, 1/4, ..., so log F there depends only on the spec and is
+    memoized on it; brentq reads the bracket ends from that memo.
     """
     memo = spec._bracket_log_F
 
     def h(u):
-        log_F = memo.get((u, tol))
+        log_F = memo.get(u)
         if log_F is None:
-            log_F = eval_F_log(spec, u, tol)
+            log_F = eval_F_log(spec, u)
         return log_F - log_y
 
     def bracket_h(u):
-        if (u, tol) not in memo:
-            memo[(u, tol)] = eval_F_log(spec, u, tol)
+        if u not in memo:
+            memo[u] = eval_F_log(spec, u)
         return h(u)
 
     lo = hi = 1.0
@@ -470,12 +469,11 @@ def eval_F_inverse_log(spec: NonlinearitySpec, log_y: float,
     return float(root)
 
 
-def eval_F_inverse(spec: NonlinearitySpec, y: float,
-                   tol: float = TOL_F) -> float:
+def eval_F_inverse(spec: NonlinearitySpec, y: float) -> float:
     """Inverse of the barrier integral: returns u with F(u) = y."""
     if y <= 0.0:
         raise OutOfRange("F takes positive values only")
-    return eval_F_inverse_log(spec, math.log(y), tol)
+    return eval_F_inverse_log(spec, math.log(y))
 
 
 # ---------------------------------------------------------------------------
@@ -563,24 +561,19 @@ def _normalized_reaction_deficit(spec: NonlinearitySpec, u: float,
     return 1.0 - (p_crit + 1.0) * _reaction_integral_ratio(spec, u) / u
 
 
-def check_admissibility(spec: NonlinearitySpec, dim: int,
-                        u_max: float = 1e3, n_samples: int = 2000,
-                        u_min: float = 1e-6,
-                        tol_Q: float = 1e-12,
-                        n_quad_samples: int = 80) -> AdmissibilityReport:
+def check_admissibility(spec: NonlinearitySpec,
+                        dim: int) -> AdmissibilityReport:
     """Sampling-based machine check of the four admissibility conditions.
 
     A PASS means "no violation found on the sampled range"; the conditions
-    quantify over all u > 0, which is undecidable numerically.  The deficit
-    functional for the fourth condition is evaluated in normalized form
-    Q(u)/(u f(u)) on a log-spaced subsample (each point costs a quadrature).
+    quantify over all u > 0, which is undecidable numerically.  It samples
+    2000 log-spaced points of [1e-6, 1e3]; the fourth condition's deficit
+    Q(u)/(u f(u)) is checked at 80 log-spaced points of that range (each
+    costs a quadrature) to -1e-12, relative once |Q/(u f)| > 1.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be >= 100")
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
+    u_min, u_max = 1e-6, 1e3
     p_crit = sobolev_exponent(dim)
-    u = np.geomspace(u_min, u_max, n_samples)
+    u = np.geomspace(u_min, u_max, 2000)
     conditions = {}
 
     # A1: f(0) = 0 and f'(0) = 0, f continuous from the right
@@ -632,10 +625,10 @@ def check_admissibility(spec: NonlinearitySpec, dim: int,
         f"g''/g'^2 -> {limit:.3e} (+- {errbar:.1e})")
 
     # A4: Q(u) >= 0, checked as Q/(u f(u)) >= -tol on a quadrature subsample
-    uq = np.geomspace(u_min, u_max, n_quad_samples)
+    uq = np.geomspace(u_min, u_max, 80)
     q_norm = np.array([
         _normalized_reaction_deficit(spec, float(x), p_crit) for x in uq])
-    tol = tol_Q * np.maximum(1.0, np.abs(q_norm))
+    tol = 1e-12 * np.maximum(1.0, np.abs(q_norm))
     bad = np.where(q_norm < -tol)[0]
     wit = [(float(uq[i]), float(q_norm[i])) for i in bad[:5]]
     conditions["A4"] = ConditionVerdict(
@@ -659,7 +652,7 @@ def check_admissibility(spec: NonlinearitySpec, dim: int,
             "g2_over_g1sq": {"value": limit, "errbar": errbar},
             "fprime_F": {"value": fpF_limit, "errbar": fpF_err},
         },
-        sample_range=(u_min, u_max), n_samples=n_samples)
+        sample_range=(u_min, u_max), n_samples=len(u))
 
 
 def check_fprime_F_limit(spec: NonlinearitySpec,

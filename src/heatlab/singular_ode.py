@@ -214,26 +214,26 @@ def _rhs(spec: NonlinearitySpec, dim: int):
 
 def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
                       R_max: float, rtol: float = 1e-10,
-                      atol: float = 1e-12, n_points: int = 400,
-                      r_start: float = 1e-6) -> ShootingSolution:
-    """Shoot the radial equation from the center height alpha.
+                      atol: float = 1e-12) -> ShootingSolution:
+    """Shoot the radial equation from the center height alpha; the result
+    holds 400 radii (the centre and 399 geometric ones up to r_end).
 
     The 1/r singularity at the origin is avoided by starting from the
-    series expansion u = alpha - f(alpha) r^2/(2N) on [0, r_start]; the
-    start radius shrinks automatically when f(alpha) is large.
+    series expansion u = alpha - f(alpha) r^2/(2N) on [0, r_start = 1e-6];
+    the start radius shrinks automatically when f(alpha) is large.
     """
     if dim < 3:
         raise ValueError("dim must be >= 3")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if alpha == 0.0:
-        r = np.linspace(0.0, R_max, n_points)
+        r = np.linspace(0.0, R_max, 400)
         z = np.zeros_like(r)
         return ShootingSolution(0.0, r, z, z.copy(), "reached_rmax", R_max)
 
     f_a = float(spec.f(alpha))
-    if f_a > 0.0:
-        r_start = min(r_start, math.sqrt(0.01 * 2.0 * dim * alpha / f_a))
+    r_start = (min(1e-6, math.sqrt(0.01 * 2.0 * dim * alpha / f_a))
+               if f_a > 0.0 else 1e-6)
     u0 = alpha - f_a * r_start ** 2 / (2.0 * dim)
     du0 = -f_a * r_start / dim
 
@@ -254,7 +254,7 @@ def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
     else:
         termination, r_end = "reached_rmax", R_max
 
-    r_grid = np.geomspace(r_start, r_end, n_points - 1)
+    r_grid = np.geomspace(r_start, r_end, 399)
     y = sol.sol(r_grid)
     r_out = np.concatenate([[0.0], r_grid])
     u_out = np.concatenate([[alpha], y[0]])
@@ -263,13 +263,11 @@ def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
                             termination, r_end, dense=sol.sol)
 
 
-def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol,
-                        inner_factor):
-    """Integrate outward from r_inner = r_patch/inner_factor so that the
-    seeding error of the asymptotic formula has decayed by the time the
-    tabulated range starts.  Returns the solver's dense output on
-    [r_inner, R_max]."""
-    r_inner = r_patch / inner_factor
+def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol):
+    """Integrate outward from r_inner = r_patch/1024 so that the seeding
+    error of the asymptotic formula has decayed by the time the tabulated
+    range starts.  Returns the solver's dense output on [r_inner, R_max]."""
+    r_inner = r_patch / 1024.0
     u0, du0 = patch_seed(spec, dim, r_inner)
     sol = solve_ivp(_rhs(spec, dim), (r_inner, R_max), [u0, du0],
                     method="LSODA", rtol=rtol, atol=atol, dense_output=True,
@@ -286,7 +284,6 @@ def build_singular(spec: NonlinearitySpec, dim: int,
                    r_patch: float = 1e-3, R_max: float = 10.0,
                    rtol: float = 1e-11, atol: float = 1e-13,
                    n_points: int = 500, patch_tol: float = 1e-5,
-                   inner_factor: float = 1024.0,
                    check_patch: bool = True,
                    cross_check: bool = True) -> SingularSolutionTable:
     """Construct the singular profile table on [r_patch, R_max].
@@ -298,8 +295,7 @@ def build_singular(spec: NonlinearitySpec, dim: int,
     """
     if not (0.0 < r_patch < R_max):
         raise ValueError("need 0 < r_patch < R_max")
-    dense = _integrate_singular(spec, dim, r_patch, R_max, rtol, atol,
-                                inner_factor)
+    dense = _integrate_singular(spec, dim, r_patch, R_max, rtol, atol)
     r = np.geomspace(r_patch, R_max, n_points)
     u, du = dense(r)
     if np.any(u <= 0.0):
@@ -314,7 +310,7 @@ def build_singular(spec: NonlinearitySpec, dim: int,
 
     if check_patch:
         dense2 = _integrate_singular(spec, dim, r_patch / 2.0, R_max,
-                                     rtol, atol, inner_factor)
+                                     rtol, atol)
         window = r >= 2.0 * r_patch
         rel = np.abs(dense2(r[window])[0] - u[window]) / u[window]
         mismatch = float(rel.max())
@@ -361,22 +357,21 @@ def eval_F0(spec: NonlinearitySpec, u: float) -> float:
 
 
 def ode_residual(obj, spec: NonlinearitySpec, dim: int,
-                 r_lo: float, r_hi: float, steps=(2e-4, 6e-4, 1.2e-3),
-                 n: int = 400) -> float:
-    """Sup of the relative stationary residual u'' + (N-1)/r u' + f(u)
-    over [r_lo, r_hi], with u'' from a symmetric second difference of the
-    solver's dense output.
+                 r_lo: float, r_hi: float) -> float:
+    """Sup of the relative stationary residual u'' + (N-1)/r u' + f(u) on
+    400 points of [r_lo, r_hi], with u'' from a symmetric second difference
+    of the solver's dense output.
 
     The step trades second-difference truncation against amplification of
-    the dense-output interpolation error, and the best-resolved of a few
-    steps is reported.
+    the dense-output interpolation error; the best-resolved of the steps
+    2e-4, 6e-4 and 1.2e-3 is reported.
     """
     dense = obj.dense
     if dense is None:
         raise ValueError("no dense solver output attached")
-    r = np.linspace(r_lo, r_hi, n)
+    r = np.linspace(r_lo, r_hi, 400)
     best = math.inf
-    for h in np.atleast_1d(steps):
+    for h in (2e-4, 6e-4, 1.2e-3):
         um, u0, up = dense(r - h)[0], dense(r)[0], dense(r + h)[0]
         upp = (up - 2.0 * u0 + um) / h ** 2
         du = (up - um) / (2.0 * h)
@@ -434,15 +429,15 @@ def trace_pohozaev(table: SingularSolutionTable,
     return PohozaevTrace(r=r, P=P)
 
 
-def asymptotic_ratio(table: SingularSolutionTable, spec: NonlinearitySpec,
-                     n: int = 40) -> np.ndarray:
-    """Series (r, F(u*(r)) (2N-4)/r^2) on the smallest decade of the table;
-    tends to 1 as r -> 0 for the exponential class."""
+def asymptotic_ratio(table: SingularSolutionTable,
+                     spec: NonlinearitySpec) -> np.ndarray:
+    """Series (r, F(u*(r)) (2N-4)/r^2) at up to 40 table nodes of its
+    smallest decade; tends to 1 as r -> 0 for the exponential class."""
     r_lo = table.r[0]
     mask = table.r <= 10.0 * r_lo
     idx = np.where(mask)[0]
-    if len(idx) > n:
-        idx = idx[np.linspace(0, len(idx) - 1, n).astype(int)]
+    if len(idx) > 40:
+        idx = idx[np.linspace(0, len(idx) - 1, 40).astype(int)]
     out = []
     for i in idx:
         logF = eval_F_log(spec, float(table.u[i]))
@@ -453,9 +448,9 @@ def asymptotic_ratio(table: SingularSolutionTable, spec: NonlinearitySpec,
 
 
 def verify_growth_bounds(table: SingularSolutionTable,
-                         spec: NonlinearitySpec, delta: float,
-                         gammas=(0.5, 0.9)) -> BoundReport:
-    """Empirical check of the near-origin envelope bounds.
+                         spec: NonlinearitySpec, delta: float) -> BoundReport:
+    """Empirical check of the near-origin envelope bounds, the scaled one
+    f(gamma1 u*) <= C r^(-2 gamma1) at gamma1 = 0.5 and 0.9.
 
     Constants are fitted as envelopes over the smallest decade of radii in
     the table (the bounds are asymptotic as r -> 0) and the inequalities
@@ -510,7 +505,7 @@ def verify_growth_bounds(table: SingularSolutionTable,
     }
 
     # scaled power-law envelope f(gamma1 u*) <= C r^(-2 gamma1)
-    for g1 in gammas:
+    for g1 in (0.5, 0.9):
         prod = np.asarray(spec.f(g1 * u)) * r ** (2.0 * g1)
         C = float(prod.max())
         entries[f"scaled_envelope_{g1:g}"] = {

@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 
 from .errors import NonMonotoneScan, OutOfRange, ReactionOverflow
 from .evolution import (
+    GEOMETRIC_SHARE,
     BoundaryCondition,
     RadialField,
     RadialGrid,
@@ -24,6 +25,7 @@ from .evolution import (
     sphere_area,
     stability_dt,
     step_imex,
+    transition_radius,
     ul_norm,
 )
 from .nonlinearity import NonlinearitySpec
@@ -229,10 +231,9 @@ def case_grid(table, cap: float, dim: int, R_outer: float, n_nodes: int,
     # the capped core sits exactly at the marginal height*width balance,
     # so the geometric section must stay fine enough (node ratio <= 1.3)
     # or truncation error tips the race and the core diverges spuriously
-    transition = min(1.0, R_outer / 4.0)
-    n_geo_req = math.ceil(
-        1.0 + math.log(transition / (r1_frac * R_outer)) / math.log(1.3))
-    n_nodes = max(n_nodes, math.ceil(n_geo_req / 0.45) + 2)
+    n_geo_req = math.ceil(1.0 + math.log(
+        transition_radius(R_outer) / (r1_frac * R_outer)) / math.log(1.3))
+    n_nodes = max(n_nodes, math.ceil(n_geo_req / GEOMETRIC_SHARE) + 2)
     bc = BoundaryCondition("dirichlet", float(table.u_star(R_outer, spec)))
     return make_grid(dim, R_outer, n_nodes, r1_frac=r1_frac, bc=bc)
 
@@ -243,12 +244,11 @@ def _inner_mass(field: RadialField, spec: Optional[NonlinearitySpec],
     if spec is None:
         return 0.0
     grid = field.grid
-    vol = grid.cell_volumes()
     sel = grid.r <= r_star
     with np.errstate(over="ignore"):
         fu = np.asarray(spec.f(np.minimum(field.u[sel], 1e60)), dtype=float)
     fu = np.minimum(np.nan_to_num(fu, posinf=1e200), 1e200)
-    return float(sphere_area(grid.dim) * np.sum(fu * vol[sel]))
+    return float(sphere_area(grid.dim) * np.sum(fu * grid.cell_volumes[sel]))
 
 
 def _excess_over_star(field: RadialField, star: np.ndarray,
@@ -263,16 +263,16 @@ def run_case(spec: Optional[NonlinearitySpec], table,
              caps: Sequence[float] = (1e4, 1e5),
              n_nodes: int = 129,
              R_outer: float = 8.0,
-             n_samples: int = 64,
-             inner_radius: Optional[float] = None) -> CaseReport:
+             n_samples: int = 64) -> CaseReport:
     """Evolve perturbed singular data at each cap and classify the outcome.
 
     BlowUp requires three corroborating signals: the sup-norm beyond its
-    guard, the inner reaction mass amplified a million-fold, and collapse
-    of the adaptive time step.  GlobalBounded requires reaching the horizon
-    with the sup-norm non-increasing (within slack) over the final half.
-    Anything else is Undetermined.  The case verdict is the shared per-cap
-    verdict when all caps agree, else Undetermined with cap_stable=False.
+    guard, the reaction mass inside r_star = max(r_10, R_outer/8) amplified
+    a million-fold, and collapse of the adaptive time step.  GlobalBounded
+    requires reaching the horizon with the sup-norm non-increasing (within
+    slack) over the final half.  Anything else is Undetermined.  The case
+    verdict is the shared per-cap verdict when all caps agree, else
+    Undetermined with cap_stable=False.
     """
     if isinstance(perts, (RadialBump, Scaling, Truncation)):
         perts = [perts]
@@ -280,13 +280,10 @@ def run_case(spec: Optional[NonlinearitySpec], table,
     for cap in caps:
         grid = case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
         u0, side = initial_data(table, grid, perts, cap, spec)
-        r_star = inner_radius
-        if r_star is None:
-            # floor at R/8: on cap-resolving grids the ten innermost cells
-            # collapse into the unresolved core, below where a desk-scale
-            # divergence can localize
-            r_star = max(float(grid.r[min(10, grid.n_nodes - 1)]),
-                         R_outer / 8.0)
+        # floor at R/8: on cap-resolving grids the ten innermost cells
+        # collapse into the unresolved core, below where a desk-scale
+        # divergence can localize
+        r_star = max(float(grid.r[min(10, grid.n_nodes - 1)]), R_outer / 8.0)
         outcomes[cap] = _evolve_and_classify(
             spec, table, u0, side, horizon, cap, n_samples, r_star)
     verdicts = {o.classification for o in outcomes.values()}

@@ -174,6 +174,16 @@ def test_singular_pure_power_artifacts(tmp_path):
     assert doc["config"]["p"] == 3.0
 
 
+def test_singular_ignores_outer_radius(tmp_path):
+    # singular never evaluates u* at R_outer (default 8, no flag), so an
+    # R_max below it is no config error there
+    out = tmp_path / "out"
+    rc = main(["singular", "--family", "pure-power", "--p", "3",
+               "--dim", "5", "--R-max", "5", "--out-dir", str(out)])
+    assert rc == 0
+    assert (out / "singular_table.csv").exists()
+
+
 def test_singular_failure_leaves_partial(tmp_path):
     # an unmeetable patch tolerance aborts the build after the
     # admissibility report was started; nothing gets promoted

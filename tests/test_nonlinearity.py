@@ -10,7 +10,6 @@ import pytest
 from heatlab import nonlinearity
 from heatlab.errors import DivisionNearZero, OutOfRange
 from heatlab.nonlinearity import (
-    TOL_F,
     check_admissibility,
     check_fprime_F_limit,
     check_log_convexity_ratio,
@@ -236,18 +235,18 @@ def test_inverse_bracket_memo_keeps_roots(make, monkeypatch):
     assert [eval_F_inverse_log(warm, t) for t in targets] == fresh
     # the memo holds bracket points 2^k only, and brentq reads both
     # bracket ends from it instead of re-evaluating them
-    assert all(math.frexp(u)[0] == 0.5 for u, _ in warm._bracket_log_F)
+    assert all(math.frexp(u)[0] == 0.5 for u in warm._bracket_log_F)
     seen = []
     real = nonlinearity.eval_F_log
 
-    def counting(spec, u, tol=TOL_F):
+    def counting(spec, u):
         seen.append(u)
-        return real(spec, u, tol)
+        return real(spec, u)
 
     monkeypatch.setattr(nonlinearity, "eval_F_log", counting)
     assert eval_F_inverse_log(warm, targets[0]) == fresh[0]
     assert seen
-    assert not any((u, TOL_F) in warm._bracket_log_F for u in seen)
+    assert not any(u in warm._bracket_log_F for u in seen)
 
 
 def test_inverse_plain_interface():
@@ -354,10 +353,3 @@ def test_admissibility_report_serializes():
     names = {c["condition"] for c in doc["conditions"]}
     assert names == {"A1", "A2", "A3", "A4"}
 
-
-def test_admissibility_input_validation():
-    spec = power_exp(5.0, 2.0)
-    with pytest.raises(ValueError):
-        check_admissibility(spec, dim=3, n_samples=10)
-    with pytest.raises(ValueError):
-        check_admissibility(spec, dim=3, u_max=-1.0)
