@@ -136,9 +136,9 @@ def duhamel_map(prev: Trajectory, u0: RadialField, spec: NonlinearitySpec,
         for q in range(N_TIME_QUAD):
             s = prev.times[j] + dt * (0.5 + 0.5 * gl_x[q])
             u_s = prev.interp(s)
-            fvec = _reaction(spec, u_s, 1.0)
-            f_ext = _reaction(spec, np.array([grid.exterior_value(u_s)]),
-                              1.0)[0]
+            f_all = _reaction(spec, np.append(u_s, grid.exterior_value(u_s)),
+                              1.0)
+            fvec, f_ext = f_all[:-1], f_all[-1]
             w = 0.5 * dt * gl_w[q]
             if lag_ops[q] is None:
                 b += w * fvec

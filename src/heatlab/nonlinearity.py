@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DivisionNearZero, NonIntegrableTail, OutOfRange
 
@@ -94,10 +93,6 @@ class NonlinearitySpec:
     gpp: Callable
     tail: TailGrowth
     label: str = ""
-    # log F at the bracket points 2^k of eval_F_inverse_log, keyed by u;
-    # private to that function
-    _bracket_log_F: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
@@ -185,56 +180,32 @@ def power_exp(p: float, q: float) -> NonlinearitySpec:
 # for u <= 1, with C^2 joins.  A scalar input (every quad node) returns a
 # plain float computed on the Python float, evaluating only its own piece;
 # np.select would evaluate all three.  Array input keeps np.select.
-def _chi(u):
-    if isinstance(u, float):
-        x = float(u)
-        if x <= 1.0:
-            return x ** 5
-        if x <= 3.0:
-            return 10.0 * (x - 1.0) - (x - 2.0) ** 5
-        if x <= 4.0:
-            return 20.0 + (x - 4.0) ** 5
-        return 20.0
-    u = np.asarray(u, dtype=float)
-    return np.select(
-        [u <= 1.0, u <= 3.0, u <= 4.0],
-        [u ** 5, 10.0 * (u - 1.0) - (u - 2.0) ** 5,
-         20.0 + (u - 4.0) ** 5],
-        default=20.0)
+def _cutoff_piecewise(on_1, on_3, on_4, beyond: float) -> Callable:
+    """The function equal to on_1, on_3, on_4 up to u = 1, 3, 4 and to the
+    constant beyond after that."""
+    def evaluate(u):
+        if isinstance(u, float):
+            x = float(u)
+            if x <= 1.0:
+                return on_1(x)
+            if x <= 3.0:
+                return on_3(x)
+            return on_4(x) if x <= 4.0 else beyond
+        u = np.asarray(u, dtype=float)
+        return np.select([u <= 1.0, u <= 3.0, u <= 4.0],
+                         [on_1(u), on_3(u), on_4(u)], default=beyond)
+    return evaluate
 
 
-def _chi_p(u):
-    if isinstance(u, float):
-        x = float(u)
-        if x <= 1.0:
-            return 5.0 * x ** 4
-        if x <= 3.0:
-            return 10.0 - 5.0 * (x - 2.0) ** 4
-        if x <= 4.0:
-            return 5.0 * (x - 4.0) ** 4
-        return 0.0
-    u = np.asarray(u, dtype=float)
-    return np.select(
-        [u <= 1.0, u <= 3.0, u <= 4.0],
-        [5.0 * u ** 4, 10.0 - 5.0 * (u - 2.0) ** 4, 5.0 * (u - 4.0) ** 4],
-        default=0.0)
-
-
-def _chi_pp(u):
-    if isinstance(u, float):
-        x = float(u)
-        if x <= 1.0:
-            return 20.0 * x ** 3
-        if x <= 3.0:
-            return -20.0 * (x - 2.0) ** 3
-        if x <= 4.0:
-            return 20.0 * (x - 4.0) ** 3
-        return 0.0
-    u = np.asarray(u, dtype=float)
-    return np.select(
-        [u <= 1.0, u <= 3.0, u <= 4.0],
-        [20.0 * u ** 3, -20.0 * (u - 2.0) ** 3, 20.0 * (u - 4.0) ** 3],
-        default=0.0)
+_chi = _cutoff_piecewise(lambda x: x ** 5,
+                         lambda x: 10.0 * (x - 1.0) - (x - 2.0) ** 5,
+                         lambda x: 20.0 + (x - 4.0) ** 5, 20.0)
+_chi_p = _cutoff_piecewise(lambda x: 5.0 * x ** 4,
+                           lambda x: 10.0 - 5.0 * (x - 2.0) ** 4,
+                           lambda x: 5.0 * (x - 4.0) ** 4, 0.0)
+_chi_pp = _cutoff_piecewise(lambda x: 20.0 * x ** 3,
+                            lambda x: -20.0 * (x - 2.0) ** 3,
+                            lambda x: 20.0 * (x - 4.0) ** 3, 0.0)
 
 
 def cutoff_exp(a: float = 20.0) -> NonlinearitySpec:
@@ -423,50 +394,79 @@ def eval_F(spec: NonlinearitySpec, u: float) -> float:
     return math.exp(eval_F_log(spec, u))
 
 
-def eval_F_inverse_log(spec: NonlinearitySpec, log_y: float) -> float:
-    """Solve F(u) = exp(log_y) for u.  F is strictly decreasing.
+def _log_F_bracket(spec: NonlinearitySpec, t_min: float, t_max: float):
+    """The tightest lo <= hi among 1, 2, 4, ... and 1, 1/2, 1/4, ... with
+    log F(lo) >= t_max and log F(hi) <= t_min."""
+    log_F = {}
+    for factor, done, why in (
+            (2.0, lambda v: v <= t_min, "no preimage found at large u"),
+            (0.5, lambda v: v >= t_max, "requested value exceeds sup F")):
+        x = 1.0
+        while True:
+            if x not in log_F:
+                log_F[x] = eval_F_log(spec, x)
+            if done(log_F[x]):
+                break
+            x *= factor
+            if not 1e-290 <= x <= 2.0 ** 600:
+                raise OutOfRange(why)
+    return (max(x for x, v in log_F.items() if v >= t_max),
+            min(x for x, v in log_F.items() if v <= t_min))
 
-    The bracket is searched over the fixed points 1, 2, 4, ... or
-    1, 1/2, 1/4, ..., so log F there depends only on the spec and is
-    memoized on it; brentq reads the bracket ends from that memo.
+
+#: 16-point Gauss-Legendre rule on [-1, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+
+def _log_integral_inv_f(spec: NonlinearitySpec, a, b):
+    """(g(a), log of integral_a^b ds/f(s)) for arrays a <= b, each
+    interval by the 16-point Gauss-Legendre rule against the scale f(a)."""
+    s = a[:, None] + (b - a)[:, None] * (0.5 * (_GL_X + 1.0))
+    ga = np.asarray(spec.g(a), dtype=float)
+    gs = np.asarray(spec.g(s), dtype=float)
+    with np.errstate(divide="ignore"):
+        return ga, -ga + np.log(0.5 * (b - a) * (np.exp(ga[:, None] - gs)
+                                                 @ _GL_W))
+
+
+def eval_F_inverse_log(spec: NonlinearitySpec, log_y):
+    """Solve F(u) = exp(log_y) for u, elementwise for an array log_y (a
+    scalar returns a float).  F is strictly decreasing.
+
+    One log F table serves the whole request, its nodes set by the
+    request alone: they run from the lower power-of-two bracket end to 10
+    units of g past the upper one (so the anchor's error is damped by
+    e^-10), spaced 1/(4 g'(u)) (at most u/8).  log F is accumulated
+    downward with logaddexp from eval_F_log at the top node, integrating
+    e^-g over each segment by 16-point Gauss-Legendre.  Each root starts
+    by linear interpolation in its segment; all are polished at once by
+    Newton steps with the exact d log F/du = -exp(-g - log F).
     """
-    memo = spec._bracket_log_F
-
-    def h(u):
-        log_F = memo.get(u)
-        if log_F is None:
-            log_F = eval_F_log(spec, u)
-        return log_F - log_y
-
-    def bracket_h(u):
-        if u not in memo:
-            memo[u] = eval_F_log(spec, u)
-        return h(u)
-
-    lo = hi = 1.0
-    h1 = bracket_h(1.0)
-    if h1 == 0.0:
-        return 1.0
-    if h1 > 0.0:
-        # F(1) too large: move right
-        for _ in range(600):
-            lo, hi = hi, hi * 2.0
-            if bracket_h(hi) <= 0.0:
-                break
-        else:
-            raise OutOfRange("no preimage found at large u")
-    else:
-        # F(1) too small: move left toward 0 where F grows
-        for _ in range(600):
-            hi, lo = lo, lo / 2.0
-            if lo < 1e-290:
-                raise OutOfRange("requested value exceeds sup F")
-            if bracket_h(lo) >= 0.0:
-                break
-        else:
-            raise OutOfRange("requested value exceeds sup F")
-    root = brentq(h, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    return float(root)
+    scalar = np.ndim(log_y) == 0
+    t = np.atleast_1d(np.asarray(log_y, dtype=float))
+    lo, hi = _log_F_bracket(spec, float(t.min()), float(t.max()))
+    g_top = float(spec.g(hi)) + 10.0
+    nodes = [lo]
+    while nodes[-1] < hi or float(spec.g(nodes[-1])) < g_top:
+        u = nodes[-1]
+        nodes.append(u + 0.25 / max(float(spec.gp(u)), 2.0 / u))
+    nodes = np.array(nodes)
+    _, seg = _log_integral_inv_f(spec, nodes[:-1], nodes[1:])
+    log_F = np.logaddexp.accumulate(
+        np.concatenate([[eval_F_log(spec, nodes[-1])], seg[::-1]]))[::-1]
+    k = np.clip(np.searchsorted(-log_F, -t) - 1, 0, nodes.size - 2)
+    u = nodes[k] + (nodes[k + 1] - nodes[k]) * (
+        (log_F[k] - t) / (log_F[k] - log_F[k + 1]))
+    for _ in range(8):
+        k = np.clip(np.searchsorted(nodes, u, side="right") - 1,
+                    0, nodes.size - 2)
+        gu, head = _log_integral_inv_f(spec, u, nodes[k + 1])
+        log_F_u = np.logaddexp(log_F[k + 1], head)
+        step = (log_F_u - t) * np.exp(gu + log_F_u)
+        u = np.clip(u + step, lo, nodes[-1])
+        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * u):
+            break
+    return float(u[0]) if scalar else u
 
 
 def eval_F_inverse(spec: NonlinearitySpec, y: float) -> float:
@@ -551,16 +551,6 @@ def _reaction_integral_ratio(spec: NonlinearitySpec, u: float) -> float:
     return total
 
 
-def _normalized_reaction_deficit(spec: NonlinearitySpec, u: float,
-                                 p_crit: float) -> float:
-    """Q(u)/(u f(u)) where Q(u) = u f(u) - (p_crit+1) int_0^u f.
-
-    Normalizing by u f(u) keeps the check finite where f overflows; the sign
-    of Q is unchanged since u f(u) > 0.
-    """
-    return 1.0 - (p_crit + 1.0) * _reaction_integral_ratio(spec, u) / u
-
-
 def check_admissibility(spec: NonlinearitySpec,
                         dim: int) -> AdmissibilityReport:
     """Sampling-based machine check of the four admissibility conditions.
@@ -625,9 +615,12 @@ def check_admissibility(spec: NonlinearitySpec,
         f"g''/g'^2 -> {limit:.3e} (+- {errbar:.1e})")
 
     # A4: Q(u) >= 0, checked as Q/(u f(u)) >= -tol on a quadrature subsample
+    # Q(u)/(u f(u)) with Q(u) = u f(u) - (p_crit+1) int_0^u f: normalizing
+    # by u f(u) > 0 keeps it finite where f overflows and keeps its sign
     uq = np.geomspace(u_min, u_max, 80)
     q_norm = np.array([
-        _normalized_reaction_deficit(spec, float(x), p_crit) for x in uq])
+        1.0 - (p_crit + 1.0) * _reaction_integral_ratio(spec, float(x))
+        / float(x) for x in uq])
     tol = 1e-12 * np.maximum(1.0, np.abs(q_norm))
     bad = np.where(q_norm < -tol)[0]
     wit = [(float(uq[i]), float(q_norm[i])) for i in bad[:5]]

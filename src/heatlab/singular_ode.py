@@ -22,6 +22,8 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 
 from .errors import OutOfRange, PatchMismatch, StepUnderflow
 from .nonlinearity import (
+    _GL_W,
+    _GL_X,
     NonlinearitySpec,
     _reaction_integral_ratio,
     eval_F_inverse_log,
@@ -54,17 +56,19 @@ def pure_power_profile_coefficient(p: float, dim: int) -> float:
     return base ** (1.0 / (p - 1.0))
 
 
-def patch_seed(spec: NonlinearitySpec, dim: int, r: float):
-    """Seed values (u, u') of the singular profile at a small radius r.
+def patch_seed(spec: NonlinearitySpec, dim: int, r):
+    """Seed values (u, u') of the singular profile at small radii r (a
+    float gives floats, an array gives arrays).
 
     Exponential-class nonlinearities use the blow-up asymptotic
     u = F^{-1}(r^2/(2N-4)); differentiating F(u) = r^2/(2N-4) with
     F' = -1/f forces u' = -r f(u)/(N-2).  A second-order correction
     multiplies the argument by 1 + 2*eta/(N-2) with eta = -g''/g'^2,
     obtained by expanding v = F(u) in the radial equation
-    v'' + (N-1)/r v' = 1 + g' f v'^2 around v = r^2/(2N-4).  For the
-    pure power family the asymptotic constant is off (f' F does not tend
-    to 1), so the explicit closed-form profile is used instead.
+    v'' + (N-1)/r v' = 1 + g' f v'^2 around v = r^2/(2N-4).  All radii
+    share two batched F-inverse requests.  For the pure power family the
+    asymptotic constant is off (f' F does not tend to 1), so the explicit
+    closed-form profile is used instead.
     """
     if spec.family == "pure_power":
         p = spec.params["p"]
@@ -73,19 +77,11 @@ def patch_seed(spec: NonlinearitySpec, dim: int, r: float):
         u = L * r ** (-m)
         du = -m * L * r ** (-m - 1.0)
         return u, du
-    log_v0 = 2.0 * math.log(r) - math.log(2.0 * dim - 4.0)
+    log_v0 = 2.0 * np.log(r) - math.log(2.0 * dim - 4.0)
     u0 = eval_F_inverse_log(spec, log_v0)
-    eta = -float(spec.gpp(u0)) / float(spec.gp(u0)) ** 2
-    w = 2.0 * eta / (dim - 2.0)
-    u = eval_F_inverse_log(spec, log_v0 + math.log1p(w))
-    du = -r * float(spec.f(u)) * (1.0 + w) / (dim - 2.0)
-    return u, du
-
-
-def _patch_method(spec: NonlinearitySpec) -> str:
-    if spec.family == "pure_power":
-        return "closed-form power law"
-    return "F-inverse asymptotic"
+    w = -2.0 * spec.gpp(u0) / spec.gp(u0) ** 2 / (dim - 2.0)
+    u = eval_F_inverse_log(spec, log_v0 + np.log1p(w))
+    return u, -r * spec.f(u) * (1.0 + w) / (dim - 2.0)
 
 
 @dataclass
@@ -130,8 +126,7 @@ class SingularSolutionTable:
         if not np.all(covered):
             if spec is None:
                 raise ValueError("need the nonlinearity to evaluate the patch")
-            out[~covered] = [patch_seed(spec, self.dim, x)[k]
-                             for x in r[~covered]]
+            out[~covered] = patch_seed(spec, self.dim, r[~covered])[k]
         return out if out.size > 1 else float(out[0])
 
     def u_star(self, r, spec: Optional[NonlinearitySpec] = None):
@@ -303,7 +298,8 @@ def build_singular(spec: NonlinearitySpec, dim: int,
 
     table = SingularSolutionTable(
         r=r, u=u, du=du, dim=dim, r_patch=r_patch, R_max=R_max,
-        patch_method=_patch_method(spec),
+        patch_method=("closed-form power law" if spec.family == "pure_power"
+                      else "F-inverse asymptotic"),
         spec_descriptor=spec.descriptor(),
         tolerances={"rtol": rtol, "atol": atol, "patch_tol": patch_tol},
         spec=spec, dense=dense)
@@ -386,30 +382,22 @@ def verify_flux_identity(table: SingularSolutionTable,
                          spec: NonlinearitySpec) -> float:
     """Max relative residual of -r^(N-1) u*' = integral_0^r f(u*) s^(N-1).
 
-    The contribution of (0, r_patch) is quadrature of the patch formula
-    below the solver's dense output and Simpson quadrature of 2000 dense
-    samples on [dense.t_min, r_patch]; the rest is composite quadrature
-    over the table.
+    The contribution of (0, r_patch) is fixed 64-point Gauss-Legendre
+    quadrature of the patch formula below the solver's dense output (one
+    batched patch_seed; a small fraction of the flux at table radii) and
+    Simpson quadrature of 2000 dense samples on [dense.t_min, r_patch];
+    the rest is composite quadrature over the table.
     """
     dim = table.dim
     n_dense = 2000      # samples of the dense output below r_patch
     lhs = -table.r ** (dim - 1) * table.du
-
-    def patch_flux(r_hi, n=64):
-        # fixed Gauss-Legendre: each node costs an F-inverse solve, so the
-        # node count is kept moderate; the contribution below r_hi is a
-        # small fraction of the total flux at table radii
-        x, wts = np.polynomial.legendre.leggauss(n)
-        s = 0.5 * r_hi * (x + 1.0)
-        w = 0.5 * r_hi * wts
-        vals = [float(spec.f(patch_seed(spec, dim, si)[0])) * si ** (dim - 1)
-                for si in s]
-        return float(np.dot(w, vals))
-
     rin = np.geomspace(table.dense.t_min, table.r_patch, n_dense)
     uin = table.dense(rin)[0]
     inner_integrand = np.asarray(spec.f(uin)) * rin ** (dim - 1)
-    patch_part = (patch_flux(rin[0])
+    x, wts = np.polynomial.legendre.leggauss(64)
+    s = 0.5 * rin[0] * (x + 1.0)
+    f_s = np.asarray(spec.f(patch_seed(spec, dim, s)[0]))
+    patch_part = (float(np.dot(0.5 * rin[0] * wts, f_s * s ** (dim - 1)))
                   + cumulative_simpson(inner_integrand, x=rin)[-1])
     integrand = np.asarray(spec.f(table.u)) * table.r ** (dim - 1)
     rhs = patch_part + cumulative_simpson(integrand, x=table.r, initial=0.0)
@@ -417,13 +405,28 @@ def verify_flux_identity(table: SingularSolutionTable,
     return float(rel.max())
 
 
+def _F0_along(spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
+    """eval_F0 at every entry of a monotone array u: one eval_F0 at the
+    smallest entry, then the 16-point Gauss-Legendre integral of f between
+    consecutive entries, accumulated; inf where g(u) >= 700."""
+    v = u if u[0] <= u[-1] else u[::-1]
+    a, b = v[:-1], v[1:]
+    s = a[:, None] + (b - a)[:, None] * (0.5 * (_GL_X + 1.0))
+    with np.errstate(over="ignore"):
+        seg = 0.5 * (b - a) * (np.asarray(spec.f(s)) @ _GL_W)
+    F0 = eval_F0(spec, float(v[0])) + np.concatenate([[0.0], np.cumsum(seg)])
+    F0[np.asarray(spec.g(v)) >= 700.0] = math.inf
+    return F0 if v is u else F0[::-1]
+
+
 def trace_pohozaev(table: SingularSolutionTable,
                    spec: NonlinearitySpec) -> PohozaevTrace:
     """Weighted radial energy whose derivative is -(N-2)/2 r^(N-1) Q(u*);
-    non-increasing whenever the fourth admissibility condition holds."""
+    non-increasing whenever the fourth admissibility condition holds.
+    The antiderivative of f is accumulated along the monotone table."""
     dim = table.dim
-    F0 = np.array([eval_F0(spec, float(u)) for u in table.u])
     r, u, du = table.r, table.u, table.du
+    F0 = _F0_along(spec, u)
     P = (0.5 * r ** dim * du ** 2 + r ** dim * F0
          + 0.5 * (dim - 2.0) * r ** (dim - 1) * u * du)
     return PohozaevTrace(r=r, P=P)

@@ -47,6 +47,7 @@ SUP_GUARD = 1e8          # sup-norm divergence guard
 MASS_GUARD = 1e6         # inner reaction mass must grow by this factor
 DT_UNDERFLOW = 1e-12     # adaptive step collapse corroborates divergence
 PLATEAU_SLACK = 1.02     # allowed relative rise of the sup over the tail
+N_SAMPLES = 64           # sup/mass/dt samples recorded per evolution
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,7 @@ def run_case(spec: Optional[NonlinearitySpec], table,
              caps: Sequence[float] = (1e4, 1e5),
              n_nodes: int = 129,
              R_outer: float = 8.0,
-             n_samples: int = 64) -> CaseReport:
+             n_samples: int = N_SAMPLES) -> CaseReport:
     """Evolve perturbed singular data at each cap and classify the outcome.
 
     BlowUp requires three corroborating signals: the sup-norm beyond its
@@ -274,16 +275,24 @@ def run_case(spec: Optional[NonlinearitySpec], table,
     verdict is the shared per-cap verdict when all caps agree, else
     Undetermined with cap_stable=False.
     """
+    grids = {cap: case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
+             for cap in caps}
+    return _run_on_grids(spec, table, perts, grids, horizon, n_samples)
+
+
+def _run_on_grids(spec, table, perts, grids: dict, horizon: float,
+                  n_samples: int) -> CaseReport:
+    """run_case on prebuilt case grids, one per cap."""
     if isinstance(perts, (RadialBump, Scaling, Truncation)):
         perts = [perts]
     outcomes = {}
-    for cap in caps:
-        grid = case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
+    for cap, grid in grids.items():
         u0, side = initial_data(table, grid, perts, cap, spec)
         # floor at R/8: on cap-resolving grids the ten innermost cells
         # collapse into the unresolved core, below where a desk-scale
         # divergence can localize
-        r_star = max(float(grid.r[min(10, grid.n_nodes - 1)]), R_outer / 8.0)
+        r_star = max(float(grid.r[min(10, grid.n_nodes - 1)]),
+                     grid.R_outer / 8.0)
         outcomes[cap] = _evolve_and_classify(
             spec, table, u0, side, horizon, cap, n_samples, r_star)
     verdicts = {o.classification for o in outcomes.values()}
@@ -477,11 +486,14 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     favour of each entry of A_grid.
     """
     amps = np.asarray(sorted(float(a) for a in A_grid))
+    # every amplitude shares the caps, so each cap's grid is built once
+    grids = {cap: case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
+             for cap in caps}
     cases = {}
     for a in amps.tolist():
         bump = RadialBump(bump_shape.r_c, bump_shape.sigma, a)
-        cases[a] = run_case(spec, table, bump, horizon=horizon, caps=caps,
-                            n_nodes=n_nodes, R_outer=R_outer)
+        cases[a] = _run_on_grids(spec, table, bump, grids, horizon,
+                                 N_SAMPLES)
     _check_monotone(amps, [cases[a].classification for a in amps])
     return ScanReport(amplitudes=amps, cases=cases, config={
         "r_c": bump_shape.r_c, "sigma": bump_shape.sigma,

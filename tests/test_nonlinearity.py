@@ -224,8 +224,9 @@ def test_inverse_roundtrip(name):
 
 @pytest.mark.parametrize("make", [lambda: power_exp(5.0, 2.0),
                                   lambda: cutoff_exp(20.0)])
-def test_inverse_bracket_memo_keeps_roots(make, monkeypatch):
-    # patch-seed targets log(r^2/2) plus a few away from the origin
+def test_inverse_bracket_memo_keeps_roots(make):
+    # patch-seed targets log(r^2/2) plus a few away from the origin: the
+    # roots do not depend on what the spec was asked before
     targets = [2.0 * math.log(r) - math.log(2.0)
                for r in np.geomspace(1e-6, 1e-3, 8)] + [-60.0, -2.0, 1.5]
     fresh = [eval_F_inverse_log(make(), t) for t in targets]
@@ -233,20 +234,31 @@ def test_inverse_bracket_memo_keeps_roots(make, monkeypatch):
     for t in np.linspace(-40.0, 2.0, 7):
         eval_F_inverse_log(warm, float(t))
     assert [eval_F_inverse_log(warm, t) for t in targets] == fresh
-    # the memo holds bracket points 2^k only, and brentq reads both
-    # bracket ends from it instead of re-evaluating them
-    assert all(math.frexp(u)[0] == 0.5 for u in warm._bracket_log_F)
-    seen = []
-    real = nonlinearity.eval_F_log
 
-    def counting(spec, u):
-        seen.append(u)
-        return real(spec, u)
 
-    monkeypatch.setattr(nonlinearity, "eval_F_log", counting)
-    assert eval_F_inverse_log(warm, targets[0]) == fresh[0]
-    assert seen
-    assert not any(u in warm._bracket_log_F for u in seen)
+def test_inverse_gelfand_closed_form():
+    # f = e^u has F(u) = e^{-u}; F(0+) = 1, so targets log_y >= 0 have no
+    # preimage u > 0
+    spec = custom(np.exp, np.exp, np.exp, log_convex_from=0.0,
+                  log_exact_tail=lambda M: -M)
+    log_y = np.linspace(-60.0, 2.0, 200)
+    inside = log_y < 0.0
+    u = eval_F_inverse_log(spec, log_y[inside])
+    np.testing.assert_allclose(u, -log_y[inside], rtol=0.0, atol=1e-12)
+    with pytest.raises(OutOfRange):
+        eval_F_inverse_log(spec, log_y)
+
+
+@pytest.mark.parametrize("name", ["power_exp", "cutoff_exp"])
+def test_inverse_array_matches_scalar(name):
+    spec = FAMILIES[name]
+    log_y = np.linspace(-45.0, -5.0, 33)
+    batch = eval_F_inverse_log(spec, log_y)
+    assert isinstance(batch, np.ndarray) and batch.shape == log_y.shape
+    single = [eval_F_inverse_log(spec, float(t)) for t in log_y]
+    assert all(isinstance(x, float) for x in single)
+    # each request lays its own nodes, so the two agree to rounding
+    np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
 
 
 def test_inverse_plain_interface():

@@ -18,6 +18,7 @@ from heatlab.nonlinearity import (
     sobolev_exponent,
 )
 from heatlab.singular_ode import (
+    _F0_along,
     asymptotic_ratio,
     build_singular,
     integrate_regular,
@@ -134,6 +135,32 @@ def test_patch_seed_derivative_consistent():
     plain = -1e-3 * float(POWER_EXP.f(u))
     assert du == pytest.approx(plain, rel=0.1)
     assert du < 0
+
+
+@pytest.mark.parametrize("spec", [POWER_EXP, CUTOFF, CUBIC],
+                         ids=lambda s: s.label)
+def test_patch_seed_batch_matches_scalar(spec):
+    r = np.geomspace(1e-9, 1e-3, 24)
+    u, du = patch_seed(spec, 3 if spec is not CUBIC else 5, r)
+    single = [patch_seed(spec, 3 if spec is not CUBIC else 5, float(x))
+              for x in r]
+    assert all(isinstance(v, float) for pair in single for v in pair)
+    np.testing.assert_allclose(u, [x[0] for x in single], rtol=1e-15, atol=0)
+    # du carries f(u), which turns an ulp of u into u g'(u) <= 100 ulps
+    np.testing.assert_allclose(du, [x[1] for x in single], rtol=1e-13,
+                               atol=0)
+
+
+def test_reaction_antiderivative_along_table_closed_forms():
+    # table values decrease along r; the helper accumulates between them
+    u = np.geomspace(40.0, 0.01, 300)
+    np.testing.assert_allclose(_F0_along(CUBIC, u), u ** 4 / 4.0,
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(_F0_along(GELFAND, u), np.expm1(u),
+                               rtol=1e-13, atol=0)
+    # g(u) >= 700 reads inf, as eval_F0 does
+    big = _F0_along(GELFAND, np.array([1.0, 699.0, 701.0]))
+    assert np.isfinite(big[:2]).all() and big[2] == math.inf
 
 
 def test_profile_evaluation_continuous_at_patch(table_power_exp):
