@@ -1,9 +1,9 @@
 """Radial discretization of the heat flow in N dimensions.
 
 Provides the grid/field containers, the action of the heat semigroup
-through the exact radially-reduced Gaussian kernel, windowed uniformly
-local norms, and an IMEX time stepper (implicit diffusion, explicit
-reaction) for the reaction-diffusion evolution.
+through the exact radially-reduced Gaussian kernel, uniformly local norms
+from a unit-ball window quadrature built once per grid, and an IMEX time
+stepper (implicit diffusion, explicit reaction).
 """
 
 from __future__ import annotations
@@ -111,6 +111,17 @@ class RadialGrid:
         for a in (cond, c_sum):
             a.setflags(write=False)
         return self.cell_volumes, cond, c_sum
+
+    @cached_property
+    def origin_window(self):
+        """Quadrature of the unit ball at the origin (see ul_norm)."""
+        return _window_quadrature(self, np.zeros(1))
+
+    @cached_property
+    def window_scan(self):
+        """Quadrature of the unit balls at the ul_norm scan's centres."""
+        return _window_quadrature(
+            self, np.linspace(0.0, self.R_outer, _N_CENTERS))
 
     def exterior_value(self, u: np.ndarray) -> float:
         """Value a field with nodal values u takes beyond the outer
@@ -380,48 +391,34 @@ class ULNormEstimate:
         return self.value ** (1.0 / self.p)
 
 
-def _cap_area_factor(dim: int, cos_t: np.ndarray) -> np.ndarray:
-    """Fraction of the unit sphere within angle theta* of the pole, where
-    cos(theta*) = cos_t; computed through the regularized incomplete beta
-    function."""
-    cos_t = np.clip(cos_t, -1.0, 1.0)
-    s2 = 1.0 - cos_t ** 2
-    half = betainc((dim - 1) / 2.0, 0.5, np.clip(s2, 0.0, 1.0)) * 0.5
-    return np.where(cos_t >= 0.0, half, 1.0 - half)
-
-
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _N_CENTERS = 512          # equispaced window centres scanned in [0, R_outer]
 
 
-def _window_integral(field: RadialField, p: float, z: float) -> float:
-    """integral over the unit ball centered at distance z of |u|^p,
-    in spherical shells: the shell of radius rho contributes its cap area
-    times u(rho)^p."""
-    grid = field.grid
-    dim = grid.dim
-    r = grid.r
-    u = field.u
-
-    lo = max(0.0, z - 1.0)
-    hi = z + 1.0
-    brk = [lo, hi]
-    if z < 1.0:
-        brk.append(1.0 - z)
-    brk.extend(r[(r > lo) & (r < hi)])
-    brk = np.unique(np.asarray(brk))
-    # one row of Gauss-Legendre nodes per segment between breakpoints
-    mid = 0.5 * (brk[:-1] + brk[1:])[:, None]
-    half = 0.5 * (brk[1:] - brk[:-1])[:, None]
-    rho = mid + half * _GL_X
-    uv = np.interp(rho, r, u, right=u[-1])
-    shell = sphere_area(dim) * rho ** (dim - 1)
-    if z != 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cos_t = (rho ** 2 + z ** 2 - 1.0) / (2.0 * rho * z)
-        shell = shell * np.where(rho <= 1.0 - z, 1.0,
-                                 _cap_area_factor(dim, cos_t))
-    return float(np.sum(half * _GL_W * uv ** p * shell))
+def _window_quadrature(grid: RadialGrid, zs: np.ndarray):
+    """Shell quadrature of the unit balls centred at distance zs: 8
+    Gauss-Legendre nodes on each segment between a centre's breakpoints
+    (window ends, 1 - z when z < 1, grid nodes inside), weighted by the cap
+    area the ball holds.  Returns zs, the nodes, their weights and the
+    offset of each centre's block of nodes."""
+    lo, hi = np.maximum(0.0, zs - 1.0), zs + 1.0
+    inside = (grid.r > lo[:, None]) & (grid.r < hi[:, None])
+    brk = np.sort(np.column_stack([lo, hi, np.where(zs < 1.0, 1.0 - zs, np.nan),
+                                   np.where(inside, grid.r, np.nan)]), axis=1)
+    keep = brk[:, 1:] > brk[:, :-1]        # False for NaN and zero width
+    a, b = brk[:, :-1][keep], brk[:, 1:][keep]
+    half = 0.5 * (b - a)[:, None]
+    rho = 0.5 * (a + b)[:, None] + half * _GL_X
+    w = half * _GL_W * sphere_area(grid.dim) * rho ** (grid.dim - 1)
+    z = np.broadcast_to(zs[np.nonzero(keep)[0], None], rho.shape)
+    cut = (z != 0.0) & (rho > 1.0 - z)     # shells the ball only partly holds
+    rc, zc = rho[cut], z[cut]
+    # the ball holds the polar cap of angle arccos(cos_t) of such a shell
+    cos_t = np.clip((rc ** 2 + zc ** 2 - 1.0) / (2.0 * rc * zc), -1.0, 1.0)
+    cap = betainc((grid.dim - 1) / 2.0, 0.5, 1.0 - cos_t ** 2) * 0.5
+    w[cut] *= np.where(cos_t >= 0.0, cap, 1.0 - cap)
+    blocks = len(_GL_X) * np.cumsum(keep.sum(axis=1))
+    return zs, rho.ravel(), w.ravel(), np.concatenate([[0], blocks[:-1]])
 
 
 def ul_norm(field: RadialField, p: float = 1.0) -> ULNormEstimate:
@@ -436,18 +433,18 @@ def ul_norm(field: RadialField, p: float = 1.0) -> ULNormEstimate:
         int_{B(z,1)} u^p = int u^p 1_{B(z,1)} <= int (u^p)* 1_{B(z,1)}*
                          = int_{B(0,1)} u^p,
 
-    so the window at the origin is a maximizer and is the only center
-    evaluated.  Any other field is scanned over equispaced centers in
-    [0, R_outer].
+    so the window at the origin is a maximizer and the only center
+    evaluated; other fields are scanned over equispaced centers in
+    [0, R_outer].  Both window quadratures are built once per grid.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    monotone = bool(np.all(np.diff(field.u) <= 1e-12 * max(1.0, field.sup)))
-    zs = (np.zeros(1) if monotone
-          else np.linspace(0.0, field.grid.R_outer, _N_CENTERS))
-    vals = [_window_integral(field, p, z) for z in zs]
+    grid, u = field.grid, field.u
+    monotone = bool(np.all(np.diff(u) <= 1e-12 * max(1.0, field.sup)))
+    zs, rho, w, start = grid.origin_window if monotone else grid.window_scan
+    vals = np.add.reduceat(w * np.interp(rho, grid.r, u) ** p, start)
     k = int(np.argmax(vals))
-    return ULNormEstimate(p=p, value=vals[k], center=float(zs[k]),
+    return ULNormEstimate(p=p, value=float(vals[k]), center=float(zs[k]),
                           centers_sampled=len(zs))
 
 

@@ -200,22 +200,25 @@ class CaseReport:
 
 def _cap_radius(table, cap: float,
                 spec: Optional[NonlinearitySpec]) -> float:
-    """Radius where the singular profile crosses the cap.
+    """Radius where the singular profile crosses the cap, bracketed on one
+    batched u* ladder and found by brentq to full relative precision.
 
     Raises OutOfRange when the profile stays below the cap down to
     r = 1e-12 (slowly growing u*, such as the exponential class).
     """
     lo, hi = 1e-12, float(table.r[-1])
-    if float(table.u_star(hi, spec)) >= cap:
+    ladder = np.geomspace(lo, hi, 32)
+    u = np.asarray(table.u_star(ladder, spec))
+    if u[-1] >= cap:
         return hi
-    u_lo = float(table.u_star(lo, spec))
-    if u_lo < cap:
+    if u[0] < cap:
         raise OutOfRange(
             f"cap {cap:g} is above the singular profile at the smallest "
-            f"resolvable radius: u*({lo:g}) = {u_lo:.6g}; choose a cap "
-            f"below {u_lo:.6g}")
+            f"resolvable radius: u*({lo:g}) = {u[0]:.6g}; choose a cap "
+            f"below {u[0]:.6g}")
+    j = np.flatnonzero(u >= cap)[-1]
     return float(brentq(lambda r: float(table.u_star(r, spec)) - cap,
-                        lo, hi, xtol=1e-15, rtol=1e-12))
+                        ladder[j], ladder[j + 1], xtol=1e-300))
 
 
 def case_grid(table, cap: float, dim: int, R_outer: float, n_nodes: int,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
+from scipy.special import betainc
 
 from heatlab import evolution
 from heatlab.errors import ReactionOverflow
@@ -16,17 +17,19 @@ from heatlab.evolution import (
     RadialField,
     _laplacian_bands,
     _log_angular,
-    _window_integral,
+    _window_quadrature,
     apply_semigroup,
     field_from_table,
     make_grid,
     semigroup_operator,
+    sphere_area,
     stability_dt,
     step_imex,
     ul_norm,
     write_norm_series_csv,
     write_snapshot_csv,
 )
+from heatlab.iteration import LadderSeed, run_ladder
 from heatlab.nonlinearity import power_exp, pure_power
 from heatlab.singular_ode import build_singular
 
@@ -283,6 +286,76 @@ def test_ul_norm_monotone_profile_peaks_at_origin(grid3):
     assert est.center == pytest.approx(0.0, abs=1e-5)
 
 
+def _window_integral(field, p, z):
+    """Reference for one window: the integral of u^p over the unit ball
+    centred at distance z, shell by shell, with its own breakpoints."""
+    r, u, dim = field.grid.r, field.u, field.grid.dim
+    lo, hi = max(0.0, z - 1.0), z + 1.0
+    brk = [lo, hi] + ([1.0 - z] if z < 1.0 else [])
+    brk = np.unique(np.concatenate([brk, r[(r > lo) & (r < hi)]]))
+    x, w = np.polynomial.legendre.leggauss(8)
+    mid = 0.5 * (brk[:-1] + brk[1:])[:, None]
+    half = 0.5 * (brk[1:] - brk[:-1])[:, None]
+    rho = mid + half * x
+    shell = sphere_area(dim) * rho ** (dim - 1)
+    if z != 0.0:
+        # share of the shell inside the ball: a polar cap of the sphere
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos_t = np.clip((rho ** 2 + z ** 2 - 1.0) / (2.0 * rho * z),
+                            -1.0, 1.0)
+        frac = 0.5 * betainc((dim - 1) / 2.0, 0.5, 1.0 - cos_t ** 2)
+        cap = np.where(cos_t >= 0.0, frac, 1.0 - frac)
+        shell = shell * np.where(rho <= 1.0 - z, 1.0, cap)
+    uv = np.interp(rho, r, u, right=u[-1])
+    return float(np.sum(half * w * uv ** p * shell))
+
+
+def _window_values(field, p, zs):
+    """Every window integral of the batched quadrature at centres zs."""
+    _, rho, w, start = _window_quadrature(field.grid, np.asarray(zs))
+    return np.add.reduceat(
+        w * np.interp(rho, field.grid.r, field.u, right=field.u[-1]) ** p,
+        start)
+
+
+def test_window_quadrature_matches_per_centre_reference(table_cubic):
+    # the reaction of a ladder iterate on the sandwich grid, and a field
+    # with an off-centre bump on a 129-node grid
+    g5 = make_grid(5, 8.0, 64, bc=BoundaryCondition(
+        "dirichlet", float(table_cubic.u_star(8.0))))
+    env = field_from_table(table_cubic, g5, cap=2.0, spec=CUBIC)
+    u0 = RadialField(g5, 0.9 * env.u, env.cap_mask.copy())
+    ladder = run_ladder(LadderSeed.from_above(env), u0, CUBIC, 0.01, k_max=3,
+                        ladder_tol=0.0)
+    tr = ladder.trajectories[3]
+    react = RadialField(g5, evolution._reaction(
+        CUBIC, tr.values[len(tr.times) // 2], 1.0))
+    g3 = make_grid(3, 10.0, 129)
+    bump = RadialField(g3, 0.2 + np.exp(-(g3.r - 4.0) ** 2)
+                       + 0.1 * np.sin(3.0 * g3.r) ** 2)
+    cases = [(react, 2.6), (bump, 1.0), (bump, 5.0)]
+    for fld, p in cases:
+        grid = fld.grid
+        assert not np.all(np.diff(fld.u) <= 0.0)
+        zs = np.linspace(0.0, grid.R_outer, evolution._N_CENTERS)
+        # the scan has centres on grid nodes, centres in (0, 1) and
+        # windows that reach past R_outer
+        assert np.count_nonzero(np.isin(zs, grid.r)) >= 2
+        assert np.any((zs > 0.0) & (zs < 1.0))
+        assert np.any(zs + 1.0 > grid.R_outer)
+        ref = np.array([_window_integral(fld, p, z) for z in zs])
+        got = _window_values(fld, p, zs)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+        est = ul_norm(fld, p)
+        assert est.centers_sampled == len(zs)
+        assert est.center == zs[np.argmax(ref)]
+        assert est.value == pytest.approx(ref.max(), rel=1e-13)
+        # every grid node as a centre
+        ref = np.array([_window_integral(fld, p, z) for z in grid.r])
+        np.testing.assert_allclose(_window_values(fld, p, grid.r), ref,
+                                   rtol=1e-13, atol=0.0)
+
+
 def test_ul_norm_origin_window_dominates_for_nonincreasing_fields(
         grid3, table_cubic):
     # a nonincreasing field is evaluated at the origin only; no window
@@ -295,8 +368,16 @@ def test_ul_norm_origin_window_dominates_for_nonincreasing_fields(
     for fld, p in cases:
         est = ul_norm(fld, p)
         assert est.center == 0.0
-        for z in np.linspace(0.0, fld.grid.R_outer, 64):
-            assert est.value >= _window_integral(fld, p, z) * (1.0 - 1e-12)
+        zs = np.linspace(0.0, fld.grid.R_outer, 64)
+        assert np.all(est.value >= _window_values(fld, p, zs) * (1.0 - 1e-12))
+
+
+def test_ul_norm_of_monotone_field_builds_only_the_origin_window():
+    g = make_grid(3, 10.0, 129)
+    est = ul_norm(RadialField(g, 1.0 / (1.0 + g.r ** 2)), 1.0)
+    assert est.centers_sampled == 1
+    assert "origin_window" in vars(g)
+    assert "window_scan" not in vars(g)
 
 
 def test_ul_norm_l1_of_capped_singular_is_cap_stable(table_cubic):
