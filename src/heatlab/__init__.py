@@ -6,7 +6,6 @@ from .nonlinearity import (
     check_admissibility,
     cutoff_exp,
     eval_F,
-    eval_F_inverse,
     power_exp,
     pure_power,
     sobolev_exponent,
@@ -34,9 +33,7 @@ from .iteration import (
 )
 from .threshold import (
     RadialBump,
-    Scaling,
     Truncation,
-    amplification_probe,
     run_case,
     threshold_scan,
 )

@@ -125,7 +125,11 @@ class RunConfig:
             raise ValueError("k_max and n_slices must be >= 1")
         if any(c <= 0 for c in self.cap_list()):
             raise ValueError("caps must be positive")
-        self.amplitude_factors()    # a malformed list raises ValueError
+        for key in ("caps", "amplitudes"):
+            values = self._float_list(key)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} must not repeat an entry, "
+                                 f"got '{getattr(self, key)}'")
 
     def spec(self):
         if self.family == "power-exp":
@@ -260,6 +264,7 @@ def cmd_singular(cfg: RunConfig, out: Artifacts) -> int:
         "pohozaev_max_fd_slope": trace.max_fd_slope,
         "patch_method": table.patch_method,
         "tolerances": table.tolerances,
+        "cross_check": table.cross_check,
     })
     out.commit()
     return 0

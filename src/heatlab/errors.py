@@ -13,10 +13,6 @@ class OutOfRange(HeatLabError):
     """Requested value lies outside the range of the function being inverted."""
 
 
-class DivisionNearZero(HeatLabError):
-    """A denominator fell below the division tolerance."""
-
-
 class StepUnderflow(HeatLabError):
     """Adaptive ODE step collapsed; carries the last valid state."""
 

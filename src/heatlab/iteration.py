@@ -34,7 +34,6 @@ __all__ = [
     "Trajectory",
     "LadderSeed",
     "IterationLadder",
-    "MaximalSolutionEstimate",
     "duhamel_map",
     "run_ladder",
     "fixed_point_residual",
@@ -202,17 +201,6 @@ class IterationLadder:
         }, indent=2)
 
 
-@dataclass
-class MaximalSolutionEstimate:
-    field: RadialField
-    gaps: List[float]
-
-    @property
-    def gaps_decreasing(self) -> bool:
-        tail = self.gaps[-3:]
-        return all(b <= a for a, b in zip(tail[:-1], tail[1:]))
-
-
 def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
                spec: NonlinearitySpec, t_obs: float, k_max: int = 8,
                n_slices: int = 64, ladder_tol: float = 1e-8,
@@ -262,12 +250,6 @@ def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
     return IterationLadder(seed=seed, t_obs=t_obs, trajectories=trajectories,
                            sup_norm_per_iterate=sups, cauchy_gaps=gaps,
                            ordering_violation_max=worst, converged=converged)
-
-
-def maximal_solution(ladder: IterationLadder) -> MaximalSolutionEstimate:
-    """Terminal-time field of the last iterate plus its Cauchy record."""
-    return MaximalSolutionEstimate(field=ladder.final.final,
-                                   gaps=list(ladder.cauchy_gaps))
 
 
 def fixed_point_residual(envelope: RadialField, spec: NonlinearitySpec,

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DivisionNearZero, NonIntegrableTail, OutOfRange
+from .errors import NonIntegrableTail, OutOfRange
 
 __all__ = [
     "NonlinearitySpec",
@@ -35,17 +35,13 @@ __all__ = [
     "sobolev_exponent",
     "eval_F",
     "eval_F_log",
-    "eval_F_inverse",
     "eval_F_inverse_log",
     "check_admissibility",
     "check_fprime_F_limit",
-    "check_log_convexity_ratio",
 ]
 
 #: relative tolerance of the barrier integral F and of its inverse
 TOL_F = 1e-10
-#: denominators below this trigger DivisionNearZero
-DIV_TOL = 1e-14
 
 
 def sobolev_exponent(dim: int) -> float:
@@ -97,9 +93,6 @@ class NonlinearitySpec:
     def __post_init__(self):
         if not self.label:
             object.__setattr__(self, "label", self.family)
-
-    def descriptor(self) -> dict:
-        return {"family": self.family, "params": dict(self.params)}
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +462,6 @@ def eval_F_inverse_log(spec: NonlinearitySpec, log_y):
     return float(u[0]) if scalar else u
 
 
-def eval_F_inverse(spec: NonlinearitySpec, y: float) -> float:
-    """Inverse of the barrier integral: returns u with F(u) = y."""
-    if y <= 0.0:
-        raise OutOfRange("F takes positive values only")
-    return eval_F_inverse_log(spec, math.log(y))
-
-
 # ---------------------------------------------------------------------------
 # condition checks
 # ---------------------------------------------------------------------------
@@ -664,17 +650,4 @@ def check_fprime_F_limit(spec: NonlinearitySpec,
         log_val = (math.log(float(spec.gp(u)))
                    + eval_F_log(spec, u) + float(spec.g(u)))
         out.append((u, math.exp(log_val)))
-    return out
-
-
-def check_log_convexity_ratio(spec: NonlinearitySpec,
-                              u_grid: Sequence[float]) -> list:
-    """Ratio g''(u)/g'(u)^2 along a grid; tends to 0 for admissible specs."""
-    out = []
-    for u in u_grid:
-        u = float(u)
-        gpu = float(spec.gp(u))
-        if abs(gpu) < DIV_TOL:
-            raise DivisionNearZero(f"g'({u:g}) = {gpu:g}")
-        out.append((u, float(spec.gpp(u)) / gpu ** 2))
     return out

@@ -12,7 +12,6 @@ cross-check.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -34,12 +33,10 @@ __all__ = [
     "SingularSolutionTable",
     "ShootingSolution",
     "PohozaevTrace",
-    "BoundReport",
     "integrate_regular",
     "build_singular",
     "verify_flux_identity",
     "trace_pohozaev",
-    "verify_growth_bounds",
     "asymptotic_ratio",
     "pure_power_profile_coefficient",
     "patch_seed",
@@ -92,9 +89,10 @@ class SingularSolutionTable:
     range [dense.t_min, R_max], and the optional ``spec`` gives the patch
     formula below that.  The table ``r``, ``u``, ``du`` in dimension ``dim``
     is the dense output sampled on [r_patch, R_max]: the CSV artifact and
-    the nodes of the flux, Pohozaev, asymptotic-ratio and growth-bound
-    checks.  Provenance: ``patch_method``, ``spec_descriptor``,
-    ``tolerances``, ``cross_check``.
+    the nodes of the flux, Pohozaev and asymptotic-ratio checks.
+    ``tolerances`` holds the solver tolerances and the re-seed mismatch,
+    ``cross_check`` the record of the regular shot; both are written to
+    singular_verification.json.
     """
 
     r: np.ndarray
@@ -104,7 +102,6 @@ class SingularSolutionTable:
     r_patch: float
     R_max: float
     patch_method: str
-    spec_descriptor: dict
     dense: Callable = field(repr=False, compare=False)
     tolerances: dict = field(default_factory=dict)
     cross_check: dict = field(default_factory=dict)
@@ -143,21 +140,6 @@ class SingularSolutionTable:
             for r, u, du in zip(self.r, self.u, self.du):
                 fh.write(f"{r:.17g},{u:.17g},{du:.17g}\n")
 
-    def sidecar(self) -> dict:
-        return {
-            "N": self.dim,
-            "r_patch": self.r_patch,
-            "R_max": self.R_max,
-            "patch_method": self.patch_method,
-            "spec_descriptor": self.spec_descriptor,
-            "tolerances": self.tolerances,
-            "cross_check": self.cross_check,
-        }
-
-    def write_sidecar(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.sidecar(), fh, indent=2)
-
 
 @dataclass
 class ShootingSolution:
@@ -172,9 +154,6 @@ class ShootingSolution:
     dense: Optional[Callable] = field(default=None, repr=False,
                                       compare=False)
 
-    def value_at(self, r: float) -> float:
-        return float(np.interp(r, self.r, self.u))
-
 
 @dataclass
 class PohozaevTrace:
@@ -187,16 +166,6 @@ class PohozaevTrace:
     @property
     def max_fd_slope(self) -> float:
         return float(self.fd_slopes().max())
-
-
-@dataclass
-class BoundReport:
-    delta: float
-    entries: dict
-
-    @property
-    def all_hold(self) -> bool:
-        return all(e["holds"] for e in self.entries.values())
 
 
 def _rhs(spec: NonlinearitySpec, dim: int):
@@ -278,9 +247,8 @@ def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol):
 def build_singular(spec: NonlinearitySpec, dim: int,
                    r_patch: float = 1e-3, R_max: float = 10.0,
                    rtol: float = 1e-11, atol: float = 1e-13,
-                   n_points: int = 500, patch_tol: float = 1e-5,
-                   check_patch: bool = True,
-                   cross_check: bool = True) -> SingularSolutionTable:
+                   n_points: int = 500,
+                   patch_tol: float = 1e-5) -> SingularSolutionTable:
     """Construct the singular profile table on [r_patch, R_max].
 
     Outward integration is the stable direction (nearby solutions are
@@ -296,48 +264,43 @@ def build_singular(spec: NonlinearitySpec, dim: int,
     if np.any(u <= 0.0):
         raise StepUnderflow("singular profile lost positivity", r=r[u <= 0][0])
 
+    dense2 = _integrate_singular(spec, dim, r_patch / 2.0, R_max, rtol, atol)
+    window = r >= 2.0 * r_patch
+    rel = np.abs(dense2(r[window])[0] - u[window]) / u[window]
+    mismatch = float(rel.max())
+    if mismatch > patch_tol:
+        raise PatchMismatch(
+            f"re-seeding at r_patch/2 changed the profile by "
+            f"{mismatch:.2e} (> {patch_tol:g}) on [2 r_patch, R_max]")
     table = SingularSolutionTable(
         r=r, u=u, du=du, dim=dim, r_patch=r_patch, R_max=R_max,
         patch_method=("closed-form power law" if spec.family == "pure_power"
                       else "F-inverse asymptotic"),
-        spec_descriptor=spec.descriptor(),
-        tolerances={"rtol": rtol, "atol": atol, "patch_tol": patch_tol},
+        tolerances={"rtol": rtol, "atol": atol, "patch_tol": patch_tol,
+                    "patch_mismatch": mismatch},
         spec=spec, dense=dense)
 
-    if check_patch:
-        dense2 = _integrate_singular(spec, dim, r_patch / 2.0, R_max,
-                                     rtol, atol)
-        window = r >= 2.0 * r_patch
-        rel = np.abs(dense2(r[window])[0] - u[window]) / u[window]
-        mismatch = float(rel.max())
-        table.tolerances["patch_mismatch"] = mismatch
-        if mismatch > patch_tol:
-            raise PatchMismatch(
-                f"re-seeding at r_patch/2 changed the profile by "
-                f"{mismatch:.2e} (> {patch_tol:g}) on [2 r_patch, R_max]")
-
-    if cross_check:
-        # A regular solution started above the patch value must come back
-        # under the singular profile downstream.  In the oscillatory regime
-        # (low dimensions) it crosses u* with a few percent overshoot, so
-        # the comparison carries a 5% allowance.
-        alpha = 2.0 * u[0]
-        try:
-            reg = integrate_regular(spec, dim, alpha, R_max,
-                                    rtol=1e-8, atol=1e-10)
-            lo = max(10.0 * r_patch, 0.05 * R_max)
-            mask = (reg.r >= lo) & (reg.u > 0)
-            if np.any(mask):
-                ustar = np.asarray(table.u_star(reg.r[mask], spec))
-                max_ratio = float((reg.u[mask] / ustar).max())
-                below = bool(max_ratio <= 1.05)
-            else:
-                max_ratio, below = 0.0, True  # died out: diverged indeed
-            table.cross_check = {"alpha": alpha, "regular_below": below,
-                                 "max_ratio": max_ratio}
-        except StepUnderflow:
-            table.cross_check = {"alpha": alpha, "regular_below": None,
-                                 "note": "regular integration underflowed"}
+    # A regular solution started above the patch value must come back
+    # under the singular profile downstream.  In the oscillatory regime
+    # (low dimensions) it crosses u* with a few percent overshoot, so
+    # the comparison carries a 5% allowance.
+    alpha = 2.0 * u[0]
+    try:
+        reg = integrate_regular(spec, dim, alpha, R_max,
+                                rtol=1e-8, atol=1e-10)
+    except StepUnderflow:
+        table.cross_check = {"alpha": alpha, "regular_below": None,
+                             "note": "regular integration underflowed"}
+        return table
+    mask = (reg.r >= max(10.0 * r_patch, 0.05 * R_max)) & (reg.u > 0)
+    if np.any(mask):
+        ustar = np.asarray(table.u_star(reg.r[mask], spec))
+        max_ratio = float((reg.u[mask] / ustar).max())
+        below = bool(max_ratio <= 1.05)
+    else:
+        max_ratio, below = 0.0, True  # died out: diverged indeed
+    table.cross_check = {"alpha": alpha, "regular_below": below,
+                         "max_ratio": max_ratio}
     return table
 
 
@@ -350,32 +313,6 @@ def eval_F0(spec: NonlinearitySpec, u: float) -> float:
     if gu >= 700.0:
         return math.inf
     return _reaction_integral_ratio(spec, u) * math.exp(gu)
-
-
-def ode_residual(obj, spec: NonlinearitySpec, dim: int,
-                 r_lo: float, r_hi: float) -> float:
-    """Sup of the relative stationary residual u'' + (N-1)/r u' + f(u) on
-    400 points of [r_lo, r_hi], with u'' from a symmetric second difference
-    of the solver's dense output.
-
-    The step trades second-difference truncation against amplification of
-    the dense-output interpolation error; the best-resolved of the steps
-    2e-4, 6e-4 and 1.2e-3 is reported.
-    """
-    dense = obj.dense
-    if dense is None:
-        raise ValueError("no dense solver output attached")
-    r = np.linspace(r_lo, r_hi, 400)
-    best = math.inf
-    for h in (2e-4, 6e-4, 1.2e-3):
-        um, u0, up = dense(r - h)[0], dense(r)[0], dense(r + h)[0]
-        upp = (up - 2.0 * u0 + um) / h ** 2
-        du = (up - um) / (2.0 * h)
-        fu = np.asarray(spec.f(u0))
-        res = upp + (dim - 1.0) / r * du + fu
-        scale = np.maximum(np.abs(upp), fu)
-        best = min(best, float(np.abs(res / scale).max()))
-    return best
 
 
 def verify_flux_identity(table: SingularSolutionTable,
@@ -448,71 +385,3 @@ def asymptotic_ratio(table: SingularSolutionTable,
                          - 2.0 * math.log(table.r[i]))
         out.append((table.r[i], ratio))
     return np.array(out)
-
-
-def verify_growth_bounds(table: SingularSolutionTable,
-                         spec: NonlinearitySpec, delta: float) -> BoundReport:
-    """Empirical check of the near-origin envelope bounds, the scaled one
-    f(gamma1 u*) <= C r^(-2 gamma1) at gamma1 = 0.5 and 0.9.
-
-    Constants are fitted as envelopes over the smallest decade of radii in
-    the table (the bounds are asymptotic as r -> 0) and the inequalities
-    re-checked there; fitted constants are reported, since the underlying
-    existential constants have no numeric values to compare against.
-    """
-    if not (0.0 < delta < (table.dim - 2.0) / 2.0):
-        raise ValueError("delta out of range")
-    r_lo = table.r[0]
-    w = table.r <= 10.0 * r_lo
-    r, u, du = table.r[w], table.u[w], table.du[w]
-    f_u = np.asarray(spec.f(u))
-    entries = {}
-
-    # value bound u* <= C r^(-2 delta)
-    prod = u * r ** (2.0 * delta)
-    C = float(prod.max())
-    slope = np.polyfit(np.log(r), np.log(u), 1)[0]
-    entries["value_envelope"] = {
-        "holds": bool(np.all(u <= C * r ** (-2.0 * delta) * (1 + 1e-12))),
-        "C": C, "loglog_slope": float(slope),
-        "slope_within_2delta": bool(-slope < 2.0 * delta),
-    }
-
-    # derivative bound |u*'| <= C r^(-1-2 delta)
-    prod = np.abs(du) * r ** (1.0 + 2.0 * delta)
-    C = float(prod.max())
-    entries["derivative_envelope"] = {
-        "holds": bool(np.all(np.abs(du) <= C * r ** (-1 - 2 * delta)
-                             * (1 + 1e-12))),
-        "C": C,
-    }
-
-    # reaction lower bound f(u*) > C r^(-2+2 delta)
-    prod = f_u * r ** (2.0 - 2.0 * delta)
-    C = float(prod.min())
-    entries["reaction_lower"] = {
-        "holds": bool(C > 0.0 and prod[0] >= prod[-1]),
-        "C": C, "product_small_r": float(prod[0]),
-        "product_large_r": float(prod[-1]),
-    }
-
-    # shift contraction f(u* - delta) <= gamma0 f(u*), gamma0 < 1
-    ok = u > delta
-    if np.any(ok):
-        ratios = np.asarray(spec.f(u[ok] - delta)) / f_u[ok]
-        gamma0 = float(ratios.max())
-    else:
-        gamma0 = math.nan
-    entries["shift_contraction"] = {
-        "holds": bool(gamma0 < 1.0), "gamma0": gamma0,
-    }
-
-    # scaled power-law envelope f(gamma1 u*) <= C r^(-2 gamma1)
-    for g1 in (0.5, 0.9):
-        prod = np.asarray(spec.f(g1 * u)) * r ** (2.0 * g1)
-        C = float(prod.max())
-        entries[f"scaled_envelope_{g1:g}"] = {
-            "holds": bool(prod[0] <= 2.0 * max(prod[-1], prod.mean())),
-            "C": C, "gamma1": g1,
-        }
-    return BoundReport(delta=delta, entries=entries)

@@ -32,14 +32,12 @@ from .nonlinearity import NonlinearitySpec
 
 __all__ = [
     "RadialBump",
-    "Scaling",
     "Truncation",
     "EvolutionOutcome",
     "CaseReport",
     "ScanReport",
     "initial_data",
     "run_case",
-    "amplification_probe",
     "threshold_scan",
 ]
 
@@ -75,25 +73,6 @@ class RadialBump:
 
 
 @dataclass(frozen=True)
-class Scaling:
-    """Multiplicative perturbation u0 = factor * profile."""
-
-    factor: float
-
-    def __post_init__(self):
-        if self.factor <= 0:
-            raise ValueError("scaling factor must be positive")
-
-    @property
-    def side(self) -> str:
-        if self.factor > 1:
-            return "above"
-        if self.factor < 1:
-            return "below"
-        return "neutral"
-
-
-@dataclass(frozen=True)
 class Truncation:
     """Cap-only perturbation u0 = min(profile, cap)."""
 
@@ -108,15 +87,7 @@ class Truncation:
         return "below"
 
 
-Perturbation = Union[RadialBump, Scaling, Truncation]
-
-
-def _combined_side(perts: Sequence[Perturbation]) -> str:
-    sides = {p.side for p in perts} - {"neutral"}
-    if len(sides) > 1:
-        raise ValueError("perturbations must agree on one side of the "
-                         "stationary profile")
-    return sides.pop() if sides else "below"
+Perturbation = Union[RadialBump, Truncation]
 
 
 def _star_on_nodes(table, grid: RadialGrid,
@@ -128,28 +99,24 @@ def _star_on_nodes(table, grid: RadialGrid,
     return star
 
 
-def initial_data(table, grid: RadialGrid, perts: Sequence[Perturbation],
+def initial_data(table, grid: RadialGrid, pert: Perturbation,
                  cap: float, spec: Optional[NonlinearitySpec] = None
                  ) -> Tuple[RadialField, str]:
     """Build one-sided initial data from the singular profile.
 
-    Perturbations are applied in order to the uncapped profile; the cap is
-    applied last, so near the origin the data always sits below the
+    The perturbation is applied to the capped profile and the cap is
+    applied again last, so near the origin the data always sits below the
     stationary profile regardless of side.  The result is clipped to stay
-    one-sided away from the capped zone and returned with its side label.
+    one-sided away from the capped zone and returned with its side label;
+    a neutral bump (amplitude 0) counts as below.
     """
-    side = _combined_side(perts)
+    side = "above" if pert.side == "above" else "below"
     star = _star_on_nodes(table, grid, spec)
     u = np.minimum(star, cap)
-    for p in perts:
-        if isinstance(p, Scaling):
-            u = p.factor * u
-        elif isinstance(p, RadialBump):
-            u = u + p.profile(grid.r)
-        elif isinstance(p, Truncation):
-            u = np.minimum(u, p.cap)
-        else:
-            raise TypeError(f"unknown perturbation {p!r}")
+    if isinstance(pert, RadialBump):
+        u = u + pert.profile(grid.r)
+    else:
+        u = np.minimum(u, pert.cap)
     if side == "below":
         u = np.minimum(u, star)
     else:
@@ -262,12 +229,11 @@ def _excess_over_star(field: RadialField, star: np.ndarray,
 
 
 def run_case(spec: Optional[NonlinearitySpec], table,
-             perts: Union[Perturbation, Sequence[Perturbation]],
+             pert: Perturbation,
              horizon: float = 0.5,
              caps: Sequence[float] = (1e4, 1e5),
              n_nodes: int = 129,
-             R_outer: float = 8.0,
-             n_samples: int = N_SAMPLES) -> CaseReport:
+             R_outer: float = 8.0) -> CaseReport:
     """Evolve perturbed singular data at each cap and classify the outcome.
 
     BlowUp requires three corroborating signals: the sup-norm beyond its
@@ -280,24 +246,22 @@ def run_case(spec: Optional[NonlinearitySpec], table,
     """
     grids = {cap: case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
              for cap in caps}
-    return _run_on_grids(spec, table, perts, grids, horizon, n_samples)
+    return _run_on_grids(spec, table, pert, grids, horizon)
 
 
-def _run_on_grids(spec, table, perts, grids: dict, horizon: float,
-                  n_samples: int) -> CaseReport:
+def _run_on_grids(spec, table, pert: Perturbation, grids: dict,
+                  horizon: float) -> CaseReport:
     """run_case on prebuilt case grids, one per cap."""
-    if isinstance(perts, (RadialBump, Scaling, Truncation)):
-        perts = [perts]
     outcomes = {}
     for cap, grid in grids.items():
-        u0, side = initial_data(table, grid, perts, cap, spec)
+        u0, side = initial_data(table, grid, pert, cap, spec)
         # floor at R/8: on cap-resolving grids the ten innermost cells
         # collapse into the unresolved core, below where a desk-scale
         # divergence can localize
         r_star = max(float(grid.r[min(10, grid.n_nodes - 1)]),
                      grid.R_outer / 8.0)
         outcomes[cap] = _evolve_and_classify(
-            spec, table, u0, side, horizon, cap, n_samples, r_star)
+            spec, table, u0, side, horizon, cap, r_star)
     verdicts = {o.classification for o in outcomes.values()}
     cap_stable = len(verdicts) == 1
     classification = verdicts.pop() if cap_stable else "Undetermined"
@@ -310,10 +274,10 @@ def _run_on_grids(spec, table, perts, grids: dict, horizon: float,
 
 
 def _evolve_and_classify(spec, table, u0: RadialField, side: str,
-                         horizon: float, cap: float, n_samples: int,
+                         horizon: float, cap: float,
                          r_star: float) -> EvolutionOutcome:
     grid = u0.grid
-    sample_times = np.geomspace(horizon / 1e4, horizon, n_samples)
+    sample_times = np.geomspace(horizon / 1e4, horizon, N_SAMPLES)
     star = _star_on_nodes(table, grid, spec)
 
     times, sups, l1s, masses, snapshots = [], [], [], [], []
@@ -395,35 +359,6 @@ def _evolve_and_classify(spec, table, u0: RadialField, side: str,
                             one_sided_excess=excess)
 
 
-def amplification_probe(outcome: EvolutionOutcome, table,
-                        spec: Optional[NonlinearitySpec] = None,
-                        window: Optional[Tuple[float, float]] = None
-                        ) -> list[Tuple[float, float]]:
-    """Largest alpha with u(r, t) >= alpha * u*(r) near the origin.
-
-    The minimum of u/u* is taken over a radial window of uncapped nodes
-    (default: the innermost uncapped decade); in a diverging run this
-    ratio ratchets upward before detection, in a decaying run it falls
-    below one and keeps falling.
-    """
-    if not outcome.snapshots:
-        raise ValueError("outcome carries no snapshots")
-    grid = outcome.snapshots[0][1].grid
-    mask = outcome.snapshots[0][1].cap_mask
-    free = (~mask) & (grid.r > 0)
-    if window is None:
-        r_a = float(grid.r[free].min())
-        window = (r_a, 10.0 * r_a)
-    sel = free & (grid.r >= window[0]) & (grid.r <= window[1])
-    if not np.any(sel):
-        raise ValueError("empty probe window")
-    star = np.asarray(table.u_star(grid.r[sel], spec))
-    out = []
-    for t, fld in outcome.snapshots:
-        out.append((t, float((fld.u[sel] / star).min())))
-    return out
-
-
 @dataclass
 class ScanReport:
     """Amplitude sweep of bump perturbations at every cap."""
@@ -495,8 +430,7 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     cases = {}
     for a in amps.tolist():
         bump = RadialBump(bump_shape.r_c, bump_shape.sigma, a)
-        cases[a] = _run_on_grids(spec, table, bump, grids, horizon,
-                                 N_SAMPLES)
+        cases[a] = _run_on_grids(spec, table, bump, grids, horizon)
     _check_monotone(amps, [cases[a].classification for a in amps])
     return ScanReport(amplitudes=amps, cases=cases, config={
         "r_c": bump_shape.r_c, "sigma": bump_shape.sigma,

@@ -128,8 +128,7 @@ def test_criterion_06_pohozaev(power_exp_table):
     slope = trace_pohozaev(power_exp_table, POWER_EXP).max_fd_slope
     p_s = sobolev_exponent(5)
     crit_table = build_singular(pure_power(p_s), 5, n_points=150,
-                                rtol=1e-12, atol=1e-14,
-                                check_patch=False, cross_check=False)
+                                rtol=1e-12, atol=1e-14)
     trace = trace_pohozaev(crit_table, pure_power(p_s))
     spread = float(np.abs(trace.P - trace.P[-1]).max())
     _report(6, slope <= 1e-10 and spread <= 1e-7,

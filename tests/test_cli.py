@@ -39,6 +39,8 @@ def test_defaults_validate():
     {"family": "cutoff-exp", "a": -1.0},
     {"bump_r_c": -1.0},
     {"seed_factor": -1.0},
+    {"caps": "1e4,1e4"},
+    {"amplitudes": "-0.3,0.3,-0.3"},
 ])
 def test_invalid_config_rejected(overrides):
     with pytest.raises(ValueError):
@@ -117,6 +119,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     (["iterate", "--config", "bad_seed.ini"], "seed_factor must be >= 0"),
     (["scan", "--config", "far_outer.ini"], "R_outer must be <= R_max"),
     (["scan", "--r-c", "12"], "bump_r_c must be <= R_max"),
+    (["scan", "--amplitudes=-0.3,0.3", "--caps=1e4,1e4"],
+     "caps must not repeat an entry, got '1e4,1e4'"),
+    (["scan", "--amplitudes=0.1,-0.3,1e-1"],
+     "amplitudes must not repeat an entry, got '0.1,-0.3,1e-1'"),
 ])
 def test_bad_run_option_is_config_error(tmp_path, monkeypatch, capsys, argv,
                                         message):
@@ -172,6 +178,9 @@ def test_singular_pure_power_artifacts(tmp_path):
     doc = json.loads((out / "singular_verification.json").read_text())
     assert doc["flux_identity_max_rel_residual"] <= 1e-4
     assert doc["config"]["p"] == 3.0
+    tol = doc["tolerances"]
+    assert tol["patch_mismatch"] <= tol["patch_tol"]
+    assert doc["cross_check"]["regular_below"] is True
 
 
 def test_singular_ignores_outer_radius(tmp_path):

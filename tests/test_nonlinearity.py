@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from heatlab import nonlinearity
-from heatlab.errors import DivisionNearZero, OutOfRange
+from heatlab.errors import OutOfRange
 from heatlab.nonlinearity import (
     check_admissibility,
     check_fprime_F_limit,
-    check_log_convexity_ratio,
     custom,
     cutoff_exp,
     eval_F,
-    eval_F_inverse,
     eval_F_inverse_log,
     eval_F_log,
     power_exp,
@@ -261,13 +259,6 @@ def test_inverse_array_matches_scalar(name):
     np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
 
 
-def test_inverse_plain_interface():
-    spec = pure_power(3.0)
-    assert eval_F_inverse(spec, 0.125) == pytest.approx(2.0, rel=1e-10)
-    with pytest.raises(OutOfRange):
-        eval_F_inverse(spec, -1.0)
-
-
 def test_barrier_integral_survives_overflowing_f():
     # f overflows in float64 far below u=500; the log-space path must not
     spec = power_exp(5.0, 2.0)
@@ -302,25 +293,15 @@ def test_fprime_F_constant_for_pure_power():
 
 
 def test_log_convexity_ratio_values():
-    # for u^p e^{u^q}: g''/g'^2 = (q(q-1)u^q - p)/(q u^q + p)^2
+    # the ratio g''/g'^2 that condition A3 takes from the evaluators:
+    # for u^p e^{u^q} it is (q(q-1)u^q - p)/(q u^q + p)^2
     spec = power_exp(5.0, 2.0)
-    (_, v), = check_log_convexity_ratio(spec, [10.0])
-    assert v == pytest.approx(195.0 / 42025.0, rel=1e-12)
+    assert spec.gpp(10.0) / spec.gp(10.0) ** 2 == pytest.approx(
+        195.0 / 42025.0, rel=1e-12)
     # for u^p: ratio is -1/p identically
-    (_, v), = check_log_convexity_ratio(pure_power(3.0), [7.0])
-    assert v == pytest.approx(-1.0 / 3.0, rel=1e-12)
-
-
-def test_log_convexity_ratio_rejects_flat_profile():
-    flat = custom(
-        f=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        fp=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        fpp=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        log_convex_from=0.0,
-        label="flat",
-    )
-    with pytest.raises(DivisionNearZero):
-        check_log_convexity_ratio(flat, [1.0])
+    cubic = pure_power(3.0)
+    assert cubic.gpp(7.0) / cubic.gp(7.0) ** 2 == pytest.approx(
+        -1.0 / 3.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

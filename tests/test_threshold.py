@@ -12,11 +12,9 @@ from heatlab.threshold import (
     CaseReport,
     EvolutionOutcome,
     RadialBump,
-    Scaling,
     ScanReport,
     Truncation,
     _check_monotone,
-    amplification_probe,
     case_grid,
     initial_data,
     run_case,
@@ -55,37 +53,35 @@ def test_perturbation_validation():
     with pytest.raises(ValueError):
         RadialBump(-1.0, 0.3, 0.1)
     with pytest.raises(ValueError):
-        Scaling(0.0)
-    with pytest.raises(ValueError):
         Truncation(-5.0)
-
-
-def test_mixed_sides_rejected(table):
-    g = case_grid(table, 1e4, 5, 8.0, 65, CUBIC)
-    with pytest.raises(ValueError):
-        initial_data(table, g, [RadialBump(2.0, 0.3, 0.1), Scaling(0.9)],
-                     1e4, CUBIC)
 
 
 def test_initial_data_one_sided(table, ustar2):
     g = case_grid(table, 1e4, 5, 8.0, 129, CUBIC)
     star = np.asarray(table.u_star(g.r[1:], CUBIC))
 
-    below, side = initial_data(table, g, [RadialBump(2.0, 2.0, -0.3 * ustar2)],
+    below, side = initial_data(table, g, RadialBump(2.0, 2.0, -0.3 * ustar2),
                                1e4, CUBIC)
     assert side == "below"
     assert np.all(below.u >= 0.0)
     assert np.all(below.u[1:] <= star * (1 + 1e-12))
 
-    above, side = initial_data(table, g, [RadialBump(2.0, 2.0, +0.3 * ustar2)],
+    above, side = initial_data(table, g, RadialBump(2.0, 2.0, +0.3 * ustar2),
                                1e4, CUBIC)
     assert side == "above"
     assert np.all(above.u[1:] >= np.minimum(star, 1e4) * (1 - 1e-12))
 
-    trunc, side = initial_data(table, g, [Truncation(1e4)], 1e4, CUBIC)
+    trunc, side = initial_data(table, g, Truncation(1e4), 1e4, CUBIC)
     assert side == "below"
     assert trunc.cap_mask[0]
     assert np.all(trunc.u <= 1e4)
+
+    # a neutral bump is the capped profile itself, handled as below
+    neutral, side = initial_data(table, g, RadialBump(2.0, 2.0, 0.0),
+                                 1e4, CUBIC)
+    assert side == "below"
+    assert np.array_equal(neutral.u, np.minimum(
+        np.concatenate([[np.inf], star]), 1e4))
 
 
 def test_case_grid_resolves_capped_zone(table):
@@ -159,36 +155,27 @@ def test_reaction_disabled_always_global(table, ustar2):
 
 
 # ---------------------------------------------------------------------------
-# amplification probe
+# instability mechanism
 # ---------------------------------------------------------------------------
 
-def test_scaling_probe_trivial(table):
-    rep = run_case(CUBIC, table, Scaling(1.2), caps=(1e4,), horizon=1e-3,
-                   n_samples=4)
-    alpha = amplification_probe(rep.finest, table, CUBIC)
-    assert alpha[0][1] == pytest.approx(1.2, abs=1e-9)
-    # uniformly-above data diverges essentially immediately
-    assert rep.classification == "BlowUp"
-
-
 def test_probe_tracks_mechanism(dichotomy_pair, table):
+    # the largest alpha with u >= alpha u* on 0.3 <= r <= 1 ratchets upward
+    # in a diverging run and keeps falling in a decaying one
+    def alpha_series(outcome):
+        grid = outcome.snapshots[0][1].grid
+        sel = (grid.r >= 0.3) & (grid.r <= 1.0)
+        star = np.asarray(table.u_star(grid.r[sel], CUBIC))
+        return np.array([(fld.u[sel] / star).min()
+                         for _, fld in outcome.snapshots])
+
     below, above = dichotomy_pair
-    win = (0.3, 1.0)
-    al_above = np.array([a for _, a in
-                         amplification_probe(above.finest, table, CUBIC, win)])
+    al_above = alpha_series(above.finest)
     assert np.all(np.diff(al_above) >= -5e-3)      # ratchets upward
     assert al_above[-1] == al_above.max() > 1.1
-    al_below = np.array([a for _, a in
-                         amplification_probe(below.finest, table, CUBIC, win)])
+    al_below = alpha_series(below.finest)
     tail = al_below[len(al_below) // 2:]
     assert np.all(np.diff(tail) <= 1e-9)           # keeps falling
     assert tail[-1] < 1.0
-
-
-def test_probe_rejects_empty_window(dichotomy_pair, table):
-    below, _ = dichotomy_pair
-    with pytest.raises(ValueError):
-        amplification_probe(below.finest, table, CUBIC, window=(9.0, 10.0))
 
 
 # ---------------------------------------------------------------------------
