@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NonIntegrableTail, OutOfRange
 
@@ -39,10 +38,6 @@ __all__ = [
     "check_admissibility",
     "check_fprime_F_limit",
 ]
-
-#: relative tolerance of the barrier integral F and of its inverse
-TOL_F = 1e-10
-
 
 def sobolev_exponent(dim: int) -> float:
     """Critical exponent (dim+2)/(dim-2) entering the fourth admissibility
@@ -104,9 +99,10 @@ def _evaluator(expr: Callable) -> Callable:
     one expression written against the namespace xp.
 
     A scalar (a float, numpy.float64 included) is computed on the Python
-    float with xp = math and returned as a plain float: quadrature
-    integrands and ODE right-hand sides call the evaluators once per node,
-    and 0-d numpy arithmetic costs several times the expression itself.
+    float with xp = math and returned as a plain float: the LSODA
+    right-hand side and the stepping of the Gauss-Legendre ladders call
+    the evaluators once per node, and 0-d numpy arithmetic costs several
+    times the expression itself.
     Anything else is computed as a float array with xp = numpy.  Where
     Python raises or leaves the reals and numpy returns an IEEE value (exp
     or ** overflow, division by zero, log(0), a fractional power of a
@@ -170,9 +166,10 @@ def power_exp(p: float, q: float) -> NonlinearitySpec:
 
 # quintic cutoff: chi'(u) is the C^1 piecewise quartic below; chi is its
 # antiderivative with chi(0) = 0, giving chi = 20 for u >= 4 and chi = u^5
-# for u <= 1, with C^2 joins.  A scalar input (every quad node) returns a
-# plain float computed on the Python float, evaluating only its own piece;
-# np.select would evaluate all three.  Array input keeps np.select.
+# for u <= 1, with C^2 joins.  A scalar input (the LSODA right-hand side,
+# the ladders' stepping) returns a plain float computed on the Python
+# float; an array evaluates each piece on its own entries only.  Either
+# way an entry costs its own piece, not all three.
 def _cutoff_piecewise(on_1, on_3, on_4, beyond: float) -> Callable:
     """The function equal to on_1, on_3, on_4 up to u = 1, 3, 4 and to the
     constant beyond after that."""
@@ -185,8 +182,11 @@ def _cutoff_piecewise(on_1, on_3, on_4, beyond: float) -> Callable:
                 return on_3(x)
             return on_4(x) if x <= 4.0 else beyond
         u = np.asarray(u, dtype=float)
-        return np.select([u <= 1.0, u <= 3.0, u <= 4.0],
-                         [on_1(u), on_3(u), on_4(u)], default=beyond)
+        piece = np.searchsorted([1.0, 3.0, 4.0], u)
+        out = np.full(u.shape, beyond)
+        for k, on in enumerate((on_1, on_3, on_4)):
+            out[piece == k] = on(u[piece == k])
+        return out
     return evaluate
 
 
@@ -316,74 +316,117 @@ def custom(f: Callable, fp: Callable, fpp: Callable,
 # the barrier integral F and its inverse
 # ---------------------------------------------------------------------------
 
-def _log_head(spec: NonlinearitySpec, u: float, M: float) -> float:
-    """log of integral_u^M ds/f(s), computed against the scale f(u).
+#: 16-point Gauss-Legendre rule on [0, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
-    The integrand decays on the scale 1/g'(u); when the interval is much
-    wider than that, it is split geometrically so the quadrature cannot
-    miss the boundary layer at s = u.
+#: depth in units of g past which a ladder takes one last segment to its
+#: end, where the integrand has fallen below e^-40 of its scale
+LADDER_SPAN = 40.0
+
+
+def _segment(spec: NonlinearitySpec, a, ga, b, sign: float):
+    """Integral of exp(sign (g(s) - ga)) between a and b, for arrays a, b
+    and ga = g(a), by the 16-point Gauss-Legendre rule with g evaluated in
+    one call on every node."""
+    s = a[:, None] + (b - a)[:, None] * _GL_X
+    gs = np.asarray(spec.g(s), dtype=float)
+    return np.abs(b - a) * (np.exp(sign * (gs - ga[:, None])) @ _GL_W)
+
+
+def _ladder(spec: NonlinearitySpec, u, sign: float, reach=None):
+    """Gauss-Legendre ladders from every entry of the array u > 0, upward
+    for F (sign = -1, integrand 1/f) or downward for the antiderivative of
+    f (sign = +1), stepped on Python floats and integrated in one batch.
+
+    A step spans e^(d/4)/4 units of g, at most 8, at depth d: the units g
+    has risen past g(reach) (default u) or fallen below g(u).  Its length
+    is set by the slope of g over the previous step (g'(u) for the first),
+    at most half the distance to 0.  Damped by e^-d, each segment's error
+    stays that of the first, also where f has a kink.  Downward, a ladder
+    ends once s f(s) has fallen by e^LADDER_SPAN, with one segment to 0.
+    Upward, it ends past reach: at once where the exact tail holds, else
+    at depth LADDER_SPAN with one segment to where the exact tail starts,
+    or to M with g convex beyond, g'(M) > 0 and g''(M) >= 0, whose tail is
+    at most 1/(f(M) g'(M)); M doubles while that fails, up to 2^600.
+
+    Returns the segments in order (start, end, g at the start, integral of
+    exp(sign (g(s) - g(start)))), each ladder's first segment index, and
+    log of each ladder's tail (-inf downward).
     """
-    gu = float(spec.g(u))
-
-    def integrand(s):
-        arg = gu - float(spec.g(s))
-        return math.exp(arg) if arg > -745.0 else 0.0
-
-    gpu = float(spec.gp(u))
-    cuts = [u]
-    if gpu > 0.0:
-        b = u + 50.0 / gpu
-        while b < M:
-            cuts.append(b)
-            b = u + 4.0 * (b - u)
-    cuts.append(M)
-    val = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        seg, _ = quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13, limit=400)
-        val += seg
-    if val <= 0.0:
-        return -math.inf
-    return -gu + math.log(val)
-
-
-def eval_F_log(spec: NonlinearitySpec, u: float) -> float:
-    """log F(u), stable even where F(u) underflows to zero.
-
-    The head integral_u^M is adaptive quadrature; the tail over [M, inf) is
-    either a family closed form or, for log-convex g, the envelope bound
-    1/(f(M) g'(M)) whose size is forced below TOL_F relative to the head.
-    """
-    u = float(u)
-    if u <= 0.0:
-        raise ValueError("F is defined for u > 0")
+    g = spec.g
     exact = spec.tail.log_exact_tail
-    if exact is not None:
-        M = max(2.0 * u, u + 1.0, spec.tail.tail_start)
-        log_head = _log_head(spec, u, M)
-        return float(np.logaddexp(log_head, exact(M)))
+    start = (spec.tail.tail_start if exact is not None
+             else spec.tail.log_convex_from)
+    u = np.asarray(u, dtype=float)
+    g_reach = None if reach is None else float(g(reach))
+    a, b, ga, first, log_tail = [], [], [], [], []
+    for x, slope in zip(u.tolist(), np.asarray(spec.gp(u), float).tolist()):
+        first.append(len(a))
+        gx = float(g(x))
+        x_ref, g_ref = (x, gx) if reach is None else (reach, g_reach)
+        floor = math.log(x) + gx - LADDER_SPAN
+        tail = None
+        while tail is None:
+            depth = sign * (g_ref - gx)
+            unit = 0.25 * math.exp(min(max(depth, 0.0), 13.86) / 4.0)
+            nxt = x - sign * (0.5 * x if slope * x <= 2.0 * unit
+                              else unit / slope)
+            if sign > 0.0:
+                if math.log(x) + gx <= floor:
+                    nxt, tail = 0.0, -math.inf
+            elif x > 2.0 ** 600:
+                raise NonIntegrableTail(f"{spec.label}: could not certify "
+                                        f"an integrable tail of F")
+            elif x >= x_ref and (depth >= LADDER_SPAN or (
+                    exact is not None and x >= start)):
+                nxt = max(x, start)
+                gp_end = (float(spec.gp(nxt)) if exact is None
+                          and nxt <= 2.0 ** 600 else 0.0)
+                if exact is not None:
+                    tail = exact(nxt)
+                elif gp_end > 0.0 and float(spec.gpp(nxt)) >= 0.0:
+                    tail = -float(g(nxt)) - math.log(gp_end)
+                else:
+                    nxt *= 2.0
+            a.append(x)
+            b.append(nxt)
+            ga.append(gx)
+            if tail is None:
+                g_nxt = float(g(nxt))
+                slope = sign * (gx - g_nxt) / abs(nxt - x)
+                x, gx = nxt, g_nxt
+        log_tail.append(tail)
+    a, b, ga = np.array(a), np.array(b), np.array(ga)
+    return (a, b, ga, _segment(spec, a, ga, b, sign), np.array(first),
+            np.array(log_tail))
 
-    # no closed-form tail: push M out until the log-convexity bound is
-    # negligible relative to the head
-    M = max(2.0 * u, u + 1.0, spec.tail.log_convex_from * 1.01)
-    log_head = _log_head(spec, u, M)
-    for _ in range(200):
-        gpM = float(spec.gp(M))
-        if gpM > 0.0 and float(spec.gpp(M)) >= 0.0:
-            log_tail = -float(spec.g(M)) - math.log(gpM)
-            if log_tail - log_head < math.log(TOL_F):
-                return float(np.logaddexp(log_head, log_tail))
-        M_new = 2.0 * M
-        seg = _log_head(spec, M, M_new)
-        log_head = float(np.logaddexp(log_head, seg))
-        M = M_new
-        if not math.isfinite(M):
-            break
-    raise NonIntegrableTail(
-        f"{spec.label}: could not certify an integrable tail for F({u:g})")
+
+def _scaled_integral(spec: NonlinearitySpec, u, sign: float):
+    """(g(u), f(u) F(u)) for sign = -1 or (g(u), integral_0^u f / f(u)) for
+    sign = +1, at every entry of the array u > 0: each ladder's segments
+    summed against the scale f(u)."""
+    _, _, ga, seg, first, log_tail = _ladder(spec, u, sign)
+    g0 = ga[first]
+    g_scale = np.repeat(g0, np.diff(np.append(first, ga.size)))
+    total = np.add.reduceat(seg * np.exp(sign * (ga - g_scale)), first)
+    return g0, total + np.exp(log_tail - sign * g0)
+
+
+def eval_F_log(spec: NonlinearitySpec, u):
+    """log F(u), stable even where F(u) underflows to zero, elementwise for
+    an array u (a scalar returns a float): one upward ladder per entry."""
+    scalar = np.ndim(u) == 0
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.all(u > 0.0):
+        raise ValueError("F is defined for u > 0")
+    g0, scaled = _scaled_integral(spec, u, -1.0)
+    out = np.log(scaled) - g0
+    return float(out[0]) if scalar else out
 
 
 def eval_F(spec: NonlinearitySpec, u: float) -> float:
-    """Barrier integral F(u) = integral_u^inf ds/f(s), to relative TOL_F."""
+    """Barrier integral F(u) = integral_u^inf ds/f(s)."""
     return math.exp(eval_F_log(spec, u))
 
 
@@ -407,58 +450,46 @@ def _log_F_bracket(spec: NonlinearitySpec, t_min: float, t_max: float):
             min(x for x, v in log_F.items() if v <= t_min))
 
 
-#: 16-point Gauss-Legendre rule on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-
-
-def _log_integral_inv_f(spec: NonlinearitySpec, a, b):
-    """(g(a), log of integral_a^b ds/f(s)) for arrays a <= b, each
-    interval by the 16-point Gauss-Legendre rule against the scale f(a)."""
-    s = a[:, None] + (b - a)[:, None] * (0.5 * (_GL_X + 1.0))
-    ga = np.asarray(spec.g(a), dtype=float)
-    gs = np.asarray(spec.g(s), dtype=float)
-    with np.errstate(divide="ignore"):
-        return ga, -ga + np.log(0.5 * (b - a) * (np.exp(ga[:, None] - gs)
-                                                 @ _GL_W))
-
-
 def eval_F_inverse_log(spec: NonlinearitySpec, log_y):
     """Solve F(u) = exp(log_y) for u, elementwise for an array log_y (a
     scalar returns a float).  F is strictly decreasing.
 
     One log F table serves the whole request, its nodes set by the
-    request alone: they run from the lower power-of-two bracket end to 10
-    units of g past the upper one (so the anchor's error is damped by
-    e^-10), spaced 1/(4 g'(u)) (at most u/8).  log F is accumulated
-    downward with logaddexp from eval_F_log at the top node, integrating
-    e^-g over each segment by 16-point Gauss-Legendre.  Each root starts
-    by linear interpolation in its segment; all are polished at once by
-    Newton steps with the exact d log F/du = -exp(-g - log F).
+    request alone: one upward ladder from the lower power-of-two bracket
+    end that reaches past the upper one, log F accumulated downward with
+    logaddexp from the ladder's tail.  Each root starts by linear
+    interpolation in its segment; all are polished at once by Newton
+    steps with the exact d log F/du = -exp(-g - log F), on the table and
+    then once on eval_F_log.
     """
     scalar = np.ndim(log_y) == 0
     t = np.atleast_1d(np.asarray(log_y, dtype=float))
     lo, hi = _log_F_bracket(spec, float(t.min()), float(t.max()))
-    g_top = float(spec.g(hi)) + 10.0
-    nodes = [lo]
-    while nodes[-1] < hi or float(spec.g(nodes[-1])) < g_top:
-        u = nodes[-1]
-        nodes.append(u + 0.25 / max(float(spec.gp(u)), 2.0 / u))
-    nodes = np.array(nodes)
-    _, seg = _log_integral_inv_f(spec, nodes[:-1], nodes[1:])
-    log_F = np.logaddexp.accumulate(
-        np.concatenate([[eval_F_log(spec, nodes[-1])], seg[::-1]]))[::-1]
+    # reach 2 lo at least, so that lo = hi still lays a segment
+    a, b, ga, seg, _, log_tail = _ladder(spec, np.array([lo]), -1.0,
+                                         reach=max(hi, 2.0 * lo))
+    keep = b > a
+    nodes = np.append(a[keep], b[keep][-1])
+    log_F = np.logaddexp.accumulate(np.concatenate(
+        [log_tail, (np.log(seg[keep]) - ga[keep])[::-1]]))[::-1]
     k = np.clip(np.searchsorted(-log_F, -t) - 1, 0, nodes.size - 2)
     u = nodes[k] + (nodes[k + 1] - nodes[k]) * (
         (log_F[k] - t) / (log_F[k] - log_F[k + 1]))
     for _ in range(8):
         k = np.clip(np.searchsorted(nodes, u, side="right") - 1,
                     0, nodes.size - 2)
-        gu, head = _log_integral_inv_f(spec, u, nodes[k + 1])
-        log_F_u = np.logaddexp(log_F[k + 1], head)
+        gu = np.asarray(spec.g(u), dtype=float)
+        with np.errstate(divide="ignore"):
+            seg = np.log(_segment(spec, u, gu, nodes[k + 1], -1.0))
+        log_F_u = np.logaddexp(log_F[k + 1], seg - gu)
         step = (log_F_u - t) * np.exp(gu + log_F_u)
         u = np.clip(u + step, lo, nodes[-1])
         if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * u):
             break
+    # a last step on eval_F_log itself: each root then depends on its own
+    # target only, not on the table the rest of the request laid
+    g_u, scaled = _scaled_integral(spec, u, -1.0)
+    u = u + (np.log(scaled) - g_u - t) * scaled
     return float(u[0]) if scalar else u
 
 
@@ -512,31 +543,6 @@ class AdmissibilityReport:
         return json.dumps(doc, indent=2)
 
 
-def _reaction_integral_ratio(spec: NonlinearitySpec, u: float) -> float:
-    """integral_0^u f(s) ds / f(u) for u > 0, computed in log space.
-
-    The integrand f(s)/f(u) decays away from s = u on the scale 1/g'(u);
-    that boundary layer (width at most 60/g'(u)) is integrated on its own
-    before the rest of [0, u].
-    """
-    gu = float(spec.g(u))
-    gpu = float(spec.gp(u))
-
-    def integrand(s):
-        if s <= 0.0:
-            return 0.0
-        arg = float(spec.g(s)) - gu
-        return math.exp(arg) if arg > -745.0 else 0.0
-
-    w = min(u, 60.0 / gpu) if gpu > 0.0 else u
-    total, _ = quad(integrand, u - w, u, epsabs=1e-15, epsrel=1e-13, limit=400)
-    if w < u:
-        rest, _ = quad(integrand, 0.0, u - w, epsabs=1e-15, epsrel=1e-13,
-                       limit=400)
-        total += rest
-    return total
-
-
 def check_admissibility(spec: NonlinearitySpec,
                         dim: int) -> AdmissibilityReport:
     """Sampling-based machine check of the four admissibility conditions.
@@ -544,8 +550,8 @@ def check_admissibility(spec: NonlinearitySpec,
     A PASS means "no violation found on the sampled range"; the conditions
     quantify over all u > 0, which is undecidable numerically.  It samples
     2000 log-spaced points of [1e-6, 1e3]; the fourth condition's deficit
-    Q(u)/(u f(u)) is checked at 80 log-spaced points of that range (each
-    costs a quadrature) to -1e-12, relative once |Q/(u f)| > 1.
+    Q(u)/(u f(u)) is checked at 80 log-spaced points of that range (one
+    downward ladder each) to -1e-12, relative once |Q/(u f)| > 1.
     """
     u_min, u_max = 1e-6, 1e3
     p_crit = sobolev_exponent(dim)
@@ -604,9 +610,7 @@ def check_admissibility(spec: NonlinearitySpec,
     # Q(u)/(u f(u)) with Q(u) = u f(u) - (p_crit+1) int_0^u f: normalizing
     # by u f(u) > 0 keeps it finite where f overflows and keeps its sign
     uq = np.geomspace(u_min, u_max, 80)
-    q_norm = np.array([
-        1.0 - (p_crit + 1.0) * _reaction_integral_ratio(spec, float(x))
-        / float(x) for x in uq])
+    q_norm = 1.0 - (p_crit + 1.0) * _scaled_integral(spec, uq, 1.0)[1] / uq
     tol = 1e-12 * np.maximum(1.0, np.abs(q_norm))
     bad = np.where(q_norm < -tol)[0]
     wit = [(float(uq[i]), float(q_norm[i])) for i in bad[:5]]
@@ -637,17 +641,9 @@ def check_admissibility(spec: NonlinearitySpec,
 def check_fprime_F_limit(spec: NonlinearitySpec,
                          u_grid: Sequence[float]) -> list:
     """Product f'(u) F(u) along an ascending grid; tends to 1 for the
-    exponential class.  Computed as g'(u) * (F(u) f(u)) in log space."""
-    out = []
-    prev = None
-    for u in u_grid:
-        u = float(u)
-        if prev is not None and u <= prev:
-            raise ValueError("u_grid must be strictly ascending")
-        if u <= 0:
-            raise ValueError("u_grid must be positive")
-        prev = u
-        log_val = (math.log(float(spec.gp(u)))
-                   + eval_F_log(spec, u) + float(spec.g(u)))
-        out.append((u, math.exp(log_val)))
-    return out
+    exponential class.  Computed as g'(u) * (f(u) F(u)) on the ladders."""
+    u = np.asarray(u_grid, dtype=float)
+    if np.any(u <= 0.0) or np.any(np.diff(u) <= 0.0):
+        raise ValueError("u_grid must be positive and strictly ascending")
+    prod = np.asarray(spec.gp(u)) * _scaled_integral(spec, u, -1.0)[1]
+    return list(zip(u.tolist(), prod.tolist()))

@@ -21,10 +21,9 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 
 from .errors import OutOfRange, PatchMismatch, StepUnderflow
 from .nonlinearity import (
-    _GL_W,
-    _GL_X,
     NonlinearitySpec,
-    _reaction_integral_ratio,
+    _scaled_integral,
+    _segment,
     eval_F_inverse_log,
     eval_F_log,
 )
@@ -305,14 +304,12 @@ def build_singular(spec: NonlinearitySpec, dim: int,
 
 
 def eval_F0(spec: NonlinearitySpec, u: float) -> float:
-    """Antiderivative of f from 0, computed with the boundary layer at
-    s = u resolved explicitly."""
+    """Antiderivative of f from 0, along one downward ladder; inf where
+    g(u) >= 700."""
     if u <= 0.0:
         return 0.0
-    gu = float(spec.g(u))
-    if gu >= 700.0:
-        return math.inf
-    return _reaction_integral_ratio(spec, u) * math.exp(gu)
+    gu, ratio = _scaled_integral(spec, np.array([float(u)]), 1.0)
+    return math.inf if gu[0] >= 700.0 else float(ratio[0] * np.exp(gu[0]))
 
 
 def verify_flux_identity(table: SingularSolutionTable,
@@ -347,12 +344,12 @@ def _F0_along(spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
     smallest entry, then the 16-point Gauss-Legendre integral of f between
     consecutive entries, accumulated; inf where g(u) >= 700."""
     v = u if u[0] <= u[-1] else u[::-1]
-    a, b = v[:-1], v[1:]
-    s = a[:, None] + (b - a)[:, None] * (0.5 * (_GL_X + 1.0))
+    gv = np.asarray(spec.g(v), dtype=float)
+    seg = _segment(spec, v[:-1], gv[:-1], v[1:], 1.0)
     with np.errstate(over="ignore"):
-        seg = 0.5 * (b - a) * (np.asarray(spec.f(s)) @ _GL_W)
-    F0 = eval_F0(spec, float(v[0])) + np.concatenate([[0.0], np.cumsum(seg)])
-    F0[np.asarray(spec.g(v)) >= 700.0] = math.inf
+        F0 = eval_F0(spec, float(v[0])) + np.concatenate(
+            [[0.0], np.cumsum(seg * np.exp(gv[:-1]))])
+    F0[gv >= 700.0] = math.inf
     return F0 if v is u else F0[::-1]
 
 
@@ -373,15 +370,10 @@ def asymptotic_ratio(table: SingularSolutionTable,
                      spec: NonlinearitySpec) -> np.ndarray:
     """Series (r, F(u*(r)) (2N-4)/r^2) at up to 40 table nodes of its
     smallest decade; tends to 1 as r -> 0 for the exponential class."""
-    r_lo = table.r[0]
-    mask = table.r <= 10.0 * r_lo
-    idx = np.where(mask)[0]
+    idx = np.where(table.r <= 10.0 * table.r[0])[0]
     if len(idx) > 40:
         idx = idx[np.linspace(0, len(idx) - 1, 40).astype(int)]
-    out = []
-    for i in idx:
-        logF = eval_F_log(spec, float(table.u[i]))
-        ratio = math.exp(logF + math.log(2.0 * table.dim - 4.0)
-                         - 2.0 * math.log(table.r[i]))
-        out.append((table.r[i], ratio))
-    return np.array(out)
+    r = table.r[idx]
+    ratio = np.exp(eval_F_log(spec, table.u[idx])
+                   + math.log(2.0 * table.dim - 4.0) - 2.0 * np.log(r))
+    return np.column_stack([r, ratio])

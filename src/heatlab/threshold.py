@@ -242,11 +242,19 @@ def run_case(spec: Optional[NonlinearitySpec], table,
     requires reaching the horizon with the sup-norm non-increasing (within
     slack) over the final half.  Anything else is Undetermined.  The case
     verdict is the shared per-cap verdict when all caps agree, else
-    Undetermined with cap_stable=False.
+    Undetermined with cap_stable=False.  A repeated cap is a ValueError.
     """
     grids = {cap: case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
-             for cap in caps}
+             for cap in _distinct("caps", caps)}
     return _run_on_grids(spec, table, pert, grids, horizon)
+
+
+def _distinct(name: str, values: Sequence[float]) -> list:
+    """values as floats; ValueError if one repeats."""
+    values = [float(v) for v in values]
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must not repeat an entry, got {values}")
+    return values
 
 
 def _run_on_grids(spec, table, pert: Perturbation, grids: dict,
@@ -421,9 +429,11 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     """Sweep signed bump amplitudes and verify the sign dichotomy.
 
     bump_shape fixes r_c and sigma; its amplitude field is ignored in
-    favour of each entry of A_grid.
+    favour of each entry of A_grid.  A repeated amplitude or cap is a
+    ValueError.
     """
-    amps = np.asarray(sorted(float(a) for a in A_grid))
+    amps = np.asarray(sorted(_distinct("amplitudes", A_grid)))
+    caps = _distinct("caps", caps)
     # every amplitude shares the caps, so each cap's grid is built once
     grids = {cap: case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
              for cap in caps}
@@ -434,6 +444,6 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     _check_monotone(amps, [cases[a].classification for a in amps])
     return ScanReport(amplitudes=amps, cases=cases, config={
         "r_c": bump_shape.r_c, "sigma": bump_shape.sigma,
-        "horizon": horizon, "caps": [float(c) for c in caps],
+        "horizon": horizon, "caps": caps,
         "n_nodes": n_nodes, "R_outer": R_outer,
     })

@@ -10,6 +10,8 @@ import pytest
 from heatlab import nonlinearity
 from heatlab.errors import OutOfRange
 from heatlab.nonlinearity import (
+    NonlinearitySpec,
+    TailGrowth,
     check_admissibility,
     check_fprime_F_limit,
     custom,
@@ -202,6 +204,56 @@ def test_barrier_integral_cutoff_tail_closed_form():
     spec = cutoff_exp(20.0)
     assert eval_F_log(spec, 5.0) == pytest.approx(
         -100.0 - math.log(400.0), rel=1e-12)
+
+
+def test_barrier_integral_array_matches_scalar_and_closed_forms():
+    u = np.geomspace(1e-3, 1e3, 61)
+
+    def gelfand(log_exact_tail):
+        # f = e^u with g = u written out, so F(u) = e^-u is computable
+        # where e^u overflows
+        return NonlinearitySpec(
+            "gelfand", {}, np.exp, np.exp, np.exp, g=lambda v: v,
+            gp=np.ones_like, gpp=np.zeros_like,
+            tail=TailGrowth(log_convex_from=0.0,
+                            log_exact_tail=log_exact_tail))
+
+    closed = {
+        "cubic": (pure_power(3.0), -2.0 * np.log(u) - math.log(2.0)),
+        "gelfand": (gelfand(lambda M: -M), -u),
+        # no exact tail: the ladder runs to depth 40 and ends on the
+        # log-convex bound, which is exact for f = e^u
+        "gelfand ladder": (gelfand(None), -u),
+    }
+    for name, (spec, want) in closed.items():
+        got = eval_F_log(spec, u)
+        assert isinstance(got, np.ndarray) and got.shape == u.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13,
+                                   err_msg=name)
+    plateau = u[u >= 4.0]
+    np.testing.assert_allclose(
+        eval_F_log(cutoff_exp(20.0), plateau),
+        -20.0 * plateau - math.log(400.0), rtol=1e-13, atol=1e-13)
+    # one request, each entry its own ladder: the same values as one call
+    # per entry, with power-exp points far apart in g in the same request
+    for name, v in (("power_exp", np.r_[u, 250.0, 500.0, 700.0, 1000.0]),
+                    ("cutoff_exp", u)):
+        batch = eval_F_log(FAMILIES[name], v)
+        single = [eval_F_log(FAMILIES[name], float(x)) for x in v]
+        assert all(isinstance(x, float) for x in single)
+        np.testing.assert_allclose(batch, single, rtol=1e-15, atol=1e-15)
+
+
+def test_barrier_integral_across_the_cutoff_joins():
+    # just below the C^2 joins of chi at 1 and 3, where a Gauss-Legendre
+    # segment straddles a jump of the third derivative of 1/f; reference
+    # values from 40- and 50-digit mpmath quadrature split at the joins
+    u = [0.9, 0.97, 0.99, 2.95, 2.99]
+    ref = [-20.70480782309977454, -22.46280745931441017,
+           -22.95965285127155147, -64.93887533727374048,
+           -65.74870729019577771]
+    np.testing.assert_allclose(eval_F_log(cutoff_exp(20.0), u), ref,
+                               rtol=0.0, atol=2e-12)
 
 
 def test_barrier_integral_decreasing():

@@ -9,6 +9,9 @@ import pytest
 
 from heatlab.errors import OutOfRange
 from heatlab.nonlinearity import (
+    NonlinearitySpec,
+    _scaled_integral,
+    check_admissibility,
     custom,
     cutoff_exp,
     eval_F_log,
@@ -20,6 +23,7 @@ from heatlab.singular_ode import (
     _F0_along,
     asymptotic_ratio,
     build_singular,
+    eval_F0,
     integrate_regular,
     patch_seed,
     pure_power_profile_coefficient,
@@ -186,6 +190,24 @@ def test_reaction_antiderivative_along_table_closed_forms():
     # g(u) >= 700 reads inf, as eval_F0 does
     big = _F0_along(GELFAND, np.array([1.0, 699.0, 701.0]))
     assert np.isfinite(big[:2]).all() and big[2] == math.inf
+    # the anchor, one downward ladder, at both ends of the range
+    for x in (1e-6, 1e3):
+        assert eval_F0(CUBIC, x) == pytest.approx(x ** 4 / 4.0, rel=1e-13)
+    assert eval_F0(GELFAND, 1e-6) == pytest.approx(math.expm1(1e-6),
+                                                   rel=1e-13)
+    # e^1000 overflows; with g = u written out, the ladder's sum against
+    # f(u) is 1 - e^-u
+    gelfand_g = NonlinearitySpec("gelfand", {}, np.exp, np.exp, np.exp,
+                                 g=lambda v: v, gp=np.ones_like,
+                                 gpp=np.zeros_like, tail=GELFAND.tail)
+    _, ratio = _scaled_integral(gelfand_g, np.array([1e3]), 1.0)
+    assert ratio[0] == pytest.approx(-math.expm1(-1e3), rel=1e-13)
+    # condition A4's near-critical margin: p = p_S for power_exp(5, 2) in
+    # N = 3, so Q/(u f) = 1 - 6 integral_0^u f/(u f) = u^2/4 to leading
+    # order, a difference of nearly equal numbers, smallest at u = 1e-6
+    a4 = check_admissibility(POWER_EXP, 3).conditions["A4"]
+    min_q = float(a4.detail.split("=")[1])
+    assert a4.passed and 0.0 < min_q == pytest.approx(2.5e-13, rel=0.02)
 
 
 def test_profile_evaluation_continuous_at_patch(table_power_exp):

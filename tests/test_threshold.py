@@ -18,6 +18,7 @@ from heatlab.threshold import (
     case_grid,
     initial_data,
     run_case,
+    threshold_scan,
 )
 
 CUBIC = pure_power(3.0)
@@ -196,6 +197,23 @@ def test_monotone_classification_check():
     with pytest.raises(NonMonotoneScan):
         _check_monotone(amps, ["Undetermined", "GlobalBounded",
                                "Undetermined", "BlowUp"])
+
+
+def test_repeated_cap_or_amplitude_is_rejected_before_any_grid(
+        table, monkeypatch):
+    # a repeated cap used to run once while the config listed it twice,
+    # and a repeated amplitude ran its case twice
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a case grid was built")
+
+    monkeypatch.setattr("heatlab.threshold.case_grid", no_grid)
+    bump = RadialBump(2.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match="caps must not repeat"):
+        threshold_scan(CUBIC, table, bump, [-1.0, 1.0], caps=(1e4, 1e4))
+    with pytest.raises(ValueError, match="amplitudes must not repeat"):
+        threshold_scan(CUBIC, table, bump, [1.0, 1.0], caps=(1e4,))
+    with pytest.raises(ValueError, match="caps must not repeat"):
+        run_case(CUBIC, table, bump, caps=(1e4, 1e5, 1e4))
 
 
 def _fake_outcome(cls, cap, t_detect=None):
