@@ -39,8 +39,8 @@ from .singular_ode import (
     trace_pohozaev,
     verify_flux_identity,
 )
-from .threshold import (RadialBump, Truncation, case_grid, run_case,
-                        threshold_scan)
+from .threshold import (RadialBump, Truncation, _distinct, case_grid,
+                        run_case, threshold_scan)
 
 __all__ = ["RunConfig", "load_config", "main",
            "cmd_check", "cmd_singular", "cmd_evolve", "cmd_iterate",
@@ -126,10 +126,7 @@ class RunConfig:
         if any(c <= 0 for c in self.cap_list()):
             raise ValueError("caps must be positive")
         for key in ("caps", "amplitudes"):
-            values = self._float_list(key)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{key} must not repeat an entry, "
-                                 f"got '{getattr(self, key)}'")
+            _distinct(key, self._float_list(key), f"'{getattr(self, key)}'")
 
     def spec(self):
         if self.family == "power-exp":

@@ -334,72 +334,74 @@ def _segment(spec: NonlinearitySpec, a, ga, b, sign: float):
     return np.abs(b - a) * (np.exp(sign * (gs - ga[:, None])) @ _GL_W)
 
 
+def _antiderivative_end(spec, x, gx, x_ref, g_ref):
+    """Downward: one segment to 0, no tail, once s f(s) has fallen by
+    e^LADDER_SPAN from x_ref or is not finite (the integral reads NaN)."""
+    if math.log(x) + gx > math.log(x_ref) + g_ref - LADDER_SPAN:
+        return None
+    return 0.0, -math.inf
+
+
+def _barrier_end(spec, x, gx, x_ref, g_ref):
+    """Upward past x_ref: (end, log tail), at once where the exact tail
+    holds, else at depth LADDER_SPAN to where it starts or to M with g
+    convex beyond, g'(M) > 0, g''(M) >= 0 and tail <= 1/(f(M) g'(M)); while
+    that fails, (2M, None) steps on from 2M.  NonIntegrableTail past 2^600
+    or where g is not finite."""
+    exact = spec.tail.log_exact_tail
+    if not (x <= 2.0 ** 600 and abs(gx) < math.inf):
+        raise NonIntegrableTail(f"{spec.label}: could not certify an "
+                                f"integrable tail of F")
+    if x < x_ref or gx - g_ref < LADDER_SPAN and (
+            exact is None or x < spec.tail.tail_start):
+        return None
+    if exact is not None:
+        M = max(x, spec.tail.tail_start)
+        return M, exact(M)
+    M = max(x, spec.tail.log_convex_from)
+    gp_M = float(spec.gp(M)) if M <= 2.0 ** 600 else math.nan
+    if gp_M > 0.0 and float(spec.gpp(M)) >= 0.0:
+        return M, -float(spec.g(M)) - math.log(gp_M)
+    return 2.0 * M, None
+
+
 def _ladder(spec: NonlinearitySpec, u, sign: float, reach=None):
     """Gauss-Legendre ladders from every entry of the array u > 0, upward
-    for F (sign = -1, integrand 1/f) or downward for the antiderivative of
-    f (sign = +1), stepped on Python floats and integrated in one batch.
-
-    A step spans e^(d/4)/4 units of g, at most 8, at depth d: the units g
-    has risen past g(reach) (default u) or fallen below g(u).  Its length
-    is set by the slope of g over the previous step (g'(u) for the first),
-    at most half the distance to 0.  Damped by e^-d, each segment's error
-    stays that of the first, also where f has a kink.  Downward, a ladder
-    ends once s f(s) has fallen by e^LADDER_SPAN, with one segment to 0.
-    Upward, it ends past reach: at once where the exact tail holds, else
-    at depth LADDER_SPAN with one segment to where the exact tail starts,
-    or to M with g convex beyond, g'(M) > 0 and g''(M) >= 0, whose tail is
-    at most 1/(f(M) g'(M)); M doubles while that fails, up to 2^600.
-
-    Returns the segments in order (start, end, g at the start, integral of
-    exp(sign (g(s) - g(start)))), each ladder's first segment index, and
-    log of each ladder's tail (-inf downward).
-    """
+    for F (sign = -1, integrand 1/f, ended by _barrier_end) or downward for
+    the antiderivative of f (sign = +1, by _antiderivative_end), stepped on
+    Python floats and integrated in one batch.  A step spans e^(d/4)/4
+    units of g, at most 8, at depth d: the units g has risen past g(reach)
+    (default u) or fallen below g(u); its length is set by the slope of g
+    over the previous step (g'(u) for the first), at most half the distance
+    to 0.  Damped by e^-d, each segment's error stays that of the first,
+    also where f has a kink.  Returns the segments (start, end, g at the
+    start, integral of exp(sign (g(s) - g(start)))), each ladder's first
+    segment index and log of its tail (-inf downward)."""
     g = spec.g
-    exact = spec.tail.log_exact_tail
-    start = (spec.tail.tail_start if exact is not None
-             else spec.tail.log_convex_from)
+    end = _barrier_end if sign < 0.0 else _antiderivative_end
     u = np.asarray(u, dtype=float)
     g_reach = None if reach is None else float(g(reach))
-    a, b, ga, first, log_tail = [], [], [], [], []
+    segments, first, log_tail = [], [], []
     for x, slope in zip(u.tolist(), np.asarray(spec.gp(u), float).tolist()):
-        first.append(len(a))
+        first.append(len(segments))
         gx = float(g(x))
         x_ref, g_ref = (x, gx) if reach is None else (reach, g_reach)
-        floor = math.log(x) + gx - LADDER_SPAN
         tail = None
         while tail is None:
             depth = sign * (g_ref - gx)
             unit = 0.25 * math.exp(min(max(depth, 0.0), 13.86) / 4.0)
-            nxt = x - sign * (0.5 * x if slope * x <= 2.0 * unit
-                              else unit / slope)
-            if sign > 0.0:
-                if math.log(x) + gx <= floor:
-                    nxt, tail = 0.0, -math.inf
-            elif x > 2.0 ** 600:
-                raise NonIntegrableTail(f"{spec.label}: could not certify "
-                                        f"an integrable tail of F")
-            elif x >= x_ref and (depth >= LADDER_SPAN or (
-                    exact is not None and x >= start)):
-                nxt = max(x, start)
-                gp_end = (float(spec.gp(nxt)) if exact is None
-                          and nxt <= 2.0 ** 600 else 0.0)
-                if exact is not None:
-                    tail = exact(nxt)
-                elif gp_end > 0.0 and float(spec.gpp(nxt)) >= 0.0:
-                    tail = -float(g(nxt)) - math.log(gp_end)
-                else:
-                    nxt *= 2.0
-            a.append(x)
-            b.append(nxt)
-            ga.append(gx)
+            nxt = x - sign * (unit / slope if slope * x > 2.0 * unit
+                              else 0.5 * x)
+            nxt, tail = end(spec, x, gx, x_ref, g_ref) or (nxt, None)
+            segments.append((x, nxt, gx))
             if tail is None:
                 g_nxt = float(g(nxt))
                 slope = sign * (gx - g_nxt) / abs(nxt - x)
                 x, gx = nxt, g_nxt
         log_tail.append(tail)
-    a, b, ga = np.array(a), np.array(b), np.array(ga)
-    return (a, b, ga, _segment(spec, a, ga, b, sign), np.array(first),
-            np.array(log_tail))
+    a, b, ga = np.array(segments, dtype=float).reshape(-1, 3).T
+    return (a, b, ga, _segment(spec, a, ga, b, sign),
+            np.array(first, dtype=int), np.array(log_tail))
 
 
 def _scaled_integral(spec: NonlinearitySpec, u, sign: float):

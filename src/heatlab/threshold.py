@@ -249,11 +249,13 @@ def run_case(spec: Optional[NonlinearitySpec], table,
     return _run_on_grids(spec, table, pert, grids, horizon)
 
 
-def _distinct(name: str, values: Sequence[float]) -> list:
-    """values as floats; ValueError if one repeats."""
+def _distinct(name: str, values: Sequence[float], shown=None) -> list:
+    """values as floats; ValueError if one repeats, naming the entries as
+    shown (default: the floats)."""
     values = [float(v) for v in values]
     if len(set(values)) < len(values):
-        raise ValueError(f"{name} must not repeat an entry, got {values}")
+        raise ValueError(f"{name} must not repeat an entry, got "
+                         f"{values if shown is None else shown}")
     return values
 
 

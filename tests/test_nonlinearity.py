@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from heatlab import nonlinearity
-from heatlab.errors import OutOfRange
+from heatlab.errors import NonIntegrableTail, OutOfRange
 from heatlab.nonlinearity import (
     NonlinearitySpec,
     TailGrowth,
@@ -187,6 +187,25 @@ def test_custom_family_roundtrip():
     assert spec.f(1.0) == pytest.approx(math.e - 1.0)
 
 
+def test_custom_family_overflow_ends_the_ladder():
+    # f = e^u - 1 overflows past u = 709, where g = log f is inf and g' NaN:
+    # the upward ladder must raise, not step on NaN, and the f'F limit at
+    # u = 1000 is then left unset
+    spec = custom(
+        f=lambda u: np.exp(u) - 1.0,
+        fp=lambda u: np.exp(u),
+        fpp=lambda u: np.exp(u),
+        log_convex_from=0.0,
+        label="shifted exp",
+    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(NonIntegrableTail):
+            eval_F_log(spec, 800.0)
+        report = check_admissibility(spec, 3)
+    assert report.limit_estimates["fprime_F"] == {"value": None,
+                                                  "errbar": None}
+
+
 # ---------------------------------------------------------------------------
 # barrier integral F and its inverse
 # ---------------------------------------------------------------------------
@@ -327,6 +346,8 @@ def test_fprime_F_exactly_one_on_cutoff_plateau():
     spec = cutoff_exp(20.0)
     for _, v in check_fprime_F_limit(spec, [4.0, 10.0, 40.0]):
         assert v == pytest.approx(1.0, abs=1e-12)
+    assert check_fprime_F_limit(spec, []) == []
+    assert eval_F_log(spec, np.array([])).shape == (0,)
 
 
 def test_fprime_F_approaches_one_for_power_exp():
