@@ -4,6 +4,16 @@ The stationary equation in radial form is
 
     u'' + (N-1)/r u' + f(u) = 0.
 
+It is integrated in the Emden-Fowler variables s = log r, v = r u'
+(Joseph and Lundgren, ARMA 1973), where it reads
+
+    (u, v)' = (v, -(N-2) v - e^{2s} f(u)).
+
+Along the singular profile F(u*) ~ r^2/(2N-4), so e^{2s} f(u*) stays
+bounded and the system is nearly autonomous (for f = e^u, u* is linear in
+s).  The solver's dense output is mapped back to radii: at r it gives
+(u, u') = (U(log r), V(log r)/r).
+
 The singular profile is built by outward integration from a small patch
 radius where an asymptotic formula seeds the values; regular (finite-center)
 solutions are built by shooting from r = 0 and serve as an independent
@@ -17,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import OdeSolution, cumulative_simpson, solve_ivp
 
 from .errors import OutOfRange, PatchMismatch, StepUnderflow
 from .nonlinearity import (
@@ -168,11 +178,41 @@ class PohozaevTrace:
 
 
 def _rhs(spec: NonlinearitySpec, dim: int):
-    def rhs(r, y):
-        u, du = y
+    """The radial equation in s = log r, v = r u'."""
+    def rhs(s, y):
+        u, v = y
         fu = float(spec.f(u)) if u > 0.0 else 0.0
-        return [du, -(dim - 1.0) / r * du - fu]
+        return [v, -(dim - 2.0) * v - math.exp(2.0 * s) * fu]
     return rhs
+
+
+@dataclass(frozen=True)
+class _RadialDense:
+    """Dense output of an integration in s = log r, called at radii: r
+    gives the rows (u(r), u'(r)) = (U(log r), V(log r)/r).  ``t_min`` is
+    the start radius."""
+
+    sol: OdeSolution
+    t_min: float
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        u, v = self.sol(np.log(r))
+        return np.array([u, v / r])
+
+
+def _solve(spec, dim, r_start, R_max, u0, du0, rtol, atol, what,
+           events=None):
+    """Integrate from (u0, du0) at r_start towards R_max in s = log r;
+    a failed step raises StepUnderflow at its radius."""
+    sol = solve_ivp(_rhs(spec, dim), (math.log(r_start), math.log(R_max)),
+                    [u0, r_start * du0], method="LSODA", rtol=rtol,
+                    atol=atol, dense_output=True, events=events)
+    if sol.status == -1:
+        r = math.exp(sol.t[-1])
+        raise StepUnderflow(f"{what} stopped at r={r:.3e}: {sol.message}",
+                            r=r, state=(sol.y[0, -1], sol.y[1, -1] / r))
+    return sol
 
 
 def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
@@ -183,7 +223,10 @@ def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
 
     The 1/r singularity at the origin is avoided by starting from the
     series expansion u = alpha - f(alpha) r^2/(2N) on [0, r_start = 1e-6];
-    the start radius shrinks automatically when f(alpha) is large.
+    the start radius shrinks automatically when f(alpha) is large.  From
+    there the equation is integrated in s = log r, v = r u' (module
+    docstring); a zero of u ends the shot ("vanished") at the radius
+    r_end = exp(s) of the event.
     """
     if dim < 3:
         raise ValueError("dim must be >= 3")
@@ -200,47 +243,39 @@ def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
     u0 = alpha - f_a * r_start ** 2 / (2.0 * dim)
     du0 = -f_a * r_start / dim
 
-    def hit_zero(r, y):
+    def hit_zero(s, y):
         return y[0]
     hit_zero.terminal = True
     hit_zero.direction = -1
 
-    sol = solve_ivp(_rhs(spec, dim), (r_start, R_max), [u0, du0],
-                    method="LSODA", rtol=rtol, atol=atol,
-                    dense_output=True, events=hit_zero, max_step=R_max / 10)
-    if sol.status == -1:
-        raise StepUnderflow(f"integration failed at r={sol.t[-1]:.3e}: "
-                            f"{sol.message}", r=sol.t[-1],
-                            state=(sol.y[0, -1], sol.y[1, -1]))
+    sol = _solve(spec, dim, r_start, R_max, u0, du0, rtol, atol,
+                 "regular integration", events=hit_zero)
     if sol.status == 1:
-        termination, r_end = "vanished", float(sol.t_events[0][0])
+        termination, r_end = "vanished", math.exp(sol.t_events[0][0])
     else:
         termination, r_end = "reached_rmax", R_max
 
+    dense = _RadialDense(sol.sol, r_start)
     r_grid = np.geomspace(r_start, r_end, 399)
-    y = sol.sol(r_grid)
+    y = dense(r_grid)
     r_out = np.concatenate([[0.0], r_grid])
     u_out = np.concatenate([[alpha], y[0]])
     du_out = np.concatenate([[0.0], y[1]])
-    return ShootingSolution(alpha, r_out, u_out, np.asarray(du_out),
-                            termination, r_end, dense=sol.sol)
+    return ShootingSolution(alpha, r_out, u_out, du_out,
+                            termination, r_end, dense=dense)
 
 
 def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol):
     """Integrate outward from r_inner = r_patch/1024 so that the seeding
     error of the asymptotic formula has decayed by the time the tabulated
-    range starts.  Returns the solver's dense output on [r_inner, R_max]."""
+    range starts.  The integration runs in s = log r, v = r u' on
+    [log r_inner, log R_max] (module docstring); the result is its dense
+    output called at radii, with t_min = r_inner."""
     r_inner = r_patch / 1024.0
     u0, du0 = patch_seed(spec, dim, r_inner)
-    sol = solve_ivp(_rhs(spec, dim), (r_inner, R_max), [u0, du0],
-                    method="LSODA", rtol=rtol, atol=atol, dense_output=True,
-                    max_step=R_max / 20)
-    if sol.status != 0:
-        raise StepUnderflow(
-            f"singular integration stopped at r={sol.t[-1]:.3e}: "
-            f"{sol.message}", r=sol.t[-1],
-            state=(sol.y[0, -1], sol.y[1, -1]))
-    return sol.sol
+    sol = _solve(spec, dim, r_inner, R_max, u0, du0, rtol, atol,
+                 "singular integration")
+    return _RadialDense(sol.sol, r_inner)
 
 
 def build_singular(spec: NonlinearitySpec, dim: int,

@@ -82,15 +82,16 @@ def test_cutoff_shape_function_plateau():
 
 def _piece_reference(name, x):
     """The three-piece formulation of the cutoff polynomial on a Python
-    float."""
+    float, powers written as repeated products."""
     x = float(x)
+    a, b = x - 2.0, x - 4.0
     pieces, default = {
-        "_chi": ((x ** 5, 10.0 * (x - 1.0) - (x - 2.0) ** 5,
-                  20.0 + (x - 4.0) ** 5), 20.0),
-        "_chi_p": ((5.0 * x ** 4, 10.0 - 5.0 * (x - 2.0) ** 4,
-                    5.0 * (x - 4.0) ** 4), 0.0),
-        "_chi_pp": ((20.0 * x ** 3, -20.0 * (x - 2.0) ** 3,
-                     20.0 * (x - 4.0) ** 3), 0.0),
+        "_chi": ((x * x * x * x * x, 10.0 * (x - 1.0) - a * a * a * a * a,
+                  20.0 + b * b * b * b * b), 20.0),
+        "_chi_p": ((5.0 * (x * x * x * x), 10.0 - 5.0 * (a * a * a * a),
+                    5.0 * (b * b * b * b)), 0.0),
+        "_chi_pp": ((20.0 * (x * x * x), -20.0 * (a * a * a),
+                     20.0 * (b * b * b)), 0.0),
     }[name]
     for bound, value in zip((1.0, 3.0, 4.0), pieces):
         if x <= bound:
@@ -101,9 +102,7 @@ def _piece_reference(name, x):
 @pytest.mark.parametrize("name", ["_chi", "_chi_p", "_chi_pp"])
 def test_cutoff_polynomial_scalar_branch_is_bit_identical(name):
     # the scalar branch must return exactly the piece formula evaluated on
-    # the Python float.  Against a 1-d array input the match is only to an
-    # ulp: Python evaluates ** through libm pow and numpy's array loop
-    # differs from it in the last bit for some x.
+    # the Python float; an array input must agree with it to 1e-15.
     fn = getattr(nonlinearity, name)
     pts = [0.0, 1.0, 3.0, 4.0]
     for b in (1.0, 3.0, 4.0):

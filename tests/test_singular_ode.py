@@ -321,6 +321,17 @@ def test_shots_ordered_near_center():
     assert np.all(np.interp(r, lo.r, lo.u) < np.interp(r, hi.r, hi.u))
 
 
+@pytest.mark.parametrize("alpha", [1.0, 4.0])
+def test_shot_vanishes_at_lane_emden_zero(alpha):
+    # for f = u^3 in N = 3, u(r) = alpha theta(alpha r) with theta the
+    # Lane-Emden n = 3 solution, whose first zero is xi_1
+    xi_1 = 6.896848619376960
+    shot = integrate_regular(CUBIC, 3, alpha, 10.0)
+    assert shot.termination == "vanished"
+    assert shot.r_end * alpha == pytest.approx(xi_1, rel=1e-8)
+    assert shot.r[-1] == shot.r_end and abs(shot.u[-1]) <= 1e-8 * alpha
+
+
 def test_shots_bracket_singular_value(table_cubic):
     # convergence to u*(0.5) is oscillatory at this dimension: successive
     # center heights land on alternating sides, and the envelope shrinks
