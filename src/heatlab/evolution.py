@@ -3,7 +3,10 @@
 Provides the grid/field containers, the action of the heat semigroup
 through the exact radially-reduced Gaussian kernel, uniformly local norms
 from a unit-ball window quadrature built once per grid, and an IMEX time
-stepper (implicit diffusion, explicit reaction).
+stepper (implicit diffusion, explicit reaction).  A step builds the three
+tridiagonal bands from coefficients each grid computes once and hands them
+to LAPACK's gtsv directly, which solves in place; fields derived by a step
+share their read-only cap mask.
 """
 
 from __future__ import annotations
@@ -177,14 +180,19 @@ class RadialField:
         u = np.asarray(self.u, dtype=float)
         if u.shape != self.grid.r.shape:
             raise ValueError("values and grid differ in length")
-        if not np.all(np.isfinite(u)) or np.any(u < 0):
+        # a NaN makes the minimum NaN, which fails the comparison too
+        if not (u.min() >= 0.0 and u.max() < math.inf):
             raise ValueError("field values must be finite and >= 0")
         self.u = u
         if self.cap_mask is None:
             self.cap_mask = np.zeros(len(u), dtype=bool)
+        elif self.cap_mask.flags.writeable:     # the caller keeps its array
+            self.cap_mask = self.cap_mask.copy()
+        # read-only, so fields derived through copy_with can share it
+        self.cap_mask.setflags(write=False)
 
     def copy_with(self, u: np.ndarray) -> "RadialField":
-        return RadialField(self.grid, u, self.cap_mask.copy())
+        return RadialField(self.grid, u, self.cap_mask)
 
     @property
     def sup(self) -> float:
@@ -460,30 +468,31 @@ def _reaction(spec: NonlinearitySpec, u: np.ndarray, dt: float) -> np.ndarray:
     ReactionOverflow when f is non-finite or dt * f > REACTION_GUARD."""
     with np.errstate(over="ignore"):
         fu = np.asarray(spec.f(u), dtype=float)
-    if not np.all(np.isfinite(fu)) or float(fu.max()) * dt > REACTION_GUARD:
+    if not np.isfinite(fu).all() or float(fu.max()) * dt > REACTION_GUARD:
         raise ReactionOverflow(f"reaction overflow at u={np.max(u):.3e}")
     return fu
 
 
 def _laplacian_bands(grid: RadialGrid, dt: float):
-    """Banded form of I - dt*L for the finite-volume radial Laplacian with
-    metric weights r^{N-1}, reflecting at the origin."""
+    """Sub-, main and super-diagonal of I - dt*L for the finite-volume
+    radial Laplacian with metric weights r^{N-1}, reflecting at the origin;
+    three fresh arrays, which the solver may overwrite."""
     vol, cond, c_sum = grid.diffusion_coefficients
-    ab = np.zeros((3, grid.n_nodes))
-    ab[0, 1:] = -dt * cond / vol[:-1]
-    ab[1] = 1.0 + dt * c_sum / vol
-    ab[2, :-1] = -dt * cond / vol[1:]
+    flux = -dt * cond
+    lower = flux / vol[1:]
+    diag = 1.0 + dt * c_sum / vol
+    upper = flux / vol[:-1]
     if grid.bc.kind == "dirichlet":
-        ab[2, -2] = 0.0
-        ab[1, -1] = 1.0
-    return ab
+        lower[-1] = 0.0
+        diag[-1] = 1.0
+    return lower, diag, upper
 
 
 def stability_dt(field: RadialField, spec: NonlinearitySpec,
                  dt_max: float = 1e-2) -> float:
     """Explicit-reaction stability bound 0.5 * min(dt_max, 1/f'(sup u))."""
     fp = float(spec.fp(field.sup))
-    if not np.isfinite(fp):
+    if not math.isfinite(fp):
         raise ReactionOverflow(f"f'({field.sup:g}) overflows")
     return 0.5 * min(dt_max, 1.0 / max(fp, 1e-300))
 
@@ -505,15 +514,16 @@ def step_imex(field: RadialField, spec: Optional[NonlinearitySpec],
         u_half = field.u.copy()
     if grid.bc.kind == "dirichlet":
         u_half[-1] = grid.bc.value
-    ab = _laplacian_bands(grid, dt)
     # the tridiagonal LAPACK solver that solve_banded((1, 1), ...) calls,
-    # on the same band slices, without its wrapper and input checks
-    *_, u_new, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], u_half)
+    # without its wrapper and input checks; every input is a fresh array
+    *_, u_new, info = dgtsv(*_laplacian_bands(grid, dt), u_half,
+                            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                            overwrite_b=1)
     if info != 0:   # singular matrix: should not happen
         raise LinearSolveFailure(f"tridiagonal solve failed (info={info})")
-    if not np.all(np.isfinite(u_new)):
+    if not np.isfinite(u_new).all():
         raise LinearSolveFailure("non-finite diffusion solve")
-    return field.copy_with(np.maximum(u_new, 0.0))
+    return field.copy_with(np.maximum(u_new, 0.0, out=u_new))
 
 
 # ---------------------------------------------------------------------------

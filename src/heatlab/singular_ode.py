@@ -17,7 +17,8 @@ s).  The solver's dense output is mapped back to radii: at r it gives
 The singular profile is built by outward integration from a small patch
 radius where an asymptotic formula seeds the values; regular (finite-center)
 solutions are built by shooting from r = 0 and serve as an independent
-cross-check.
+cross-check.  Each dense output stacks the solver's per-step Nordsieck
+polynomials once and evaluates any array of radii in one pass.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import OdeSolution, cumulative_simpson, solve_ivp
+from scipy.integrate._ivp.lsoda import LsodaDenseOutput
 
 from .errors import OutOfRange, PatchMismatch, StepUnderflow
 from .nonlinearity import (
@@ -186,18 +188,57 @@ def _rhs(spec: NonlinearitySpec, dim: int):
     return rhs
 
 
-@dataclass(frozen=True)
 class _RadialDense:
-    """Dense output of an integration in s = log r, called at radii: r
-    gives the rows (u(r), u'(r)) = (U(log r), V(log r)/r).  ``t_min`` is
-    the start radius."""
+    """Dense output of an LSODA integration in s = log r, called at radii:
+    r gives the rows (u(r), u'(r)) = (U(log r), V(log r)/r).  ``sol`` is
+    the solver's OdeSolution in s, ``t_min`` the start radius.
 
-    sol: OdeSolution
-    t_min: float
+    The steps' Nordsieck arrays are stacked once, zero-padded to the
+    highest order, so any array of radii costs one searchsorted, one power
+    and one batched contraction instead of OdeSolution's loop over steps.
+    The step rule is OdeSolution's own: its ``side`` says which of the two
+    steps meeting at an edge takes a radius there (for LSODA, scipy picks
+    the later one), and radii beyond either end use the end step.  This
+    reads the attributes (t, h, yh) of scipy's LsodaDenseOutput, so any
+    other interpolant is a TypeError.
+    """
+
+    def __init__(self, sol: OdeSolution, t_min: float):
+        steps = sol.interpolants
+        if not all(isinstance(p, LsodaDenseOutput) for p in steps):
+            raise TypeError("_RadialDense reads LSODA dense output only")
+        self._order = np.array([p.yh.shape[1] for p in steps])
+        self._inner_edges = np.asarray(sol.ts, dtype=float)[1:-1]
+        # scipy without the ``side`` attribute always takes the earlier step
+        self._side = getattr(sol, "side", "left")
+        self._t = np.array([p.t for p in steps])
+        self._h = np.array([p.h for p in steps])
+        self._yh = np.zeros((len(steps), 2, self._order.max()))
+        for k, p in enumerate(steps):
+            self._yh[k, :, :self._order[k]] = p.yh
+        self._powers = np.arange(self._order.max())
+        self.sol = sol
+        self.t_min = t_min
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        u, v = self.sol(np.log(r))
+        s = np.log(r).ravel()
+        # the number of inner edges below s (or at it, for side "right") is
+        # OdeSolution's step
+        step = np.searchsorted(self._inner_edges, s, side=self._side)
+        x = ((s - self._t[step]) / self._h[step])[:, None] ** self._powers
+        # OdeSolution evaluates each step's radii with one np.dot: a BLAS
+        # gemm when the step holds two or more of them, a gemv at the
+        # step's own order when it holds one, and the two round the last
+        # bit differently.  matmul hands each stacked product of the same
+        # shape to the same routine, so the values are OdeSolution's to the
+        # bit, and so is everything built on u*.
+        y = (self._yh[step] @ np.stack([x, x], axis=-1))[..., 0]
+        lone = np.bincount(step, minlength=len(self._t))[step] == 1
+        for k in np.unique(self._order[step[lone]]):
+            i = np.flatnonzero(lone & (self._order[step] == k))
+            y[i] = (self._yh[step[i], :, :k] @ x[i, :k, None])[..., 0]
+        u, v = y.T.reshape((2,) + r.shape)
         return np.array([u, v / r])
 
 

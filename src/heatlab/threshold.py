@@ -100,7 +100,8 @@ def _star_on_nodes(table, grid: RadialGrid,
 
 
 def initial_data(table, grid: RadialGrid, pert: Perturbation,
-                 cap: float, spec: Optional[NonlinearitySpec] = None
+                 cap: float, spec: Optional[NonlinearitySpec] = None,
+                 star: Optional[np.ndarray] = None
                  ) -> Tuple[RadialField, str]:
     """Build one-sided initial data from the singular profile.
 
@@ -108,10 +109,13 @@ def initial_data(table, grid: RadialGrid, pert: Perturbation,
     applied again last, so near the origin the data always sits below the
     stationary profile regardless of side.  The result is clipped to stay
     one-sided away from the capped zone and returned with its side label;
-    a neutral bump (amplitude 0) counts as below.
+    a neutral bump (amplitude 0) counts as below.  ``star`` is the profile
+    on the grid nodes as _star_on_nodes gives it, when the caller holds it
+    already; by default it is evaluated from the table.
     """
     side = "above" if pert.side == "above" else "below"
-    star = _star_on_nodes(table, grid, spec)
+    if star is None:
+        star = _star_on_nodes(table, grid, spec)
     u = np.minimum(star, cap)
     if isinstance(pert, RadialBump):
         u = u + pert.profile(grid.r)
@@ -244,9 +248,22 @@ def run_case(spec: Optional[NonlinearitySpec], table,
     verdict is the shared per-cap verdict when all caps agree, else
     Undetermined with cap_stable=False.  A repeated cap is a ValueError.
     """
-    grids = {cap: case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
-             for cap in _distinct("caps", caps)}
+    grids = _case_grids(spec, table, _distinct("caps", caps), R_outer,
+                        n_nodes)
     return _run_on_grids(spec, table, pert, grids, horizon)
+
+
+def _case_grids(spec, table, caps: list, R_outer: float,
+                n_nodes: int) -> dict:
+    """cap -> (case grid, u* on its nodes): what every perturbation run at
+    that cap shares."""
+    grids = {}
+    for cap in caps:
+        grid = case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
+        star = _star_on_nodes(table, grid, spec)
+        star.setflags(write=False)
+        grids[cap] = grid, star
+    return grids
 
 
 def _distinct(name: str, values: Sequence[float], shown=None) -> list:
@@ -261,17 +278,17 @@ def _distinct(name: str, values: Sequence[float], shown=None) -> list:
 
 def _run_on_grids(spec, table, pert: Perturbation, grids: dict,
                   horizon: float) -> CaseReport:
-    """run_case on prebuilt case grids, one per cap."""
+    """run_case on prebuilt case grids, one per cap (see _case_grids)."""
     outcomes = {}
-    for cap, grid in grids.items():
-        u0, side = initial_data(table, grid, pert, cap, spec)
+    for cap, (grid, star) in grids.items():
+        u0, side = initial_data(table, grid, pert, cap, spec, star)
         # floor at R/8: on cap-resolving grids the ten innermost cells
         # collapse into the unresolved core, below where a desk-scale
         # divergence can localize
         r_star = max(float(grid.r[min(10, grid.n_nodes - 1)]),
                      grid.R_outer / 8.0)
         outcomes[cap] = _evolve_and_classify(
-            spec, table, u0, side, horizon, cap, r_star)
+            spec, star, u0, side, horizon, cap, r_star)
     verdicts = {o.classification for o in outcomes.values()}
     cap_stable = len(verdicts) == 1
     classification = verdicts.pop() if cap_stable else "Undetermined"
@@ -283,12 +300,11 @@ def _run_on_grids(spec, table, pert: Perturbation, grids: dict,
                       t_detect=max(detects) if detects else None)
 
 
-def _evolve_and_classify(spec, table, u0: RadialField, side: str,
-                         horizon: float, cap: float,
+def _evolve_and_classify(spec, star: np.ndarray, u0: RadialField,
+                         side: str, horizon: float, cap: float,
                          r_star: float) -> EvolutionOutcome:
     grid = u0.grid
     sample_times = np.geomspace(horizon / 1e4, horizon, N_SAMPLES)
-    star = _star_on_nodes(table, grid, spec)
 
     times, sups, l1s, masses, snapshots = [], [], [], [], []
 
@@ -436,9 +452,9 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     """
     amps = np.asarray(sorted(_distinct("amplitudes", A_grid)))
     caps = _distinct("caps", caps)
-    # every amplitude shares the caps, so each cap's grid is built once
-    grids = {cap: case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
-             for cap in caps}
+    # every amplitude shares the caps, so each cap's grid and u* on its
+    # nodes are built once
+    grids = _case_grids(spec, table, caps, R_outer, n_nodes)
     cases = {}
     for a in amps.tolist():
         bump = RadialBump(bump_shape.r_c, bump_shape.sigma, a)

@@ -1,6 +1,7 @@
 """Tests for the radial heat-flow discretization: grid layout, exact-kernel
 semigroup action, uniformly local norms and the IMEX stepper."""
 
+import itertools
 import math
 from collections import OrderedDict
 
@@ -80,10 +81,24 @@ def test_field_validation():
         RadialField(g, -np.ones(g.n_nodes))
     with pytest.raises(ValueError):
         RadialField(g, np.ones(3))
-    bad = np.ones(g.n_nodes)
-    bad[5] = np.nan
-    with pytest.raises(ValueError):
-        RadialField(g, bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.ones(g.n_nodes)
+        bad[5] = value
+        with pytest.raises(ValueError):
+            RadialField(g, bad)
+
+
+def test_copy_with_shares_a_read_only_cap_mask():
+    g = make_grid(3, 8.0, 65)
+    mask = np.zeros(g.n_nodes, dtype=bool)
+    mask[0] = True
+    fld = RadialField(g, np.ones(g.n_nodes), mask)
+    assert fld.cap_mask is not mask and not fld.cap_mask.flags.writeable
+    mask[1] = True                      # the caller's array stays its own
+    assert not fld.cap_mask[1]
+    nxt = fld.copy_with(np.full(g.n_nodes, 2.0))
+    assert nxt.cap_mask is fld.cap_mask
+    assert step_imex(fld, None, 1e-3).cap_mask is fld.cap_mask
 
 
 def test_field_from_table_caps_and_masks(table_cubic):
@@ -464,24 +479,48 @@ def test_capped_singular_profile_near_stationary(table_cubic):
     assert residuals[1] < 0.05
 
 
+def _banded_reference(grid, dt):
+    """I - dt*L in solve_banded's (1, 1) layout, built straight from the
+    grid's diffusion coefficients."""
+    vol, cond, c_sum = grid.diffusion_coefficients
+    ab = np.zeros((3, grid.n_nodes))
+    ab[0, 1:] = -dt * cond / vol[:-1]
+    ab[1] = 1.0 + dt * c_sum / vol
+    ab[2, :-1] = -dt * cond / vol[1:]
+    if grid.bc.kind == "dirichlet":
+        ab[2, -2] = 0.0
+        ab[1, -1] = 1.0
+    return ab
+
+
 @pytest.mark.parametrize("dim", [3, 5])
 @pytest.mark.parametrize("n_nodes", [65, 129])
 @pytest.mark.parametrize("bc", [BoundaryCondition("neumann"),
                                 BoundaryCondition("dirichlet", 0.5)])
 def test_step_solve_matches_solve_banded(dim, n_nodes, bc):
     # step_imex calls LAPACK gtsv on the bands directly; solve_banded
-    # dispatches (1, 1) bands to the same routine, so the bits agree
+    # dispatches (1, 1) bands to the same routine, so the bits agree, for
+    # the heat flow and with the cubic reaction
     g = make_grid(dim, 8.0, n_nodes, bc=bc)
     rng = np.random.default_rng(dim + n_nodes)
     u0 = 1.0 / (1.0 + g.r ** 2) + rng.uniform(0.0, 0.1, n_nodes)
-    fld = RadialField(g, u0)
-    for dt in np.geomspace(1e-8, 1e-1, 10):
+    fld = RadialField(g, u0.copy())
+    for spec, dt in itertools.product((None, CUBIC),
+                                      np.geomspace(1e-8, 1e-1, 10)):
         rhs = fld.u.copy()
+        if spec is not None:
+            rhs = rhs + dt * evolution._reaction(spec, fld.u, dt)
         if bc.kind == "dirichlet":
             rhs[-1] = bc.value
-        ref = solve_banded((1, 1), _laplacian_bands(g, dt), rhs)
-        out = step_imex(fld, None, dt).u
-        assert out.tobytes() == np.maximum(ref, 0.0).tobytes(), dt
+        lower, diag, upper = _laplacian_bands(g, dt)
+        ab = _banded_reference(g, dt)
+        assert lower.tobytes() == ab[2, :-1].tobytes()
+        assert diag.tobytes() == ab[1].tobytes()
+        assert upper.tobytes() == ab[0, 1:].tobytes()
+        ref = solve_banded((1, 1), ab, rhs)
+        out = step_imex(fld, spec, dt).u
+        assert out.tobytes() == np.maximum(ref, 0.0).tobytes(), (spec, dt)
+        assert fld.u.tobytes() == u0.tobytes()    # the input stays as it was
 
 
 def test_reaction_overflow_raised():

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from heatlab.errors import OutOfRange
 from heatlab.nonlinearity import (
@@ -21,6 +22,7 @@ from heatlab.nonlinearity import (
 )
 from heatlab.singular_ode import (
     _F0_along,
+    _RadialDense,
     asymptotic_ratio,
     build_singular,
     eval_F0,
@@ -236,6 +238,37 @@ def test_du_star_matches_closed_form_in_all_regions(table_cubic):
     assert r[0] < r_lo <= r[20] and r[39] < table_cubic.r[0] <= r[40]
     du = np.asarray(table_cubic.du_star(r))
     assert np.abs(-du * r ** 2 / math.sqrt(2.0) - 1.0).max() <= 1e-6
+
+
+@pytest.mark.parametrize("which", ["power_exp", "cutoff", "cubic"])
+def test_dense_output_matches_ode_solution(which, request):
+    # the stacked dense output against scipy's own per-step evaluation,
+    # on a dense radius set with every step edge and on one radius alone
+    tab = request.getfixturevalue(f"table_{which}")
+    sol = tab.dense.sol
+    edges = np.exp(sol.ts)
+    edges = edges[np.log(edges) == sol.ts]      # log r is a step edge
+    assert len(edges) > 0.8 * len(sol.ts)
+    r = np.unique(np.concatenate([
+        edges, np.geomspace(tab.dense.t_min, tab.R_max, 5000)]))
+    r = r[(r >= tab.dense.t_min) & (r <= tab.R_max)]
+    for radii in (r, float(r[len(r) // 3])):
+        u, v = sol(np.log(radii))
+        got = tab.dense(radii)
+        assert got.shape == (2,) + np.shape(radii)
+        for have, want in ((got[0], u), (got[1], v / radii)):
+            assert np.all(np.abs(have - want) <= 2e-15 * np.abs(want))
+    # on a step edge, the same step as OdeSolution's: the two steps meeting
+    # there differ in the last bits
+    u, v = sol(np.log(edges))
+    assert np.array_equal(tab.dense(edges), [u, v / edges])
+
+
+def test_dense_output_reads_lsoda_only():
+    sol = solve_ivp(lambda s, y: -y, (0.0, 1.0), [1.0, 0.0],
+                    method="RK45", dense_output=True)
+    with pytest.raises(TypeError):
+        _RadialDense(sol.sol, 1.0)
 
 
 # ---------------------------------------------------------------------------
