@@ -195,7 +195,8 @@ class _RadialDense:
 
     The steps' Nordsieck arrays are stacked once, zero-padded to the
     highest order, so any array of radii costs one searchsorted, one power
-    and one batched contraction instead of OdeSolution's loop over steps.
+    and a few stacked matrix products instead of OdeSolution's Python loop
+    over steps.
     The step rule is OdeSolution's own: its ``side`` says which of the two
     steps meeting at an edge takes a radius there (for LSODA, scipy picks
     the later one), and radii beyond either end use the end step.  This
@@ -213,10 +214,11 @@ class _RadialDense:
         self._side = getattr(sol, "side", "left")
         self._t = np.array([p.t for p in steps])
         self._h = np.array([p.h for p in steps])
-        self._yh = np.zeros((len(steps), 2, self._order.max()))
+        width = self._order.max()
+        self._yh = np.zeros((len(steps), 2, width))
         for k, p in enumerate(steps):
             self._yh[k, :, :self._order[k]] = p.yh
-        self._powers = np.arange(self._order.max())
+        self._powers = np.arange(width)
         self.sol = sol
         self.t_min = t_min
 
@@ -235,8 +237,9 @@ class _RadialDense:
         # bit, and so is everything built on u*.
         y = (self._yh[step] @ np.stack([x, x], axis=-1))[..., 0]
         lone = np.bincount(step, minlength=len(self._t))[step] == 1
-        for k in np.unique(self._order[step[lone]]):
-            i = np.flatnonzero(lone & (self._order[step] == k))
+        order = self._order[step]
+        for k in np.unique(order[lone]):
+            i = np.flatnonzero(lone & (order == k))
             y[i] = (self._yh[step[i], :, :k] @ x[i, :k, None])[..., 0]
         u, v = y.T.reshape((2,) + r.shape)
         return np.array([u, v / r])
