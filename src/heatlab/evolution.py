@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse import csr_matrix
-from scipy.special import betainc, gamma as gamma_fn, ive
+from scipy.special import betainc, gamma as gamma_fn
 
 from .errors import LinearSolveFailure, ReactionOverflow
 from .nonlinearity import NonlinearitySpec
@@ -126,12 +126,12 @@ class RadialGrid:
         return _window_quadrature(
             self, np.linspace(0.0, self.R_outer, _N_CENTERS))
 
-    def exterior_value(self, u: np.ndarray) -> float:
-        """Value a field with nodal values u takes beyond the outer
-        radius: the Dirichlet value, or the last nodal value."""
+    def exterior_value(self, u: np.ndarray):
+        """Value a field with nodal values u (the last axis) takes beyond
+        the outer radius: the Dirichlet value, or the last nodal value."""
         if self.bc.kind == "dirichlet":
             return self.bc.value
-        return float(u[-1])
+        return u[..., -1]
 
     def refined(self) -> "RadialGrid":
         """Grid with every interval halved (nodes doubled)."""
@@ -225,36 +225,96 @@ def field_from_table(table, grid: RadialGrid, cap: float = 1e6,
 #   [S(t)u](r) = (4 pi t)^{-N/2} int_0^inf e^{-(r-rho)^2/4t} B(a)
 #                u(rho) rho^{N-1} drho,        a = r rho / 2t,
 #
-# with the angular factor (w = 1 - cos theta, nu = (N-2)/2, and
-# ive(nu, a) = e^{-a} I_nu(a))
+# with the angular factor (w = 1 - cos theta, nu = (N-2)/2)
 #
 #   B(a) = omega_{N-2} int_0^2 e^{-a w} (w(2-w))^{(N-3)/2} dw
-#        = omega_{N-2} sqrt(pi) Gamma((N-1)/2) (2/a)^nu ive(nu, a)
-#        = 2 pi^{N/2} (2/a)^nu ive(nu, a).
+#        = 2 pi^{N/2} (2/a)^nu e^{-a} I_nu(a).
 #
-# _log_angular uses the closed form on [_A_MIN, _A_MAX].  Below _A_MIN it
-# uses log B(0) - a with B(0) = omega_{N-1}, exact to O(a^2): the origin
-# row has a = 0, and for N >= 5 ive(nu, 1e-300) underflows to 0.  Above
-# _A_MAX it uses the asymptote (2 pi / a)^{(N-1)/2}, exact to O(N^2 / a):
-# ive returns nan from about a = 1e9.
+# _log_angular evaluates log B from one of two series in a, switching at
+# _A_SERIES = 40:
+#
+# * a < 40: the power series of I_nu (DLMF 10.25.2).  Its (a/2)^nu cancels
+#   against (2/a)^nu, so with x = a^2/4 and B(0) = omega_{N-1},
+#       log B(a) = log omega_{N-1} - a + log sum_k x^k / (k! (nu+1)_k),
+#   a sum of positive terms whose first is 1: a = 0 (the origin row) gives
+#   log omega_{N-1} exactly.
+# * a >= 40: the Hankel expansion of I_nu (DLMF 10.40.1), dropping its
+#   e^{-2a} part,
+#       log B(a) = (N-1)/2 log(2 pi / a)
+#                  + log1p(sum_{k>=1} (-1)^k a_k(nu) a^{-k}),
+#   a_{k+1}(nu) = a_k(nu) (4 nu^2 - (2k+1)^2) / (8(k+1)), which terminates
+#   for odd N (nu half an odd integer) and is an asymptotic series for
+#   even N.
+#
+# Both sums run to the first term below 2^-54 of the sum at a = 40, where
+# each is longest: 51-53 power-series terms and at most 13 Hankel
+# terms for N = 3..10.  The counts follow from nu and the switch point.
 
-_A_MIN = 1e-8
-_A_MAX = 1e8
+_A_SERIES = 40.0
 # kernel widths sqrt(4t) beyond which the Gaussian factor is below e^{-81}:
 # the extension region ends there, and so does each row's band
 _KERNEL_REACH = 9.0
+# Gauss-Legendre rule on each kernel sub-segment
+_SEGMENT_GL_X, _SEGMENT_GL_W = np.polynomial.legendre.leggauss(6)
+
+
+@lru_cache(maxsize=None)
+def _angular_series(dim: int):
+    """Coefficients of _log_angular's two sums, highest order first: the
+    power series in x = a^2/4 from k = 0, and the Hankel series in 1/a
+    from k = 1 (empty when it is 1 alone)."""
+    nu = 0.5 * (dim - 2)
+    tol = 2.0 ** -54
+    x = 0.25 * _A_SERIES ** 2
+    power = [1.0]
+    term = total = 1.0
+    k = 0
+    # all terms are positive; past the largest one they fall geometrically
+    while term > tol * total or (k + 1) * (nu + k + 1) <= x:
+        power.append(power[-1] / ((k + 1) * (nu + k + 1)))
+        term *= x / ((k + 1) * (nu + k + 1))
+        total += term
+        k += 1
+    hankel = []
+    coef = 1.0
+    k = 0
+    while True:
+        coef *= -(4.0 * nu ** 2 - (2 * k + 1) ** 2) / (8.0 * (k + 1))
+        k += 1
+        if abs(coef) <= tol * _A_SERIES ** k:
+            break
+        hankel.append(coef)
+    coefs = np.array(power[::-1]), np.array(hankel[::-1])
+    for c in coefs:                        # shared by every caller
+        c.setflags(write=False)
+    return coefs
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x^(n-k) for the n+1 coefficients, highest first."""
+    s = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        s *= x
+        s += c
+    return s
 
 
 def _log_angular(dim: int, a: np.ndarray) -> np.ndarray:
     """log B(a), vectorized."""
     a = np.asarray(a, dtype=float)
-    nu = 0.5 * (dim - 2)
-    return np.piecewise(a, [a < _A_MIN, a > _A_MAX], [
-        lambda a: math.log(sphere_area(dim)) - a,
-        lambda a: 0.5 * (dim - 1) * (math.log(2.0 * math.pi) - np.log(a)),
-        lambda a: (math.log(2.0) + 0.5 * dim * math.log(math.pi)
-                   + nu * np.log(2.0 / a) + np.log(ive(nu, a))),
-    ])
+    power, hankel = _angular_series(dim)
+    out = np.empty_like(a)
+    small = a < _A_SERIES
+    a_s = a[small]
+    out[small] = (math.log(sphere_area(dim)) - a_s
+                  + np.log(_horner(power, 0.25 * a_s * a_s)))
+    a_l = a[~small]
+    log_b = 0.5 * (dim - 1) * np.log(2.0 * math.pi / a_l)
+    if len(hankel):
+        inv = 1.0 / a_l
+        log_b += np.log1p(inv * _horner(hankel, inv))
+    out[~small] = log_b
+    return out
 
 
 class SemigroupOperator:
@@ -277,27 +337,46 @@ class SemigroupOperator:
         self.grid = grid
         self.t = t
         self.interp = interp
-        self.matrix, self.ext = self._assemble()
+        # [matrix | ext]: the action on nodal values extended by the value
+        # beyond the outer radius, as column M
+        self.full = self._assemble()
+        self.matrix, self.ext = self.full[:, :-1], self.full[:, -1]
 
     def _quad_nodes(self):
         """Gauss-Legendre nodes, weights and the segment of each node.  The
         segments are the grid intervals and the extension region, each cut
-        into sub-segments at most 0.45 kernel widths wide."""
+        into sub-segments at most 0.45 kernel widths wide.  Only the
+        sub-segments within _KERNEL_REACH widths of a grid node are laid:
+        the kernel gives every node beyond that zero weight.  In a grid
+        interval those are the first and the last few; the extension region
+        ends _KERNEL_REACH widths beyond the outer radius and is laid
+        whole."""
         width = math.sqrt(4.0 * self.t)
+        reach = _KERNEL_REACH * width
         R = self.grid.R_outer
-        R_ext = R + _KERNEL_REACH * width
+        R_ext = R + reach
         n_ext = max(4, int(math.ceil((R_ext - R) / (0.45 * width))))
         edges = np.concatenate([self.grid.r,
                                 np.linspace(R, R_ext, n_ext + 1)[1:]])
         lo, hi = edges[:-1], edges[1:]
         nsub = np.maximum(1, np.ceil((hi - lo) / (0.45 * width)).astype(int))
-        seg = np.repeat(np.arange(len(lo)), nsub)
-        k = np.arange(len(seg)) - np.repeat(np.cumsum(nsub) - nsub, nsub)
-        half = (0.5 * (hi - lo) / nsub)[seg, None]
+        # sub-segment k of a grid interval spans lo + [k, k+1] h: it is laid
+        # when it starts within reach of lo (k < n_lo) or ends within reach
+        # of hi (k >= k_hi)
+        h = (hi - lo) / nsub
+        n_lo = np.minimum(nsub, np.floor(reach / h) + 1).astype(int)
+        k_hi = np.clip(np.ceil(nsub - 1 - reach / h), n_lo, nsub).astype(int)
+        n_lo[self.grid.n_nodes - 1:] = nsub[self.grid.n_nodes - 1:]
+        k_hi[self.grid.n_nodes - 1:] = nsub[self.grid.n_nodes - 1:]
+        count = n_lo + nsub - k_hi
+        seg = np.repeat(np.arange(len(lo)), count)
+        k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+        k += np.where(k < n_lo[seg], 0, (k_hi - n_lo)[seg])
+        half = (0.5 * h)[seg, None]
         mid = lo[seg, None] + (2 * k + 1)[:, None] * half
-        gl_x, gl_w = np.polynomial.legendre.leggauss(6)
-        return ((mid + half * gl_x).ravel(), (half * gl_w).ravel(),
-                np.repeat(seg, len(gl_x)))
+        return ((mid + half * _SEGMENT_GL_X).ravel(),
+                (half * _SEGMENT_GL_W).ravel(),
+                np.repeat(seg, len(_SEGMENT_GL_X)))
 
     def _interp_matrix(self, rho, seg):
         """Sparse P mapping the nodal values, with the extension value as
@@ -340,8 +419,7 @@ class SemigroupOperator:
                  + (dim - 1) * np.log(rho[q]))
         K = csr_matrix((np.exp(log_k) * w[q], q, indptr),
                        shape=(M, len(rho)))
-        A = (K @ self._interp_matrix(rho, seg)).toarray()
-        return A[:, :M], A[:, M]
+        return (K @ self._interp_matrix(rho, seg)).toarray()
 
     def apply(self, u: np.ndarray, u_ext: float) -> np.ndarray:
         """S(t) on nodal values u extended by the value u_ext beyond the

@@ -203,7 +203,56 @@ def test_dirichlet_extension_feeds_boundary_value():
     assert np.abs(out.u - 2.0).max() <= 1e-8
 
 
-@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
+# log B(a) = log(2 pi^{N/2} (2/a)^nu e^{-a} I_nu(a)) from 40-digit mpmath
+# (besseli below a = 1e6, the Hankel expansion to 1e-60 from there; mpmath
+# is not a dependency), at the a of _ANGULAR_A for N = 3..10
+_ANGULAR_A = [0.0, 1e-300, 1e-9, 1e-3, 0.5, 3.0, 39.99, 40.0, 40.01, 1e3, 1e6,
+              1e8, 1e9, 1e12, 1e300]
+_ANGULAR_REF = {
+    3: [2.531024246969290793, 2.531024246969290793, 2.531024245969290793,
+        2.530024413635951904, 2.072349101582208902, 0.7367829483722762644,
+        -1.850752356449381509, -1.851002387704590819, -1.851252356459798176,
+        -5.069878212572791568, -11.97763349155492862, -16.58280367754301999,
+        -18.88538877053706567, -25.79314404951920272, -688.9376508318043597],
+    4: [2.982606952258745658, 2.982606952258745658, 2.982606951258745658,
+        2.981607077258743054, 2.513695866353301812, 0.9517102788742808499,
+        -2.78562577685464592, -2.78599841877475949, -2.786370968162723515,
+        -7.605192506523461162, -17.96645061233258043, -24.87420552006453,
+        -28.32808315618059851, -38.68971607427917909, -1033.40647624770654],
+    5: [3.270289024710526585, 3.270289024710526585, 3.270289023710526585,
+        3.269289124710525157, 2.795200394470957401, 1.078009703765803624,
+        -3.726828932762984052, -3.727322583393471514, -3.72781611227017487,
+        -10.14075692547916667, -23.95526798311035724, -33.16560736508604003,
+        -37.77077754207413135, -51.58628809903940545, -1377.875301663608719],
+    6: [3.434189657548200522, 3.434189657548200522, 3.434189656548200523,
+        3.433189740881532988, 2.954969036772380949, 1.125206767085635766,
+        -4.674359188108129626, -4.674972247521664778, -4.67558515676821621,
+        -12.67657146928318841, -29.94408560388825905, -41.45700921260755007,
+        -47.21347192821766418, -64.48286012379988181, -1722.344127079510899],
+    7: [3.498728178685771694, 3.498728178685771694, 3.498728177685771694,
+        3.497728250114342556, 3.016550043263828678, 1.101678481842516738,
+        -5.6282128581037482, -5.628943729203712968, -5.629674422529031468,
+        -15.2126361377161193, -35.93290347466628586, -49.74841106262906012,
+        -56.65616631461119702, -77.37943214856060817, -2066.812952495413079],
+    8: [3.480307254729491005, 3.480307254729491005, 3.480307253729491005,
+        3.479307317229490615, 2.995907925070825213, 1.014592736234500702,
+        -6.588385214919762891, -6.589232304236428472, -6.590079188972615962,
+        -17.74895093049586539, -41.92172159544443767, -58.03981291515057018,
+        -66.09886070125472986, -90.27600417332158454, -2411.281777911315259],
+    9: [3.390695096039803873, 3.390695096039803873, 3.390695095039803873,
+        3.389695151595359148, 2.904566498235221472, 0.8700345371247391956,
+        -7.554870494937766677, -7.555832213415137349, -7.556793701303528435,
+        -20.28551584727764649, -47.91053996622271448, -66.33121477017208025,
+        -75.54155508814826269, -103.1725761980828109, -2755.750603327217439],
+    10: [3.23874277945900056, 3.23874277945900056, 3.238742778459000561,
+        3.237742829459000352, 2.751229789534112776, 0.6731735207041618093,
+        -8.527661907553996132, -8.528736671325358284, -8.529811179291292593,
+        -22.82233088765399692, -53.89935858700111629, -74.62261662769359034,
+        -84.98424947529179553, -116.0691482228442873, -3100.219428743119619],
+}
+
+
+@pytest.mark.parametrize("dim", range(3, 11))
 def test_angular_factor_matches_quadrature(dim):
     # B(a) = omega_{N-2} int_0^2 e^{-aw} (w(2-w))^{(N-3)/2} dw, the weight
     # w^{(N-3)/2} taken by QUADPACK's algebraic-singularity rule
@@ -218,34 +267,90 @@ def test_angular_factor_matches_quadrature(dim):
                       epsabs=0.0, epsrel=1e-13, limit=200)
         ref = math.log(evolution.sphere_area(dim - 1) * val)
         assert abs(log_b - ref) <= 1e-12, (a, log_b - ref)
-    big = np.array([1.0000001e8, 1e9, 1e12, 1e300])
-    asymptote = 0.5 * (dim - 1) * np.log(2.0 * math.pi / big)
-    assert np.all(np.isfinite(_log_angular(dim, big)))
-    assert np.abs(_log_angular(dim, big) - asymptote).max() <= 1e-12
+    # both series, on either side of the switch at 40 and out to 1e300
+    got = _log_angular(dim, np.array(_ANGULAR_A))
+    ref = np.array(_ANGULAR_REF[dim])
+    err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 1e-12, (_ANGULAR_A[int(err.argmax())], err.max())
 
 
 @pytest.mark.parametrize("t", [1e-5, 1e-3, 1e-1])
 def test_quad_nodes_match_segment_loop(t):
     op = evolution.SemigroupOperator(make_grid(5, 4.0, 24), t)
     rho, w, seg = op._quad_nodes()
-    # reference: each segment cut by np.linspace, one sub-segment at a time
+    # reference: each segment cut by np.linspace, one sub-segment at a time,
+    # kept when a grid node lies within _KERNEL_REACH widths of it
     width = math.sqrt(4.0 * t)
+    reach = evolution._KERNEL_REACH * width
     R = op.grid.R_outer
-    R_ext = R + evolution._KERNEL_REACH * width
+    R_ext = R + reach
     n_ext = max(4, int(math.ceil((R_ext - R) / (0.45 * width))))
     edges = np.concatenate([op.grid.r, np.linspace(R, R_ext, n_ext + 1)[1:]])
     gl_x, gl_w = np.polynomial.legendre.leggauss(6)
     ref = []
+    dropped = 0
     for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         sub = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / (0.45 * width)))
                           + 1)
         for a, b in zip(sub[:-1], sub[1:]):
+            if not np.any((op.grid.r >= a - reach) & (op.grid.r <= b + reach)):
+                dropped += 1
+                continue
             ref.extend((0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * g, j)
                        for x, g in zip(gl_x, gl_w))
     ref_rho, ref_w, ref_seg = map(np.array, zip(*ref))
     assert np.array_equal(seg, ref_seg)
     assert np.allclose(rho, ref_rho, rtol=1e-15, atol=0.0)
     assert np.allclose(w, ref_w, rtol=1e-12, atol=0.0)
+    # the uniform intervals are 25 kernel widths long at t = 1e-5
+    assert (dropped > 0) == (t == 1e-5)
+
+
+def _unfiltered_quad_nodes(self):
+    """Every sub-segment of every grid interval and of the extension
+    region, as laid before the reach limit."""
+    width = math.sqrt(4.0 * self.t)
+    R = self.grid.R_outer
+    R_ext = R + evolution._KERNEL_REACH * width
+    n_ext = max(4, int(math.ceil((R_ext - R) / (0.45 * width))))
+    edges = np.concatenate([self.grid.r,
+                            np.linspace(R, R_ext, n_ext + 1)[1:]])
+    lo, hi = edges[:-1], edges[1:]
+    nsub = np.maximum(1, np.ceil((hi - lo) / (0.45 * width)).astype(int))
+    seg = np.repeat(np.arange(len(lo)), nsub)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    half = (0.5 * (hi - lo) / nsub)[seg, None]
+    mid = lo[seg, None] + (2 * k + 1)[:, None] * half
+    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
+    return ((mid + half * gl_x).ravel(), (half * gl_w).ravel(),
+            np.repeat(seg, len(gl_x)))
+
+
+@pytest.mark.parametrize("n_nodes", [64, 65, 129])
+def test_reach_limited_operators_are_bit_identical(monkeypatch, n_nodes):
+    # the sandwich grids (criteria 7 and 8; 129 nodes is 65 refined) at the
+    # one-slice step 0.01/64 and the three Gauss-Legendre lags inside it
+    bc = BoundaryCondition("dirichlet", 0.25)
+    grid = make_grid(5, 8.0, n_nodes, bc=bc)
+    dt = 0.01 / 64
+    x, _ = np.polynomial.legendre.leggauss(3)
+    for t in [dt, *(dt * (0.5 - 0.5 * x))]:
+        for interp in ("linear", "cubic"):
+            op = evolution.SemigroupOperator(grid, t, interp)
+            with monkeypatch.context() as m:
+                m.setattr(evolution.SemigroupOperator, "_quad_nodes",
+                          _unfiltered_quad_nodes)
+                ref = evolution.SemigroupOperator(grid, t, interp)
+            assert np.array_equal(op.full, ref.full), (t, interp)
+
+
+def test_tiny_time_assembly_lays_nodes_near_the_grid_only():
+    # unfiltered, make_grid(3, 8, 64) at t = 1e-12 takes 5.3e7 nodes
+    op = evolution.SemigroupOperator(make_grid(3, 8.0, 64), 1e-12)
+    rho, _, _ = op._quad_nodes()
+    assert len(rho) < 2e4
+    # S(t) keeps constants: each row sums to 1
+    assert np.abs(op.matrix.sum(axis=1) + op.ext - 1.0).max() <= 1e-9
 
 
 def _full_row_sum(op):

@@ -6,17 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from heatlab.errors import OrderingViolation, TimeMeshMismatch
+from heatlab.errors import (
+    OrderingViolation,
+    ReactionOverflow,
+    TimeMeshMismatch,
+)
 from heatlab.evolution import (
     BoundaryCondition,
     RadialField,
     apply_semigroup,
     field_from_table,
+    _reaction,
     make_grid,
+    semigroup_operator,
     stability_dt,
     step_imex,
 )
 from heatlab.iteration import (
+    IDENTITY_TIME,
+    N_TIME_QUAD,
     IterationLadder,
     LadderSeed,
     Trajectory,
@@ -98,6 +106,71 @@ def test_reaction_free_step_reproduces_semigroup():
     out = duhamel_map(zero, u0, CUBIC, 0.01, interp="cubic")
     direct = apply_semigroup(u0, 0.01)
     assert np.abs(out.values[-1] - direct.u).max() <= 1e-3
+
+
+def _per_slice_duhamel(prev, u0, spec, t_obs, interp):
+    """Reference Duhamel step: reactions, lag factors and the two slice
+    recursions (homogeneous part and Duhamel integral) one slice and one
+    Gauss-Legendre node at a time."""
+    grid = prev.grid
+    n = prev.n_slices
+    dt = t_obs / n
+    gl_x, gl_w = np.polynomial.legendre.leggauss(N_TIME_QUAD)
+    step_op = semigroup_operator(grid, dt, interp)
+    lag_ops = [None if tau < IDENTITY_TIME
+               else semigroup_operator(grid, tau, interp)
+               for tau in dt * (0.5 - 0.5 * gl_x)]
+    values = np.empty((n + 1, grid.n_nodes))
+    values[0] = u0.u
+    hom = u0.u.copy()
+    hom_ext = grid.exterior_value(u0.u)
+    duh = np.zeros(grid.n_nodes)
+    duh_ext = 0.0
+    for j in range(n):
+        b = np.zeros(grid.n_nodes)
+        b_ext = 0.0
+        for q in range(N_TIME_QUAD):
+            u_s = prev.interp(prev.times[j] + dt * (0.5 + 0.5 * gl_x[q]))
+            f_all = _reaction(spec, np.append(u_s, grid.exterior_value(u_s)),
+                              1.0)
+            w = 0.5 * dt * gl_w[q]
+            if lag_ops[q] is None:
+                b += w * f_all[:-1]
+            else:
+                b += w * lag_ops[q].apply(f_all[:-1], f_all[-1])
+            b_ext += w * f_all[-1]
+        duh = step_op.apply(duh, duh_ext) + b
+        duh_ext += b_ext
+        hom = step_op.apply(hom, hom_ext)
+        values[j + 1] = np.maximum(hom + duh, 0.0)
+    return values
+
+
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+@pytest.mark.parametrize("bc", [BoundaryCondition("neumann"),
+                                BoundaryCondition("dirichlet", 0.4)])
+def test_duhamel_map_matches_per_slice_loop(bc, interp):
+    # a previous iterate that varies in time, so the reactions come from
+    # the interpolant between slices and the exterior value moves too
+    rng = np.random.default_rng(5)
+    g = make_grid(5, 8.0, 33, bc=bc)
+    u0 = RadialField(g, 1.5 * np.exp(-g.r ** 2) + 0.4)
+    times = np.linspace(0.0, 0.01, 17)
+    prev = Trajectory(g, times, rng.uniform(0.0, 2.0, (17, g.n_nodes)))
+    out = duhamel_map(prev, u0, CUBIC, 0.01, interp)
+    ref = _per_slice_duhamel(prev, u0, CUBIC, 0.01, interp)
+    assert np.abs(out.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_duhamel_map_overflow_raises():
+    # one entry of one slice overflows the cubic: the map raises the typed
+    # error instead of returning a non-finite trajectory
+    g = make_grid(5, 8.0, 33)
+    u0 = RadialField(g, np.ones(g.n_nodes))
+    prev = Trajectory.constant(u0, 0.01, 16)
+    prev.values[9, 4] = 1e200
+    with pytest.raises(ReactionOverflow):
+        duhamel_map(prev, u0, CUBIC, 0.01)
 
 
 def test_duhamel_map_is_monotone():
