@@ -4,6 +4,10 @@ Subcommands: check, singular, evolve, iterate, scan.  Configuration comes
 from an INI-style file (sections [nonlinearity], [domain], [solver],
 [experiment]) with command-line flags taking precedence.  Exit codes:
 0 success, 1 scientific failure, 2 usage or configuration error.
+
+Artifacts writes every file a run leaves: each command names its CSV
+headers and rows (numbers to 17 significant digits, so every value reads
+back exactly) and its JSON documents, built from the reports' to_dict().
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import HeatLabError
-from .evolution import (
-    RadialField,
-    field_from_table,
-    write_norm_series_csv,
-    write_snapshot_csv,
-)
+from .evolution import RadialField, field_from_table
 from .iteration import LadderSeed, run_ladder
 from .nonlinearity import (
     check_admissibility,
@@ -36,6 +35,7 @@ from .nonlinearity import (
 from .singular_ode import (
     asymptotic_ratio,
     build_singular,
+    pure_power_profile_coefficient,
     trace_pohozaev,
     verify_flux_identity,
 )
@@ -204,6 +204,18 @@ class Artifacts:
         with open(self.path(name), "w") as fh:
             json.dump(doc, fh, indent=2)
 
+    def write_csv(self, name: str, header, rows) -> None:
+        """CSV with a header line: strings as given, numbers as %.17g,
+        which reads back exactly.  The first row sets each column's kind."""
+        with open(self.path(name), "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            fmt = None
+            for row in rows:
+                if fmt is None:
+                    fmt = ",".join("%s" if isinstance(v, str) else "%.17g"
+                                   for v in row) + "\n"
+                fh.write(fmt % tuple(row))
+
     def commit(self) -> None:
         for partial, final in self._pending:
             if os.path.exists(partial):
@@ -217,9 +229,8 @@ class Artifacts:
 
 def cmd_check(cfg: RunConfig, out: Artifacts) -> int:
     report = check_admissibility(cfg.spec(), cfg.dim)
-    doc = json.loads(report.to_json())
-    doc["config"] = cfg.echo()
-    out.write_json("admissibility.json", doc)
+    out.write_json("admissibility.json",
+                   {**report.to_dict(), "config": cfg.echo()})
     out.commit()
     if cfg.verbose:
         for c in report.conditions.values():
@@ -241,19 +252,16 @@ def cmd_singular(cfg: RunConfig, out: Artifacts) -> int:
     # have an explicit singular profile)
     blocking = [c for name, c in report.conditions.items()
                 if name != "A3" and not c.passed]
-    doc = json.loads(report.to_json())
-    doc["config"] = cfg.echo()
-    out.write_json("admissibility.json", doc)
+    out.write_json("admissibility.json",
+                   {**report.to_dict(), "config": cfg.echo()})
     if blocking:
         out.commit()
         return 1
     table = _build_table(cfg)
-    table.to_csv(out.path("singular_table.csv"))
-    ratio = asymptotic_ratio(table, spec)
-    with open(out.path("asymptotic_ratio.csv"), "w", newline="") as fh:
-        fh.write("r,ratio\n")
-        for r, v in ratio:
-            fh.write(f"{r:.17g},{v:.17g}\n")
+    out.write_csv("singular_table.csv", ("r", "u_star", "du_star"),
+                  zip(table.r, table.u, table.du))
+    out.write_csv("asymptotic_ratio.csv", ("r", "ratio"),
+                  asymptotic_ratio(table, spec))
     trace = trace_pohozaev(table, spec)
     out.write_json("singular_verification.json", {
         "config": cfg.echo(),
@@ -274,13 +282,16 @@ def cmd_evolve(cfg: RunConfig, out: Artifacts) -> int:
                       horizon=cfg.horizon, caps=(cfg.cap,),
                       n_nodes=cfg.n_nodes, R_outer=cfg.R_outer)
     o = report.finest
-    write_norm_series_csv(out.path("norm_series.csv"),
-                          zip(o.times, o.sup_series, o.l1ul_series,
-                              o.mass_series))
+    out.write_csv("norm_series.csv",
+                  ("t", "sup_norm", "l1ul_norm", "f_mass_inner"),
+                  zip(o.times, o.sup_series, o.l1ul_series, o.mass_series))
     idx = np.linspace(0, len(o.snapshots) - 1,
                       min(9, len(o.snapshots))).astype(int)
-    write_snapshot_csv(out.path("snapshots.csv"),
-                       [o.snapshots[i] for i in idx])
+    snaps = [o.snapshots[i] for i in idx]
+    # long format: one row (t, r, u) per node of each snapshot
+    out.write_csv("snapshots.csv", ("t", "r", "u"),
+                  ((t, r, u) for t, fld in snaps
+                   for r, u in zip(fld.grid.r, fld.u)))
     out.write_json("evolve.json", {
         "config": cfg.echo(),
         "classification": report.classification,
@@ -306,9 +317,7 @@ def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
                        ladder_tol=0.0)
     for name, ladder in (("ladder_below.json", below),
                          ("ladder_above.json", above)):
-        doc = json.loads(ladder.to_json())
-        doc["config"] = cfg.echo()
-        out.write_json(name, doc)
+        out.write_json(name, {**ladder.to_dict(), "config": cfg.echo()})
     cross = max(float((below.trajectories[k].values
                        - above.trajectories[k].values).max())
                 for k in range(min(below.k, above.k) + 1))
@@ -332,8 +341,10 @@ def cmd_scan(cfg: RunConfig, out: Artifacts) -> int:
                             horizon=cfg.scan_horizon,
                             caps=cfg.cap_list(), n_nodes=cfg.n_nodes,
                             R_outer=cfg.R_outer)
-    report.to_csv(out.path("scan.csv"))
-    doc = json.loads(report.to_json())
+    out.write_csv("scan.csv", ("amplitude", "classification", "t_detect",
+                               "cap", "sup_final", "reaction_mass_final"),
+                  report.rows())
+    doc = report.to_dict()
     doc["config"]["run"] = cfg.echo()
     out.write_json("scan.json", doc)
     out.commit()
@@ -422,6 +433,8 @@ def main(argv=None) -> int:
             for key in ("R_outer", "bump_r_c"):    # u* is evaluated there
                 if getattr(cfg, key) > cfg.R_max:
                     raise ValueError(f"{key} must be <= R_max")
+            if cfg.family == "pure-power":     # these runs start from u*
+                pure_power_profile_coefficient(cfg.p, cfg.dim)
     except (ValueError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

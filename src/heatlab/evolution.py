@@ -6,13 +6,14 @@ from a unit-ball window quadrature built once per grid, and an IMEX time
 stepper (implicit diffusion, explicit reaction).  A step builds the three
 tridiagonal bands from coefficients each grid computes once and hands them
 to LAPACK's gtsv directly, which solves in place; fields derived by a step
-share their read-only cap mask.
+share their read-only cap mask.  Each grid also keeps the S(t) operators
+built on it.  The module writes no files: the CLI's Artifacts writes the
+norm series and snapshots of a run.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -39,8 +40,6 @@ __all__ = [
     "ul_norm",
     "step_imex",
     "stability_dt",
-    "write_snapshot_csv",
-    "write_norm_series_csv",
 ]
 
 
@@ -125,6 +124,12 @@ class RadialGrid:
         """Quadrature of the unit balls at the ul_norm scan's centres."""
         return _window_quadrature(
             self, np.linspace(0.0, self.R_outer, _N_CENTERS))
+
+    @cached_property
+    def semigroup_operators(self) -> dict:
+        """The S(t) operators built on this grid, keyed by (t, interp);
+        semigroup_operator fills it."""
+        return {}
 
     def exterior_value(self, u: np.ndarray):
         """Value a field with nodal values u (the last axis) takes beyond
@@ -434,24 +439,13 @@ class SemigroupOperator:
         return field.copy_with(np.maximum(out, 0.0))
 
 
-# least recently used operators are dropped beyond this many; a ladder or
-# fixed-point check uses about a dozen
-_OPERATOR_CACHE_SIZE = 64
-_OPERATOR_CACHE: OrderedDict = OrderedDict()
-
-
 def semigroup_operator(grid: RadialGrid, t: float,
                        interp: str = "cubic") -> SemigroupOperator:
-    """Cached S(t) matrix for one (grid, t, interpolation) triple."""
-    key = (grid.key(), float(t), interp)
-    op = _OPERATOR_CACHE.get(key)
+    """S(t) matrix for one (t, interpolation) pair, built once per grid."""
+    key = (float(t), interp)
+    op = grid.semigroup_operators.get(key)
     if op is None:
-        op = SemigroupOperator(grid, t, interp)
-        _OPERATOR_CACHE[key] = op
-        if len(_OPERATOR_CACHE) > _OPERATOR_CACHE_SIZE:
-            _OPERATOR_CACHE.popitem(last=False)
-    else:
-        _OPERATOR_CACHE.move_to_end(key)
+        op = grid.semigroup_operators[key] = SemigroupOperator(grid, t, interp)
     return op
 
 
@@ -602,24 +596,3 @@ def step_imex(field: RadialField, spec: Optional[NonlinearitySpec],
     if not np.isfinite(u_new).all():
         raise LinearSolveFailure("non-finite diffusion solve")
     return field.copy_with(np.maximum(u_new, 0.0, out=u_new))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def write_snapshot_csv(path, snapshots):
-    """Long-format field snapshots: rows (t, r, u)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,r,u\n")
-        for t, field in snapshots:
-            for r, u in zip(field.grid.r, field.u):
-                fh.write(f"{t:.17g},{r:.17g},{u:.17g}\n")
-
-
-def write_norm_series_csv(path, rows):
-    """Norm time series: rows (t, sup, l1ul, inner reaction mass)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,sup_norm,l1ul_norm,f_mass_inner\n")
-        for t, sup, l1, mass in rows:
-            fh.write(f"{t:.17g},{sup:.17g},{l1:.17g},{mass:.17g}\n")

@@ -13,7 +13,6 @@ two chains sandwich every integral solution with the same data.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Union
@@ -191,8 +190,8 @@ class IterationLadder:
     def final(self) -> Trajectory:
         return self.trajectories[-1]
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "seed": self.seed.kind,
             "k": self.k,
             "t_obs": self.t_obs,
@@ -200,7 +199,7 @@ class IterationLadder:
             "cauchy_gaps": self.cauchy_gaps,
             "ordering_violation_max": self.ordering_violation_max,
             "converged": self.converged,
-        }, indent=2)
+        }
 
 
 def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,

@@ -13,7 +13,6 @@ computable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -535,8 +534,8 @@ class AdmissibilityReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.conditions.values())
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "spec": self.spec_label,
             "dim": self.dim,
             "sample_range": list(self.sample_range),
@@ -553,7 +552,6 @@ class AdmissibilityReport:
             ],
             "limit_estimates": self.limit_estimates,
         }
-        return json.dumps(doc, indent=2)
 
 
 def check_admissibility(spec: NonlinearitySpec,

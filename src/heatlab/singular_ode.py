@@ -60,7 +60,8 @@ def pure_power_profile_coefficient(p: float, dim: int) -> float:
     m = 2.0 / (p - 1.0)
     base = m * (dim - 2.0 - m)
     if base <= 0.0:
-        raise ValueError("no positive singular profile for these p, dim")
+        raise ValueError(f"no positive singular profile for p = {p:g} in "
+                         f"dimension {dim}: it needs p > {dim / (dim - 2):g}")
     return base ** (1.0 / (p - 1.0))
 
 
@@ -99,8 +100,9 @@ class SingularSolutionTable:
     The solver's dense output ``dense`` represents u* and u*' on its whole
     range [dense.t_min, R_max], and the optional ``spec`` gives the patch
     formula below that.  The table ``r``, ``u``, ``du`` in dimension ``dim``
-    is the dense output sampled on [r_patch, R_max]: the CSV artifact and
-    the nodes of the flux, Pohozaev and asymptotic-ratio checks.
+    is the dense output sampled on [r_patch, R_max]: the rows of
+    singular_table.csv and the nodes of the flux, Pohozaev and
+    asymptotic-ratio checks.
     ``tolerances`` holds the solver tolerances and the re-seed mismatch,
     ``cross_check`` the record of the regular shot; both are written to
     singular_verification.json.
@@ -144,12 +146,6 @@ class SingularSolutionTable:
     def du_star(self, r, spec: Optional[NonlinearitySpec] = None):
         """Profile derivative at radii in (0, R_max]."""
         return self._evaluate(r, spec, 1)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("r,u_star,du_star\n")
-            for r, u, du in zip(self.r, self.u, self.du):
-                fh.write(f"{r:.17g},{u:.17g},{du:.17g}\n")
 
 
 @dataclass

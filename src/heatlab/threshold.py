@@ -7,7 +7,6 @@ confirm that the sign of the perturbation alone decides the outcome.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Tuple, Union
@@ -397,6 +396,9 @@ class ScanReport:
         return [self.cases[a].classification for a in self.amplitudes]
 
     def rows(self):
+        """scan.csv rows, one per (amplitude, cap): amplitude,
+        classification, t_detect (nan if none), cap, sup and reaction
+        mass at the end."""
         for a in self.amplitudes:
             for cap in sorted(self.cases[a].outcomes):
                 o = self.cases[a].outcomes[cap]
@@ -404,23 +406,17 @@ class ScanReport:
                        o.t_detect if o.t_detect is not None else float("nan"),
                        float(cap), o.sup_final, o.mass_final)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("amplitude,classification,t_detect,cap,"
-                     "sup_final,reaction_mass_final\n")
-            for a, cls, td, cap, sf, mf in self.rows():
-                fh.write(f"{a:.17g},{cls},{td:.17g},{cap:.17g},"
-                         f"{sf:.17g},{mf:.17g}\n")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "config": self.config,
+    def to_dict(self) -> dict:
+        """Summary for scan.json; its config is a copy the caller may
+        extend."""
+        return {
+            "config": dict(self.config),
             "amplitudes": [float(a) for a in self.amplitudes],
             "classifications": self.classifications(),
             "cap_stable": [bool(self.cases[a].cap_stable)
                            for a in self.amplitudes],
             "t_detect": [self.cases[a].t_detect for a in self.amplitudes],
-        }, indent=2)
+        }
 
 
 def _check_monotone(amps: np.ndarray, classes: list) -> None:

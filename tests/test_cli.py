@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from heatlab.cli import RunConfig, load_config, main
+from heatlab.cli import Artifacts, RunConfig, load_config, main
+from heatlab.evolution import RadialField, make_grid
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,13 @@ def test_config_error_exit_code(tmp_path, capsys):
      "caps must not repeat an entry, got '1e4,1e4'"),
     (["scan", "--amplitudes=0.1,-0.3,1e-1"],
      "amplitudes must not repeat an entry, got '0.1,-0.3,1e-1'"),
+    # pure powers at or below N/(N-2) have no singular profile to start from
+    (["evolve", "--family", "pure-power", "--p", "1.5", "--dim", "3"],
+     "no positive singular profile for p = 1.5 in dimension 3"),
+    (["iterate", "--family", "pure-power", "--p", "3", "--dim", "3"],
+     "it needs p > 3"),
+    (["scan", "--family", "pure-power", "--p", "2", "--dim", "3"],
+     "no positive singular profile"),
 ])
 def test_bad_run_option_is_config_error(tmp_path, monkeypatch, capsys, argv,
                                         message):
@@ -150,6 +158,34 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# artifact writer
+# ---------------------------------------------------------------------------
+
+def test_snapshot_csv(tmp_path):
+    g = make_grid(3, 2.0, 9)
+    fld = RadialField(g, np.ones(g.n_nodes))
+    out = Artifacts(tmp_path)
+    out.write_csv("snap.csv", ("t", "r", "u"),
+                  ((t, r, u) for t, f in [(0.0, fld), (0.5, fld)]
+                   for r, u in zip(f.grid.r, f.u)))
+    out.commit()
+    lines = (tmp_path / "snap.csv").read_text().splitlines()
+    assert lines[0] == "t,r,u"
+    assert len(lines) == 1 + 2 * g.n_nodes
+
+
+def test_norm_series_csv(tmp_path):
+    out = Artifacts(tmp_path)
+    out.write_csv("norms.csv", ("t", "sup_norm", "l1ul_norm", "f_mass_inner"),
+                  [(0.0, 1.0, 2.0, 3.0), (0.1, 1.5, 2.5, 3.5)])
+    out.commit()
+    lines = (tmp_path / "norms.csv").read_text().splitlines()
+    assert lines[0] == "t,sup_norm,l1ul_norm,f_mass_inner"
+    assert len(lines) == 3
+
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ semigroup action, uniformly local norms and the IMEX stepper."""
 
 import itertools
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -27,8 +26,6 @@ from heatlab.evolution import (
     stability_dt,
     step_imex,
     ul_norm,
-    write_norm_series_csv,
-    write_snapshot_csv,
 )
 from heatlab.iteration import LadderSeed, run_ladder
 from heatlab.nonlinearity import power_exp, pure_power
@@ -179,20 +176,21 @@ def test_strong_continuity(grid3):
     assert errs[2] < 1e-3
 
 
-def test_operator_cache_evicts_least_recently_used(monkeypatch):
-    assert evolution._OPERATOR_CACHE_SIZE >= 64
-    monkeypatch.setattr(evolution, "_OPERATOR_CACHE", OrderedDict())
-    monkeypatch.setattr(evolution, "_OPERATOR_CACHE_SIZE", 3)
+def test_operator_cache_lives_on_the_grid():
     g = make_grid(3, 4.0, 16)
-    ops = [semigroup_operator(g, t) for t in (0.01, 0.02, 0.03)]
-    # a hit returns the cached object and makes it the most recent entry
-    assert semigroup_operator(g, 0.01) is ops[0]
-    semigroup_operator(g, 0.04)
-    assert len(evolution._OPERATOR_CACHE) == 3
-    assert semigroup_operator(g, 0.01) is ops[0]
-    assert semigroup_operator(g, 0.03) is ops[2]
-    # 0.02 was the least recently used entry at the bound: rebuilt
-    assert semigroup_operator(g, 0.02) is not ops[1]
+    cubic = semigroup_operator(g, 0.01)
+    # one grid builds one operator per (t, interp)
+    assert semigroup_operator(g, 0.01) is cubic
+    assert semigroup_operator(g, np.float64(0.01), "cubic") is cubic
+    linear = semigroup_operator(g, 0.01, "linear")
+    assert linear is not cubic and linear.interp == "linear"
+    assert semigroup_operator(g, 0.01, "linear") is linear
+    assert set(g.semigroup_operators) == {(0.01, "cubic"), (0.01, "linear")}
+    # a refined grid builds its own
+    fine = g.refined()
+    op = semigroup_operator(fine, 0.01)
+    assert op is not cubic and op.grid is fine
+    assert set(fine.semigroup_operators) == {(0.01, "cubic")}
 
 
 def test_dirichlet_extension_feeds_boundary_value():
@@ -661,25 +659,3 @@ def test_invalid_dt_rejected():
     fld = RadialField(g, np.ones(g.n_nodes))
     with pytest.raises(ValueError):
         step_imex(fld, None, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_snapshot_csv(tmp_path):
-    g = make_grid(3, 2.0, 9)
-    fld = RadialField(g, np.ones(g.n_nodes))
-    path = tmp_path / "snap.csv"
-    write_snapshot_csv(path, [(0.0, fld), (0.5, fld)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,r,u"
-    assert len(lines) == 1 + 2 * g.n_nodes
-
-
-def test_norm_series_csv(tmp_path):
-    path = tmp_path / "norms.csv"
-    write_norm_series_csv(path, [(0.0, 1.0, 2.0, 3.0), (0.1, 1.5, 2.5, 3.5)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,sup_norm,l1ul_norm,f_mass_inner"
-    assert len(lines) == 3

@@ -249,7 +249,7 @@ def test_ladder_report_serializes(table_cubic):
     u0 = RadialField(g, 0.9 * envelope.u, envelope.cap_mask.copy())
     ladder = run_ladder("from_below", u0, CUBIC, 0.01, k_max=3,
                         ladder_tol=0.0)
-    doc = json.loads(ladder.to_json())
+    doc = json.loads(json.dumps(ladder.to_dict()))
     assert doc["seed"] == "from_below"
     assert doc["k"] == 3
     assert len(doc["sup_norm_per_iterate"]) == 4

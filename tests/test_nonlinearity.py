@@ -390,7 +390,7 @@ def test_sobolev_exponent():
 def test_admissibility_exponential_families_all_pass():
     for spec in (power_exp(5.0, 2.0), cutoff_exp(20.0)):
         report = check_admissibility(spec, dim=3)
-        assert report.all_pass, report.to_json()
+        assert report.all_pass, report.to_dict()
         fpF = report.limit_estimates["fprime_F"]["value"]
         assert fpF == pytest.approx(1.0, abs=1e-3)
 
@@ -413,7 +413,7 @@ def test_admissibility_supercritical_power_passes_deficit():
 
 def test_admissibility_report_serializes():
     report = check_admissibility(power_exp(5.0, 2.0), dim=3)
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_dict()))
     assert doc["all_pass"] is True
     names = {c["condition"] for c in doc["conditions"]}
     assert names == {"A1", "A2", "A3", "A4"}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from heatlab.cli import Artifacts
 from heatlab.errors import OutOfRange
 from heatlab.nonlinearity import (
     NonlinearitySpec,
@@ -406,9 +407,13 @@ def test_power_law_profile_fails_log_growth_check(table_cubic):
 # ---------------------------------------------------------------------------
 
 def test_table_roundtrips_through_csv(tmp_path, table_power_exp):
-    path = tmp_path / "profile.csv"
-    table_power_exp.to_csv(path)
-    with open(path) as fh:
+    t = table_power_exp
+    out = Artifacts(tmp_path)
+    # the rows `heatlab singular` writes to singular_table.csv
+    out.write_csv("profile.csv", ("r", "u_star", "du_star"),
+                  zip(t.r, t.u, t.du))
+    out.commit()
+    with open(tmp_path / "profile.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["r", "u_star", "du_star"]
     data = np.array(rows[1:], dtype=float)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from heatlab.cli import Artifacts
 from heatlab.errors import NonMonotoneScan, OutOfRange
 from heatlab.nonlinearity import power_exp, pure_power
 from heatlab.singular_ode import build_singular
@@ -233,15 +234,26 @@ def test_scan_report_serialization(tmp_path):
                         "BlowUp", True, 0.25),
     }
     rep = ScanReport(amps, cases, {"horizon": 0.5, "caps": [1e4]})
-    path = tmp_path / "scan.csv"
-    rep.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    out = Artifacts(tmp_path)
+    # the header `heatlab scan` writes to scan.csv
+    out.write_csv("scan.csv", ("amplitude", "classification", "t_detect",
+                               "cap", "sup_final", "reaction_mass_final"),
+                  rep.rows())
+    out.commit()
+    lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert lines[0] == ("amplitude,classification,t_detect,cap,"
                         "sup_final,reaction_mass_final")
     assert len(lines) == 3
     assert "BlowUp" in lines[2]
+    # no detection time is written as nan
+    assert lines[1].split(",")[:3] == ["-0.10000000000000001",
+                                       "GlobalBounded", "nan"]
 
-    doc = json.loads(rep.to_json())
+    doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["config"]["horizon"] == 0.5
     assert doc["classifications"] == ["GlobalBounded", "BlowUp"]
     assert doc["t_detect"] == [None, 0.25]
+    # the caller may extend the dict's config without touching the report's
+    fresh = rep.to_dict()
+    fresh["config"]["run"] = {"family": "pure-power"}
+    assert rep.config == {"horizon": 0.5, "caps": [1e4]}
