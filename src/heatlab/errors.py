@@ -31,7 +31,12 @@ class LinearSolveFailure(HeatLabError):
 
 
 class ReactionOverflow(HeatLabError):
-    """The explicit reaction increment exceeded the overflow guard."""
+    """The explicit reaction increment exceeded the overflow guard; blocks
+    lists the blocks of a stacked step that did."""
+
+    def __init__(self, message, blocks=()):
+        super().__init__(message)
+        self.blocks = blocks
 
 
 class TimeMeshMismatch(HeatLabError):

@@ -3,10 +3,12 @@
 Provides the grid/field containers, the action of the heat semigroup
 through the exact radially-reduced Gaussian kernel, uniformly local norms
 from a unit-ball window quadrature built once per grid, and an IMEX time
-stepper (implicit diffusion, explicit reaction).  A step builds the three
-tridiagonal bands from coefficients each grid computes once and hands them
-to LAPACK's gtsv directly, which solves in place; fields derived by a step
-share their read-only cap mask.  Each grid also keeps the S(t) operators
+stepper (implicit diffusion, explicit reaction).  ImexStack steps fields on
+several grids at once, each with its own dt: it builds the tridiagonal
+bands of one block-diagonal system from coefficients each grid computes
+once and hands them to LAPACK's gtsv directly, which solves in place.
+step_imex is its one-block case; fields derived by a step share their
+read-only cap mask.  Each grid also keeps the S(t) operators
 built on it.  The module writes no files: the CLI's Artifacts writes the
 norm series and snapshots of a run.
 """
@@ -38,6 +40,7 @@ __all__ = [
     "apply_semigroup",
     "semigroup_operator",
     "ul_norm",
+    "ImexStack",
     "step_imex",
     "stability_dt",
 ]
@@ -113,6 +116,11 @@ class RadialGrid:
         for a in (cond, c_sum):
             a.setflags(write=False)
         return self.cell_volumes, cond, c_sum
+
+    @cached_property
+    def imex_block(self) -> "ImexStack":
+        """This grid as the one block of an ImexStack (see step_imex)."""
+        return ImexStack((self,))
 
     @cached_property
     def origin_window(self):
@@ -535,38 +543,109 @@ def ul_norm(field: RadialField, p: float = 1.0) -> ULNormEstimate:
 REACTION_GUARD = 1e100
 
 
-def _reaction(spec: NonlinearitySpec, u: np.ndarray, dt: float) -> np.ndarray:
-    """f(u) for the reaction increment dt * f(u) (dt = 1 guards f itself);
-    ReactionOverflow when f is non-finite or dt * f > REACTION_GUARD."""
+def _reaction(spec: NonlinearitySpec, u: np.ndarray, dt,
+              starts=(0,)) -> np.ndarray:
+    """f(u) for the reaction increment dt * f(u) (dt = 1 guards f itself).
+
+    u may stack blocks, its flat values from each of starts on, with one
+    dt each.  ReactionOverflow, listing the blocks in its `blocks`, when f
+    is non-finite in a block or dt * f > REACTION_GUARD there.
+    """
     with np.errstate(over="ignore"):
         fu = np.asarray(spec.f(u), dtype=float)
-    if not np.isfinite(fu).all() or float(fu.max()) * dt > REACTION_GUARD:
-        raise ReactionOverflow(f"reaction overflow at u={np.max(u):.3e}")
+    flat = fu.reshape(-1)
+    over = ~np.logical_and.reduceat(np.isfinite(flat), starts)
+    over |= np.maximum.reduceat(flat, starts) * dt > REACTION_GUARD
+    if over.any():
+        peak = np.maximum.reduceat(np.reshape(u, -1), starts)[over].max()
+        raise ReactionOverflow(f"reaction overflow at u={peak:.3e}",
+                               blocks=np.flatnonzero(over).tolist())
     return fu
 
 
-def _laplacian_bands(grid: RadialGrid, dt: float):
-    """Sub-, main and super-diagonal of I - dt*L for the finite-volume
-    radial Laplacian with metric weights r^{N-1}, reflecting at the origin;
-    three fresh arrays, which the solver may overwrite."""
-    vol, cond, c_sum = grid.diffusion_coefficients
-    flux = -dt * cond
-    lower = flux / vol[1:]
-    diag = 1.0 + dt * c_sum / vol
-    upper = flux / vol[:-1]
-    if grid.bc.kind == "dirichlet":
-        lower[-1] = 0.0
-        diag[-1] = 1.0
-    return lower, diag, upper
+class ImexStack:
+    """IMEX steps of fields on several grids as one block-diagonal solve.
+
+    Block k holds the nodal values of grids[k] in rows starts[k]:stops[k]
+    of one stacked array and steps with its own dt.  The coupling entries
+    between blocks are 0, so gtsv, which pivots on neither side of a zero
+    coupling, gives each block bit for bit its result alone: step_imex is
+    the one-block case.  Non-finite values do cross a zero coupling
+    (0 * inf = NaN), which is why an overflowing reaction stops the step
+    before the solve.
+    """
+
+    def __init__(self, grids):
+        self.sizes = np.array([g.n_nodes for g in grids])
+        self.stops = np.cumsum(self.sizes)
+        self.starts = self.stops - self.sizes
+        # (start, stop) of each block as Python ints, for slicing
+        self.bounds = list(zip(self.starts.tolist(), self.stops.tolist()))
+        coefs = [g.diffusion_coefficients for g in grids]
+        self.vol = np.concatenate([vol for vol, _, _ in coefs])
+        # face conductances with a 0 between one block's last node and the
+        # next block's first
+        self.cond = np.concatenate(
+            [np.append(cond, 0.0) for _, cond, _ in coefs])[:-1]
+        self.c_sum = np.concatenate([c_sum for _, _, c_sum in coefs])
+        pinned = [k for k, g in enumerate(grids) if g.bc.kind == "dirichlet"]
+        # the Dirichlet rows: the last node of such a block
+        self.pinned = self.stops[pinned] - 1
+        self.pinned_values = np.array([grids[k].bc.value for k in pinned])
+
+    def bands(self, dt: np.ndarray):
+        """Sub-, main and super-diagonal of I - dt*L for the per-node time
+        steps dt, L the finite-volume radial Laplacian with metric weights
+        r^{N-1}, reflecting at the origin; three fresh arrays, which the
+        solver may overwrite."""
+        flux = -dt[:-1] * self.cond
+        lower = flux / self.vol[1:]
+        diag = 1.0 + dt * self.c_sum / self.vol
+        upper = flux / self.vol[:-1]
+        lower[self.pinned - 1] = 0.0
+        diag[self.pinned] = 1.0
+        return lower, diag, upper
+
+    def step(self, u: np.ndarray, spec: Optional[NonlinearitySpec],
+             dts) -> np.ndarray:
+        """One IMEX step of the stacked values u, block k by dts[k]:
+        explicit reaction, then backward-Euler diffusion; a fresh array.
+        ReactionOverflow, before any solve, when the reaction of a block
+        overflows (see _reaction).
+        """
+        dts = np.asarray(dts, dtype=float)
+        dt = dts.repeat(self.sizes)
+        if spec is not None:
+            u_half = u + dt * _reaction(spec, u, dts, self.starts)
+        else:
+            u_half = u.copy()
+        u_half[self.pinned] = self.pinned_values
+        # the tridiagonal LAPACK solver that solve_banded((1, 1), ...)
+        # calls, without its wrapper and input checks; every input is a
+        # fresh array
+        *_, u_new, info = dgtsv(*self.bands(dt), u_half, overwrite_dl=1,
+                                overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        if info != 0:   # singular matrix: should not happen
+            raise LinearSolveFailure(f"tridiagonal solve failed (info={info})")
+        if not np.isfinite(u_new).all():
+            raise LinearSolveFailure("non-finite diffusion solve")
+        return np.maximum(u_new, 0.0, out=u_new)
+
+
+def _stability_bound(spec: NonlinearitySpec, sup: float,
+                     dt_max: float) -> float:
+    """0.5 * min(dt_max, 1/f'(sup)) from the scalar f'; ReactionOverflow
+    when f'(sup) is not finite."""
+    fp = float(spec.fp(sup))
+    if not math.isfinite(fp):
+        raise ReactionOverflow(f"f'({sup:g}) overflows")
+    return 0.5 * min(dt_max, 1.0 / max(fp, 1e-300))
 
 
 def stability_dt(field: RadialField, spec: NonlinearitySpec,
                  dt_max: float = 1e-2) -> float:
     """Explicit-reaction stability bound 0.5 * min(dt_max, 1/f'(sup u))."""
-    fp = float(spec.fp(field.sup))
-    if not math.isfinite(fp):
-        raise ReactionOverflow(f"f'({field.sup:g}) overflows")
-    return 0.5 * min(dt_max, 1.0 / max(fp, 1e-300))
+    return _stability_bound(spec, field.sup, dt_max)
 
 
 def step_imex(field: RadialField, spec: Optional[NonlinearitySpec],
@@ -575,24 +654,9 @@ def step_imex(field: RadialField, spec: Optional[NonlinearitySpec],
 
     The implicit diffusion matrix is an M-matrix, so the step preserves
     nonnegativity and nodewise ordering for any dt; dt must still satisfy
-    the reaction stability bound for accuracy.
+    the reaction stability bound for accuracy.  It is ImexStack.step with
+    the field's grid as the one block.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    grid = field.grid
-    if spec is not None:
-        u_half = field.u + dt * _reaction(spec, field.u, dt)
-    else:
-        u_half = field.u.copy()
-    if grid.bc.kind == "dirichlet":
-        u_half[-1] = grid.bc.value
-    # the tridiagonal LAPACK solver that solve_banded((1, 1), ...) calls,
-    # without its wrapper and input checks; every input is a fresh array
-    *_, u_new, info = dgtsv(*_laplacian_bands(grid, dt), u_half,
-                            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                            overwrite_b=1)
-    if info != 0:   # singular matrix: should not happen
-        raise LinearSolveFailure(f"tridiagonal solve failed (info={info})")
-    if not np.isfinite(u_new).all():
-        raise LinearSolveFailure("non-finite diffusion solve")
-    return field.copy_with(np.maximum(u_new, 0.0, out=u_new))
+    return field.copy_with(field.grid.imex_block.step(field.u, spec, (dt,)))

@@ -3,6 +3,14 @@
 Evolves perturbed singular data with the IMEX stepper, classifies each run
 as globally bounded or blowing up, and sweeps signed bump amplitudes to
 confirm that the sign of the perturbation alone decides the outcome.
+
+A run is one (perturbation, cap) pair.  The runs of a scan, and the caps
+of run_case, advance in lockstep: an iteration does each active run's
+scalar bookkeeping (sup, stability dt, divergence test, horizon, sample
+clamp) and then steps them all through one ImexStack solve, one f call
+and one tridiagonal gtsv with each run's block at its own dt.  So a scan
+costs as many iterations as its longest run, and each run's results are
+bit for bit those it gets alone.
 """
 
 from __future__ import annotations
@@ -18,12 +26,12 @@ from .errors import NonMonotoneScan, OutOfRange, ReactionOverflow
 from .evolution import (
     GEOMETRIC_SHARE,
     BoundaryCondition,
+    ImexStack,
     RadialField,
     RadialGrid,
+    _stability_bound,
     make_grid,
     sphere_area,
-    stability_dt,
-    step_imex,
     transition_radius,
     ul_norm,
 )
@@ -45,6 +53,7 @@ MASS_GUARD = 1e6         # inner reaction mass must grow by this factor
 DT_UNDERFLOW = 1e-12     # adaptive step collapse corroborates divergence
 PLATEAU_SLACK = 1.02     # allowed relative rise of the sup over the tail
 N_SAMPLES = 64           # sup/mass/dt samples recorded per evolution
+MAX_STEPS = 2_000_000    # steps after which an evolution stays Undetermined
 
 
 @dataclass(frozen=True)
@@ -212,19 +221,6 @@ def case_grid(table, cap: float, dim: int, R_outer: float, n_nodes: int,
     return make_grid(dim, R_outer, n_nodes, r1_frac=r1_frac, bc=bc)
 
 
-def _inner_mass(field: RadialField, spec: Optional[NonlinearitySpec],
-                r_star: float) -> float:
-    """Reaction mass of f(u) over the ball of radius r_star."""
-    if spec is None:
-        return 0.0
-    grid = field.grid
-    sel = grid.r <= r_star
-    with np.errstate(over="ignore"):
-        fu = np.asarray(spec.f(np.minimum(field.u[sel], 1e60)), dtype=float)
-    fu = np.minimum(np.nan_to_num(fu, posinf=1e200), 1e200)
-    return float(sphere_area(grid.dim) * np.sum(fu * grid.cell_volumes[sel]))
-
-
 def _excess_over_star(field: RadialField, star: np.ndarray,
                       r: np.ndarray, r_min: float) -> float:
     sel = (r >= r_min) & np.isfinite(star)
@@ -246,10 +242,13 @@ def run_case(spec: Optional[NonlinearitySpec], table,
     slack) over the final half.  Anything else is Undetermined.  The case
     verdict is the shared per-cap verdict when all caps agree, else
     Undetermined with cap_stable=False.  A repeated cap is a ValueError.
+    The caps' runs step in lockstep (see _evolve).
     """
     grids = _case_grids(spec, table, _distinct("caps", caps), R_outer,
                         n_nodes)
-    return _run_on_grids(spec, table, pert, grids, horizon)
+    runs = _runs(spec, table, pert, grids, horizon)
+    _evolve(spec, runs)
+    return _case_report(runs)
 
 
 def _case_grids(spec, table, caps: list, R_outer: float,
@@ -275,19 +274,18 @@ def _distinct(name: str, values: Sequence[float], shown=None) -> list:
     return values
 
 
-def _run_on_grids(spec, table, pert: Perturbation, grids: dict,
-                  horizon: float) -> CaseReport:
-    """run_case on prebuilt case grids, one per cap (see _case_grids)."""
-    outcomes = {}
-    for cap, (grid, star) in grids.items():
-        u0, side = initial_data(table, grid, pert, cap, spec, star)
-        # floor at R/8: on cap-resolving grids the ten innermost cells
-        # collapse into the unresolved core, below where a desk-scale
-        # divergence can localize
-        r_star = max(float(grid.r[min(10, grid.n_nodes - 1)]),
-                     grid.R_outer / 8.0)
-        outcomes[cap] = _evolve_and_classify(
-            spec, star, u0, side, horizon, cap, r_star)
+def _runs(spec, table, pert: Perturbation, grids: dict,
+          horizon: float) -> list:
+    """One _Run of pert per cap, on prebuilt case grids (see
+    _case_grids)."""
+    return [_Run(spec, *initial_data(table, grid, pert, cap, spec, star),
+                 star, horizon, cap)
+            for cap, (grid, star) in grids.items()]
+
+
+def _case_report(runs: list) -> CaseReport:
+    """The CaseReport of one perturbation's runs, one per cap."""
+    outcomes = {run.cap: run.outcome() for run in runs}
     verdicts = {o.classification for o in outcomes.values()}
     cap_stable = len(verdicts) == 1
     classification = verdicts.pop() if cap_stable else "Undetermined"
@@ -299,89 +297,172 @@ def _run_on_grids(spec, table, pert: Perturbation, grids: dict,
                       t_detect=max(detects) if detects else None)
 
 
-def _evolve_and_classify(spec, star: np.ndarray, u0: RadialField,
-                         side: str, horizon: float, cap: float,
-                         r_star: float) -> EvolutionOutcome:
-    grid = u0.grid
-    sample_times = np.geomspace(horizon / 1e4, horizon, N_SAMPLES)
+class _Run:
+    """One evolution of perturbed data at one cap: its clock, its sample
+    schedule, its records and its verdict.  _evolve steps it; between
+    steps the run only sees its own values."""
 
-    times, sups, l1s, masses, snapshots = [], [], [], [], []
+    def __init__(self, spec, u0: RadialField, side: str, star: np.ndarray,
+                 horizon: float, cap: float):
+        grid = u0.grid
+        self.spec, self.u0, self.side, self.star = spec, u0, side, star
+        self.horizon, self.cap = horizon, cap
+        self.samples = np.geomspace(horizon / 1e4, horizon,
+                                    N_SAMPLES).tolist()
+        self.next_sample = 0
+        self.t = 0.0
+        self.classification = "Undetermined"
+        self.t_detect = None
+        # floor at R/8: on cap-resolving grids the ten innermost cells
+        # collapse into the unresolved core, below where a desk-scale
+        # divergence can localize; the nodes with r <= r_star are a prefix
+        r_star = max(float(grid.r[min(10, grid.n_nodes - 1)]),
+                     grid.R_outer / 8.0)
+        n_inner = int(np.searchsorted(grid.r, r_star, side="right"))
+        self.inner_volumes = grid.cell_volumes[:n_inner]
+        self.area = sphere_area(grid.dim)
+        self.times, self.sups, self.l1s, self.masses = [], [], [], []
+        self.snapshots = []
+        self._record(u0)
+        self.mass0 = max(self.masses[0], 1e-300)
+        self.excess = _excess_over_star(u0, star, grid.r, 0.1) \
+            if side == "below" else None
 
-    def record(t, fld: RadialField):
-        times.append(float(t))
-        sups.append(fld.sup)
-        l1s.append(ul_norm(fld, 1.0).norm)
-        masses.append(_inner_mass(fld, spec, r_star))
-        snapshots.append((float(t), fld))
+    def inner_mass(self, u: np.ndarray) -> float:
+        """Reaction mass of f(u) over the ball of radius r_star."""
+        if self.spec is None:
+            return 0.0
+        with np.errstate(over="ignore"):
+            fu = np.asarray(self.spec.f(np.minimum(
+                u[:len(self.inner_volumes)], 1e60)), dtype=float)
+        # for f >= 0 this is nan_to_num(fu, posinf=1e200) capped at 1e200
+        fu[np.isnan(fu)] = 0.0
+        np.minimum(fu, 1e200, out=fu)
+        return float(self.area * np.sum(fu * self.inner_volumes))
 
-    record(0.0, u0)
-    mass0 = max(masses[0], 1e-300)
-    excess = _excess_over_star(u0, star, grid.r, 0.1) if side == "below" \
-        else None
+    def _record(self, fld: RadialField) -> RadialField:
+        self.times.append(float(self.t))
+        self.sups.append(fld.sup)
+        self.l1s.append(ul_norm(fld, 1.0).norm)
+        self.masses.append(self.inner_mass(fld.u))
+        self.snapshots.append((float(self.t), fld))
+        return fld
 
-    cur, t = u0, 0.0
-    t_detect = None
-    classification = "Undetermined"
-    next_sample = 0
-    max_steps = 2_000_000
-    for _ in range(max_steps):
+    def _snapshot(self, u: np.ndarray) -> RadialField:
+        """Record values u, a block of the stacked array, as a field that
+        owns a copy of them."""
+        return self._record(self.u0.copy_with(u.copy()))
+
+    def next_dt(self, u: np.ndarray, sup: float) -> Optional[float]:
+        """The step from values u with sup-norm sup, or None when the run
+        ends here: diverged (BlowUp, recorded) or at the horizon."""
+        spec, t, horizon = self.spec, self.t, self.horizon
         if spec is not None:
             try:
-                dt_stab = stability_dt(cur, spec, dt_max=horizon / 50.0)
+                dt_stab = _stability_bound(spec, sup, horizon / 50.0)
             except ReactionOverflow:
                 dt_stab = 0.0
         else:
             dt_stab = 0.5 * horizon / 50.0
-        diverged = (cur.sup > SUP_GUARD
-                    and _inner_mass(cur, spec, r_star) > MASS_GUARD * mass0
-                    and dt_stab < DT_UNDERFLOW)
-        if diverged:
-            classification = "BlowUp"
-            t_detect = float(t)
-            record(t, cur)
-            break
+        if (sup > SUP_GUARD
+                and self.inner_mass(u) > MASS_GUARD * self.mass0
+                and dt_stab < DT_UNDERFLOW):
+            self.classification = "BlowUp"
+            self.t_detect = float(t)
+            self._snapshot(u)
+            return None
         if t >= horizon:
-            break
+            return None
         dt = min(dt_stab if dt_stab > 0 else DT_UNDERFLOW, horizon - t)
-        while (next_sample < len(sample_times)
-               and sample_times[next_sample] <= t):
-            next_sample += 1
-        if next_sample < len(sample_times):
-            dt = min(dt, sample_times[next_sample] - t)
-        try:
-            cur = step_imex(cur, spec, dt)
-        except ReactionOverflow:
-            classification = "BlowUp" if cur.sup > SUP_GUARD \
-                else "Undetermined"
-            t_detect = float(t) if classification == "BlowUp" else None
-            record(t, cur)
-            break
-        t += dt
-        if (next_sample < len(sample_times)
-                and t >= sample_times[next_sample] * (1 - 1e-12)):
-            record(t, cur)
-            if side == "below":
-                excess = max(excess,
-                             _excess_over_star(cur, star, grid.r, 0.1))
-            next_sample += 1
+        samples, k = self.samples, self.next_sample
+        while k < len(samples) and samples[k] <= t:
+            k += 1
+        self.next_sample = k
+        if k < len(samples):
+            dt = min(dt, samples[k] - t)
+        return dt
 
-    if classification != "BlowUp" and t >= horizon:
-        sups_arr = np.asarray(sups)
-        times_arr = np.asarray(times)
-        tail = sups_arr[times_arr >= 0.5 * horizon]
-        finite = np.all(np.isfinite(sups_arr))
-        if (finite and len(tail) >= 2 and tail[-1] <= PLATEAU_SLACK * tail[0]
-                and tail.max() <= PLATEAU_SLACK * tail[0]):
-            classification = "GlobalBounded"
+    def overflowed(self, u: np.ndarray, sup: float) -> None:
+        """The reaction of the step from u overflowed: the run ends, as
+        BlowUp when its sup-norm is past the guard, else Undetermined."""
+        if sup > SUP_GUARD:
+            self.classification = "BlowUp"
+            self.t_detect = float(self.t)
+        self._snapshot(u)
 
-    return EvolutionOutcome(classification=classification, cap=cap,
-                            t_detect=t_detect,
-                            times=np.asarray(times),
-                            sup_series=np.asarray(sups),
-                            l1ul_series=np.asarray(l1s),
-                            mass_series=np.asarray(masses),
-                            snapshots=snapshots, side=side,
-                            one_sided_excess=excess)
+    def advance(self, dt: float, u: np.ndarray) -> None:
+        """The step of dt reached values u; record them at a sample
+        time."""
+        self.t += dt
+        k = self.next_sample
+        if k < len(self.samples) and self.t >= self.samples[k] * (1 - 1e-12):
+            fld = self._snapshot(u)
+            if self.side == "below":
+                self.excess = max(self.excess, _excess_over_star(
+                    fld, self.star, fld.grid.r, 0.1))
+            self.next_sample = k + 1
+
+    def outcome(self) -> EvolutionOutcome:
+        """The classified evolution once the run has ended."""
+        classification = self.classification
+        if classification != "BlowUp" and self.t >= self.horizon:
+            sups_arr = np.asarray(self.sups)
+            times_arr = np.asarray(self.times)
+            tail = sups_arr[times_arr >= 0.5 * self.horizon]
+            finite = np.all(np.isfinite(sups_arr))
+            if (finite and len(tail) >= 2
+                    and tail[-1] <= PLATEAU_SLACK * tail[0]
+                    and tail.max() <= PLATEAU_SLACK * tail[0]):
+                classification = "GlobalBounded"
+        return EvolutionOutcome(classification=classification, cap=self.cap,
+                                t_detect=self.t_detect,
+                                times=np.asarray(self.times),
+                                sup_series=np.asarray(self.sups),
+                                l1ul_series=np.asarray(self.l1s),
+                                mass_series=np.asarray(self.masses),
+                                snapshots=self.snapshots, side=self.side,
+                                one_sided_excess=self.excess)
+
+
+def _evolve(spec, runs: list) -> None:
+    """Step every run to its end in lockstep.
+
+    An iteration takes one max per run over the stacked values, does each
+    active run's scalar bookkeeping (stability dt, divergence test,
+    horizon, sample clamp), then advances all of them through one
+    ImexStack.step: one f call and one tridiagonal solve, each block with
+    its run's own dt.  A run that ends leaves the stack; so does one whose
+    reaction overflows, before the solve, while the others step on.  Each
+    run sees exactly the steps it would take alone.
+    """
+    active = list(runs)
+    stack = ImexStack([run.u0.grid for run in active])
+    u = np.concatenate([run.u0.u for run in active])
+    for _ in range(MAX_STEPS):
+        sups = np.maximum.reduceat(u, stack.starts).tolist()
+        blocks = [u[a:b] for a, b in stack.bounds]
+        dts = [run.next_dt(block, sup)
+               for run, block, sup in zip(active, blocks, sups)]
+        ended = [k for k, dt in enumerate(dts) if dt is None]
+        while True:
+            if ended:
+                keep = [k for k in range(len(active)) if k not in ended]
+                active = [active[k] for k in keep]
+                if not active:
+                    return
+                stack = ImexStack([run.u0.grid for run in active])
+                u = np.concatenate([blocks[k] for k in keep])
+                blocks, sups, dts = ([x[k] for k in keep]
+                                     for x in (blocks, sups, dts))
+            try:
+                u = stack.step(u, spec, dts)
+                break
+            except ReactionOverflow as exc:
+                for k in exc.blocks:
+                    active[k].overflowed(blocks[k], sups[k])
+                ended = exc.blocks
+        for run, dt, (a, b) in zip(active, dts, stack.bounds):
+            run.advance(dt, u[a:b])
 
 
 @dataclass
@@ -451,10 +532,12 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     # every amplitude shares the caps, so each cap's grid and u* on its
     # nodes are built once
     grids = _case_grids(spec, table, caps, R_outer, n_nodes)
-    cases = {}
-    for a in amps.tolist():
-        bump = RadialBump(bump_shape.r_c, bump_shape.sigma, a)
-        cases[a] = _run_on_grids(spec, table, bump, grids, horizon)
+    runs = {a: _runs(spec, table,
+                     RadialBump(bump_shape.r_c, bump_shape.sigma, a),
+                     grids, horizon)
+            for a in amps.tolist()}
+    _evolve(spec, [run for case in runs.values() for run in case])
+    cases = {a: _case_report(case) for a, case in runs.items()}
     _check_monotone(amps, [cases[a].classification for a in amps])
     return ScanReport(amplitudes=amps, cases=cases, config={
         "r_c": bump_shape.r_c, "sigma": bump_shape.sigma,

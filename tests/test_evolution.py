@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.special import betainc
 
 from heatlab import evolution
 from heatlab.errors import ReactionOverflow
 from heatlab.evolution import (
     BoundaryCondition,
+    ImexStack,
     RadialField,
-    _laplacian_bands,
     _log_angular,
     _window_quadrature,
     apply_semigroup,
@@ -30,6 +31,7 @@ from heatlab.evolution import (
 from heatlab.iteration import LadderSeed, run_ladder
 from heatlab.nonlinearity import power_exp, pure_power
 from heatlab.singular_ode import build_singular
+from heatlab.threshold import case_grid
 
 CUBIC = pure_power(3.0)
 
@@ -615,7 +617,7 @@ def test_step_solve_matches_solve_banded(dim, n_nodes, bc):
             rhs = rhs + dt * evolution._reaction(spec, fld.u, dt)
         if bc.kind == "dirichlet":
             rhs[-1] = bc.value
-        lower, diag, upper = _laplacian_bands(g, dt)
+        lower, diag, upper = g.imex_block.bands(np.full(n_nodes, dt))
         ab = _banded_reference(g, dt)
         assert lower.tobytes() == ab[2, :-1].tobytes()
         assert diag.tobytes() == ab[1].tobytes()
@@ -624,6 +626,69 @@ def test_step_solve_matches_solve_banded(dim, n_nodes, bc):
         out = step_imex(fld, spec, dt).u
         assert out.tobytes() == np.maximum(ref, 0.0).tobytes(), (spec, dt)
         assert fld.u.tobytes() == u0.tobytes()    # the input stays as it was
+
+
+@pytest.fixture(scope="module")
+def unequal_blocks(table_cubic):
+    """Grids of unequal length with data on each: the case grids of caps
+    1e4 and 1e8 (Dirichlet, 129 and 178 nodes) carrying the capped
+    profile, and two Neumann grids carrying a random decaying field."""
+    rng = np.random.default_rng(18)
+    blocks = []
+    for cap in (1e4, 1e8):
+        g = case_grid(table_cubic, cap, 5, 8.0, 129, CUBIC)
+        blocks.append(field_from_table(table_cubic, g, cap=cap, spec=CUBIC))
+    for dim, n in ((3, 65), (5, 100)):
+        g = make_grid(dim, 8.0, n)
+        blocks.append(RadialField(g, 1.0 / (1.0 + g.r ** 2)
+                                  + rng.uniform(0.0, 0.1, n)))
+    return blocks
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 1, 0, 2)])
+@pytest.mark.parametrize("spec", [None, CUBIC])
+def test_stacked_step_is_step_imex_per_block(unequal_blocks, order, spec):
+    # gtsv with zero couplings between blocks gives each block exactly the
+    # solve of the block alone, each at its own dt
+    fields = [unequal_blocks[k] for k in order]
+    assert [f.grid.n_nodes for f in unequal_blocks] == [129, 178, 65, 100]
+    dts = [(1e-9, 3e-13, 1e-3, 2e-4)[k] for k in order]
+    stack = ImexStack([f.grid for f in fields])
+    u = np.concatenate([f.u for f in fields])
+    out = stack.step(u, spec, dts)
+    assert not np.shares_memory(out, u)
+    for f, dt, a, b in zip(fields, dts, stack.starts, stack.stops):
+        assert out[a:b].tobytes() == step_imex(f, spec, dt).u.tobytes()
+    assert u.tobytes() == np.concatenate([f.u for f in fields]).tobytes()
+
+
+def test_stacked_step_names_overflowing_blocks(unequal_blocks):
+    spec = power_exp(5.0, 2.0)
+    hot = RadialField(unequal_blocks[2].grid, np.full(65, 500.0))
+    fields = [unequal_blocks[3], hot, unequal_blocks[2]]
+    stack = ImexStack([f.grid for f in fields])
+    with pytest.raises(ReactionOverflow) as err:
+        stack.step(np.concatenate([f.u for f in fields]), spec,
+                   [1e-6, 1e-6, 1e-6])
+    assert list(err.value.blocks) == [1]
+    # step_imex is the one-block case and names its block too
+    with pytest.raises(ReactionOverflow) as err:
+        step_imex(hot, spec, 1e-6)
+    assert list(err.value.blocks) == [0]
+
+
+def test_inf_block_poisons_its_neighbours(unequal_blocks):
+    # why a block whose reaction overflows leaves the stack before the
+    # solve: 0 * inf = NaN crosses the zero couplings both ways
+    fields = unequal_blocks[:3]
+    stack = ImexStack([f.grid for f in fields])
+    dts = np.repeat([1e-9, 1e-6, 1e-3], stack.sizes)
+    rhs = np.concatenate([f.u for f in fields])
+    rhs[stack.starts[1] + 5] = np.inf
+    *_, x, info = dgtsv(*stack.bands(dts), rhs)
+    assert info == 0
+    for a, b in zip(stack.starts, stack.stops):
+        assert np.isnan(x[a:b]).any()
 
 
 def test_reaction_overflow_raised():

@@ -1,20 +1,24 @@
 """Tests for perturbed-profile evolution experiments and the sign scan."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from heatlab.cli import Artifacts
 from heatlab.errors import NonMonotoneScan, OutOfRange
+from heatlab.evolution import sphere_area
 from heatlab.nonlinearity import power_exp, pure_power
 from heatlab.singular_ode import build_singular
 from heatlab.threshold import (
+    SUP_GUARD,
     CaseReport,
     EvolutionOutcome,
     RadialBump,
     ScanReport,
     Truncation,
+    _Run,
     _check_monotone,
     case_grid,
     initial_data,
@@ -23,11 +27,17 @@ from heatlab.threshold import (
 )
 
 CUBIC = pure_power(3.0)
+PE = power_exp(5.0, 2.0)
 
 
 @pytest.fixture(scope="module")
 def table():
     return build_singular(CUBIC, 5)
+
+
+@pytest.fixture(scope="module")
+def table_pe():
+    return build_singular(PE, 3)
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +106,10 @@ def test_case_grid_resolves_capped_zone(table):
         assert g.bc.kind == "dirichlet"
 
 
-def test_case_grid_rejects_unreachable_cap():
+def test_case_grid_rejects_unreachable_cap(table_pe):
     # u* of power_exp grows like sqrt(2 log 1/r): 6.6 at r = 1e-12
-    spec = power_exp(5.0, 2.0)
-    tab = build_singular(spec, 3)
     with pytest.raises(OutOfRange, match=r"cap 10000 .* u\*\(1e-12\) = 6\.6"):
-        case_grid(tab, 1e4, 3, 8.0, 129, spec)
+        case_grid(table_pe, 1e4, 3, 8.0, 129, PE)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +186,132 @@ def test_probe_tracks_mechanism(dichotomy_pair, table):
     tail = al_below[len(al_below) // 2:]
     assert np.all(np.diff(tail) <= 1e-9)           # keeps falling
     assert tail[-1] < 1.0
+
+
+# ---------------------------------------------------------------------------
+# lockstep runs: results do not depend on the batch
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    return None if x is None else np.float64(x).tobytes()
+
+
+def _assert_same_outcome(a, b):
+    assert (a.classification, a.cap, a.side) == \
+        (b.classification, b.cap, b.side)
+    for name in ("times", "sup_series", "l1ul_series", "mass_series"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert _bits(a.t_detect) == _bits(b.t_detect)
+    assert _bits(a.one_sided_excess) == _bits(b.one_sided_excess)
+    assert len(a.snapshots) == len(b.snapshots)
+    for (ta, fa), (tb, fb) in zip(a.snapshots, b.snapshots):
+        assert _bits(ta) == _bits(tb)
+        assert fa.u.tobytes() == fb.u.tobytes()
+
+
+def _scan(spec, tab, factors, caps):
+    u2 = float(tab.u_star(2.0, spec))
+    return threshold_scan(spec, tab, RadialBump(2.0, 2.0, 0.0),
+                          [fa * u2 for fa in factors], horizon=2.0,
+                          caps=caps)
+
+
+@pytest.fixture(scope="module")
+def cubic_scan(table):
+    return _scan(CUBIC, table, (-0.3, -0.1, 0.1, 0.3), (1e4, 1e5))
+
+
+@pytest.fixture(scope="module")
+def pe_scan(table_pe):
+    # at A = +0.1 u*(2) the reaction overflows below the sup guard
+    return _scan(PE, table_pe, (-0.1, 0.1), (4.0, 5.0))
+
+
+@pytest.mark.parametrize("spec,scan_name,table_name", [
+    (CUBIC, "cubic_scan", "table"), (PE, "pe_scan", "table_pe")],
+    ids=["cubic", "power_exp"])
+def test_scan_outcomes_equal_runs_alone(request, spec, scan_name,
+                                        table_name):
+    # each run of the lockstep scan equals, bit for bit, run_case of its
+    # amplitude alone, and of its amplitude at one cap (each cap in turn)
+    scan = request.getfixturevalue(scan_name)
+    tab = request.getfixturevalue(table_name)
+    caps = scan.config["caps"]
+    for k, a in enumerate(scan.amplitudes.tolist()):
+        bump = RadialBump(2.0, 2.0, a)
+        alone = run_case(spec, tab, bump, horizon=2.0, caps=caps)
+        assert scan.cases[a].classification == alone.classification
+        assert scan.cases[a].cap_stable == alone.cap_stable
+        assert _bits(scan.cases[a].t_detect) == _bits(alone.t_detect)
+        for cap in caps:
+            _assert_same_outcome(scan.cases[a].outcomes[cap],
+                                 alone.outcomes[cap])
+        cap = caps[k % len(caps)]
+        one_cap = run_case(spec, tab, bump, horizon=2.0, caps=(cap,))
+        _assert_same_outcome(scan.cases[a].outcomes[cap],
+                             one_cap.outcomes[cap])
+    # every snapshot owns its values: none is a view that pins a whole
+    # stacked array, and none shares memory with another snapshot, its own
+    # run's or another's.  Sorted by start address, two overlapping
+    # buffers imply an overlapping neighbouring pair.
+    values = sorted((fld.u for case in scan.cases.values()
+                     for o in case.outcomes.values()
+                     for _, fld in o.snapshots),
+                    key=lambda x: x.ctypes.data)
+    assert all(x.flags.owndata for x in values)
+    assert not any(np.shares_memory(x, y)
+                   for x, y in zip(values, values[1:]))
+
+
+def test_cubic_scan_verdicts(cubic_scan):
+    assert cubic_scan.classifications() == ["GlobalBounded", "GlobalBounded",
+                                            "BlowUp", "BlowUp"]
+
+
+def test_power_exp_overflow_leaves_its_neighbour_stepping(pe_scan):
+    # the +0.1 runs end Undetermined through ReactionOverflow, before the
+    # horizon and below the sup guard, while the -0.1 runs in the same
+    # stack step on to a bounded verdict
+    below, above = (pe_scan.cases[a] for a in pe_scan.amplitudes)
+    assert below.classification == "GlobalBounded"
+    for o in below.outcomes.values():
+        assert o.times[-1] == 2.0
+    assert above.classification == "Undetermined"
+    for o in above.outcomes.values():
+        assert o.classification == "Undetermined"
+        assert o.times[-1] < 2.0 and o.sup_final < SUP_GUARD
+        assert o.t_detect is None
+
+
+def test_inner_mass_is_the_reference_formula(table):
+    # the reaction mass keeps the bits of sphere_area * sum(f(u) vol) over
+    # r <= r_star, with f(min(u, 1e60)) passed through
+    # nan_to_num(posinf=1e200) and capped at 1e200
+    grid = case_grid(table, 1e4, 5, 8.0, 129, CUBIC)
+    star = np.concatenate([[np.inf], table.u_star(grid.r[1:], CUBIC)])
+    u0, side = initial_data(table, grid, RadialBump(2.0, 2.0, 0.1), 1e4,
+                            CUBIC, star)
+    r_star = max(grid.r[10], grid.R_outer / 8.0)
+    assert r_star in grid.r                 # the node at r_star counts
+
+    def reference(spec, u):
+        sel = grid.r <= r_star
+        with np.errstate(over="ignore", invalid="ignore"):
+            fu = np.asarray(spec.f(np.minimum(u[sel], 1e60)), dtype=float)
+        fu = np.minimum(np.nan_to_num(fu, posinf=1e200), 1e200)
+        return float(sphere_area(grid.dim)
+                     * np.sum(fu * grid.cell_volumes[sel]))
+
+    # f = inf on (100, 1e3] and NaN above 1e3
+    ragged = SimpleNamespace(f=lambda u: np.where(
+        u > 1e3, np.nan, np.where(u > 100.0, np.inf, u ** 3)))
+    fields = [u0.u, 1e3 * u0.u, np.full(grid.n_nodes, 1e70), 0.0 * u0.u]
+    for spec in (CUBIC, PE, ragged):
+        run = _Run(spec, u0, side, star, 2.0, 1e4)
+        for u in fields:
+            with np.errstate(invalid="ignore"):
+                got = run.inner_mass(u)
+            assert _bits(got) == _bits(reference(spec, u))
 
 
 # ---------------------------------------------------------------------------
