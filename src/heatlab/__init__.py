@@ -33,8 +33,6 @@ from .iteration import (
 )
 from .threshold import (
     RadialBump,
-    Truncation,
-    run_case,
     threshold_scan,
 )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -39,8 +40,7 @@ from .singular_ode import (
     trace_pohozaev,
     verify_flux_identity,
 )
-from .threshold import (RadialBump, Truncation, _distinct, case_grid,
-                        run_case, threshold_scan)
+from .threshold import RadialBump, _distinct, case_grid, threshold_scan
 
 __all__ = ["RunConfig", "load_config", "main",
            "cmd_check", "cmd_singular", "cmd_evolve", "cmd_iterate",
@@ -95,6 +95,10 @@ class RunConfig:
         return self._float_list("amplitudes")
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.family not in ("power-exp", "cutoff-exp", "pure-power"):
             raise ValueError(f"unknown family '{self.family}'")
         if self.dim < 3:
@@ -126,7 +130,10 @@ class RunConfig:
         if any(c <= 0 for c in self.cap_list()):
             raise ValueError("caps must be positive")
         for key in ("caps", "amplitudes"):
-            _distinct(key, self._float_list(key), f"'{getattr(self, key)}'")
+            values, shown = self._float_list(key), f"'{getattr(self, key)}'"
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{key} must be finite, got {shown}")
+            _distinct(key, values, shown)
 
     def spec(self):
         if self.family == "power-exp":
@@ -275,13 +282,21 @@ def cmd_singular(cfg: RunConfig, out: Artifacts) -> int:
     return 0
 
 
+def _exit_code(report) -> int:
+    """1 when any case of the scan is Undetermined, else 0."""
+    return 1 if "Undetermined" in report.classifications() else 0
+
+
 def cmd_evolve(cfg: RunConfig, out: Artifacts) -> int:
     spec = None if cfg.pure_heat else cfg.spec()
     table = _build_table(cfg)
-    report = run_case(spec, table, Truncation(cfg.cap),
-                      horizon=cfg.horizon, caps=(cfg.cap,),
-                      n_nodes=cfg.n_nodes, R_outer=cfg.R_outer)
-    o = report.finest
+    # the capped profile min(u*, cap): the zero bump at the one cap
+    report = threshold_scan(spec, table,
+                            RadialBump(cfg.bump_r_c, cfg.bump_sigma, 0.0),
+                            [0.0], horizon=cfg.horizon, caps=(cfg.cap,),
+                            n_nodes=cfg.n_nodes, R_outer=cfg.R_outer)
+    case = report.cases[0.0]
+    o = case.finest
     out.write_csv("norm_series.csv",
                   ("t", "sup_norm", "l1ul_norm", "f_mass_inner"),
                   zip(o.times, o.sup_series, o.l1ul_series, o.mass_series))
@@ -294,12 +309,12 @@ def cmd_evolve(cfg: RunConfig, out: Artifacts) -> int:
                    for r, u in zip(fld.grid.r, fld.u)))
     out.write_json("evolve.json", {
         "config": cfg.echo(),
-        "classification": report.classification,
-        "t_detect": report.t_detect,
+        "classification": case.classification,
+        "t_detect": case.t_detect,
         "sup_final": o.sup_final,
     })
     out.commit()
-    return 0 if report.classification != "Undetermined" else 1
+    return _exit_code(report)
 
 
 def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
@@ -348,7 +363,7 @@ def cmd_scan(cfg: RunConfig, out: Artifacts) -> int:
     doc["config"]["run"] = cfg.echo()
     out.write_json("scan.json", doc)
     out.commit()
-    return 0
+    return _exit_code(report)
 
 
 # ---------------------------------------------------------------------------

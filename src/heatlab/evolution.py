@@ -212,6 +212,15 @@ class RadialField:
         return float(self.u.max())
 
 
+def _star_on_nodes(table, grid: RadialGrid,
+                   spec: Optional[NonlinearitySpec]) -> np.ndarray:
+    """The singular profile at the grid nodes, infinite at the origin."""
+    star = np.empty(grid.n_nodes)
+    star[0] = np.inf
+    star[1:] = np.asarray(table.u_star(grid.r[1:], spec))
+    return star
+
+
 def field_from_table(table, grid: RadialGrid, cap: float = 1e6,
                      spec: Optional[NonlinearitySpec] = None) -> RadialField:
     """Sample a singular profile onto a grid, clipping at the cap.
@@ -219,13 +228,8 @@ def field_from_table(table, grid: RadialGrid, cap: float = 1e6,
     The origin node takes the cap value (the profile diverges there); the
     cap_mask records every clipped node.
     """
-    u = np.empty(grid.n_nodes)
-    u[0] = cap
-    u[1:] = np.asarray(table.u_star(grid.r[1:], spec))
-    mask = u > cap
-    mask[0] = True
-    u = np.minimum(u, cap)
-    return RadialField(grid, u, mask)
+    star = _star_on_nodes(table, grid, spec)
+    return RadialField(grid, np.minimum(star, cap), star > cap)
 
 
 # ---------------------------------------------------------------------------

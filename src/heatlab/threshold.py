@@ -4,20 +4,23 @@ Evolves perturbed singular data with the IMEX stepper, classifies each run
 as globally bounded or blowing up, and sweeps signed bump amplitudes to
 confirm that the sign of the perturbation alone decides the outcome.
 
-A run is one (perturbation, cap) pair.  The runs of a scan, and the caps
-of run_case, advance in lockstep: an iteration does each active run's
-scalar bookkeeping (sup, stability dt, divergence test, horizon, sample
-clamp) and then steps them all through one ImexStack solve, one f call
-and one tridiagonal gtsv with each run's block at its own dt.  So a scan
-costs as many iterations as its longest run, and each run's results are
-bit for bit those it gets alone.
+threshold_scan is the one entry point.  Its initial data are the capped
+profile min(u*, cap) plus a signed bump A exp(-((r - r_c)/sigma)^2):
+at most u* for A <= 0, above the capped profile for A > 0.  A = 0 is
+the capped profile itself, the run of `heatlab evolve`.  A run is one
+(amplitude, cap) pair.  The runs of a scan advance in lockstep: an
+iteration does each active run's scalar bookkeeping (sup, stability dt,
+divergence test, horizon, sample clamp) and then steps them all through
+one ImexStack solve, one f call and one tridiagonal gtsv with each
+run's block at its own dt.  So a scan costs as many iterations as its
+longest run, and each run's results are bit for bit those it gets alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -30,6 +33,7 @@ from .evolution import (
     RadialField,
     RadialGrid,
     _stability_bound,
+    _star_on_nodes,
     make_grid,
     sphere_area,
     transition_radius,
@@ -39,12 +43,10 @@ from .nonlinearity import NonlinearitySpec
 
 __all__ = [
     "RadialBump",
-    "Truncation",
     "EvolutionOutcome",
     "CaseReport",
     "ScanReport",
     "initial_data",
-    "run_case",
     "threshold_scan",
 ]
 
@@ -71,72 +73,23 @@ class RadialBump:
     def profile(self, r: np.ndarray) -> np.ndarray:
         return self.amplitude * np.exp(-((r - self.r_c) / self.sigma) ** 2)
 
-    @property
-    def side(self) -> str:
-        if self.amplitude > 0:
-            return "above"
-        if self.amplitude < 0:
-            return "below"
-        return "neutral"
 
-
-@dataclass(frozen=True)
-class Truncation:
-    """Cap-only perturbation u0 = min(profile, cap)."""
-
-    cap: float
-
-    def __post_init__(self):
-        if self.cap <= 0:
-            raise ValueError("cap must be positive")
-
-    @property
-    def side(self) -> str:
-        return "below"
-
-
-Perturbation = Union[RadialBump, Truncation]
-
-
-def _star_on_nodes(table, grid: RadialGrid,
-                   spec: Optional[NonlinearitySpec]) -> np.ndarray:
-    """The singular profile at the grid nodes, infinite at the origin."""
-    star = np.empty(grid.n_nodes)
-    star[0] = np.inf
-    star[1:] = np.asarray(table.u_star(grid.r[1:], spec))
-    return star
-
-
-def initial_data(table, grid: RadialGrid, pert: Perturbation,
+def initial_data(table, grid: RadialGrid, bump: RadialBump,
                  cap: float, spec: Optional[NonlinearitySpec] = None,
-                 star: Optional[np.ndarray] = None
-                 ) -> Tuple[RadialField, str]:
-    """Build one-sided initial data from the singular profile.
+                 star: Optional[np.ndarray] = None) -> RadialField:
+    """The capped profile min(u*, cap) plus the bump, floored at 0 and
+    capped again, so near the origin the data sit below u* on either side.
 
-    The perturbation is applied to the capped profile and the cap is
-    applied again last, so near the origin the data always sits below the
-    stationary profile regardless of side.  The result is clipped to stay
-    one-sided away from the capped zone and returned with its side label;
-    a neutral bump (amplitude 0) counts as below.  ``star`` is the profile
-    on the grid nodes as _star_on_nodes gives it, when the caller holds it
-    already; by default it is evaluated from the table.
+    The sum needs no one-sided clip: m + b rounds to at most m <= u* for
+    a bump b <= 0 and to at least m for b >= 0, m = min(u*, cap).
+    ``star`` is u* on the grid nodes as _star_on_nodes gives it, when the
+    caller holds it already; by default it is evaluated from the table.
     """
-    side = "above" if pert.side == "above" else "below"
     if star is None:
         star = _star_on_nodes(table, grid, spec)
-    u = np.minimum(star, cap)
-    if isinstance(pert, RadialBump):
-        u = u + pert.profile(grid.r)
-    else:
-        u = np.minimum(u, pert.cap)
-    if side == "below":
-        u = np.minimum(u, star)
-    else:
-        u = np.maximum(u, np.minimum(star, cap))
-    u = np.maximum(u, 0.0)
+    u = np.maximum(np.minimum(star, cap) + bump.profile(grid.r), 0.0)
     mask = (star > cap) | (u > cap)
-    u = np.minimum(u, cap)
-    return RadialField(grid, u, mask), side
+    return RadialField(grid, np.minimum(u, cap), mask)
 
 
 @dataclass
@@ -165,7 +118,7 @@ class EvolutionOutcome:
 
 @dataclass
 class CaseReport:
-    """Outcomes of one perturbation across a cap sequence."""
+    """Outcomes of one amplitude across a cap sequence."""
 
     outcomes: dict                 # cap -> EvolutionOutcome
     classification: str
@@ -227,43 +180,6 @@ def _excess_over_star(field: RadialField, star: np.ndarray,
     return float(((field.u[sel] - star[sel]) / star[sel]).max())
 
 
-def run_case(spec: Optional[NonlinearitySpec], table,
-             pert: Perturbation,
-             horizon: float = 0.5,
-             caps: Sequence[float] = (1e4, 1e5),
-             n_nodes: int = 129,
-             R_outer: float = 8.0) -> CaseReport:
-    """Evolve perturbed singular data at each cap and classify the outcome.
-
-    BlowUp requires three corroborating signals: the sup-norm beyond its
-    guard, the reaction mass inside r_star = max(r_10, R_outer/8) amplified
-    a million-fold, and collapse of the adaptive time step.  GlobalBounded
-    requires reaching the horizon with the sup-norm non-increasing (within
-    slack) over the final half.  Anything else is Undetermined.  The case
-    verdict is the shared per-cap verdict when all caps agree, else
-    Undetermined with cap_stable=False.  A repeated cap is a ValueError.
-    The caps' runs step in lockstep (see _evolve).
-    """
-    grids = _case_grids(spec, table, _distinct("caps", caps), R_outer,
-                        n_nodes)
-    runs = _runs(spec, table, pert, grids, horizon)
-    _evolve(spec, runs)
-    return _case_report(runs)
-
-
-def _case_grids(spec, table, caps: list, R_outer: float,
-                n_nodes: int) -> dict:
-    """cap -> (case grid, u* on its nodes): what every perturbation run at
-    that cap shares."""
-    grids = {}
-    for cap in caps:
-        grid = case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
-        star = _star_on_nodes(table, grid, spec)
-        star.setflags(write=False)
-        grids[cap] = grid, star
-    return grids
-
-
 def _distinct(name: str, values: Sequence[float], shown=None) -> list:
     """values as floats; ValueError if one repeats, naming the entries as
     shown (default: the floats)."""
@@ -274,17 +190,8 @@ def _distinct(name: str, values: Sequence[float], shown=None) -> list:
     return values
 
 
-def _runs(spec, table, pert: Perturbation, grids: dict,
-          horizon: float) -> list:
-    """One _Run of pert per cap, on prebuilt case grids (see
-    _case_grids)."""
-    return [_Run(spec, *initial_data(table, grid, pert, cap, spec, star),
-                 star, horizon, cap)
-            for cap, (grid, star) in grids.items()]
-
-
 def _case_report(runs: list) -> CaseReport:
-    """The CaseReport of one perturbation's runs, one per cap."""
+    """The CaseReport of one amplitude's runs, one per cap."""
     outcomes = {run.cap: run.outcome() for run in runs}
     verdicts = {o.classification for o in outcomes.values()}
     cap_stable = len(verdicts) == 1
@@ -298,7 +205,7 @@ def _case_report(runs: list) -> CaseReport:
 
 
 class _Run:
-    """One evolution of perturbed data at one cap: its clock, its sample
+    """One evolution of bumped data at one cap: its clock, its sample
     schedule, its records and its verdict.  _evolve steps it; between
     steps the run only sees its own values."""
 
@@ -521,21 +428,36 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
                    caps: Sequence[float] = (1e4, 1e5),
                    n_nodes: int = 129,
                    R_outer: float = 8.0) -> ScanReport:
-    """Sweep signed bump amplitudes and verify the sign dichotomy.
+    """Evolve bumped singular data at every (amplitude, cap), classify
+    each run and verify the sign dichotomy.
 
     bump_shape fixes r_c and sigma; its amplitude field is ignored in
-    favour of each entry of A_grid.  A repeated amplitude or cap is a
-    ValueError.
+    favour of each entry of A_grid.  A run is "above" u* when its
+    amplitude is positive, else "below".
+
+    BlowUp requires three corroborating signals: the sup-norm beyond its
+    guard, the reaction mass inside r_star = max(r_10, R_outer/8) amplified
+    a million-fold, and collapse of the adaptive time step.  GlobalBounded
+    requires reaching the horizon with the sup-norm non-increasing (within
+    slack) over the final half.  Anything else is Undetermined.  A case's
+    verdict is the shared per-cap verdict when all caps agree, else
+    Undetermined with cap_stable=False.  A repeated amplitude or cap is a
+    ValueError.  All runs step in lockstep (see _evolve).
     """
     amps = np.asarray(sorted(_distinct("amplitudes", A_grid)))
     caps = _distinct("caps", caps)
+    runs = {a: [] for a in amps.tolist()}
     # every amplitude shares the caps, so each cap's grid and u* on its
     # nodes are built once
-    grids = _case_grids(spec, table, caps, R_outer, n_nodes)
-    runs = {a: _runs(spec, table,
-                     RadialBump(bump_shape.r_c, bump_shape.sigma, a),
-                     grids, horizon)
-            for a in amps.tolist()}
+    for cap in caps:
+        grid = case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
+        star = _star_on_nodes(table, grid, spec)
+        star.setflags(write=False)
+        for a, case in runs.items():
+            u0 = initial_data(table, grid, RadialBump(
+                bump_shape.r_c, bump_shape.sigma, a), cap, spec, star)
+            case.append(_Run(spec, u0, "above" if a > 0 else "below",
+                             star, horizon, cap))
     _evolve(spec, [run for case in runs.values() for run in case])
     cases = {a: _case_report(case) for a, case in runs.items()}
     _check_monotone(amps, [cases[a].classification for a in amps])

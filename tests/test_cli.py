@@ -10,6 +10,7 @@ import pytest
 
 from heatlab.cli import Artifacts, RunConfig, load_config, main
 from heatlab.evolution import RadialField, make_grid
+from heatlab.threshold import CaseReport, EvolutionOutcome, ScanReport
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +132,14 @@ def test_config_error_exit_code(tmp_path, capsys):
      "it needs p > 3"),
     (["scan", "--family", "pure-power", "--p", "2", "--dim", "3"],
      "no positive singular profile"),
+    # non-finite numbers: a nan horizon would step until MAX_STEPS
+    (["scan", "--amplitudes=nan,0.3"],
+     "amplitudes must be finite, got 'nan,0.3'"),
+    (["scan", "--caps", "nan"], "caps must be finite, got 'nan'"),
+    (["evolve", "--cap", "nan"], "cap must be finite, got nan"),
+    (["iterate", "--t-obs", "nan"], "t_obs must be finite, got nan"),
+    (["evolve", "--horizon", "nan"], "horizon must be finite, got nan"),
+    (["evolve", "--horizon", "inf"], "horizon must be finite, got inf"),
 ])
 def test_bad_run_option_is_config_error(tmp_path, monkeypatch, capsys, argv,
                                         message):
@@ -309,3 +318,34 @@ def test_scan_artifacts(tmp_path):
     doc = json.loads((out / "scan.json").read_text())
     assert doc["config"]["run"]["family"] == "pure-power"
     assert doc["classifications"] == ["GlobalBounded", "BlowUp"]
+
+
+def _fake_case(cls, cap):
+    t = np.array([0.0, 0.5])
+    outcome = EvolutionOutcome(classification=cls, cap=cap, t_detect=None,
+                               times=t, sup_series=np.array([3.0, 2.0]),
+                               l1ul_series=np.array([1.0, 0.9]),
+                               mass_series=np.array([0.1, 0.05]))
+    return CaseReport({cap: outcome}, cls, True, None)
+
+
+@pytest.mark.parametrize("argv, classes", [
+    (["scan", "--caps", "1e4", "--amplitudes=-0.1,0.1"],
+     ["GlobalBounded", "Undetermined"]),
+    (["evolve", "--cap", "1e4"], ["Undetermined"]),
+])
+def test_undetermined_case_exits_1(tmp_path, monkeypatch, argv, classes):
+    # scan and evolve share one rule: exit 1 when any case is Undetermined;
+    # the scan is faked so that the verdicts do not hang on guard tuning
+    def fake_scan(spec, table, bump, A_grid, caps, **kwargs):
+        amps = np.array(sorted(A_grid))
+        cases = {a: _fake_case(cls, caps[0])
+                 for a, cls in zip(amps.tolist(), classes)}
+        return ScanReport(amps, cases, {"caps": list(caps)})
+
+    monkeypatch.setattr("heatlab.cli.threshold_scan", fake_scan)
+    out = tmp_path / "out"
+    assert main([*argv, "--family", "pure-power", "--p", "3", "--dim", "5",
+                 "--out-dir", str(out)]) == 1
+    # the artifacts are written all the same
+    assert (out / f"{argv[0]}.json").exists()

@@ -17,12 +17,10 @@ from heatlab.threshold import (
     EvolutionOutcome,
     RadialBump,
     ScanReport,
-    Truncation,
     _Run,
     _check_monotone,
     case_grid,
     initial_data,
-    run_case,
     threshold_scan,
 )
 
@@ -48,11 +46,19 @@ def ustar2(table):
 @pytest.fixture(scope="module")
 def dichotomy_pair(table, ustar2):
     """One below and one above case at the strong amplitude."""
-    below = run_case(CUBIC, table, RadialBump(2.0, 2.0, -0.3 * ustar2),
-                     caps=(1e4,), horizon=0.5)
-    above = run_case(CUBIC, table, RadialBump(2.0, 2.0, +0.3 * ustar2),
-                     caps=(1e4,), horizon=0.5)
+    scan = threshold_scan(CUBIC, table, RadialBump(2.0, 2.0, 0.0),
+                          [-0.3 * ustar2, +0.3 * ustar2], caps=(1e4,),
+                          horizon=0.5)
+    below, above = (scan.cases[a] for a in scan.amplitudes)
     return below, above
+
+
+@pytest.fixture(scope="module")
+def capped_case(table):
+    """The capped profile itself (A = 0) at two caps."""
+    scan = threshold_scan(CUBIC, table, RadialBump(2.0, 2.0, 0.0), [0.0],
+                          caps=(1e4, 1e5), horizon=0.5)
+    return scan.cases[0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -64,36 +70,35 @@ def test_perturbation_validation():
         RadialBump(2.0, -1.0, 0.1)
     with pytest.raises(ValueError):
         RadialBump(-1.0, 0.3, 0.1)
-    with pytest.raises(ValueError):
-        Truncation(-5.0)
 
 
-def test_initial_data_one_sided(table, ustar2):
+def test_initial_data_one_sided(table, ustar2, dichotomy_pair, capped_case):
+    # exact ordering, with no slack: initial_data has no one-sided clip, so
+    # the rounding of min(u*, cap) + bump alone must keep each side
     g = case_grid(table, 1e4, 5, 8.0, 129, CUBIC)
     star = np.asarray(table.u_star(g.r[1:], CUBIC))
 
-    below, side = initial_data(table, g, RadialBump(2.0, 2.0, -0.3 * ustar2),
-                               1e4, CUBIC)
-    assert side == "below"
+    below = initial_data(table, g, RadialBump(2.0, 2.0, -0.3 * ustar2),
+                         1e4, CUBIC)
     assert np.all(below.u >= 0.0)
-    assert np.all(below.u[1:] <= star * (1 + 1e-12))
+    assert np.all(below.u[1:] <= star)
 
-    above, side = initial_data(table, g, RadialBump(2.0, 2.0, +0.3 * ustar2),
-                               1e4, CUBIC)
-    assert side == "above"
-    assert np.all(above.u[1:] >= np.minimum(star, 1e4) * (1 - 1e-12))
+    above = initial_data(table, g, RadialBump(2.0, 2.0, +0.3 * ustar2),
+                         1e4, CUBIC)
+    assert np.all(above.u[1:] >= np.minimum(star, 1e4))
 
-    trunc, side = initial_data(table, g, Truncation(1e4), 1e4, CUBIC)
-    assert side == "below"
-    assert trunc.cap_mask[0]
-    assert np.all(trunc.u <= 1e4)
-
-    # a neutral bump is the capped profile itself, handled as below
-    neutral, side = initial_data(table, g, RadialBump(2.0, 2.0, 0.0),
-                                 1e4, CUBIC)
-    assert side == "below"
-    assert np.array_equal(neutral.u, np.minimum(
+    # a zero bump is the capped profile itself, clipped at the origin
+    capped = initial_data(table, g, RadialBump(2.0, 2.0, 0.0), 1e4, CUBIC)
+    assert capped.cap_mask[0]
+    assert np.all(capped.u <= 1e4)
+    assert np.array_equal(capped.u, np.minimum(
         np.concatenate([[np.inf], star]), 1e4))
+
+    # the side of a run follows the sign of its amplitude; A = 0 is below
+    below_case, above_case = dichotomy_pair
+    assert {o.side for o in below_case.outcomes.values()} == {"below"}
+    assert {o.side for o in above_case.outcomes.values()} == {"above"}
+    assert {o.side for o in capped_case.outcomes.values()} == {"below"}
 
 
 def test_case_grid_resolves_capped_zone(table):
@@ -135,31 +140,30 @@ def test_below_stays_one_sided(dichotomy_pair):
     assert below.finest.one_sided_excess <= 5e-3
 
 
-def test_truncation_alone_is_global(table):
-    rep = run_case(CUBIC, table, Truncation(1e4), caps=(1e4, 1e5),
-                   horizon=0.5)
-    assert rep.classification == "GlobalBounded"
-    assert rep.cap_stable
-    assert rep.t_detect is None
-    for o in rep.outcomes.values():
+def test_truncation_alone_is_global(capped_case):
+    assert capped_case.classification == "GlobalBounded"
+    assert capped_case.cap_stable
+    assert capped_case.t_detect is None
+    for o in capped_case.outcomes.values():
         tail = o.sup_series[o.times >= 0.25]
         assert tail[-1] <= tail[0] * 1.02
 
 
 def test_blowup_time_monotone_in_amplitude(table, ustar2):
-    t_det = {}
-    for fa in (0.1, 0.3):
-        rep = run_case(CUBIC, table, RadialBump(2.0, 2.0, fa * ustar2),
-                       caps=(1e4,), horizon=2.0)
+    scan = threshold_scan(CUBIC, table, RadialBump(2.0, 2.0, 0.0),
+                          [0.1 * ustar2, 0.3 * ustar2], caps=(1e4,),
+                          horizon=2.0)
+    weak, strong = (scan.cases[a] for a in scan.amplitudes)
+    for rep in (weak, strong):
         assert rep.classification == "BlowUp"
-        t_det[fa] = rep.t_detect
-    assert t_det[0.3] < t_det[0.1]
+    assert strong.t_detect < weak.t_detect
 
 
 def test_reaction_disabled_always_global(table, ustar2):
-    for fa in (-0.1, +0.3):
-        rep = run_case(None, table, RadialBump(2.0, 2.0, fa * ustar2),
-                       caps=(1e4, 1e5), horizon=0.5)
+    scan = threshold_scan(None, table, RadialBump(2.0, 2.0, 0.0),
+                          [-0.1 * ustar2, +0.3 * ustar2], caps=(1e4, 1e5),
+                          horizon=0.5)
+    for rep in scan.cases.values():
         assert rep.classification == "GlobalBounded"
         assert rep.cap_stable
 
@@ -232,14 +236,15 @@ def pe_scan(table_pe):
     ids=["cubic", "power_exp"])
 def test_scan_outcomes_equal_runs_alone(request, spec, scan_name,
                                         table_name):
-    # each run of the lockstep scan equals, bit for bit, run_case of its
+    # each run of the lockstep scan equals, bit for bit, a scan of its
     # amplitude alone, and of its amplitude at one cap (each cap in turn)
     scan = request.getfixturevalue(scan_name)
     tab = request.getfixturevalue(table_name)
     caps = scan.config["caps"]
+    bump = RadialBump(2.0, 2.0, 0.0)
     for k, a in enumerate(scan.amplitudes.tolist()):
-        bump = RadialBump(2.0, 2.0, a)
-        alone = run_case(spec, tab, bump, horizon=2.0, caps=caps)
+        alone = threshold_scan(spec, tab, bump, [a], horizon=2.0,
+                               caps=caps).cases[a]
         assert scan.cases[a].classification == alone.classification
         assert scan.cases[a].cap_stable == alone.cap_stable
         assert _bits(scan.cases[a].t_detect) == _bits(alone.t_detect)
@@ -247,7 +252,8 @@ def test_scan_outcomes_equal_runs_alone(request, spec, scan_name,
             _assert_same_outcome(scan.cases[a].outcomes[cap],
                                  alone.outcomes[cap])
         cap = caps[k % len(caps)]
-        one_cap = run_case(spec, tab, bump, horizon=2.0, caps=(cap,))
+        one_cap = threshold_scan(spec, tab, bump, [a], horizon=2.0,
+                                 caps=(cap,)).cases[a]
         _assert_same_outcome(scan.cases[a].outcomes[cap],
                              one_cap.outcomes[cap])
     # every snapshot owns its values: none is a view that pins a whole
@@ -289,8 +295,8 @@ def test_inner_mass_is_the_reference_formula(table):
     # nan_to_num(posinf=1e200) and capped at 1e200
     grid = case_grid(table, 1e4, 5, 8.0, 129, CUBIC)
     star = np.concatenate([[np.inf], table.u_star(grid.r[1:], CUBIC)])
-    u0, side = initial_data(table, grid, RadialBump(2.0, 2.0, 0.1), 1e4,
-                            CUBIC, star)
+    u0 = initial_data(table, grid, RadialBump(2.0, 2.0, 0.1), 1e4, CUBIC,
+                      star)
     r_star = max(grid.r[10], grid.R_outer / 8.0)
     assert r_star in grid.r                 # the node at r_star counts
 
@@ -307,7 +313,7 @@ def test_inner_mass_is_the_reference_formula(table):
         u > 1e3, np.nan, np.where(u > 100.0, np.inf, u ** 3)))
     fields = [u0.u, 1e3 * u0.u, np.full(grid.n_nodes, 1e70), 0.0 * u0.u]
     for spec in (CUBIC, PE, ragged):
-        run = _Run(spec, u0, side, star, 2.0, 1e4)
+        run = _Run(spec, u0, "above", star, 2.0, 1e4)
         for u in fields:
             with np.errstate(invalid="ignore"):
                 got = run.inner_mass(u)
@@ -348,7 +354,7 @@ def test_repeated_cap_or_amplitude_is_rejected_before_any_grid(
     with pytest.raises(ValueError, match="amplitudes must not repeat"):
         threshold_scan(CUBIC, table, bump, [1.0, 1.0], caps=(1e4,))
     with pytest.raises(ValueError, match="caps must not repeat"):
-        run_case(CUBIC, table, bump, caps=(1e4, 1e5, 1e4))
+        threshold_scan(CUBIC, table, bump, [0.0], caps=(1e4, 1e5, 1e4))
 
 
 def _fake_outcome(cls, cap, t_detect=None):
