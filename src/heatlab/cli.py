@@ -320,8 +320,7 @@ def cmd_evolve(cfg: RunConfig, out: Artifacts) -> int:
 def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
     spec = cfg.spec()
     table = _build_table(cfg)
-    grid = case_grid(table, cfg.iterate_cap, cfg.dim, cfg.R_outer,
-                     cfg.n_nodes, spec)
+    grid = case_grid(table, cfg.iterate_cap, cfg.R_outer, cfg.n_nodes)
     envelope = field_from_table(table, grid, cap=cfg.iterate_cap, spec=spec)
     u0 = RadialField(grid, cfg.seed_factor * envelope.u,
                      envelope.cap_mask.copy())

@@ -31,12 +31,8 @@ class LinearSolveFailure(HeatLabError):
 
 
 class ReactionOverflow(HeatLabError):
-    """The explicit reaction increment exceeded the overflow guard; blocks
-    lists the blocks of a stacked step that did."""
-
-    def __init__(self, message, blocks=()):
-        super().__init__(message)
-        self.blocks = blocks
+    """The explicit reaction increment exceeded the overflow guard, or
+    f' at the sup-norm is not finite."""
 
 
 class TimeMeshMismatch(HeatLabError):

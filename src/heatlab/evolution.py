@@ -4,13 +4,14 @@ Provides the grid/field containers, the action of the heat semigroup
 through the exact radially-reduced Gaussian kernel, uniformly local norms
 from a unit-ball window quadrature built once per grid, and an IMEX time
 stepper (implicit diffusion, explicit reaction).  ImexStack steps fields on
-several grids at once, each with its own dt: it builds the tridiagonal
-bands of one block-diagonal system from coefficients each grid computes
-once and hands them to LAPACK's gtsv directly, which solves in place.
-step_imex is its one-block case; fields derived by a step share their
-read-only cap mask.  Each grid also keeps the S(t) operators
-built on it.  The module writes no files: the CLI's Artifacts writes the
-norm series and snapshots of a run.
+several grids at once, each with its own dt and given reaction values: it
+builds the tridiagonal bands of one block-diagonal system from coefficients
+each grid computes once and hands them to LAPACK's gtsv directly, which
+solves in place.  step_imex is its one-block case, with f guarded by
+_reaction; the threshold runs share that one guard comparison.  Fields
+derived by a step share their read-only cap mask.  Each grid also keeps
+the S(t) operators built on it.  The module writes no files: the CLI's
+Artifacts writes the norm series and snapshots of a run.
 """
 
 from __future__ import annotations
@@ -213,8 +214,9 @@ class RadialField:
 
 
 def _star_on_nodes(table, grid: RadialGrid,
-                   spec: Optional[NonlinearitySpec]) -> np.ndarray:
-    """The singular profile at the grid nodes, infinite at the origin."""
+                   spec: Optional[NonlinearitySpec] = None) -> np.ndarray:
+    """The singular profile at the grid nodes, infinite at the origin
+    (spec defaults to the table's own)."""
     star = np.empty(grid.n_nodes)
     star[0] = np.inf
     star[1:] = np.asarray(table.u_star(grid.r[1:], spec))
@@ -547,23 +549,25 @@ def ul_norm(field: RadialField, p: float = 1.0) -> ULNormEstimate:
 REACTION_GUARD = 1e100
 
 
-def _reaction(spec: NonlinearitySpec, u: np.ndarray, dt,
-              starts=(0,)) -> np.ndarray:
-    """f(u) for the reaction increment dt * f(u) (dt = 1 guards f itself).
+def _within_reaction_guard(f_max, dt) -> bool:
+    """The one reaction guard, dt * f_max <= REACTION_GUARD for the largest
+    reaction value f_max of a step of dt; a NaN or infinite f_max fails."""
+    return dt * f_max <= REACTION_GUARD
 
-    u may stack blocks, its flat values from each of starts on, with one
-    dt each.  ReactionOverflow, listing the blocks in its `blocks`, when f
-    is non-finite in a block or dt * f > REACTION_GUARD there.
-    """
+
+def _reaction_values(spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
+    """f(u) as a float array, overflowing to inf without a warning."""
     with np.errstate(over="ignore"):
-        fu = np.asarray(spec.f(u), dtype=float)
-    flat = fu.reshape(-1)
-    over = ~np.logical_and.reduceat(np.isfinite(flat), starts)
-    over |= np.maximum.reduceat(flat, starts) * dt > REACTION_GUARD
-    if over.any():
-        peak = np.maximum.reduceat(np.reshape(u, -1), starts)[over].max()
-        raise ReactionOverflow(f"reaction overflow at u={peak:.3e}",
-                               blocks=np.flatnonzero(over).tolist())
+        return np.asarray(spec.f(u), dtype=float)
+
+
+def _reaction(spec: NonlinearitySpec, u: np.ndarray, dt) -> np.ndarray:
+    """f(u) for the reaction increment dt * f(u) (dt = 1 guards f itself);
+    ReactionOverflow when the largest value fails _within_reaction_guard.
+    """
+    fu = _reaction_values(spec, u)
+    if not _within_reaction_guard(fu.max(), dt):
+        raise ReactionOverflow(f"reaction overflow at u={np.max(u):.3e}")
     return fu
 
 
@@ -574,9 +578,9 @@ class ImexStack:
     of one stacked array and steps with its own dt.  The coupling entries
     between blocks are 0, so gtsv, which pivots on neither side of a zero
     coupling, gives each block bit for bit its result alone: step_imex is
-    the one-block case.  Non-finite values do cross a zero coupling
-    (0 * inf = NaN), which is why an overflowing reaction stops the step
-    before the solve.
+    the one-block case.  The caller passes the reaction values, guarded:
+    non-finite values do cross a zero coupling (0 * inf = NaN), so a run
+    whose reaction fails the guard leaves the stack before the solve.
     """
 
     def __init__(self, grids):
@@ -610,19 +614,14 @@ class ImexStack:
         diag[self.pinned] = 1.0
         return lower, diag, upper
 
-    def step(self, u: np.ndarray, spec: Optional[NonlinearitySpec],
+    def step(self, u: np.ndarray, fu: Optional[np.ndarray],
              dts) -> np.ndarray:
         """One IMEX step of the stacked values u, block k by dts[k]:
-        explicit reaction, then backward-Euler diffusion; a fresh array.
-        ReactionOverflow, before any solve, when the reaction of a block
-        overflows (see _reaction).
+        explicit reaction with the values fu = f(u) (None for the heat
+        flow), then backward-Euler diffusion; a fresh array.
         """
-        dts = np.asarray(dts, dtype=float)
-        dt = dts.repeat(self.sizes)
-        if spec is not None:
-            u_half = u + dt * _reaction(spec, u, dts, self.starts)
-        else:
-            u_half = u.copy()
+        dt = np.asarray(dts, dtype=float).repeat(self.sizes)
+        u_half = u + dt * fu if fu is not None else u.copy()
         u_half[self.pinned] = self.pinned_values
         # the tridiagonal LAPACK solver that solve_banded((1, 1), ...)
         # calls, without its wrapper and input checks; every input is a
@@ -638,18 +637,22 @@ class ImexStack:
 
 def _stability_bound(spec: NonlinearitySpec, sup: float,
                      dt_max: float) -> float:
-    """0.5 * min(dt_max, 1/f'(sup)) from the scalar f'; ReactionOverflow
-    when f'(sup) is not finite."""
+    """0.5 * min(dt_max, 1/f'(sup)) from the scalar f', or 0 when f'(sup)
+    is not finite."""
     fp = float(spec.fp(sup))
     if not math.isfinite(fp):
-        raise ReactionOverflow(f"f'({sup:g}) overflows")
+        return 0.0
     return 0.5 * min(dt_max, 1.0 / max(fp, 1e-300))
 
 
 def stability_dt(field: RadialField, spec: NonlinearitySpec,
                  dt_max: float = 1e-2) -> float:
-    """Explicit-reaction stability bound 0.5 * min(dt_max, 1/f'(sup u))."""
-    return _stability_bound(spec, field.sup, dt_max)
+    """Explicit-reaction stability bound 0.5 * min(dt_max, 1/f'(sup u));
+    ReactionOverflow when f'(sup u) is not finite."""
+    dt = _stability_bound(spec, field.sup, dt_max)
+    if dt == 0.0:
+        raise ReactionOverflow(f"f'({field.sup:g}) overflows")
+    return dt
 
 
 def step_imex(field: RadialField, spec: Optional[NonlinearitySpec],
@@ -659,8 +662,10 @@ def step_imex(field: RadialField, spec: Optional[NonlinearitySpec],
     The implicit diffusion matrix is an M-matrix, so the step preserves
     nonnegativity and nodewise ordering for any dt; dt must still satisfy
     the reaction stability bound for accuracy.  It is ImexStack.step with
-    the field's grid as the one block.
+    the field's grid as the one block, given the guarded reaction values
+    (ReactionOverflow, see _reaction).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return field.copy_with(field.grid.imex_block.step(field.u, spec, (dt,)))
+    fu = None if spec is None else _reaction(spec, field.u, dt)
+    return field.copy_with(field.grid.imex_block.step(field.u, fu, (dt,)))

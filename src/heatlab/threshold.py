@@ -9,11 +9,12 @@ profile min(u*, cap) plus a signed bump A exp(-((r - r_c)/sigma)^2):
 at most u* for A <= 0, above the capped profile for A > 0.  A = 0 is
 the capped profile itself, the run of `heatlab evolve`.  A run is one
 (amplitude, cap) pair.  The runs of a scan advance in lockstep: an
-iteration does each active run's scalar bookkeeping (sup, stability dt,
-divergence test, horizon, sample clamp) and then steps them all through
-one ImexStack solve, one f call and one tridiagonal gtsv with each
-run's block at its own dt.  So a scan costs as many iterations as its
-longest run, and each run's results are bit for bit those it gets alone.
+iteration makes one f call on the stacked values, each active run does
+its scalar bookkeeping (sup, stability dt, divergence test, horizon,
+sample clamp, reaction guard) and may end itself, and the rest step
+through one ImexStack solve, one tridiagonal gtsv with each run's block
+at its own dt.  So a scan costs as many iterations as its longest run,
+and each run's results are bit for bit those it gets alone.
 """
 
 from __future__ import annotations
@@ -25,15 +26,17 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NonMonotoneScan, OutOfRange, ReactionOverflow
+from .errors import NonMonotoneScan, OutOfRange
 from .evolution import (
     GEOMETRIC_SHARE,
     BoundaryCondition,
     ImexStack,
     RadialField,
     RadialGrid,
+    _reaction_values,
     _stability_bound,
     _star_on_nodes,
+    _within_reaction_guard,
     make_grid,
     sphere_area,
     transition_radius,
@@ -74,19 +77,15 @@ class RadialBump:
         return self.amplitude * np.exp(-((r - self.r_c) / self.sigma) ** 2)
 
 
-def initial_data(table, grid: RadialGrid, bump: RadialBump,
-                 cap: float, spec: Optional[NonlinearitySpec] = None,
-                 star: Optional[np.ndarray] = None) -> RadialField:
+def initial_data(grid: RadialGrid, star: np.ndarray, bump: RadialBump,
+                 cap: float) -> RadialField:
     """The capped profile min(u*, cap) plus the bump, floored at 0 and
     capped again, so near the origin the data sit below u* on either side.
+    ``star`` is u* on the grid nodes, as _star_on_nodes gives it.
 
     The sum needs no one-sided clip: m + b rounds to at most m <= u* for
     a bump b <= 0 and to at least m for b >= 0, m = min(u*, cap).
-    ``star`` is u* on the grid nodes as _star_on_nodes gives it, when the
-    caller holds it already; by default it is evaluated from the table.
     """
-    if star is None:
-        star = _star_on_nodes(table, grid, spec)
     u = np.maximum(np.minimum(star, cap) + bump.profile(grid.r), 0.0)
     mask = (star > cap) | (u > cap)
     return RadialField(grid, np.minimum(u, cap), mask)
@@ -130,8 +129,7 @@ class CaseReport:
         return self.outcomes[max(self.outcomes)]
 
 
-def _cap_radius(table, cap: float,
-                spec: Optional[NonlinearitySpec]) -> float:
+def _cap_radius(table, cap: float) -> float:
     """Radius where the singular profile crosses the cap, bracketed on one
     batched u* ladder and found by brentq to full relative precision.
 
@@ -140,7 +138,7 @@ def _cap_radius(table, cap: float,
     """
     lo, hi = 1e-12, float(table.r[-1])
     ladder = np.geomspace(lo, hi, 32)
-    u = np.asarray(table.u_star(ladder, spec))
+    u = np.asarray(table.u_star(ladder))
     if u[-1] >= cap:
         return hi
     if u[0] < cap:
@@ -149,20 +147,21 @@ def _cap_radius(table, cap: float,
             f"resolvable radius: u*({lo:g}) = {u[0]:.6g}; choose a cap "
             f"below {u[0]:.6g}")
     j = np.flatnonzero(u >= cap)[-1]
-    return float(brentq(lambda r: float(table.u_star(r, spec)) - cap,
+    return float(brentq(lambda r: float(table.u_star(r)) - cap,
                         ladder[j], ladder[j + 1], xtol=1e-300))
 
 
-def case_grid(table, cap: float, dim: int, R_outer: float, n_nodes: int,
-              spec: Optional[NonlinearitySpec] = None) -> RadialGrid:
-    """Grid whose first node resolves the capped zone of the profile.
+def case_grid(table, cap: float, R_outer: float,
+              n_nodes: int) -> RadialGrid:
+    """Grid in the table's dimension whose first node resolves the capped
+    zone of the profile.
 
     The capped spike has height*width ~ cap * r_cap which stays order one,
     so once the first node sits inside the capped zone the spike is
     genuinely subcritical; an unresolved cap on a coarse grid acts like a
     wide supercritical plateau and diverges for any data.
     """
-    r_cap = _cap_radius(table, cap, spec)
+    r_cap = _cap_radius(table, cap)
     r1_frac = min(1e-3, 0.1 * r_cap / R_outer)
     # the capped core sits exactly at the marginal height*width balance,
     # so the geometric section must stay fine enough (node ratio <= 1.3)
@@ -170,8 +169,8 @@ def case_grid(table, cap: float, dim: int, R_outer: float, n_nodes: int,
     n_geo_req = math.ceil(1.0 + math.log(
         transition_radius(R_outer) / (r1_frac * R_outer)) / math.log(1.3))
     n_nodes = max(n_nodes, math.ceil(n_geo_req / GEOMETRIC_SHARE) + 2)
-    bc = BoundaryCondition("dirichlet", float(table.u_star(R_outer, spec)))
-    return make_grid(dim, R_outer, n_nodes, r1_frac=r1_frac, bc=bc)
+    bc = BoundaryCondition("dirichlet", float(table.u_star(R_outer)))
+    return make_grid(table.dim, R_outer, n_nodes, r1_frac=r1_frac, bc=bc)
 
 
 def _excess_over_star(field: RadialField, star: np.ndarray,
@@ -239,9 +238,8 @@ class _Run:
         """Reaction mass of f(u) over the ball of radius r_star."""
         if self.spec is None:
             return 0.0
-        with np.errstate(over="ignore"):
-            fu = np.asarray(self.spec.f(np.minimum(
-                u[:len(self.inner_volumes)], 1e60)), dtype=float)
+        fu = _reaction_values(
+            self.spec, np.minimum(u[:len(self.inner_volumes)], 1e60))
         # for f >= 0 this is nan_to_num(fu, posinf=1e200) capped at 1e200
         fu[np.isnan(fu)] = 0.0
         np.minimum(fu, 1e200, out=fu)
@@ -260,42 +258,36 @@ class _Run:
         owns a copy of them."""
         return self._record(self.u0.copy_with(u.copy()))
 
-    def next_dt(self, u: np.ndarray, sup: float) -> Optional[float]:
-        """The step from values u with sup-norm sup, or None when the run
-        ends here: diverged (BlowUp, recorded) or at the horizon."""
+    def next_dt(self, u: np.ndarray, sup: float,
+                f_max: float) -> Optional[float]:
+        """The step from values u with sup-norm sup and largest reaction
+        value f_max, or None when the run ends here: at the horizon, or
+        diverged or overflowing (BlowUp past the sup guard)."""
         spec, t, horizon = self.spec, self.t, self.horizon
-        if spec is not None:
-            try:
-                dt_stab = _stability_bound(spec, sup, horizon / 50.0)
-            except ReactionOverflow:
-                dt_stab = 0.0
-        else:
-            dt_stab = 0.5 * horizon / 50.0
-        if (sup > SUP_GUARD
-                and self.inner_mass(u) > MASS_GUARD * self.mass0
-                and dt_stab < DT_UNDERFLOW):
-            self.classification = "BlowUp"
-            self.t_detect = float(t)
-            self._snapshot(u)
+        # dt_stab is 0 when f'(sup) is not finite
+        dt_stab = (0.5 * horizon / 50.0 if spec is None
+                   else _stability_bound(spec, sup, horizon / 50.0))
+        diverged = (sup > SUP_GUARD
+                    and self.inner_mass(u) > MASS_GUARD * self.mass0
+                    and dt_stab < DT_UNDERFLOW)
+        if t >= horizon and not diverged:
             return None
-        if t >= horizon:
-            return None
-        dt = min(dt_stab if dt_stab > 0 else DT_UNDERFLOW, horizon - t)
+        dt = min(dt_stab, horizon - t)
         samples, k = self.samples, self.next_sample
         while k < len(samples) and samples[k] <= t:
             k += 1
         self.next_sample = k
         if k < len(samples):
             dt = min(dt, samples[k] - t)
+        if (diverged or dt_stab == 0.0
+                or not _within_reaction_guard(f_max, dt)):
+            # a diverged run is past the sup guard, so BlowUp
+            if sup > SUP_GUARD:
+                self.classification = "BlowUp"
+                self.t_detect = float(t)
+            self._snapshot(u)
+            return None
         return dt
-
-    def overflowed(self, u: np.ndarray, sup: float) -> None:
-        """The reaction of the step from u overflowed: the run ends, as
-        BlowUp when its sup-norm is past the guard, else Undetermined."""
-        if sup > SUP_GUARD:
-            self.classification = "BlowUp"
-            self.t_detect = float(self.t)
-        self._snapshot(u)
 
     def advance(self, dt: float, u: np.ndarray) -> None:
         """The step of dt reached values u; record them at a sample
@@ -334,40 +326,35 @@ class _Run:
 def _evolve(spec, runs: list) -> None:
     """Step every run to its end in lockstep.
 
-    An iteration takes one max per run over the stacked values, does each
-    active run's scalar bookkeeping (stability dt, divergence test,
-    horizon, sample clamp), then advances all of them through one
-    ImexStack.step: one f call and one tridiagonal solve, each block with
-    its run's own dt.  A run that ends leaves the stack; so does one whose
-    reaction overflows, before the solve, while the others step on.  Each
-    run sees exactly the steps it would take alone.
+    An iteration takes one max per run over the stacked values and one f
+    call on them, with one max per run over the reaction values.  Each
+    active run then does its scalar bookkeeping (stability dt, divergence
+    test, horizon, sample clamp, reaction guard) and may end itself.  The
+    others advance through one ImexStack.step, one tridiagonal solve with
+    each block at its run's own dt.  A run that ends leaves the stack, so
+    each run sees exactly the steps it would take alone.
     """
     active = list(runs)
     stack = ImexStack([run.u0.grid for run in active])
     u = np.concatenate([run.u0.u for run in active])
     for _ in range(MAX_STEPS):
         sups = np.maximum.reduceat(u, stack.starts).tolist()
-        blocks = [u[a:b] for a, b in stack.bounds]
-        dts = [run.next_dt(block, sup)
-               for run, block, sup in zip(active, blocks, sups)]
-        ended = [k for k, dt in enumerate(dts) if dt is None]
-        while True:
-            if ended:
-                keep = [k for k in range(len(active)) if k not in ended]
-                active = [active[k] for k in keep]
-                if not active:
-                    return
-                stack = ImexStack([run.u0.grid for run in active])
-                u = np.concatenate([blocks[k] for k in keep])
-                blocks, sups, dts = ([x[k] for k in keep]
-                                     for x in (blocks, sups, dts))
-            try:
-                u = stack.step(u, spec, dts)
-                break
-            except ReactionOverflow as exc:
-                for k in exc.blocks:
-                    active[k].overflowed(blocks[k], sups[k])
-                ended = exc.blocks
+        fu, f_maxes = None, [0.0] * len(active)
+        if spec is not None:
+            fu = _reaction_values(spec, u)
+            f_maxes = np.maximum.reduceat(fu, stack.starts).tolist()
+        dts = [run.next_dt(u[a:b], sup, f_max) for run, (a, b), sup, f_max
+               in zip(active, stack.bounds, sups, f_maxes)]
+        keep = [k for k, dt in enumerate(dts) if dt is not None]
+        if len(keep) < len(active):
+            if not keep:
+                return
+            rows = np.concatenate([np.arange(*stack.bounds[k]) for k in keep])
+            u = u[rows]
+            fu = None if fu is None else fu[rows]
+            active, dts = [active[k] for k in keep], [dts[k] for k in keep]
+            stack = ImexStack([run.u0.grid for run in active])
+        u = stack.step(u, fu, dts)
         for run, dt, (a, b) in zip(active, dts, stack.bounds):
             run.advance(dt, u[a:b])
 
@@ -435,14 +422,18 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     favour of each entry of A_grid.  A run is "above" u* when its
     amplitude is positive, else "below".
 
-    BlowUp requires three corroborating signals: the sup-norm beyond its
-    guard, the reaction mass inside r_star = max(r_10, R_outer/8) amplified
-    a million-fold, and collapse of the adaptive time step.  GlobalBounded
-    requires reaching the horizon with the sup-norm non-increasing (within
-    slack) over the final half.  Anything else is Undetermined.  A case's
-    verdict is the shared per-cap verdict when all caps agree, else
-    Undetermined with cap_stable=False.  A repeated amplitude or cap is a
-    ValueError.  All runs step in lockstep (see _evolve).
+    A run is BlowUp by one of two rules.  Either three signals corroborate:
+    the sup-norm beyond SUP_GUARD, the reaction mass inside
+    r_star = max(r_10, R_outer/8) amplified a million-fold, and collapse
+    of the adaptive time step below DT_UNDERFLOW.  Or its reaction
+    overflows (dt * max f past REACTION_GUARD, or f'(sup) not finite)
+    with the sup-norm beyond SUP_GUARD alone; below it such a run ends
+    Undetermined.  GlobalBounded requires reaching the horizon with the
+    sup-norm non-increasing (within slack) over the final half.  Anything
+    else is Undetermined.  A case's verdict is the shared per-cap verdict
+    when all caps agree, else Undetermined with cap_stable=False.  A
+    repeated amplitude or cap is a ValueError.  All runs step in lockstep
+    (see _evolve).
     """
     amps = np.asarray(sorted(_distinct("amplitudes", A_grid)))
     caps = _distinct("caps", caps)
@@ -450,12 +441,12 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     # every amplitude shares the caps, so each cap's grid and u* on its
     # nodes are built once
     for cap in caps:
-        grid = case_grid(table, cap, table.dim, R_outer, n_nodes, spec)
-        star = _star_on_nodes(table, grid, spec)
+        grid = case_grid(table, cap, R_outer, n_nodes)
+        star = _star_on_nodes(table, grid)
         star.setflags(write=False)
         for a, case in runs.items():
-            u0 = initial_data(table, grid, RadialBump(
-                bump_shape.r_c, bump_shape.sigma, a), cap, spec, star)
+            u0 = initial_data(grid, star, RadialBump(
+                bump_shape.r_c, bump_shape.sigma, a), cap)
             case.append(_Run(spec, u0, "above" if a > 0 else "below",
                              star, horizon, cap))
     _evolve(spec, [run for case in runs.values() for run in case])

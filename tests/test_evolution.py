@@ -29,7 +29,7 @@ from heatlab.evolution import (
     ul_norm,
 )
 from heatlab.iteration import LadderSeed, run_ladder
-from heatlab.nonlinearity import power_exp, pure_power
+from heatlab.nonlinearity import custom, power_exp, pure_power
 from heatlab.singular_ode import build_singular
 from heatlab.threshold import case_grid
 
@@ -636,7 +636,7 @@ def unequal_blocks(table_cubic):
     rng = np.random.default_rng(18)
     blocks = []
     for cap in (1e4, 1e8):
-        g = case_grid(table_cubic, cap, 5, 8.0, 129, CUBIC)
+        g = case_grid(table_cubic, cap, 8.0, 129)
         blocks.append(field_from_table(table_cubic, g, cap=cap, spec=CUBIC))
     for dim, n in ((3, 65), (5, 100)):
         g = make_grid(dim, 8.0, n)
@@ -655,31 +655,17 @@ def test_stacked_step_is_step_imex_per_block(unequal_blocks, order, spec):
     dts = [(1e-9, 3e-13, 1e-3, 2e-4)[k] for k in order]
     stack = ImexStack([f.grid for f in fields])
     u = np.concatenate([f.u for f in fields])
-    out = stack.step(u, spec, dts)
+    fu = None if spec is None else spec.f(u)
+    out = stack.step(u, fu, dts)
     assert not np.shares_memory(out, u)
     for f, dt, a, b in zip(fields, dts, stack.starts, stack.stops):
         assert out[a:b].tobytes() == step_imex(f, spec, dt).u.tobytes()
     assert u.tobytes() == np.concatenate([f.u for f in fields]).tobytes()
 
 
-def test_stacked_step_names_overflowing_blocks(unequal_blocks):
-    spec = power_exp(5.0, 2.0)
-    hot = RadialField(unequal_blocks[2].grid, np.full(65, 500.0))
-    fields = [unequal_blocks[3], hot, unequal_blocks[2]]
-    stack = ImexStack([f.grid for f in fields])
-    with pytest.raises(ReactionOverflow) as err:
-        stack.step(np.concatenate([f.u for f in fields]), spec,
-                   [1e-6, 1e-6, 1e-6])
-    assert list(err.value.blocks) == [1]
-    # step_imex is the one-block case and names its block too
-    with pytest.raises(ReactionOverflow) as err:
-        step_imex(hot, spec, 1e-6)
-    assert list(err.value.blocks) == [0]
-
-
 def test_inf_block_poisons_its_neighbours(unequal_blocks):
-    # why a block whose reaction overflows leaves the stack before the
-    # solve: 0 * inf = NaN crosses the zero couplings both ways
+    # why a run whose reaction overflows ends before the stacked solve:
+    # 0 * inf = NaN crosses the zero couplings both ways
     fields = unequal_blocks[:3]
     stack = ImexStack([f.grid for f in fields])
     dts = np.repeat([1e-9, 1e-6, 1e-3], stack.sizes)
@@ -696,6 +682,22 @@ def test_reaction_overflow_raised():
     fld = RadialField(g, np.full(g.n_nodes, 500.0))
     with pytest.raises(ReactionOverflow):
         step_imex(fld, power_exp(5.0, 2.0), 1e-3)
+
+
+def test_nan_reaction_fails_the_guard():
+    # the guard is dt * max f <= REACTION_GUARD, which a NaN fails: one NaN
+    # node is an overflow, not a silently poisoned step
+    g = make_grid(3, 8.0, 65)
+    fld = RadialField(g, np.ones(g.n_nodes))
+
+    def f(u):
+        out = u ** 3
+        out[7] = np.nan
+        return out
+
+    spec = custom(f, lambda u: 3.0 * u ** 2, lambda u: 6.0 * u)
+    with pytest.raises(ReactionOverflow):
+        step_imex(fld, spec, 1e-3)
 
 
 def test_stability_dt_tracks_sup():

@@ -75,20 +75,21 @@ def test_perturbation_validation():
 def test_initial_data_one_sided(table, ustar2, dichotomy_pair, capped_case):
     # exact ordering, with no slack: initial_data has no one-sided clip, so
     # the rounding of min(u*, cap) + bump alone must keep each side
-    g = case_grid(table, 1e4, 5, 8.0, 129, CUBIC)
+    g = case_grid(table, 1e4, 8.0, 129)
     star = np.asarray(table.u_star(g.r[1:], CUBIC))
+    on_nodes = np.concatenate([[np.inf], star])
 
-    below = initial_data(table, g, RadialBump(2.0, 2.0, -0.3 * ustar2),
-                         1e4, CUBIC)
+    below = initial_data(g, on_nodes, RadialBump(2.0, 2.0, -0.3 * ustar2),
+                         1e4)
     assert np.all(below.u >= 0.0)
     assert np.all(below.u[1:] <= star)
 
-    above = initial_data(table, g, RadialBump(2.0, 2.0, +0.3 * ustar2),
-                         1e4, CUBIC)
+    above = initial_data(g, on_nodes, RadialBump(2.0, 2.0, +0.3 * ustar2),
+                         1e4)
     assert np.all(above.u[1:] >= np.minimum(star, 1e4))
 
     # a zero bump is the capped profile itself, clipped at the origin
-    capped = initial_data(table, g, RadialBump(2.0, 2.0, 0.0), 1e4, CUBIC)
+    capped = initial_data(g, on_nodes, RadialBump(2.0, 2.0, 0.0), 1e4)
     assert capped.cap_mask[0]
     assert np.all(capped.u <= 1e4)
     assert np.array_equal(capped.u, np.minimum(
@@ -105,7 +106,7 @@ def test_case_grid_resolves_capped_zone(table):
     # the first positive node must sit inside the region where the profile
     # exceeds the cap, otherwise the cap acts as a wide reacting plateau
     for cap in (1e4, 1e5):
-        g = case_grid(table, cap, 5, 8.0, 129, CUBIC)
+        g = case_grid(table, cap, 8.0, 129)
         r1 = g.r[1]
         assert float(table.u_star(r1, CUBIC)) > cap
         assert g.bc.kind == "dirichlet"
@@ -114,7 +115,7 @@ def test_case_grid_resolves_capped_zone(table):
 def test_case_grid_rejects_unreachable_cap(table_pe):
     # u* of power_exp grows like sqrt(2 log 1/r): 6.6 at r = 1e-12
     with pytest.raises(OutOfRange, match=r"cap 10000 .* u\*\(1e-12\) = 6\.6"):
-        case_grid(table_pe, 1e4, 3, 8.0, 129, PE)
+        case_grid(table_pe, 1e4, 8.0, 129)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +276,9 @@ def test_cubic_scan_verdicts(cubic_scan):
 
 
 def test_power_exp_overflow_leaves_its_neighbour_stepping(pe_scan):
-    # the +0.1 runs end Undetermined through ReactionOverflow, before the
-    # horizon and below the sup guard, while the -0.1 runs in the same
-    # stack step on to a bounded verdict
+    # the +0.1 runs end themselves Undetermined when their reaction
+    # overflows, before the horizon and below the sup guard, while the
+    # -0.1 runs in the same stack step on to a bounded verdict
     below, above = (pe_scan.cases[a] for a in pe_scan.amplitudes)
     assert below.classification == "GlobalBounded"
     for o in below.outcomes.values():
@@ -293,10 +294,9 @@ def test_inner_mass_is_the_reference_formula(table):
     # the reaction mass keeps the bits of sphere_area * sum(f(u) vol) over
     # r <= r_star, with f(min(u, 1e60)) passed through
     # nan_to_num(posinf=1e200) and capped at 1e200
-    grid = case_grid(table, 1e4, 5, 8.0, 129, CUBIC)
+    grid = case_grid(table, 1e4, 8.0, 129)
     star = np.concatenate([[np.inf], table.u_star(grid.r[1:], CUBIC)])
-    u0 = initial_data(table, grid, RadialBump(2.0, 2.0, 0.1), 1e4, CUBIC,
-                      star)
+    u0 = initial_data(grid, star, RadialBump(2.0, 2.0, 0.1), 1e4)
     r_star = max(grid.r[10], grid.R_outer / 8.0)
     assert r_star in grid.r                 # the node at r_star counts
 
