@@ -27,6 +27,7 @@ from .errors import HeatLabError
 from .evolution import RadialField, field_from_table
 from .iteration import LadderSeed, run_ladder
 from .nonlinearity import (
+    NonlinearitySpec,
     check_admissibility,
     cutoff_exp,
     power_exp,
@@ -245,8 +246,10 @@ def cmd_check(cfg: RunConfig, out: Artifacts) -> int:
     return 0 if report.all_pass else 1
 
 
-def _build_table(cfg: RunConfig):
-    return build_singular(cfg.spec(), cfg.dim, r_patch=cfg.r_patch,
+def _build_table(cfg: RunConfig, spec: NonlinearitySpec):
+    """u* of the command's one spec, so that the profile and every check
+    on it share one log F table."""
+    return build_singular(spec, cfg.dim, r_patch=cfg.r_patch,
                           R_max=cfg.R_max, patch_tol=cfg.patch_tol)
 
 
@@ -264,7 +267,7 @@ def cmd_singular(cfg: RunConfig, out: Artifacts) -> int:
     if blocking:
         out.commit()
         return 1
-    table = _build_table(cfg)
+    table = _build_table(cfg, spec)
     out.write_csv("singular_table.csv", ("r", "u_star", "du_star"),
                   zip(table.r, table.u, table.du))
     out.write_csv("asymptotic_ratio.csv", ("r", "ratio"),
@@ -288,10 +291,10 @@ def _exit_code(report) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, out: Artifacts) -> int:
-    spec = None if cfg.pure_heat else cfg.spec()
-    table = _build_table(cfg)
+    spec = cfg.spec()
+    table = _build_table(cfg, spec)
     # the capped profile min(u*, cap): the zero bump at the one cap
-    report = threshold_scan(spec, table,
+    report = threshold_scan(None if cfg.pure_heat else spec, table,
                             RadialBump(cfg.bump_r_c, cfg.bump_sigma, 0.0),
                             [0.0], horizon=cfg.horizon, caps=(cfg.cap,),
                             n_nodes=cfg.n_nodes, R_outer=cfg.R_outer)
@@ -319,7 +322,7 @@ def cmd_evolve(cfg: RunConfig, out: Artifacts) -> int:
 
 def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
     spec = cfg.spec()
-    table = _build_table(cfg)
+    table = _build_table(cfg, spec)
     grid = case_grid(table, cfg.iterate_cap, cfg.R_outer, cfg.n_nodes)
     envelope = field_from_table(table, grid, cap=cfg.iterate_cap, spec=spec)
     u0 = RadialField(grid, cfg.seed_factor * envelope.u,
@@ -346,13 +349,13 @@ def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
 
 
 def cmd_scan(cfg: RunConfig, out: Artifacts) -> int:
-    spec = None if cfg.pure_heat else cfg.spec()
-    table = _build_table(cfg)
+    spec = cfg.spec()
+    table = _build_table(cfg, spec)
     u_ref = float(table.u_star(cfg.bump_r_c))
     A_grid = [fa * u_ref for fa in cfg.amplitude_factors()]
     bump = RadialBump(cfg.bump_r_c, cfg.bump_sigma, 0.0)
-    report = threshold_scan(spec, table, bump, A_grid,
-                            horizon=cfg.scan_horizon,
+    report = threshold_scan(None if cfg.pure_heat else spec, table, bump,
+                            A_grid, horizon=cfg.scan_horizon,
                             caps=cfg.cap_list(), n_nodes=cfg.n_nodes,
                             R_outer=cfg.R_outer)
     out.write_csv("scan.csv", ("amplitude", "classification", "t_detect",

@@ -401,23 +401,24 @@ class SemigroupOperator:
         """Sparse P mapping the nodal values, with the extension value as
         column M, to the field at the quadrature nodes rho: Lagrange weights
         on the four nodes around a node's segment (cubic) or on its two ends
-        (linear), and weight 1 on the extension value beyond the grid."""
+        (linear), and weight 1 on the extension value beyond the grid.
+        The weights of every row come at once; the rows beyond the grid are
+        overwritten after, and each row holds n entries."""
         r = self.grid.r
         M = len(r)
         n = 4 if self.interp == "cubic" else 2
-        inside = seg < M - 1
-        cols = np.full((len(rho), n), M)
-        wts = np.zeros((len(rho), n))
-        wts[~inside, 0] = 1.0
-        cols[inside] = (np.clip(seg[inside] - n // 2 + 1, 0, M - n)[:, None]
-                        + np.arange(n))
-        xs = r[cols[inside]]
+        cols = np.clip(seg - n // 2 + 1, 0, M - n)[:, None] + np.arange(n)
+        xs = r[cols]
+        wts = np.empty((len(rho), n))
         for c in range(n):
             o = np.arange(n) != c
-            wts[inside, c] = np.prod((rho[inside, None] - xs[:, o])
-                                     / (xs[:, [c]] - xs[:, o]), axis=1)
-        return csr_matrix((wts.ravel(), (np.repeat(np.arange(len(rho)), n),
-                                         cols.ravel())),
+            wts[:, c] = np.prod((rho[:, None] - xs[:, o])
+                                / (xs[:, [c]] - xs[:, o]), axis=1)
+        beyond = seg >= M - 1
+        cols[beyond] = M
+        wts[beyond] = np.eye(1, n)
+        return csr_matrix((wts.ravel(), cols.ravel(),
+                           n * np.arange(len(rho) + 1)),
                           shape=(len(rho), M + 1))
 
     def _assemble(self):

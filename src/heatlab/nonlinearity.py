@@ -9,12 +9,21 @@ whose inverse describes the blow-up profile of the singular stationary
 solution near the origin.  All tail handling is done in log space so that
 strongly exponential f (where f(u) overflows well before u = 50) remains
 computable.
+
+log F is the natural height for the exponential class (F(u*) ~ r^2/(2N-4)
+along the profile), so each spec carries one log F table (LogFTable): its
+pieces span TABLE_PIECE units of g from anchors where g crosses a multiple
+of TABLE_PIECE, each laid by one upward Gauss-Legendre ladder.  F and F^-1
+read that table at a cost that does not grow with the height, and every
+value depends on its argument and the spec only.  The antiderivative of f
+(condition A4, the Pohozaev trace) takes one downward ladder per point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -83,10 +92,19 @@ class NonlinearitySpec:
     gpp: Callable
     tail: TailGrowth
     label: str = ""
+    #: points where f is only C^2: every ladder lays a node on each, so no
+    #: Gauss-Legendre segment straddles one
+    joins: tuple = ()
 
     def __post_init__(self):
         if not self.label:
             object.__setattr__(self, "label", self.family)
+
+    @cached_property
+    def log_F_table(self) -> "LogFTable":
+        """This spec's log F table, laid piece by piece as F and its
+        inverse are asked for."""
+        return LogFTable(self)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +271,7 @@ def cutoff_exp(a: float = 20.0) -> NonlinearitySpec:
     return NonlinearitySpec(
         family="cutoff_exp", params={"a": a},
         f=f, fp=fp, fpp=fpp, g=g, gp=gp, gpp=gpp, tail=tail,
-        label=f"cutoff_exp(a={a:g})")
+        label=f"cutoff_exp(a={a:g})", joins=(1.0, 3.0, 4.0))
 
 
 def pure_power(p: float) -> NonlinearitySpec:
@@ -353,7 +371,7 @@ def _antiderivative_end(spec, x, gx, x_ref, g_ref):
 
 
 def _barrier_end(spec, x, gx, x_ref, g_ref):
-    """Upward past x_ref: (end, log tail), at once where the exact tail
+    """Upward from x_ref: (end, log tail), at once where the exact tail
     holds, else at depth LADDER_SPAN to where it starts or to M with g
     convex beyond, g'(M) > 0, g''(M) >= 0 and tail <= 1/(f(M) g'(M)); while
     that fails, (2M, None) steps on from 2M.  NonIntegrableTail past 2^600
@@ -362,7 +380,7 @@ def _barrier_end(spec, x, gx, x_ref, g_ref):
     if not (x <= 2.0 ** 600 and abs(gx) < math.inf):
         raise NonIntegrableTail(f"{spec.label}: could not certify an "
                                 f"integrable tail of F")
-    if x < x_ref or gx - g_ref < LADDER_SPAN and (
+    if gx - g_ref < LADDER_SPAN and (
             exact is None or x < spec.tail.tail_start):
         return None
     if exact is not None:
@@ -375,34 +393,41 @@ def _barrier_end(spec, x, gx, x_ref, g_ref):
     return 2.0 * M, None
 
 
-def _ladder(spec: NonlinearitySpec, u, sign: float, reach=None):
+def _ladder(spec: NonlinearitySpec, u, sign: float):
     """Gauss-Legendre ladders from every entry of the array u > 0, upward
-    for F (sign = -1, integrand 1/f, ended by _barrier_end) or downward for
-    the antiderivative of f (sign = +1, by _antiderivative_end), stepped on
-    Python floats and integrated in one batch.  A step spans e^(d/4)/4
-    units of g, at most 8, at depth d: the units g has risen past g(reach)
-    (default u) or fallen below g(u); its length is set by the slope of g
-    over the previous step (g'(u) for the first), at most half the distance
-    to 0.  Damped by e^-d, each segment's error stays that of the first,
-    also where f has a kink.  Returns the segments (start, end, g at the
-    start, integral of exp(sign (g(s) - g(start)))), each ladder's first
-    segment index and log of its tail (-inf downward)."""
+    for F (sign = -1, integrand 1/f, ended by _barrier_end; it lays the
+    pieces of LogFTable) or downward for the antiderivative of f (sign =
+    +1, by _antiderivative_end), stepped on Python floats and integrated in
+    one batch.  A step spans e^(d/4)/4 units of g, at most 8, at depth d:
+    the units g has risen above or fallen below g(u); its length is set by
+    the slope of g over the previous step (g'(u) for the first), at most
+    half the distance to 0, and it stops at the spec's next join.  Damped
+    by e^-d, each segment's error stays that of the first.  Returns the
+    segments (start, end, g at the start, integral of
+    exp(sign (g(s) - g(start)))), each ladder's first segment index and log
+    of its tail (-inf downward)."""
     g = spec.g
     end = _barrier_end if sign < 0.0 else _antiderivative_end
+    joins = spec.joins if sign < 0.0 else spec.joins[::-1]
     u = np.asarray(u, dtype=float)
-    g_reach = None if reach is None else float(g(reach))
     segments, first, log_tail = [], [], []
     for x, slope in zip(u.tolist(), np.asarray(spec.gp(u), float).tolist()):
         first.append(len(segments))
-        gx = float(g(x))
-        x_ref, g_ref = (x, gx) if reach is None else (reach, g_reach)
+        x_ref = x
+        gx = g_ref = float(g(x))
         tail = None
         while tail is None:
             depth = sign * (g_ref - gx)
             unit = 0.25 * math.exp(min(max(depth, 0.0), 13.86) / 4.0)
             nxt = x - sign * (unit / slope if slope * x > 2.0 * unit
                               else 0.5 * x)
+            for j in joins:
+                if (j - x) * (nxt - j) > 0.0:
+                    nxt = j
             nxt, tail = end(spec, x, gx, x_ref, g_ref) or (nxt, None)
+            if tail is None and nxt == x:
+                raise OutOfRange(f"{spec.label}: a ladder step from u = "
+                                 f"{x:g} is below the spacing of doubles")
             segments.append((x, nxt, gx))
             if tail is None:
                 g_nxt = float(g(nxt))
@@ -414,27 +439,272 @@ def _ladder(spec: NonlinearitySpec, u, sign: float, reach=None):
             np.array(first, dtype=int), np.array(log_tail))
 
 
-def _scaled_integral(spec: NonlinearitySpec, u, sign: float):
-    """(g(u), f(u) F(u)) for sign = -1 or (g(u), integral_0^u f / f(u)) for
-    sign = +1, at every entry of the array u > 0: each ladder's segments
-    summed against the scale f(u)."""
-    _, _, ga, seg, first, log_tail = _ladder(spec, u, sign)
+def _scaled_antiderivative(spec: NonlinearitySpec, u):
+    """(g(u), integral_0^u f / f(u)) at every entry of the array u > 0:
+    each downward ladder's segments summed against the scale f(u)."""
+    _, _, ga, seg, first, log_tail = _ladder(spec, u, 1.0)
     g0 = ga[first]
     g_scale = np.repeat(g0, np.diff(np.append(first, ga.size)))
-    total = np.add.reduceat(seg * np.exp(sign * (ga - g_scale)), first)
-    return g0, total + np.exp(log_tail - sign * g0)
+    total = np.add.reduceat(seg * np.exp(ga - g_scale), first)
+    return g0, total + np.exp(log_tail - g0)
+
+
+#: width in units of g of one piece of the log F table
+TABLE_PIECE = 8.0
+#: the table's anchors lie in [2^LOG2_U_MIN, 2^LOG2_U_MAX]
+LOG2_U_MIN, LOG2_U_MAX = -960.0, 600.0
+#: Newton steps an F-inverse root takes at most
+NEWTON_STEPS = 8
+
+
+def _each(fn, m: np.ndarray) -> np.ndarray:
+    """fn(k) at every entry k of the float array m of piece indices, called
+    once per distinct k."""
+    ms, at = np.unique(m, return_inverse=True)
+    return np.array([fn(int(k)) for k in ms], dtype=float)[at]
+
+
+class LogFTable:
+    """log F of one spec on canonical nodes, laid piece by piece on use.
+
+    Piece m starts at the anchor u_m, the largest point of a bisection in
+    log2 u over the fixed range [2^LOG2_U_MIN, 2^LOG2_U_MAX] with
+    g(u_m) <= m TABLE_PIECE, carried on until g varies by at most
+    TABLE_PIECE/16 across the bracket.  It holds one upward ladder from
+    u_m (_ladder) with g and log F at every node, accumulated downward
+    with logaddexp from the ladder's tail, and it serves the u in
+    [u_m, u_{m+1}).  log F is kept as log(f F) = log F + g, which stays
+    of order one, so f F keeps its relative precision where g is 1e6.
+    A node and its value depend on m and the spec alone, never on the
+    request, batch or call history that laid the piece, and a piece costs
+    the same at any height.  Where the spec has an exact tail, log F is
+    that closed form from tail_start on; a piece there holds its two
+    anchors only, and a piece whose ladder the exact tail ends early also
+    holds the next anchor.
+
+    ``pieces`` maps m to (nodes, g, log(f F) at the nodes).  Lookups go
+    through flat arrays of the laid pieces' nodes below their next
+    anchor, in the order of m, rebuilt when a piece is laid.  The spec
+    caches its table (NonlinearitySpec.log_F_table).
+    """
+
+    def __init__(self, spec: NonlinearitySpec):
+        self.spec = spec
+        self.pieces = {}
+        self._anchors = {}
+        self._flat = None
+
+    def anchor(self, m: int) -> float:
+        """u_m, the start of piece m (2^LOG2_U_MIN where g stays above
+        m TABLE_PIECE, 2^LOG2_U_MAX where it stays below)."""
+        u = self._anchors.get(m)
+        if u is None:
+            u = self._anchors[m] = self._bisect(m * TABLE_PIECE)
+        return u
+
+    def _bisect(self, level: float) -> float:
+        g = self.spec.g
+        lo, hi = LOG2_U_MIN, LOG2_U_MAX
+        with np.errstate(all="ignore"):
+            g_lo, g_hi = float(g(2.0 ** lo)), math.inf
+            if not g_lo <= level:
+                return 2.0 ** lo
+            while not g_hi - g_lo <= TABLE_PIECE / 16.0:
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                g_mid = float(g(2.0 ** mid))
+                if g_mid <= level:
+                    lo, g_lo = mid, g_mid
+                else:
+                    hi, g_hi = mid, g_mid
+        return 2.0 ** lo
+
+    def piece(self, m: int):
+        """(nodes, g, log(f F) at the nodes) of piece m, laid on first
+        use."""
+        piece = self.pieces.get(m)
+        if piece is None:
+            piece = self.pieces[m] = self._lay(m)
+            self._flat = None
+        return piece
+
+    def _lay(self, m: int):
+        spec = self.spec
+        start, stop = self.anchor(m), self.anchor(m + 1)
+        exact = spec.tail.log_exact_tail
+        if exact is not None and start >= spec.tail.tail_start:
+            nodes = np.array([start, stop])
+            g_n = np.asarray(spec.g(nodes), dtype=float)
+            return nodes, g_n, np.array([exact(start), exact(stop)]) + g_n
+        a, b, ga, seg, _, log_tail = _ladder(spec, np.array([start]), -1.0)
+        keep = b > a
+        nodes = np.append(a[keep], b[keep][-1])
+        g_n = np.append(ga[keep], float(spec.g(nodes[-1])))
+        # summed against the scale f(u_m): every term is of order one
+        depth = g_n - g_n[0]
+        terms = np.append(np.log(seg[keep]) - depth[:-1],
+                          log_tail + g_n[0])
+        log_fF = np.logaddexp.accumulate(terms[::-1])[::-1] + depth
+        if exact is not None and nodes[-1] < stop:
+            g_stop = float(spec.g(stop))
+            nodes, g_n = np.append(nodes, stop), np.append(g_n, g_stop)
+            log_fF = np.append(log_fF, exact(stop) + g_stop)
+        return nodes, g_n, log_fF
+
+    def _lookup(self):
+        """Flat arrays over the laid pieces, one entry per node below the
+        piece's next anchor: (node, log F, next node, g and log(f F)
+        there, next anchor, log F at the next anchor or inf while that
+        piece is not laid), after one sentinel entry."""
+        if self._flat is None:
+            # a first entry below every u and above every target, served
+            # by no piece, so that every search lands on an entry
+            parts = [([-math.inf], [math.inf], [math.nan], [math.nan],
+                      [math.nan], [-math.inf], [math.inf])]
+            for m in sorted(self.pieces):
+                nodes, g_n, log_fF = self.pieces[m]
+                stop = self.anchor(m + 1)
+                n = min(int(np.searchsorted(nodes, stop)), nodes.size - 1)
+                above = self.pieces.get(m + 1)
+                parts.append((nodes[:n], log_fF[:n] - g_n[:n],
+                              nodes[1:n + 1], g_n[1:n + 1],
+                              log_fF[1:n + 1], np.full(n, stop),
+                              np.full(n, math.inf if above is None
+                                      else above[2][0] - above[1][0])))
+            self._flat = tuple(np.concatenate(c) for c in zip(*parts))
+        return self._flat
+
+    def _locate(self, v: np.ndarray, g_v: np.ndarray):
+        """The pieces m with u_m <= u < u_{m+1} of the entries of v:
+        from floor(g(u) / TABLE_PIECE), stepped over the anchors."""
+        m = np.floor(g_v / TABLE_PIECE)
+        while True:
+            move = ((v >= _each(lambda k: self.anchor(k + 1), m))
+                    .astype(float) - (v < _each(self.anchor, m)))
+            if not move.any():
+                return [int(k) for k in np.unique(m)]
+            m += move
+
+    def _entries(self, v: np.ndarray, g_v: np.ndarray) -> np.ndarray:
+        """The lookup entry of every u: the node at or below u in the
+        piece that serves u, laying the pieces no entry serves yet."""
+        node, *_, stop, _ = self._lookup()
+        i = np.searchsorted(node, v, side="right") - 1
+        bad = v >= stop[i]
+        if bad.any():
+            for m in self._locate(v[bad], g_v[bad]):
+                self.piece(m)
+            node = self._lookup()[0]
+            i = np.searchsorted(node, v, side="right") - 1
+        return i
+
+    def log_F(self, u: np.ndarray):
+        """(log F(u), log(f(u) F(u)), g(u)) for a 1-d array u > 0: the
+        closed form where the exact tail holds, else, with the next node
+        u_{k+1} of u's piece, log(f F)(u) = logaddexp(log of the integral
+        of f(u)/f from u to u_{k+1}, log(f F)(u_{k+1}) - g(u_{k+1}) +
+        g(u)), one batched 16-point Gauss-Legendre segment per entry."""
+        spec = self.spec
+        exact = spec.tail.log_exact_tail
+        g_u = np.asarray(spec.g(u), dtype=float)
+        log_F, log_fF = np.empty_like(u), np.empty_like(u)
+        closed = (u >= spec.tail.tail_start if exact is not None
+                  else np.zeros(u.shape, dtype=bool))
+        log_F[closed] = [exact(x) for x in u[closed].tolist()]
+        log_fF[closed] = log_F[closed] + g_u[closed]
+        v, g_v = u[~closed], g_u[~closed]
+        if not np.all(np.isfinite(g_v) & (v < 2.0 ** LOG2_U_MAX)):
+            raise NonIntegrableTail(f"{spec.label}: could not certify an "
+                                    f"integrable tail of F")
+        if np.any((v < 2.0 ** LOG2_U_MIN) | (np.abs(g_v) >= 2.0 ** 52)):
+            raise OutOfRange(f"F is tabulated for u >= 2^{LOG2_U_MIN:g} "
+                             f"with |g(u)| < 2^52")
+        i = self._entries(v, g_v)
+        _, _, nxt, g_nxt, log_fF_nxt, _, _ = self._lookup()
+        with np.errstate(divide="ignore"):
+            seg = np.log(_segment(spec, v, g_v, nxt[i], -1.0))
+        log_fF[~closed] = np.logaddexp(seg, log_fF_nxt[i] - (g_nxt[i] - g_v))
+        log_F[~closed] = log_fF[~closed] - g_v
+        return log_F, log_fF, g_u
+
+    def _at_anchor(self, m: int) -> float:
+        _, g_n, log_fF = self.piece(m)
+        return float(log_fF[0] - g_n[0])
+
+    def _piece_for(self, t: np.ndarray):
+        """Lay the pieces m and m + 1 of every target t, where m is the
+        piece with log F(u_m) >= t > log F(u_{m+1}).  From m = floor(-t /
+        TABLE_PIECE) it jumps by the gap counted in pieces (log F falls by
+        about one unit per unit of g) until the pieces known to lie below
+        and above the target bracket it, then bisects the bracket."""
+        m = np.floor(-t / TABLE_PIECE)
+        lo, hi = np.full(t.shape, -np.inf), np.full(t.shape, np.inf)
+        while True:
+            here = _each(self._at_anchor, m)
+            above = _each(lambda k: self._at_anchor(k + 1), m)
+            down, up = here < t, above >= t
+            if not (down.any() or up.any()):
+                return
+            if any(self.anchor(int(k)) <= 2.0 ** LOG2_U_MIN
+                   for k in m[down]):
+                raise OutOfRange("requested value exceeds sup F")
+            if any(self.anchor(int(k) + 1) >= 2.0 ** LOG2_U_MAX
+                   for k in m[up]):
+                raise OutOfRange("no preimage found at large u")
+            # the piece lies in [lo, hi - 1]
+            hi, lo = np.where(down, m, hi), np.where(up, m + 1.0, lo)
+            gap = np.where(down, t - here, above - t) / TABLE_PIECE
+            jump = m + (up.astype(float) - down) * np.maximum(np.floor(gap),
+                                                              1.0)
+            with np.errstate(invalid="ignore"):     # inf - inf unbracketed
+                mid = np.floor(0.5 * (lo + hi - 1.0))
+            jump = np.where((jump < lo) | (jump >= hi), mid, jump)
+            m = np.where(down | up, jump, m)
+
+    def inverse(self, t: np.ndarray) -> np.ndarray:
+        """u with log F(u) = t for a 1-d array t.  The lookup entry of
+        each target lies in its piece m (log F(u_m) >= t > log F(u_{m+1}))
+        with log F at the entry >= t > log F at the next node; the root
+        starts by linear interpolation between the two and takes Newton
+        steps on log_F, clipped to them, with the exact
+        d log F/du = -exp(-g - log F), until a step is within 4 ulps."""
+        if not np.all(np.abs(t) < 2.0 ** 52):
+            raise OutOfRange("F^-1 is tabulated for |log y| < 2^52")
+        _, log_F, *_, above = self._lookup()
+        i = np.searchsorted(-log_F, -t, side="right") - 1
+        bad = ~(t > above[i])
+        if bad.any():
+            self._piece_for(t[bad])
+            log_F = self._lookup()[1]
+            i = np.searchsorted(-log_F, -t, side="right") - 1
+        node, log_F, nxt, g_nxt, log_fF_nxt, _, _ = self._lookup()
+        lo, hi = node[i], nxt[i]
+        log_F_hi = log_fF_nxt[i] - g_nxt[i]
+        u = lo + (hi - lo) * (log_F[i] - t) / (log_F[i] - log_F_hi)
+        todo = np.arange(t.size)
+        for _ in range(NEWTON_STEPS):
+            log_F_u, log_fF_u, _ = self.log_F(u[todo])
+            step = (log_F_u - t[todo]) * np.exp(log_fF_u)
+            u[todo] = np.clip(u[todo] + step, lo[todo], hi[todo])
+            todo = todo[np.abs(step) > 4.0 * np.finfo(float).eps * u[todo]]
+            if todo.size == 0:
+                break
+        return u
 
 
 def eval_F_log(spec: NonlinearitySpec, u):
     """log F(u), stable even where F(u) underflows to zero, elementwise for
-    an array u (a scalar returns a float): one upward ladder per entry."""
+    an array u (a scalar returns a float), read from the spec's log F
+    table: log F(u) = logaddexp(L[k+1], log of the integral of 1/f from u
+    to the next node u_{k+1}), one batched 16-point Gauss-Legendre segment
+    per entry, or the exact tail where the spec has one."""
     scalar = np.ndim(u) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u = np.asarray(u, dtype=float)
     if not np.all(u > 0.0):
         raise ValueError("F is defined for u > 0")
-    g0, scaled = _scaled_integral(spec, u, -1.0)
-    out = np.log(scaled) - g0
-    return float(out[0]) if scalar else out
+    out = spec.log_F_table.log_F(u.ravel())[0].reshape(u.shape)
+    return float(out) if scalar else out
 
 
 def eval_F(spec: NonlinearitySpec, u: float) -> float:
@@ -442,67 +712,19 @@ def eval_F(spec: NonlinearitySpec, u: float) -> float:
     return math.exp(eval_F_log(spec, u))
 
 
-def _log_F_bracket(spec: NonlinearitySpec, t_min: float, t_max: float):
-    """The tightest lo <= hi among 1, 2, 4, ... and 1, 1/2, 1/4, ... with
-    log F(lo) >= t_max and log F(hi) <= t_min."""
-    log_F = {}
-    for factor, done, why in (
-            (2.0, lambda v: v <= t_min, "no preimage found at large u"),
-            (0.5, lambda v: v >= t_max, "requested value exceeds sup F")):
-        x = 1.0
-        while True:
-            if x not in log_F:
-                log_F[x] = eval_F_log(spec, x)
-            if done(log_F[x]):
-                break
-            x *= factor
-            if not 1e-290 <= x <= 2.0 ** 600:
-                raise OutOfRange(why)
-    return (max(x for x, v in log_F.items() if v >= t_max),
-            min(x for x, v in log_F.items() if v <= t_min))
-
-
 def eval_F_inverse_log(spec: NonlinearitySpec, log_y):
     """Solve F(u) = exp(log_y) for u, elementwise for an array log_y (a
     scalar returns a float).  F is strictly decreasing.
 
-    One log F table serves the whole request, its nodes set by the
-    request alone: one upward ladder from the lower power-of-two bracket
-    end that reaches past the upper one, log F accumulated downward with
-    logaddexp from the ladder's tail.  Each root starts by linear
-    interpolation in its segment; all are polished at once by Newton
-    steps with the exact d log F/du = -exp(-g - log F), on the table and
-    then once on eval_F_log.
+    The root is searched in the spec's log F table and finished by Newton
+    steps on the same evaluation as eval_F_log (LogFTable.inverse), so it
+    depends on its own target and the spec only.  OutOfRange where the
+    target lies above log F(2^LOG2_U_MIN) or below log F(2^LOG2_U_MAX).
     """
     scalar = np.ndim(log_y) == 0
-    t = np.atleast_1d(np.asarray(log_y, dtype=float))
-    lo, hi = _log_F_bracket(spec, float(t.min()), float(t.max()))
-    # reach 2 lo at least, so that lo = hi still lays a segment
-    a, b, ga, seg, _, log_tail = _ladder(spec, np.array([lo]), -1.0,
-                                         reach=max(hi, 2.0 * lo))
-    keep = b > a
-    nodes = np.append(a[keep], b[keep][-1])
-    log_F = np.logaddexp.accumulate(np.concatenate(
-        [log_tail, (np.log(seg[keep]) - ga[keep])[::-1]]))[::-1]
-    k = np.clip(np.searchsorted(-log_F, -t) - 1, 0, nodes.size - 2)
-    u = nodes[k] + (nodes[k + 1] - nodes[k]) * (
-        (log_F[k] - t) / (log_F[k] - log_F[k + 1]))
-    for _ in range(8):
-        k = np.clip(np.searchsorted(nodes, u, side="right") - 1,
-                    0, nodes.size - 2)
-        gu = np.asarray(spec.g(u), dtype=float)
-        with np.errstate(divide="ignore"):
-            seg = np.log(_segment(spec, u, gu, nodes[k + 1], -1.0))
-        log_F_u = np.logaddexp(log_F[k + 1], seg - gu)
-        step = (log_F_u - t) * np.exp(gu + log_F_u)
-        u = np.clip(u + step, lo, nodes[-1])
-        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * u):
-            break
-    # a last step on eval_F_log itself: each root then depends on its own
-    # target only, not on the table the rest of the request laid
-    g_u, scaled = _scaled_integral(spec, u, -1.0)
-    u = u + (np.log(scaled) - g_u - t) * scaled
-    return float(u[0]) if scalar else u
+    t = np.asarray(log_y, dtype=float)
+    u = spec.log_F_table.inverse(t.ravel()).reshape(t.shape)
+    return float(u) if scalar else u
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +843,7 @@ def check_admissibility(spec: NonlinearitySpec,
     # Q(u)/(u f(u)) with Q(u) = u f(u) - (p_crit+1) int_0^u f: normalizing
     # by u f(u) > 0 keeps it finite where f overflows and keeps its sign
     uq = np.geomspace(u_min, u_max, 80)
-    q_norm = 1.0 - (p_crit + 1.0) * _scaled_integral(spec, uq, 1.0)[1] / uq
+    q_norm = 1.0 - (p_crit + 1.0) * _scaled_antiderivative(spec, uq)[1] / uq
     tol = 1e-12 * np.maximum(1.0, np.abs(q_norm))
     bad = np.where(q_norm < -tol)[0]
     wit = [(float(uq[i]), float(q_norm[i])) for i in bad[:5]]
@@ -652,9 +874,10 @@ def check_admissibility(spec: NonlinearitySpec,
 def check_fprime_F_limit(spec: NonlinearitySpec,
                          u_grid: Sequence[float]) -> list:
     """Product f'(u) F(u) along an ascending grid; tends to 1 for the
-    exponential class.  Computed as g'(u) * (f(u) F(u)) on the ladders."""
+    exponential class.  Computed as g'(u) times f(u) F(u), read from the
+    spec's log F table."""
     u = np.asarray(u_grid, dtype=float)
     if np.any(u <= 0.0) or np.any(np.diff(u) <= 0.0):
         raise ValueError("u_grid must be positive and strictly ascending")
-    prod = np.asarray(spec.gp(u)) * _scaled_integral(spec, u, -1.0)[1]
+    prod = np.asarray(spec.gp(u)) * np.exp(spec.log_F_table.log_F(u)[1])
     return list(zip(u.tolist(), prod.tolist()))

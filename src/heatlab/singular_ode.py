@@ -34,7 +34,7 @@ from scipy.integrate._ivp.lsoda import LsodaDenseOutput
 from .errors import OutOfRange, PatchMismatch, StepUnderflow
 from .nonlinearity import (
     NonlinearitySpec,
-    _scaled_integral,
+    _scaled_antiderivative,
     _segment,
     eval_F_inverse_log,
     eval_F_log,
@@ -383,7 +383,7 @@ def eval_F0(spec: NonlinearitySpec, u: float) -> float:
     g(u) >= 700."""
     if u <= 0.0:
         return 0.0
-    gu, ratio = _scaled_integral(spec, np.array([float(u)]), 1.0)
+    gu, ratio = _scaled_antiderivative(spec, np.array([float(u)]))
     return math.inf if gu[0] >= 700.0 else float(ratio[0] * np.exp(gu[0]))
 
 

@@ -1,6 +1,7 @@
 """Tests for the nonlinearity evaluators, the barrier integral F and the
 admissibility checks."""
 
+import dataclasses
 import json
 import math
 
@@ -304,6 +305,46 @@ def test_inverse_bracket_memo_keeps_roots(make):
     assert [eval_F_inverse_log(warm, t) for t in targets] == fresh
 
 
+def test_log_F_table_is_history_independent():
+    # a spec first asked high up (u = 1e3, log F = -60) gives the same bits
+    # as a fresh one: every value depends on its own argument and the spec
+    u = np.geomspace(0.05, 30.0, 17)
+    targets = np.linspace(-45.0, 5.0, 11)
+
+    def calls(spec):
+        return (eval_F_log(spec, u), eval_F_log(spec, 2.5),
+                eval_F_inverse_log(spec, targets),
+                eval_F_inverse_log(spec, -20.0))
+
+    for make in (lambda: power_exp(5.0, 2.0), lambda: cutoff_exp(20.0)):
+        warm = make()
+        eval_F_log(warm, 1e3)
+        eval_F_inverse_log(warm, -60.0)
+        for got, want in zip(calls(warm), calls(make())):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_inverse_cost_does_not_grow_with_height():
+    # a power-exp F^-1 from a fresh spec evaluates g at about as many
+    # points at u = 10, 1e2 and 1e3 (g grows by 1e6 over that range), and
+    # each root comes back to its u
+    points = []
+    for u in (10.0, 1e2, 1e3):
+        spec = power_exp(5.0, 2.0)
+        log_y = eval_F_log(spec, u)
+        counted = [0]
+
+        def g(v, g=spec.g):
+            counted[0] += np.size(v)
+            return g(v)
+
+        spec = dataclasses.replace(spec, g=g)
+        assert eval_F_inverse_log(spec, log_y) == pytest.approx(u,
+                                                                rel=1e-12)
+        points.append(counted[0])
+    assert max(points) <= 2 * min(points), points
+
+
 def test_inverse_gelfand_closed_form():
     # f = e^u has F(u) = e^{-u}; F(0+) = 1, so targets log_y >= 0 have no
     # preimage u > 0
@@ -325,7 +366,8 @@ def test_inverse_array_matches_scalar(name):
     assert isinstance(batch, np.ndarray) and batch.shape == log_y.shape
     single = [eval_F_inverse_log(spec, float(t)) for t in log_y]
     assert all(isinstance(x, float) for x in single)
-    # each request lays its own nodes, so the two agree to rounding
+    # both read the spec's one table; the batched Gauss-Legendre segments
+    # may round differently from single ones
     np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
 
 
@@ -335,6 +377,17 @@ def test_barrier_integral_survives_overflowing_f():
     val = eval_F_log(spec, 500.0)
     assert np.isfinite(val)
     assert val < -1e5   # e^{-250000} scale
+
+
+def test_log_F_beyond_the_table_is_out_of_range():
+    # power-exp at u = 5e7: a quarter unit of g is below the spacing of
+    # doubles there; at 1e9, g(u) = 1e18 is past the pieces' index range
+    spec = power_exp(5.0, 2.0)
+    for u in (5e7, 1e9):
+        with pytest.raises(OutOfRange):
+            eval_F_log(spec, u)
+    with pytest.raises(OutOfRange):
+        eval_F_inverse_log(spec, -1e17)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from heatlab.cli import Artifacts
 from heatlab.errors import OutOfRange
 from heatlab.nonlinearity import (
     NonlinearitySpec,
-    _scaled_integral,
+    _scaled_antiderivative,
     check_admissibility,
     custom,
     cutoff_exp,
@@ -203,7 +203,7 @@ def test_reaction_antiderivative_along_table_closed_forms():
     gelfand_g = NonlinearitySpec("gelfand", {}, np.exp, np.exp, np.exp,
                                  g=lambda v: v, gp=np.ones_like,
                                  gpp=np.zeros_like, tail=GELFAND.tail)
-    _, ratio = _scaled_integral(gelfand_g, np.array([1e3]), 1.0)
+    _, ratio = _scaled_antiderivative(gelfand_g, np.array([1e3]))
     assert ratio[0] == pytest.approx(-math.expm1(-1e3), rel=1e-13)
     # condition A4's near-critical margin: p = p_S for power_exp(5, 2) in
     # N = 3, so Q/(u f) = 1 - 6 integral_0^u f/(u f) = u^2/4 to leading
