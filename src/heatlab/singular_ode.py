@@ -17,8 +17,11 @@ s).  The solver's dense output is mapped back to radii: at r it gives
 The singular profile is built by outward integration from a small patch
 radius where an asymptotic formula seeds the values; regular (finite-center)
 solutions are built by shooting from r = 0 and serve as an independent
-cross-check.  Each dense output stacks the solver's per-step Nordsieck
-polynomials once and evaluates any array of radii in one pass.
+cross-check.  Both step scipy's public LSODA solver one step at a time
+and copy each step's Nordsieck data from the solver's work arrays, as
+scipy's own LSODA.dense_output reads them; no OdeSolution is built.  The
+dense output stacks those per-step polynomials once and evaluates any
+array of radii in one pass, with solve_ivp's values to the bit.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import OdeSolution, cumulative_simpson, solve_ivp
-from scipy.integrate._ivp.lsoda import LsodaDenseOutput
+from scipy.integrate import LSODA, cumulative_simpson
+from scipy.optimize import brentq
 
 from .errors import OutOfRange, PatchMismatch, StepUnderflow
 from .nonlinearity import (
@@ -131,8 +134,7 @@ class SingularSolutionTable:
                              f"asked at r = {r.max():g}")
         out = np.empty_like(r)
         covered = r >= self.dense.t_min
-        if np.any(covered):         # OdeSolution rejects an empty array
-            out[covered] = self.dense(r[covered])[k]
+        out[covered] = self.dense(r[covered])[k]
         if not np.all(covered):
             if spec is None:
                 raise ValueError("need the nonlinearity to evaluate the patch")
@@ -186,51 +188,45 @@ def _rhs(spec: NonlinearitySpec, dim: int):
 
 class _RadialDense:
     """Dense output of an LSODA integration in s = log r, called at radii:
-    r gives the rows (u(r), u'(r)) = (U(log r), V(log r)/r).  ``sol`` is
-    the solver's OdeSolution in s, ``t_min`` the start radius.
+    r gives the rows (u(r), u'(r)) = (U(log r), V(log r)/r).  ``edges``
+    are the step edges in s (the first is log t_min, the last the end of
+    the integration).  Step k has its own end time ``t[k]``, step size
+    ``h[k]`` and Nordsieck array ``yh[k]``, flat and column by column as
+    LSODA's work array holds it (``_solve`` reads it there, as scipy's own
+    LSODA.dense_output does); its polynomial in s is
+    sum_j (u_j, v_j) ((s - t[k]) / h[k])^j.  ``t_min`` is the start radius.
 
-    The steps' Nordsieck arrays are stacked once, zero-padded to the
-    highest order, so any array of radii costs one searchsorted, one power
-    and a few stacked matrix products instead of OdeSolution's Python loop
-    over steps.
-    The step rule is OdeSolution's own: its ``side`` says which of the two
-    steps meeting at an edge takes a radius there (for LSODA, scipy picks
-    the later one), and radii beyond either end use the end step.  This
-    reads the attributes (t, h, yh) of scipy's LsodaDenseOutput, so any
-    other interpolant is a TypeError.
+    The arrays are stacked once, zero-padded to the highest order, so any
+    array of radii costs one searchsorted, one power and a few stacked
+    matrix products.  A radius on an inner edge takes the later of the
+    two steps meeting there (as scipy's OdeSolution does for LSODA), and
+    radii beyond either end use the end step.
     """
 
-    def __init__(self, sol: OdeSolution, t_min: float):
-        steps = sol.interpolants
-        if not all(isinstance(p, LsodaDenseOutput) for p in steps):
-            raise TypeError("_RadialDense reads LSODA dense output only")
-        self._order = np.array([p.yh.shape[1] for p in steps])
-        self._inner_edges = np.asarray(sol.ts, dtype=float)[1:-1]
-        # scipy without the ``side`` attribute always takes the earlier step
-        self._side = getattr(sol, "side", "left")
-        self._t = np.array([p.t for p in steps])
-        self._h = np.array([p.h for p in steps])
+    def __init__(self, edges, t, h, yh, t_min: float):
+        self._order = np.array([len(y) // 2 for y in yh])
+        self.edges = np.asarray(edges, dtype=float)
+        self._t = np.asarray(t, dtype=float)
+        self._h = np.asarray(h, dtype=float)
         width = self._order.max()
-        self._yh = np.zeros((len(steps), 2, width))
-        for k, p in enumerate(steps):
-            self._yh[k, :, :self._order[k]] = p.yh
+        self._yh = np.zeros((len(yh), 2, width))
+        for k, y in enumerate(yh):
+            self._yh[k, :, :self._order[k]] = y.reshape(-1, 2).T
         self._powers = np.arange(width)
-        self.sol = sol
         self.t_min = t_min
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         s = np.log(r).ravel()
-        # the number of inner edges below s (or at it, for side "right") is
-        # OdeSolution's step
-        step = np.searchsorted(self._inner_edges, s, side=self._side)
+        # the number of inner edges at or below s is the step
+        step = np.searchsorted(self.edges[1:-1], s, side="right")
         x = ((s - self._t[step]) / self._h[step])[:, None] ** self._powers
-        # OdeSolution evaluates each step's radii with one np.dot: a BLAS
-        # gemm when the step holds two or more of them, a gemv at the
-        # step's own order when it holds one, and the two round the last
-        # bit differently.  matmul hands each stacked product of the same
-        # shape to the same routine, so the values are OdeSolution's to the
-        # bit, and so is everything built on u*.
+        # scipy evaluates a step's radii with one np.dot: a BLAS gemm when
+        # the step holds two or more of them, a gemv at the step's own
+        # order when it holds one, and the two round the last bit
+        # differently.  matmul hands each stacked product of the same shape
+        # to the same routine, so the values are scipy's to the bit, and
+        # so is everything built on u*.
         y = (self._yh[step] @ np.stack([x, x], axis=-1))[..., 0]
         lone = np.bincount(step, minlength=len(self._t))[step] == 1
         order = self._order[step]
@@ -242,17 +238,50 @@ class _RadialDense:
 
 
 def _solve(spec, dim, r_start, R_max, u0, du0, rtol, atol, what,
-           events=None):
-    """Integrate from (u0, du0) at r_start towards R_max in s = log r;
-    a failed step raises StepUnderflow at its radius."""
-    sol = solve_ivp(_rhs(spec, dim), (math.log(r_start), math.log(R_max)),
-                    [u0, r_start * du0], method="LSODA", rtol=rtol,
-                    atol=atol, dense_output=True, events=events)
-    if sol.status == -1:
-        r = math.exp(sol.t[-1])
-        raise StepUnderflow(f"{what} stopped at r={r:.3e}: {sol.message}",
-                            r=r, state=(sol.y[0, -1], sol.y[1, -1] / r))
-    return sol
+           stop_at_zero=False):
+    """Integrate from (u0, du0) at r_start towards R_max in s = log r,
+    one LSODA step at a time; return the dense output and whether u
+    vanished.  A failed step raises StepUnderflow at its radius.  With
+    stop_at_zero, the first step on which u falls to zero or below ends
+    the integration at the zero, which becomes the last edge.
+
+    Each step's Nordsieck data is copied from the solver's work arrays as
+    scipy's own LSODA.dense_output reads it, and the zero is found as
+    solve_ivp finds a terminal event of direction -1: brentq on that
+    step's dense output with xtol = rtol = 4 eps.  The values are
+    therefore solve_ivp's (dense_output=True) to the bit.
+    """
+    solver = LSODA(_rhs(spec, dim), math.log(r_start), [u0, r_start * du0],
+                   math.log(R_max), rtol=rtol, atol=atol)
+    work = solver._lsoda_solver._integrator
+    edges, ts, hs, yhs = [solver.t], [], [], []
+    while True:
+        u_old = solver.y[0]
+        message = solver.step()
+        if solver.status == "failed":
+            r = math.exp(solver.t)
+            raise StepUnderflow(f"{what} stopped at r={r:.3e}: {message}",
+                                r=r, state=(solver.y[0], solver.y[1] / r))
+        # LSODA.dense_output's reading of the work arrays: they hold the
+        # Nordsieck array for the next step, and when the order is set to
+        # drop, its last column is rescaled to the current step size
+        order, h = work.iwork[13], work.rwork[11]
+        yh = work.rwork[20:22 + 2 * order].copy()
+        if work.iwork[14] < order:
+            yh[-2:] *= (h / work.rwork[10]) ** order
+        t = solver.t
+        vanished = stop_at_zero and u_old >= 0.0 and solver.y[0] <= 0.0
+        if vanished:
+            step = solver.dense_output()
+            t = brentq(lambda s: step(s)[0], solver.t_old, solver.t,
+                       xtol=4 * np.finfo(float).eps,
+                       rtol=4 * np.finfo(float).eps)
+        edges.append(t)
+        ts.append(solver.t)
+        hs.append(h)
+        yhs.append(yh)
+        if vanished or solver.status == "finished":
+            return _RadialDense(edges, ts, hs, yhs, r_start), vanished
 
 
 def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
@@ -278,24 +307,22 @@ def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
         return ShootingSolution(0.0, r, z, z.copy(), "reached_rmax", R_max)
 
     f_a = float(spec.f(alpha))
+    if not math.isfinite(f_a):
+        raise StepUnderflow(f"regular integration: f(alpha) = {f_a:g} at "
+                            f"the centre height alpha = {alpha:g}",
+                            r=0.0, state=(alpha, 0.0))
     r_start = (min(1e-6, math.sqrt(0.01 * 2.0 * dim * alpha / f_a))
                if f_a > 0.0 else 1e-6)
     u0 = alpha - f_a * r_start ** 2 / (2.0 * dim)
     du0 = -f_a * r_start / dim
 
-    def hit_zero(s, y):
-        return y[0]
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    sol = _solve(spec, dim, r_start, R_max, u0, du0, rtol, atol,
-                 "regular integration", events=hit_zero)
-    if sol.status == 1:
-        termination, r_end = "vanished", math.exp(sol.t_events[0][0])
+    dense, vanished = _solve(spec, dim, r_start, R_max, u0, du0, rtol, atol,
+                             "regular integration", stop_at_zero=True)
+    if vanished:
+        termination, r_end = "vanished", math.exp(dense.edges[-1])
     else:
         termination, r_end = "reached_rmax", R_max
 
-    dense = _RadialDense(sol.sol, r_start)
     r_grid = np.geomspace(r_start, r_end, 399)
     y = dense(r_grid)
     r_out = np.concatenate([[0.0], r_grid])
@@ -313,9 +340,12 @@ def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol):
     output called at radii, with t_min = r_inner."""
     r_inner = r_patch / 1024.0
     u0, du0 = patch_seed(spec, dim, r_inner)
-    sol = _solve(spec, dim, r_inner, R_max, u0, du0, rtol, atol,
-                 "singular integration")
-    return _RadialDense(sol.sol, r_inner)
+    if not (math.isfinite(u0) and math.isfinite(du0)):
+        raise OutOfRange(f"the patch seed at r_patch = {r_patch:g} is not "
+                         f"finite: (u, u') = ({u0:g}, {du0:g}) at "
+                         f"r_patch/1024")
+    return _solve(spec, dim, r_inner, R_max, u0, du0, rtol, atol,
+                  "singular integration")[0]
 
 
 def build_singular(spec: NonlinearitySpec, dim: int,

@@ -210,6 +210,28 @@ def test_singular_power_exp_small_patch_radius(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_singular_overflowing_regular_shot_is_recorded(tmp_path):
+    # at r_patch = 1e-60 the shot's centre height 2 u*(r_patch) lies where
+    # power-exp's f overflows: the profile is built, the shot is noted
+    out = tmp_path / "out"
+    rc = main(["singular", "--family", "power-exp", "--p", "5", "--q", "2",
+               "--dim", "3", "--r-patch", "1e-60", "--out-dir", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "singular_verification.json").read_text())
+    assert doc["cross_check"]["regular_below"] is None
+    assert doc["cross_check"]["note"] == "regular integration underflowed"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_singular_non_finite_seed_exit_code(tmp_path, capsys):
+    rc = main(["singular", "--family", "power-exp", "--p", "5", "--q", "2",
+               "--dim", "3", "--r-patch", "1e-300",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "OutOfRange" in capsys.readouterr().err
+
+
 def test_singular_pure_power_artifacts(tmp_path):
     out = tmp_path / "out"
     rc = main(["singular", "--family", "pure-power", "--p", "3",

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from heatlab.cli import Artifacts
-from heatlab.errors import OutOfRange
+from heatlab.errors import OutOfRange, StepUnderflow
 from heatlab.nonlinearity import (
     NonlinearitySpec,
     _scaled_antiderivative,
@@ -23,7 +23,7 @@ from heatlab.nonlinearity import (
 )
 from heatlab.singular_ode import (
     _F0_along,
-    _RadialDense,
+    _rhs,
     asymptotic_ratio,
     build_singular,
     eval_F0,
@@ -241,35 +241,116 @@ def test_du_star_matches_closed_form_in_all_regions(table_cubic):
     assert np.abs(-du * r ** 2 / math.sqrt(2.0) - 1.0).max() <= 1e-6
 
 
+def lsoda_reference(spec, dim, r_start, R_max, u0, du0, rtol, atol,
+                    events=None):
+    """solve_ivp's LSODA run with dense output and events, from the same
+    start as heatlab's own stepping loop."""
+    return solve_ivp(_rhs(spec, dim), (math.log(r_start), math.log(R_max)),
+                     [u0, r_start * du0], method="LSODA", rtol=rtol,
+                     atol=atol, dense_output=True, events=events)
+
+
 @pytest.mark.parametrize("which", ["power_exp", "cutoff", "cubic"])
 def test_dense_output_matches_ode_solution(which, request):
-    # the stacked dense output against scipy's own per-step evaluation,
-    # on a dense radius set with every step edge and on one radius alone
+    # the stacked dense output against solve_ivp's OdeSolution on the
+    # table's own seed: the same steps, and the same values on a dense
+    # radius set with every step edge and on one radius alone
     tab = request.getfixturevalue(f"table_{which}")
-    sol = tab.dense.sol
-    edges = np.exp(sol.ts)
+    spec, dim = {"power_exp": POWER_EXP, "cutoff": CUTOFF,
+                 "cubic": CUBIC}[which], tab.dim
+    dense, r_in = tab.dense, tab.dense.t_min
+    ref = lsoda_reference(spec, dim, r_in, tab.R_max,
+                          *patch_seed(spec, dim, r_in),
+                          tab.tolerances["rtol"], tab.tolerances["atol"]).sol
+    steps = ref.interpolants
+    assert np.array_equal(dense.edges, ref.ts)
+    assert np.array_equal(dense._t, [p.t for p in steps])
+    assert np.array_equal(dense._h, [p.h for p in steps])
+    for k, p in enumerate(steps):
+        order = p.yh.shape[1]
+        assert np.array_equal(dense._yh[k, :, :order], p.yh)
+        assert not np.any(dense._yh[k, :, order:])
+    # every edge as a radius: the same step as OdeSolution's and, with one
+    # or two radii per step, the same bits
+    edges = np.exp(ref.ts)
+    u, v = ref(np.log(edges))
+    assert np.array_equal(dense(edges), [u, v / edges])
+    # on an edge whose log is the edge itself, the two steps meeting there
+    # differ in the last bits, and the later one is taken
+    exact = np.log(edges) == ref.ts
+    assert exact.sum() > 0.8 * len(edges)
+    inner = np.flatnonzero(exact[1:-1]) + 1
+    later = np.array([steps[k](ref.ts[k]) for k in inner]).T
+    assert np.array_equal(dense(edges[inner]),
+                          [later[0], later[1] / edges[inner]])
     r = np.unique(np.concatenate([
-        edges, np.geomspace(tab.dense.t_min, tab.R_max, 5000)]))
-    r = r[(r >= tab.dense.t_min) & (r <= tab.R_max)]
+        edges, np.geomspace(r_in, tab.R_max, 5000)]))
+    r = r[(r >= r_in) & (r <= tab.R_max)]
     for radii in (r, float(r[len(r) // 3])):
-        u, v = sol(np.log(radii))
-        got = tab.dense(radii)
+        u, v = ref(np.log(radii))
+        got = dense(radii)
         assert got.shape == (2,) + np.shape(radii)
         for have, want in ((got[0], u), (got[1], v / radii)):
             assert np.all(np.abs(have - want) <= 2e-15 * np.abs(want))
-    # on a step edge, the same step as OdeSolution's: the two steps meeting
-    # there differ in the last bits
-    edges = edges[np.log(edges) == sol.ts]      # log r is the edge itself
-    assert len(edges) > 0.8 * len(sol.ts)
-    u, v = sol(np.log(edges))
-    assert np.array_equal(tab.dense(edges), [u, v / edges])
 
 
-def test_dense_output_reads_lsoda_only():
-    sol = solve_ivp(lambda s, y: -y, (0.0, 1.0), [1.0, 0.0],
-                    method="RK45", dense_output=True)
-    with pytest.raises(TypeError):
-        _RadialDense(sol.sol, 1.0)
+@pytest.mark.parametrize("alpha, xi", [
+    (1.0, 6.8968), (2.0, 3.4484), (5.0, 1.3794)])
+def test_vanishing_shot_matches_solve_ivp_events(alpha, xi):
+    # the zero of u is solve_ivp's terminal event of direction -1, and the
+    # 400 values are its dense output's, bit for bit
+    shot = integrate_regular(CUBIC, 3, alpha, 10.0)
+    assert shot.termination == "vanished"
+    assert shot.r_end == pytest.approx(xi, abs=1e-4)
+
+    def hit_zero(s, y):
+        return y[0]
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+    f_a = alpha ** 3
+    r_start = min(1e-6, math.sqrt(0.01 * 2.0 * 3 * alpha / f_a))
+    ref = lsoda_reference(CUBIC, 3, r_start, 10.0,
+                          alpha - f_a * r_start ** 2 / 6.0,
+                          -f_a * r_start / 3.0, 1e-10, 1e-12,
+                          events=hit_zero)
+    assert ref.status == 1
+    r_end = math.exp(ref.t_events[0][0])
+    r = np.geomspace(r_start, r_end, 399)
+    u, v = ref.sol(np.log(r))
+    assert shot.r_end == r_end
+    assert np.array_equal(shot.r, np.concatenate([[0.0], r]))
+    assert np.array_equal(shot.u, np.concatenate([[alpha], u]))
+    assert np.array_equal(shot.du, np.concatenate([[0.0], v / r]))
+
+
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol`",
+                            "ignore:.*Excess accuracy requested")
+def test_collapsed_step_raises_step_underflow():
+    # LSODA gives up near the start at an unreachable tolerance (scipy
+    # raises rtol to 100 eps, atol stays 1e-40); the error carries the
+    # last radius and state the solver accepted
+    with pytest.raises(StepUnderflow) as info:
+        integrate_regular(CUBIC, 5, 1.0, 10.0, rtol=1e-30, atol=1e-40)
+    err = info.value
+    assert 1e-6 <= err.r < 1e-5
+    u, du = err.state
+    assert math.isfinite(u) and math.isfinite(du)
+    assert 0.99 < u < 1.0 and du < 0.0
+
+
+def test_overflowing_centre_height_is_step_underflow():
+    # power-exp's f overflows from u = 26.6 on: no start radius exists
+    with np.errstate(over="ignore"):
+        with pytest.raises(StepUnderflow) as info:
+            integrate_regular(POWER_EXP, 3, 40.0, 10.0)
+    assert info.value.r == 0.0
+
+
+def test_non_finite_patch_seed_is_out_of_range():
+    # at r_patch = 1e-300 the seed height is finite but f there is not
+    with np.errstate(over="ignore"):
+        with pytest.raises(OutOfRange, match="r_patch = 1e-300"):
+            build_singular(POWER_EXP, 3, r_patch=1e-300)
 
 
 # ---------------------------------------------------------------------------
