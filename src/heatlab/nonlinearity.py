@@ -16,7 +16,9 @@ pieces span TABLE_PIECE units of g from anchors where g crosses a multiple
 of TABLE_PIECE, each laid by one upward Gauss-Legendre ladder.  F and F^-1
 read that table at a cost that does not grow with the height, and every
 value depends on its argument and the spec only.  The antiderivative of f
-(condition A4, the Pohozaev trace) takes one downward ladder per point.
+over ascending points (condition A4; the Pohozaev trace's anchor is one
+point) takes one cumulative downward sweep: each point's ladder stops at
+the point below it.
 """
 
 from __future__ import annotations
@@ -363,8 +365,9 @@ def _segment(spec: NonlinearitySpec, a, ga, b, sign: float):
 
 
 def _antiderivative_end(spec, x, gx, x_ref, g_ref):
-    """Downward: one segment to 0, no tail, once s f(s) has fallen by
-    e^LADDER_SPAN from x_ref or is not finite (the integral reads NaN)."""
+    """Downward: one segment to 0 (the ladder ends it on its floor), no
+    tail, once s f(s) has fallen by e^LADDER_SPAN from x_ref or is not
+    finite (the integral reads NaN)."""
     if math.log(x) + gx > math.log(x_ref) + g_ref - LADDER_SPAN:
         return None
     return 0.0, -math.inf
@@ -393,25 +396,29 @@ def _barrier_end(spec, x, gx, x_ref, g_ref):
     return 2.0 * M, None
 
 
-def _ladder(spec: NonlinearitySpec, u, sign: float):
+def _ladder(spec: NonlinearitySpec, u, sign: float, floor=None):
     """Gauss-Legendre ladders from every entry of the array u > 0, upward
     for F (sign = -1, integrand 1/f, ended by _barrier_end; it lays the
     pieces of LogFTable) or downward for the antiderivative of f (sign =
-    +1, by _antiderivative_end), stepped on Python floats and integrated in
-    one batch.  A step spans e^(d/4)/4 units of g, at most 8, at depth d:
-    the units g has risen above or fallen below g(u); its length is set by
-    the slope of g over the previous step (g'(u) for the first), at most
-    half the distance to 0, and it stops at the spec's next join.  Damped
-    by e^-d, each segment's error stays that of the first.  Returns the
-    segments (start, end, g at the start, integral of
-    exp(sign (g(s) - g(start)))), each ladder's first segment index and log
-    of its tail (-inf downward)."""
+    +1, by _antiderivative_end) to the entry's floor (0 by default),
+    stepped on Python floats and integrated in one batch.  A step spans
+    e^(d/4)/4 units of g, at most 8, at depth d: the units g has risen
+    above or fallen below g(u); its length is set by the slope of g over
+    the previous step (g'(u) for the first) while that is under half the
+    distance to the floor, else it is half the distance to 0, and it stops
+    at the spec's next join.  A downward step that would pass the floor
+    ends the ladder on it.  Damped by e^-d, each segment's error stays
+    that of the first.  Returns the segments (start, end, g at the start,
+    integral of exp(sign (g(s) - g(start)))), each ladder's first segment
+    index and log of its tail (-inf downward)."""
     g = spec.g
     end = _barrier_end if sign < 0.0 else _antiderivative_end
     joins = spec.joins if sign < 0.0 else spec.joins[::-1]
     u = np.asarray(u, dtype=float)
+    floor = np.zeros(u.shape) if floor is None else np.asarray(floor, float)
     segments, first, log_tail = [], [], []
-    for x, slope in zip(u.tolist(), np.asarray(spec.gp(u), float).tolist()):
+    for x, lo, slope in zip(u.tolist(), floor.tolist(),
+                            np.asarray(spec.gp(u), float).tolist()):
         first.append(len(segments))
         x_ref = x
         gx = g_ref = float(g(x))
@@ -419,12 +426,14 @@ def _ladder(spec: NonlinearitySpec, u, sign: float):
         while tail is None:
             depth = sign * (g_ref - gx)
             unit = 0.25 * math.exp(min(max(depth, 0.0), 13.86) / 4.0)
-            nxt = x - sign * (unit / slope if slope * x > 2.0 * unit
+            nxt = x - sign * (unit / slope if slope * (x - lo) > 2.0 * unit
                               else 0.5 * x)
             for j in joins:
                 if (j - x) * (nxt - j) > 0.0:
                     nxt = j
             nxt, tail = end(spec, x, gx, x_ref, g_ref) or (nxt, None)
+            if sign > 0.0 and nxt <= lo:
+                nxt, tail = lo, -math.inf
             if tail is None and nxt == x:
                 raise OutOfRange(f"{spec.label}: a ladder step from u = "
                                  f"{x:g} is below the spacing of doubles")
@@ -440,13 +449,24 @@ def _ladder(spec: NonlinearitySpec, u, sign: float):
 
 
 def _scaled_antiderivative(spec: NonlinearitySpec, u):
-    """(g(u), integral_0^u f / f(u)) at every entry of the array u > 0:
-    each downward ladder's segments summed against the scale f(u)."""
-    _, _, ga, seg, first, log_tail = _ladder(spec, u, 1.0)
+    """(g(u), integral_0^u f / f(u)) at every entry of the strictly
+    ascending array u > 0, in one cumulative sweep: entry k is a downward
+    ladder from u_k to the floor u_{k-1} (0 for the first), and
+    ratio_k = ratio_{k-1} e^(g(u_{k-1}) - g(u_k)) + that ladder's segments
+    summed against the scale f(u_k), so f itself is never formed."""
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.diff(u) > 0.0):
+        raise ValueError("the antiderivative sweep needs strictly "
+                         "ascending points")
+    _, _, ga, seg, first, _ = _ladder(spec, u, 1.0,
+                                      np.concatenate([[0.0], u[:-1]]))
     g0 = ga[first]
     g_scale = np.repeat(g0, np.diff(np.append(first, ga.size)))
-    total = np.add.reduceat(seg * np.exp(ga - g_scale), first)
-    return g0, total + np.exp(log_tail - g0)
+    part = np.add.reduceat(seg * np.exp(ga - g_scale), first).tolist()
+    ratio = part[:1]
+    for decay, jk in zip(np.exp(g0[:-1] - g0[1:]).tolist(), part[1:]):
+        ratio.append(ratio[-1] * decay + jk)
+    return g0, np.array(ratio)
 
 
 #: width in units of g of one piece of the log F table
@@ -784,7 +804,8 @@ def check_admissibility(spec: NonlinearitySpec,
     quantify over all u > 0, which is undecidable numerically.  It samples
     2000 log-spaced points of [1e-6, 1e3]; the fourth condition's deficit
     Q(u)/(u f(u)) is checked at 80 log-spaced points of that range (one
-    downward ladder each) to -1e-12, relative once |Q/(u f)| > 1.
+    cumulative downward sweep over them, _scaled_antiderivative) to
+    -1e-12, relative once |Q/(u f)| > 1.
     """
     u_min, u_max = 1e-6, 1e3
     p_crit = sobolev_exponent(dim)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -210,8 +211,11 @@ class _RadialDense:
         self._h = np.asarray(h, dtype=float)
         width = self._order.max()
         self._yh = np.zeros((len(yh), 2, width))
-        for k, y in enumerate(yh):
-            self._yh[k, :, :self._order[k]] = y.reshape(-1, 2).T
+        # entry i of step k's flat array is (u, v)[i % 2] of power i // 2
+        size = 2 * self._order
+        step = np.repeat(np.arange(len(yh)), size)
+        i = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        self._yh[step, i % 2, i // 2] = np.concatenate(yh)
         self._powers = np.arange(width)
         self.t_min = t_min
 
@@ -306,7 +310,8 @@ def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
         z = np.zeros_like(r)
         return ShootingSolution(0.0, r, z, z.copy(), "reached_rmax", R_max)
 
-    f_a = float(spec.f(alpha))
+    with np.errstate(over="ignore"):
+        f_a = float(spec.f(alpha))
     if not math.isfinite(f_a):
         raise StepUnderflow(f"regular integration: f(alpha) = {f_a:g} at "
                             f"the centre height alpha = {alpha:g}",
@@ -339,7 +344,8 @@ def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol):
     [log r_inner, log R_max] (module docstring); the result is its dense
     output called at radii, with t_min = r_inner."""
     r_inner = r_patch / 1024.0
-    u0, du0 = patch_seed(spec, dim, r_inner)
+    with np.errstate(over="ignore"):    # f(u0) overflows: OutOfRange below
+        u0, du0 = patch_seed(spec, dim, r_inner)
     if not (math.isfinite(u0) and math.isfinite(du0)):
         raise OutOfRange(f"the patch seed at r_patch = {r_patch:g} is not "
                          f"finite: (u, u') = ({u0:g}, {du0:g}) at "
@@ -417,6 +423,31 @@ def eval_F0(spec: NonlinearitySpec, u: float) -> float:
     return math.inf if gu[0] >= 700.0 else float(ratio[0] * np.exp(gu[0]))
 
 
+@cache
+def _flux_rule():
+    """The flux check's 64-point Gauss-Legendre rule on [0, 1] (nodes,
+    weights; read-only), built on first use: at import its eigensolve
+    would cost every command that never checks the flux 1-2 ms and about
+    0.2 MB of peak memory."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _flux_integrand(spec: NonlinearitySpec, u, r, dim: int) -> np.ndarray:
+    """f(u) r^(N-1), as exp(g(u) + (N-1) log r) where that product is not
+    finite (f overflows at the smallest radii, where the product does
+    not)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(spec.f(u), dtype=float) * r ** (dim - 1)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.exp(np.asarray(spec.g(u[bad]), dtype=float)
+                              + (dim - 1) * np.log(r[bad]))
+    return out
+
+
 def verify_flux_identity(table: SingularSolutionTable,
                          spec: NonlinearitySpec) -> float:
     """Max relative residual of -r^(N-1) u*' = integral_0^r f(u*) s^(N-1).
@@ -432,13 +463,15 @@ def verify_flux_identity(table: SingularSolutionTable,
     lhs = -table.r ** (dim - 1) * table.du
     rin = np.geomspace(table.dense.t_min, table.r_patch, n_dense)
     uin = table.dense(rin)[0]
-    inner_integrand = np.asarray(spec.f(uin)) * rin ** (dim - 1)
-    x, wts = np.polynomial.legendre.leggauss(64)
-    s = 0.5 * rin[0] * (x + 1.0)
-    f_s = np.asarray(spec.f(patch_seed(spec, dim, s)[0]))
-    patch_part = (float(np.dot(0.5 * rin[0] * wts, f_s * s ** (dim - 1)))
+    inner_integrand = _flux_integrand(spec, uin, rin, dim)
+    gl_x, gl_w = _flux_rule()
+    s = rin[0] * gl_x
+    with np.errstate(over="ignore"):    # its u' overflows with f; unused
+        u_s = patch_seed(spec, dim, s)[0]
+    patch_part = (float(np.dot(rin[0] * gl_w,
+                               _flux_integrand(spec, u_s, s, dim)))
                   + cumulative_simpson(inner_integrand, x=rin)[-1])
-    integrand = np.asarray(spec.f(table.u)) * table.r ** (dim - 1)
+    integrand = _flux_integrand(spec, table.u, table.r, dim)
     rhs = patch_part + cumulative_simpson(integrand, x=table.r, initial=0.0)
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
     return float(rel.max())

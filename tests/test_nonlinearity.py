@@ -430,6 +430,63 @@ def test_log_convexity_ratio_values():
 
 
 # ---------------------------------------------------------------------------
+# antiderivative of f (condition A4)
+# ---------------------------------------------------------------------------
+
+#: f = e^u with g = u written out, so that the ladder reaches u = 1e3
+GELFAND_G = NonlinearitySpec("gelfand", {}, np.exp, np.exp, np.exp,
+                             g=lambda v: v, gp=np.ones_like,
+                             gpp=np.zeros_like,
+                             tail=TailGrowth(log_convex_from=0.0))
+
+
+@pytest.mark.parametrize("spec", [power_exp(5.0, 2.0), cutoff_exp(20.0),
+                                  pure_power(3.0), GELFAND_G],
+                         ids=lambda spec: spec.family)
+def test_antiderivative_sweep_matches_single_ladders(spec):
+    # condition A4's 80 points in one cumulative sweep (each entry a ladder
+    # down to the previous point) against one ladder to 0 per point, and
+    # at most half the segments of those 80 ladders
+    u = np.geomspace(1e-6, 1e3, 80)
+    g, ratio = nonlinearity._scaled_antiderivative(spec, u)
+    single = [nonlinearity._scaled_antiderivative(spec, np.array([x]))
+              for x in u]
+    np.testing.assert_array_equal(g, [s[0][0] for s in single])
+    np.testing.assert_allclose(ratio, [s[1][0] for s in single],
+                               rtol=2e-15, atol=0.0)
+    swept = nonlinearity._ladder(spec, u, 1.0, np.r_[0.0, u[:-1]])[0].size
+    apart = nonlinearity._ladder(spec, u, 1.0)[0].size
+    assert swept <= 0.5 * apart, (swept, apart)
+
+
+def test_antiderivative_references():
+    # integral_0^u f / f(u) from 50-digit mpmath quadrature split at the
+    # cutoff's joins, on points straddling each join, in one sweep
+    u = [0.99, 1.01, 2.99, 3.01, 3.99, 4.01]
+    ref = [0.039575085327088573398, 0.03974549456376412396,
+           0.049203862897601128945, 0.049253367137865723142,
+           0.049999885493844877661, 0.04999992324405549772]
+    _, ratio = nonlinearity._scaled_antiderivative(cutoff_exp(20.0),
+                                                   np.array(u))
+    np.testing.assert_allclose(ratio, ref, rtol=2e-14, atol=0.0)
+    # power-exp(5, 2) at u = 1e3, the top of A4's sweep: the integral of
+    # s^5 e^(s^2) is e^(s^2) (s^4 - 2 s^2 + 2)/2, so the ratio is
+    # (1 - 2/u^2 + 2/u^4)/(2u) - e^(-u^2)/u^5 = 4.99999000001e-4.  g is
+    # near 1e6 there and rounded to 1.2e-10 absolute, which every node's
+    # e^(g(s) - g(u)) carries: the tolerance is that, averaged
+    _, ratio = nonlinearity._scaled_antiderivative(
+        power_exp(5.0, 2.0), np.geomspace(1e-6, 1e3, 80))
+    assert ratio[-1] == pytest.approx(4.99999000001e-4, rel=2e-11)
+
+
+def test_antiderivative_sweep_needs_ascending_points():
+    for u in ([1.0, 0.5], [1.0, 1.0], [0.1, 2.0, 1.5]):
+        with pytest.raises(ValueError, match="ascending"):
+            nonlinearity._scaled_antiderivative(power_exp(5.0, 2.0),
+                                                np.array(u))
+
+
+# ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
 

@@ -3,6 +3,7 @@ identities, energy monotonicity and growth near the origin."""
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,19 @@ def test_non_finite_patch_seed_is_out_of_range():
     with np.errstate(over="ignore"):
         with pytest.raises(OutOfRange, match="r_patch = 1e-300"):
             build_singular(POWER_EXP, 3, r_patch=1e-300)
+
+
+def test_tiny_patch_radius_has_a_finite_flux_residual():
+    # at r_patch = 1e-150 power-exp's f overflows at the smallest patch
+    # nodes of the flux check, and the regular shot's centre height
+    # overflows f: f s^(N-1) is formed in logs there, the shot ends in its
+    # typed note, and no overflow warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = build_singular(POWER_EXP, 3, r_patch=1e-150)
+        residual = verify_flux_identity(table, POWER_EXP)
+    assert math.isfinite(residual)
+    assert table.cross_check["note"] == "regular integration underflowed"
 
 
 # ---------------------------------------------------------------------------
