@@ -3,7 +3,9 @@
 Subcommands: check, singular, evolve, iterate, scan.  Configuration comes
 from an INI-style file (sections [nonlinearity], [domain], [solver],
 [experiment]) with command-line flags taking precedence.  Exit codes:
-0 success, 1 scientific failure, 2 usage or configuration error.
+0 success, 1 scientific failure, 2 usage or configuration error.  A
+finding (an Undetermined or non-monotone scan, a ladder that broke its
+ordering) is report data: it exits 1 after every artifact is written.
 
 Artifacts writes every file a run leaves: each command names its CSV
 headers and rows (numbers to 17 significant digits, so every value reads
@@ -286,8 +288,12 @@ def cmd_singular(cfg: RunConfig, out: Artifacts) -> int:
 
 
 def _exit_code(report) -> int:
-    """1 when any case of the scan is Undetermined, else 0."""
-    return 1 if "Undetermined" in report.classifications() else 0
+    """1 when a case is Undetermined or the verdicts are not monotone in
+    the amplitude (said on stderr), else 0."""
+    classes = report.classifications()
+    if not report.monotone:
+        print(f"scan not monotone in amplitude: {classes}", file=sys.stderr)
+    return 1 if "Undetermined" in classes or not report.monotone else 0
 
 
 def cmd_evolve(cfg: RunConfig, out: Artifacts) -> int:
@@ -345,7 +351,12 @@ def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
             np.all(np.diff(above.cauchy_gaps) <= 1e-12)),
     })
     out.commit()
-    return 0
+    broken = "; ".join(f"{ladder.seed.kind} chain broke ordering by "
+                       f"{ladder.ordering_violation_max:.3e}"
+                       for ladder in (below, above) if not ladder.ordered)
+    if broken:
+        print(broken, file=sys.stderr)
+    return 1 if broken else 0
 
 
 def cmd_scan(cfg: RunConfig, out: Artifacts) -> int:
@@ -447,9 +458,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         if args.command in ("evolve", "iterate", "scan"):
-            for key in ("R_outer", "bump_r_c"):    # u* is evaluated there
-                if getattr(cfg, key) > cfg.R_max:
-                    raise ValueError(f"{key} must be <= R_max")
+            # u* is evaluated at R_outer, and by scan at the bump centre
+            if cfg.R_outer > cfg.R_max:
+                raise ValueError("R_outer must be <= R_max")
+            if args.command == "scan" and cfg.bump_r_c > cfg.R_max:
+                raise ValueError("bump_r_c must be <= R_max")
             if cfg.family == "pure-power":     # these runs start from u*
                 pure_power_profile_coefficient(cfg.p, cfg.dim)
     except (ValueError, configparser.Error) as exc:

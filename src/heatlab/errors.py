@@ -37,11 +37,3 @@ class ReactionOverflow(HeatLabError):
 
 class TimeMeshMismatch(HeatLabError):
     """A stored trajectory does not cover the requested time interval."""
-
-
-class OrderingViolation(HeatLabError):
-    """Monotone iteration lost its ordering beyond tolerance."""
-
-
-class NonMonotoneScan(HeatLabError):
-    """Amplitude scan classifications are not monotone in the amplitude."""

@@ -19,7 +19,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import OrderingViolation, TimeMeshMismatch
+from .errors import TimeMeshMismatch
 from .evolution import (
     RadialField,
     RadialGrid,
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 IDENTITY_TIME = 1e-6      # below this, S(t) is taken as the identity
+ORDER_TOL = 1e-6          # largest ordering violation of an ordered ladder
 N_TIME_QUAD = 3           # Gauss-Legendre nodes per time slice
 _TIME_GL_X, _TIME_GL_W = np.polynomial.legendre.leggauss(N_TIME_QUAD)
 
@@ -190,6 +191,10 @@ class IterationLadder:
     def final(self) -> Trajectory:
         return self.trajectories[-1]
 
+    @property
+    def ordered(self) -> bool:
+        return self.ordering_violation_max <= ORDER_TOL
+
     def to_dict(self) -> dict:
         return {
             "seed": self.seed.kind,
@@ -205,14 +210,13 @@ class IterationLadder:
 def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
                spec: NonlinearitySpec, t_obs: float, k_max: int = 8,
                n_slices: int = 64, ladder_tol: float = 1e-8,
-               order_tol: float = 1e-6,
                interp: str = "linear") -> IterationLadder:
     """Run a monotone Picard ladder up to k_max iterates or convergence.
 
-    The chain must be monotone in k (nondecreasing from below,
-    nonincreasing from above) on every node and mesh time; a violation
-    beyond order_tol raises OrderingViolation, smaller ones are recorded
-    in the certificate.
+    The chain should be monotone in k (nondecreasing from below,
+    nonincreasing from above) on every node and mesh time.  A broken
+    chain still runs to the end: its largest violation is recorded as
+    ordering_violation_max, which `ordered` compares with ORDER_TOL.
     """
     if isinstance(seed, str):
         seed = LadderSeed(seed)
@@ -236,11 +240,7 @@ def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
     for _ in range(k_max):
         nxt = duhamel_map(cur, u0, spec, t_obs, interp)
         diff = nxt.values - cur.values
-        violation = float(np.max(-sign * diff, initial=0.0))
-        worst = max(worst, violation)
-        if violation > order_tol:
-            raise OrderingViolation(
-                f"{seed.kind} chain broke ordering by {violation:.3e}")
+        worst = max(worst, float(np.max(-sign * diff, initial=0.0)))
         gaps.append(float(np.abs(diff).max()))
         trajectories.append(nxt)
         sups.append(float(nxt.values.max()))

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NonMonotoneScan, OutOfRange
+from .errors import OutOfRange
 from .evolution import (
     GEOMETRIC_SHARE,
     BoundaryCondition,
@@ -180,9 +180,11 @@ def _excess_over_star(field: RadialField, star: np.ndarray,
 
 
 def _distinct(name: str, values: Sequence[float], shown=None) -> list:
-    """values as floats; ValueError if one repeats, naming the entries as
-    shown (default: the floats)."""
+    """values as floats; ValueError if there are none or one repeats,
+    naming the entries as shown (default: the floats)."""
     values = [float(v) for v in values]
+    if not values:
+        raise ValueError(f"{name} must not be empty")
     if len(set(values)) < len(values):
         raise ValueError(f"{name} must not repeat an entry, got "
                          f"{values if shown is None else shown}")
@@ -304,19 +306,16 @@ class _Run:
     def outcome(self) -> EvolutionOutcome:
         """The classified evolution once the run has ended."""
         classification = self.classification
+        times, sups = np.asarray(self.times), np.asarray(self.sups)
         if classification != "BlowUp" and self.t >= self.horizon:
-            sups_arr = np.asarray(self.sups)
-            times_arr = np.asarray(self.times)
-            tail = sups_arr[times_arr >= 0.5 * self.horizon]
-            finite = np.all(np.isfinite(sups_arr))
-            if (finite and len(tail) >= 2
+            tail = sups[times >= 0.5 * self.horizon]
+            if (np.all(np.isfinite(sups)) and len(tail) >= 2
                     and tail[-1] <= PLATEAU_SLACK * tail[0]
                     and tail.max() <= PLATEAU_SLACK * tail[0]):
                 classification = "GlobalBounded"
         return EvolutionOutcome(classification=classification, cap=self.cap,
-                                t_detect=self.t_detect,
-                                times=np.asarray(self.times),
-                                sup_series=np.asarray(self.sups),
+                                t_detect=self.t_detect, times=times,
+                                sup_series=sups,
                                 l1ul_series=np.asarray(self.l1s),
                                 mass_series=np.asarray(self.masses),
                                 snapshots=self.snapshots, side=self.side,
@@ -370,6 +369,16 @@ class ScanReport:
     def classifications(self) -> list:
         return [self.cases[a].classification for a in self.amplitudes]
 
+    @property
+    def monotone(self) -> bool:
+        """At most one case is Undetermined, and the others switch from
+        GlobalBounded to BlowUp at most once in the amplitude."""
+        classes = self.classifications()
+        known = [c for c in classes if c != "Undetermined"]
+        return (len(known) >= len(classes) - 1
+                and known == sorted(known, key=["GlobalBounded",
+                                                "BlowUp"].index))
+
     def rows(self):
         """scan.csv rows, one per (amplitude, cap): amplitude,
         classification, t_detect (nan if none), cap, sup and reaction
@@ -392,20 +401,6 @@ class ScanReport:
                            for a in self.amplitudes],
             "t_detect": [self.cases[a].t_detect for a in self.amplitudes],
         }
-
-
-def _check_monotone(amps: np.ndarray, classes: list) -> None:
-    """The verdict may switch GlobalBounded -> BlowUp once, with at most
-    one Undetermined in the buffer zone."""
-    if classes.count("Undetermined") > 1:
-        raise NonMonotoneScan(f"multiple undetermined cases: {classes}")
-    filtered = [c for c in classes if c != "Undetermined"]
-    first_bu = next((i for i, c in enumerate(filtered) if c == "BlowUp"),
-                    len(filtered))
-    if any(c != "BlowUp" for c in filtered[first_bu:]):
-        raise NonMonotoneScan(
-            f"classification not monotone in amplitude: "
-            f"{list(zip(amps.tolist(), classes))}")
 
 
 def threshold_scan(spec: Optional[NonlinearitySpec], table,
@@ -431,9 +426,10 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     Undetermined.  GlobalBounded requires reaching the horizon with the
     sup-norm non-increasing (within slack) over the final half.  Anything
     else is Undetermined.  A case's verdict is the shared per-cap verdict
-    when all caps agree, else Undetermined with cap_stable=False.  A
-    repeated amplitude or cap is a ValueError.  All runs step in lockstep
-    (see _evolve).
+    when all caps agree, else Undetermined with cap_stable=False; the
+    report's `monotone` says whether the verdicts are monotone in the
+    amplitude.  An empty or repeating amplitude or cap list is a
+    ValueError.  All runs step in lockstep (see _evolve).
     """
     amps = np.asarray(sorted(_distinct("amplitudes", A_grid)))
     caps = _distinct("caps", caps)
@@ -451,7 +447,6 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
                              star, horizon, cap))
     _evolve(spec, [run for case in runs.values() for run in case])
     cases = {a: _case_report(case) for a, case in runs.items()}
-    _check_monotone(amps, [cases[a].classification for a in amps])
     return ScanReport(amplitudes=amps, cases=cases, config={
         "r_c": bump_shape.r_c, "sigma": bump_shape.sigma,
         "horizon": horizon, "caps": caps,

@@ -310,6 +310,20 @@ def test_evolve_pure_heat_control(tmp_path):
     assert doc["classification"] == "GlobalBounded"
 
 
+def test_evolve_ignores_bump_centre(tmp_path, capsys):
+    # evolve never evaluates u* at the bump centre, so a centre beyond
+    # R_max is no config error there; scan's is
+    path = tmp_path / "far_bump.ini"
+    path.write_text("[experiment]\nbump_r_c = 20\n")
+    out = tmp_path / "out"
+    assert main(_evolve_args(out, ["--config", str(path)])) == 0
+    assert (out / "evolve.json").exists()
+    rc = main(["scan", "--family", "pure-power", "--p", "3", "--dim", "5",
+               "--config", str(path), "--out-dir", str(tmp_path / "scan")])
+    assert rc == 2
+    assert "bump_r_c must be <= R_max" in capsys.readouterr().err
+
+
 def test_iterate_artifacts(tmp_path):
     out = tmp_path / "out"
     rc = main(["iterate", "--family", "pure-power", "--p", "3",
@@ -324,6 +338,22 @@ def test_iterate_artifacts(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     summary = json.loads((out / "iterate_summary.json").read_text())
     assert summary["cross_chain_violation_max"] <= 1e-8
+
+
+def test_iterate_broken_ordering_keeps_artifacts(tmp_path, capsys):
+    # a cap of 50 is no discrete supersolution: the from-above chain breaks
+    # its ordering, and the command writes every ladder before it exits 1
+    out = tmp_path / "out"
+    rc = main(["iterate", "--family", "pure-power", "--p", "3", "--dim", "5",
+               "--iterate-cap", "50", "--out-dir", str(out)])
+    assert rc == 1
+    above = json.loads((out / "ladder_above.json").read_text())
+    assert above["k"] == 6
+    assert above["ordering_violation_max"] > 1e-6
+    assert (out / "ladder_below.json").exists()
+    assert (out / "iterate_summary.json").exists()
+    err = capsys.readouterr().err
+    assert err == "from_above chain broke ordering by 7.097e-01\n"
 
 
 def test_scan_artifacts(tmp_path):
@@ -355,10 +385,13 @@ def _fake_case(cls, cap):
     (["scan", "--caps", "1e4", "--amplitudes=-0.1,0.1"],
      ["GlobalBounded", "Undetermined"]),
     (["evolve", "--cap", "1e4"], ["Undetermined"]),
+    (["scan", "--caps", "1e4", "--amplitudes=-0.1,0,0.1"],
+     ["GlobalBounded", "BlowUp", "GlobalBounded"]),
 ])
 def test_undetermined_case_exits_1(tmp_path, monkeypatch, argv, classes):
-    # scan and evolve share one rule: exit 1 when any case is Undetermined;
-    # the scan is faked so that the verdicts do not hang on guard tuning
+    # scan and evolve share one rule: exit 1 when any case is Undetermined
+    # or the verdicts are not monotone in the amplitude; the scan is faked
+    # so that the verdicts do not hang on guard tuning
     def fake_scan(spec, table, bump, A_grid, caps, **kwargs):
         amps = np.array(sorted(A_grid))
         cases = {a: _fake_case(cls, caps[0])

@@ -6,11 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from heatlab.errors import (
-    OrderingViolation,
-    ReactionOverflow,
-    TimeMeshMismatch,
-)
+from heatlab.errors import ReactionOverflow, TimeMeshMismatch
 from heatlab.evolution import (
     BoundaryCondition,
     RadialField,
@@ -211,15 +207,19 @@ def test_sandwich_ladders(table_cubic):
     assert above.cauchy_gaps[-1] < above.cauchy_gaps[0]
 
 
-def test_ordering_violation_raised(table_cubic):
+def test_ordering_violation_recorded(table_cubic):
     # a high cap is not a discrete supersolution: the from-above chain
-    # must flag the break instead of silently absorbing it
+    # must flag the break instead of silently absorbing it, and still
+    # return every iterate it computed
     g = sandwich_grid(table_cubic)
     envelope = field_from_table(table_cubic, g, cap=50.0, spec=CUBIC)
     u0 = RadialField(g, 0.9 * envelope.u, envelope.cap_mask.copy())
-    with pytest.raises(OrderingViolation):
-        run_ladder(LadderSeed.from_above(envelope), u0, CUBIC, 0.01,
-                   k_max=6)
+    ladder = run_ladder(LadderSeed.from_above(envelope), u0, CUBIC, 0.01,
+                        k_max=6)
+    assert ladder.k == 6
+    # the first step already overshoots the envelope by 3.0
+    assert ladder.ordering_violation_max == pytest.approx(10.3505, rel=1e-5)
+    assert not ladder.ordered
 
 
 def test_from_below_converges_with_small_horizon(table_cubic):
@@ -299,7 +299,8 @@ def test_immediate_boundedness_cap_stable(table_cubic):
         env = field_from_table(table_cubic, g, cap=cap, spec=CUBIC)
         u0 = RadialField(g, 0.5 * env.u, env.cap_mask.copy())
         ladder = run_ladder("from_below", u0, CUBIC, 0.05, k_max=4,
-                            ladder_tol=0.0, order_tol=1e-3)
+                            ladder_tol=0.0)
+        assert ladder.ordering_violation_max <= 1e-3
         reports.append(check_immediate_boundedness(ladder, CUBIC,
                                                    (0.01, 0.05)))
     for rep in reports:
@@ -333,7 +334,8 @@ def test_ladder_limit_matches_imex_evolution(table_cubic):
     u0 = RadialField(g, 0.5 * env.u, env.cap_mask.copy())
     t_obs = 0.05
     ladder = run_ladder("from_below", u0, CUBIC, t_obs, k_max=8,
-                        ladder_tol=0.0, order_tol=1e-3, interp="cubic")
+                        ladder_tol=0.0, interp="cubic")
+    assert ladder.ordering_violation_max <= 1e-3
     duh = ladder.final.final.u
 
     cur, t = u0, 0.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heatlab.cli import Artifacts
-from heatlab.errors import NonMonotoneScan, OutOfRange
+from heatlab.errors import OutOfRange
 from heatlab.evolution import sphere_area
 from heatlab.nonlinearity import power_exp, pure_power
 from heatlab.singular_ode import build_singular
@@ -18,7 +18,6 @@ from heatlab.threshold import (
     RadialBump,
     ScanReport,
     _Run,
-    _check_monotone,
     case_grid,
     initial_data,
     threshold_scan,
@@ -324,22 +323,6 @@ def test_inner_mass_is_the_reference_formula(table):
 # scan assembly and reporting
 # ---------------------------------------------------------------------------
 
-def test_monotone_classification_check():
-    amps = np.array([-0.3, -0.1, 0.1, 0.3])
-    _check_monotone(amps, ["GlobalBounded", "GlobalBounded",
-                           "BlowUp", "BlowUp"])
-    _check_monotone(amps, ["GlobalBounded", "Undetermined",
-                           "BlowUp", "BlowUp"])
-    _check_monotone(amps, ["GlobalBounded"] * 4)
-    _check_monotone(amps, ["BlowUp"] * 4)
-    with pytest.raises(NonMonotoneScan):
-        _check_monotone(amps, ["GlobalBounded", "BlowUp",
-                               "GlobalBounded", "BlowUp"])
-    with pytest.raises(NonMonotoneScan):
-        _check_monotone(amps, ["Undetermined", "GlobalBounded",
-                               "Undetermined", "BlowUp"])
-
-
 def test_repeated_cap_or_amplitude_is_rejected_before_any_grid(
         table, monkeypatch):
     # a repeated cap used to run once while the config listed it twice,
@@ -355,6 +338,10 @@ def test_repeated_cap_or_amplitude_is_rejected_before_any_grid(
         threshold_scan(CUBIC, table, bump, [1.0, 1.0], caps=(1e4,))
     with pytest.raises(ValueError, match="caps must not repeat"):
         threshold_scan(CUBIC, table, bump, [0.0], caps=(1e4, 1e5, 1e4))
+    with pytest.raises(ValueError, match="amplitudes must not be empty"):
+        threshold_scan(CUBIC, table, bump, [], caps=(1e4,))
+    with pytest.raises(ValueError, match="caps must not be empty"):
+        threshold_scan(CUBIC, table, bump, [0.0], caps=())
 
 
 def _fake_outcome(cls, cap, t_detect=None):
@@ -363,6 +350,27 @@ def _fake_outcome(cls, cap, t_detect=None):
                             times=t, sup_series=np.array([3.0, 2.0]),
                             l1ul_series=np.array([1.0, 0.9]),
                             mass_series=np.array([0.1, 0.05]))
+
+
+def test_monotone_classification_check():
+    # the verdict may switch GlobalBounded -> BlowUp once, with at most one
+    # Undetermined in the buffer zone; the report states it, nothing raises
+    amps = np.array([-0.3, -0.1, 0.1, 0.3])
+
+    def monotone(classes):
+        cases = {a: CaseReport({1e4: _fake_outcome(cls, 1e4)}, cls, True,
+                               None)
+                 for a, cls in zip(amps.tolist(), classes)}
+        return ScanReport(amps, cases, {}).monotone
+
+    assert monotone(["GlobalBounded", "GlobalBounded", "BlowUp", "BlowUp"])
+    assert monotone(["GlobalBounded", "Undetermined", "BlowUp", "BlowUp"])
+    assert monotone(["GlobalBounded"] * 4)
+    assert monotone(["BlowUp"] * 4)
+    assert not monotone(["GlobalBounded", "BlowUp", "GlobalBounded",
+                         "BlowUp"])
+    assert not monotone(["Undetermined", "GlobalBounded", "Undetermined",
+                         "BlowUp"])
 
 
 def test_scan_report_serialization(tmp_path):
