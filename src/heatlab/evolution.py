@@ -2,7 +2,8 @@
 
 Provides the grid/field containers, the action of the heat semigroup
 through the exact radially-reduced Gaussian kernel, uniformly local norms
-from a unit-ball window quadrature built once per grid, and an IMEX time
+of a stack of fields at once from unit-ball window quadratures built once
+per grid (ul_norm is the one-field case), and an IMEX time
 stepper (implicit diffusion, explicit reaction).  ImexStack steps fields on
 several grids at once, each with its own dt and given reaction values: it
 builds the tridiagonal bands of one block-diagonal system from coefficients
@@ -124,15 +125,14 @@ class RadialGrid:
         return ImexStack((self,))
 
     @cached_property
-    def origin_window(self):
-        """Quadrature of the unit ball at the origin (see ul_norm)."""
-        return _window_quadrature(self, np.zeros(1))
+    def origin_window(self) -> "_Windows":
+        """The unit ball at the origin (see ul_norm)."""
+        return _Windows(self, np.zeros(1))
 
     @cached_property
-    def window_scan(self):
-        """Quadrature of the unit balls at the ul_norm scan's centres."""
-        return _window_quadrature(
-            self, np.linspace(0.0, self.R_outer, _N_CENTERS))
+    def window_scan(self) -> "_Windows":
+        """The unit balls at the ul_norm scan's centres."""
+        return _Windows(self, np.linspace(0.0, self.R_outer, _N_CENTERS))
 
     @cached_property
     def semigroup_operators(self) -> dict:
@@ -516,6 +516,74 @@ def _window_quadrature(grid: RadialGrid, zs: np.ndarray):
     return zs, rho.ravel(), w.ravel(), np.concatenate([[0], blocks[:-1]])
 
 
+class _Windows:
+    """A window quadrature (see _window_quadrature) that integrates stacks
+    of rows.  Each quadrature node keeps the bracket np.interp finds for it
+    on the grid, r[cell] <= rho < r[cell + 1], and its offset rho - r[cell],
+    so a row's values at the nodes are np.interp's bit for bit: the same
+    slope and the same slope * offset + value, and the nodal value itself
+    at a node on the grid or beyond R_outer."""
+
+    def __init__(self, grid: RadialGrid, zs: np.ndarray):
+        self.zs, rho, self.w, self.start = _window_quadrature(grid, zs)
+        r = grid.r
+        cell = np.searchsorted(r, rho, side="right") - 1
+        self.at = np.flatnonzero((cell == len(r) - 1) | (r[cell] == rho))
+        self.node = cell[self.at]
+        self.cell = np.minimum(cell, len(r) - 2)
+        self.offset = rho - r[self.cell]
+
+    def integrals(self, u: np.ndarray, slope: np.ndarray,
+                  p: float) -> np.ndarray:
+        """The integral of u^p over each window, a (rows, centres) array,
+        for the rows of values u and their slopes between nodes."""
+        vals = np.take(slope, self.cell, axis=1)
+        vals *= self.offset
+        vals += np.take(u, self.cell, axis=1)
+        vals[:, self.at] = np.take(u, self.node, axis=1)
+        if p != 1.0:
+            vals **= p
+        vals *= self.w
+        return np.add.reduceat(vals, self.start, axis=1)
+
+
+# rows of the window scan integrated at once: a block's node values stay
+# within 2^17 entries (1 MB, one row of a case grid's scan) so they stay in
+# cache however many rows a stack holds; larger blocks run slower per row
+_BLOCK_NODES = 2 ** 17
+
+
+def _ul_windows(grid: RadialGrid, u: np.ndarray, p: float):
+    """ul_norm for each row of a stack u (rows x nodes): the largest window
+    integral of u^p, its centre and the number of centres scanned.
+
+    A row whose values do not rise by more than 1e-12 max(1, sup) between
+    neighbouring nodes is radially nonincreasing and takes the origin
+    window; these rows are integrated at once.  The other rows scan every
+    centre of the window scan, a block of rows at a time.
+    """
+    du = np.diff(u, axis=1)
+    slope = du / np.diff(grid.r)
+    tol = 1e-12 * np.maximum(1.0, u.max(axis=1))
+    monotone = np.all(du <= tol[:, None], axis=1)
+    value, center = np.empty(len(u)), np.zeros(len(u))
+    sampled = np.ones(len(u), dtype=int)
+    if monotone.any():
+        value[monotone] = grid.origin_window.integrals(
+            u[monotone], slope[monotone], p)[:, 0]
+    dense = np.flatnonzero(~monotone)
+    if len(dense):
+        scan = grid.window_scan
+        sampled[dense] = len(scan.zs)
+        block = max(1, _BLOCK_NODES // len(scan.cell))
+        for rows in np.array_split(dense, -(-len(dense) // block)):
+            vals = scan.integrals(u[rows], slope[rows], p)
+            k = np.argmax(vals, axis=1)
+            value[rows] = vals[np.arange(len(rows)), k]
+            center[rows] = scan.zs[k]
+    return value, center, sampled
+
+
 def ul_norm(field: RadialField, p: float = 1.0) -> ULNormEstimate:
     """Uniformly local norm: sup over window centers of the integral of
     |u|^p over a unit ball.
@@ -530,17 +598,15 @@ def ul_norm(field: RadialField, p: float = 1.0) -> ULNormEstimate:
 
     so the window at the origin is a maximizer and the only center
     evaluated; other fields are scanned over equispaced centers in
-    [0, R_outer].  Both window quadratures are built once per grid.
+    [0, R_outer].  Both window quadratures are built once per grid.  This
+    is the one-row case of _ul_windows.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    grid, u = field.grid, field.u
-    monotone = bool(np.all(np.diff(u) <= 1e-12 * max(1.0, field.sup)))
-    zs, rho, w, start = grid.origin_window if monotone else grid.window_scan
-    vals = np.add.reduceat(w * np.interp(rho, grid.r, u) ** p, start)
-    k = int(np.argmax(vals))
-    return ULNormEstimate(p=p, value=float(vals[k]), center=float(zs[k]),
-                          centers_sampled=len(zs))
+    value, center, sampled = _ul_windows(field.grid, field.u[None], p)
+    return ULNormEstimate(p=p, value=float(value[0]),
+                          center=float(center[0]),
+                          centers_sampled=int(sampled[0]))
 
 
 # ---------------------------------------------------------------------------

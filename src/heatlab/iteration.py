@@ -165,10 +165,6 @@ class LadderSeed:
             raise ValueError("from_above seeding needs an envelope field")
 
     @classmethod
-    def from_below(cls) -> "LadderSeed":
-        return cls("from_below")
-
-    @classmethod
     def from_above(cls, envelope: RadialField) -> "LadderSeed":
         return cls("from_above", envelope)
 

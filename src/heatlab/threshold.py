@@ -9,12 +9,16 @@ profile min(u*, cap) plus a signed bump A exp(-((r - r_c)/sigma)^2):
 at most u* for A <= 0, above the capped profile for A > 0.  A = 0 is
 the capped profile itself, the run of `heatlab evolve`.  A run is one
 (amplitude, cap) pair.  The runs of a scan advance in lockstep: an
-iteration makes one f call on the stacked values, each active run does
-its scalar bookkeeping (sup, stability dt, divergence test, horizon,
-sample clamp, reaction guard) and may end itself, and the rest step
-through one ImexStack solve, one tridiagonal gtsv with each run's block
-at its own dt.  So a scan costs as many iterations as its longest run,
-and each run's results are bit for bit those it gets alone.
+iteration takes every run's sup norm and largest reaction value from one
+f call on the stacked values, each active run does its scalar
+bookkeeping (stability dt, divergence test, horizon, sample clamp,
+reaction guard) and may end itself, and the rest step through one
+ImexStack solve, one tridiagonal gtsv with each run's block at its own
+dt.  So a scan costs as many iterations as its longest run, and each
+run's results are bit for bit those it gets alone.  While it steps, a
+run only copies its values at the sample times and where it ends; its
+sup, L^1_ul, reaction mass and excess series are computed once, when it
+has ended, from the stacked snapshots.
 """
 
 from __future__ import annotations
@@ -36,11 +40,11 @@ from .evolution import (
     _reaction_values,
     _stability_bound,
     _star_on_nodes,
+    _ul_windows,
     _within_reaction_guard,
     make_grid,
     sphere_area,
     transition_radius,
-    ul_norm,
 )
 from .nonlinearity import NonlinearitySpec
 
@@ -57,7 +61,7 @@ SUP_GUARD = 1e8          # sup-norm divergence guard
 MASS_GUARD = 1e6         # inner reaction mass must grow by this factor
 DT_UNDERFLOW = 1e-12     # adaptive step collapse corroborates divergence
 PLATEAU_SLACK = 1.02     # allowed relative rise of the sup over the tail
-N_SAMPLES = 64           # sup/mass/dt samples recorded per evolution
+N_SAMPLES = 64           # sample times per evolution (and dt clamps)
 MAX_STEPS = 2_000_000    # steps after which an evolution stays Undetermined
 
 
@@ -173,12 +177,6 @@ def case_grid(table, cap: float, R_outer: float,
     return make_grid(table.dim, R_outer, n_nodes, r1_frac=r1_frac, bc=bc)
 
 
-def _excess_over_star(field: RadialField, star: np.ndarray,
-                      r: np.ndarray, r_min: float) -> float:
-    sel = (r >= r_min) & np.isfinite(star)
-    return float(((field.u[sel] - star[sel]) / star[sel]).max())
-
-
 def _distinct(name: str, values: Sequence[float], shown=None) -> list:
     """values as floats; ValueError if there are none or one repeats,
     naming the entries as shown (default: the floats)."""
@@ -207,8 +205,10 @@ def _case_report(runs: list) -> CaseReport:
 
 class _Run:
     """One evolution of bumped data at one cap: its clock, its sample
-    schedule, its records and its verdict.  _evolve steps it; between
-    steps the run only sees its own values."""
+    schedule, its snapshots and its verdict.  _evolve steps it; between
+    steps the run only sees its own values.  While it steps, a run keeps
+    only copies of its values at the sample times and at its end; outcome()
+    derives every series from them at once."""
 
     def __init__(self, spec, u0: RadialField, side: str, star: np.ndarray,
                  horizon: float, cap: float):
@@ -229,36 +229,26 @@ class _Run:
         n_inner = int(np.searchsorted(grid.r, r_star, side="right"))
         self.inner_volumes = grid.cell_volumes[:n_inner]
         self.area = sphere_area(grid.dim)
-        self.times, self.sups, self.l1s, self.masses = [], [], [], []
-        self.snapshots = []
-        self._record(u0)
-        self.mass0 = max(self.masses[0], 1e-300)
-        self.excess = _excess_over_star(u0, star, grid.r, 0.1) \
-            if side == "below" else None
+        self.snapshots = [(0.0, u0)]
+        self.mass0 = max(float(self.inner_mass(u0.u)), 1e-300)
 
-    def inner_mass(self, u: np.ndarray) -> float:
-        """Reaction mass of f(u) over the ball of radius r_star."""
+    def inner_mass(self, u: np.ndarray) -> np.ndarray:
+        """Reaction mass of f(u) over the ball of radius r_star for each
+        row of values u (the last axis holds the nodes); one row of values
+        gives a scalar."""
         if self.spec is None:
-            return 0.0
+            return np.zeros(u.shape[:-1])
         fu = _reaction_values(
-            self.spec, np.minimum(u[:len(self.inner_volumes)], 1e60))
+            self.spec, np.minimum(u[..., :len(self.inner_volumes)], 1e60))
         # for f >= 0 this is nan_to_num(fu, posinf=1e200) capped at 1e200
         fu[np.isnan(fu)] = 0.0
         np.minimum(fu, 1e200, out=fu)
-        return float(self.area * np.sum(fu * self.inner_volumes))
+        return self.area * np.sum(fu * self.inner_volumes, axis=-1)
 
-    def _record(self, fld: RadialField) -> RadialField:
-        self.times.append(float(self.t))
-        self.sups.append(fld.sup)
-        self.l1s.append(ul_norm(fld, 1.0).norm)
-        self.masses.append(self.inner_mass(fld.u))
-        self.snapshots.append((float(self.t), fld))
-        return fld
-
-    def _snapshot(self, u: np.ndarray) -> RadialField:
+    def _snapshot(self, u: np.ndarray) -> None:
         """Record values u, a block of the stacked array, as a field that
         owns a copy of them."""
-        return self._record(self.u0.copy_with(u.copy()))
+        self.snapshots.append((float(self.t), self.u0.copy_with(u.copy())))
 
     def next_dt(self, u: np.ndarray, sup: float,
                 f_max: float) -> Optional[float]:
@@ -297,16 +287,24 @@ class _Run:
         self.t += dt
         k = self.next_sample
         if k < len(self.samples) and self.t >= self.samples[k] * (1 - 1e-12):
-            fld = self._snapshot(u)
-            if self.side == "below":
-                self.excess = max(self.excess, _excess_over_star(
-                    fld, self.star, fld.grid.r, 0.1))
+            self._snapshot(u)
             self.next_sample = k + 1
 
     def outcome(self) -> EvolutionOutcome:
-        """The classified evolution once the run has ended."""
+        """The classified evolution once the run has ended, its series
+        taken from the (snapshots x nodes) matrix of its values: the sup
+        norm, the L^1_ul norm (the p = 1 window integral), the inner
+        reaction mass and, below u*, the largest relative excess over u*
+        on r >= 0.1 of any snapshot."""
         classification = self.classification
-        times, sups = np.asarray(self.times), np.asarray(self.sups)
+        times = np.array([t for t, _ in self.snapshots])
+        u = np.stack([fld.u for _, fld in self.snapshots])
+        sups = u.max(axis=1)
+        excess = None
+        if self.side == "below":
+            r, star = self.u0.grid.r, self.star
+            sel = (r >= 0.1) & np.isfinite(star)
+            excess = float(((u[:, sel] - star[sel]) / star[sel]).max())
         if classification != "BlowUp" and self.t >= self.horizon:
             tail = sups[times >= 0.5 * self.horizon]
             if (np.all(np.isfinite(sups)) and len(tail) >= 2
@@ -316,10 +314,11 @@ class _Run:
         return EvolutionOutcome(classification=classification, cap=self.cap,
                                 t_detect=self.t_detect, times=times,
                                 sup_series=sups,
-                                l1ul_series=np.asarray(self.l1s),
-                                mass_series=np.asarray(self.masses),
+                                l1ul_series=_ul_windows(
+                                    self.u0.grid, u, 1.0)[0],
+                                mass_series=self.inner_mass(u),
                                 snapshots=self.snapshots, side=self.side,
-                                one_sided_excess=self.excess)
+                                one_sided_excess=excess)
 
 
 def _evolve(spec, runs: list) -> None:
@@ -330,8 +329,9 @@ def _evolve(spec, runs: list) -> None:
     active run then does its scalar bookkeeping (stability dt, divergence
     test, horizon, sample clamp, reaction guard) and may end itself.  The
     others advance through one ImexStack.step, one tridiagonal solve with
-    each block at its run's own dt.  A run that ends leaves the stack, so
-    each run sees exactly the steps it would take alone.
+    each block at its run's own dt, and a run at a sample time copies its
+    values; no series is computed in the loop.  A run that ends leaves the
+    stack, so each run sees exactly the steps it would take alone.
     """
     active = list(runs)
     stack = ImexStack([run.u0.grid for run in active])

@@ -492,6 +492,52 @@ def test_ul_norm_origin_window_dominates_for_nonincreasing_fields(
         assert np.all(est.value >= _window_values(fld, p, zs) * (1.0 - 1e-12))
 
 
+def test_windows_interpolate_as_np_interp_bit_for_bit(grid3, monkeypatch):
+    # quadrature nodes between grid nodes, on them (the first and the last
+    # included) and beyond R_outer take np.interp's values, bit for bit
+    r = grid3.r
+    rho = np.concatenate([0.5 * (r[:-1] + r[1:]), r[:7], r[-1:],
+                          r[-1] + np.array([0.5, 2.0]),
+                          r[:5] + 1e-3 * np.diff(r)[:5]])
+    rng = np.random.default_rng(1)
+    w = rng.random(len(rho))
+    start = np.array([0, 40, len(rho) - 3])
+    monkeypatch.setattr(evolution, "_window_quadrature",
+                        lambda grid, zs: (zs, rho, w, start))
+    win = evolution._Windows(grid3, np.zeros(len(start)))
+    u = rng.random((4, grid3.n_nodes)) * np.array([[1.0], [1e3], [1e-5],
+                                                   [1e8]])
+    slope = np.diff(u, axis=1) / np.diff(r)
+    for p in (1.0, 2.6):
+        got = win.integrals(u, slope, p)
+        for row, vals in zip(u, got):
+            want = np.add.reduceat(w * np.interp(rho, r, row) ** p, start)
+            assert vals.tobytes() == want.tobytes()
+
+
+def test_ul_norm_of_a_stack_is_each_row_alone(grid3, monkeypatch):
+    # nonincreasing and rising rows mixed, the scan in blocks of two rows:
+    # each row's largest window, its centre and the centres scanned are
+    # those of the row's own quadrature sum, bit for bit
+    monkeypatch.setattr(evolution, "_BLOCK_NODES",
+                        2 * len(grid3.window_scan.cell))
+    r = grid3.r
+    rows = [1.0 / (1.0 + r ** 2), np.exp(-(r - 3.0) ** 2),
+            np.full(len(r), 2.0), 1e-6 * np.exp(-(r - 7.0) ** 2),
+            0.2 + np.sin(r) ** 2, np.exp(-r)]
+    u = np.stack(rows)
+    scan_zs = np.linspace(0.0, grid3.R_outer, evolution._N_CENTERS)
+    for p in (1.0, 5.0):
+        value, center, sampled = evolution._ul_windows(grid3, u, p)
+        for k, row in enumerate(rows):
+            fld = RadialField(grid3, row)
+            zs = scan_zs if np.any(np.diff(row) > 0.0) else np.zeros(1)
+            vals = _window_values(fld, p, zs)
+            assert value[k].tobytes() == vals.max().tobytes()
+            assert center[k] == zs[np.argmax(vals)]
+            assert sampled[k] == len(zs)
+
+
 def test_ul_norm_of_monotone_field_builds_only_the_origin_window():
     g = make_grid(3, 10.0, 129)
     est = ul_norm(RadialField(g, 1.0 / (1.0 + g.r ** 2)), 1.0)

@@ -8,7 +8,7 @@ import pytest
 
 from heatlab.cli import Artifacts
 from heatlab.errors import OutOfRange
-from heatlab.evolution import sphere_area
+from heatlab.evolution import sphere_area, ul_norm
 from heatlab.nonlinearity import power_exp, pure_power
 from heatlab.singular_ode import build_singular
 from heatlab.threshold import (
@@ -289,34 +289,107 @@ def test_power_exp_overflow_leaves_its_neighbour_stepping(pe_scan):
         assert o.t_detect is None
 
 
+def _inner_mass_reference(spec, grid, u):
+    """sphere_area * sum(f(u) vol) over r <= r_star, with f(min(u, 1e60))
+    passed through nan_to_num(posinf=1e200) and capped at 1e200; 0 for the
+    heat flow."""
+    if spec is None:
+        return 0.0
+    sel = grid.r <= max(grid.r[10], grid.R_outer / 8.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fu = np.asarray(spec.f(np.minimum(u[sel], 1e60)), dtype=float)
+    fu = np.minimum(np.nan_to_num(fu, posinf=1e200), 1e200)
+    return float(sphere_area(grid.dim) * np.sum(fu * grid.cell_volumes[sel]))
+
+
 def test_inner_mass_is_the_reference_formula(table):
-    # the reaction mass keeps the bits of sphere_area * sum(f(u) vol) over
-    # r <= r_star, with f(min(u, 1e60)) passed through
-    # nan_to_num(posinf=1e200) and capped at 1e200
+    # the reaction mass keeps the bits of the reference formula, for one
+    # row of values and for each row of a stack
     grid = case_grid(table, 1e4, 8.0, 129)
     star = np.concatenate([[np.inf], table.u_star(grid.r[1:], CUBIC)])
     u0 = initial_data(grid, star, RadialBump(2.0, 2.0, 0.1), 1e4)
     r_star = max(grid.r[10], grid.R_outer / 8.0)
     assert r_star in grid.r                 # the node at r_star counts
 
-    def reference(spec, u):
-        sel = grid.r <= r_star
-        with np.errstate(over="ignore", invalid="ignore"):
-            fu = np.asarray(spec.f(np.minimum(u[sel], 1e60)), dtype=float)
-        fu = np.minimum(np.nan_to_num(fu, posinf=1e200), 1e200)
-        return float(sphere_area(grid.dim)
-                     * np.sum(fu * grid.cell_volumes[sel]))
-
     # f = inf on (100, 1e3] and NaN above 1e3
     ragged = SimpleNamespace(f=lambda u: np.where(
         u > 1e3, np.nan, np.where(u > 100.0, np.inf, u ** 3)))
     fields = [u0.u, 1e3 * u0.u, np.full(grid.n_nodes, 1e70), 0.0 * u0.u]
-    for spec in (CUBIC, PE, ragged):
+    for spec in (CUBIC, PE, ragged, None):
         run = _Run(spec, u0, "above", star, 2.0, 1e4)
-        for u in fields:
-            with np.errstate(invalid="ignore"):
-                got = run.inner_mass(u)
-            assert _bits(got) == _bits(reference(spec, u))
+        want = [_bits(_inner_mass_reference(spec, grid, u)) for u in fields]
+        with np.errstate(invalid="ignore"):
+            assert [_bits(run.inner_mass(u)) for u in fields] == want
+            stacked = run.inner_mass(np.stack(fields))
+        assert [_bits(m) for m in stacked] == want
+
+
+def _excess_per_snapshot(tab, spec, o):
+    """The largest (u - u*)/u* on r >= 0.1 of each snapshot of outcome o."""
+    grid = o.snapshots[0][1].grid
+    star = np.concatenate([[np.inf], tab.u_star(grid.r[1:], spec)])
+    sel = grid.r >= 0.1
+    return [float(((fld.u[sel] - star[sel]) / star[sel]).max())
+            for _, fld in o.snapshots]
+
+
+@pytest.fixture(scope="module")
+def pe_dense_scan(table_pe):
+    # most snapshots of these runs rise somewhere, so their L^1_ul norms
+    # scan every window centre; the others take the origin window
+    return _scan(PE, table_pe, (-0.3,), (4.0, 5.0))
+
+
+@pytest.mark.parametrize("scan_name", ["cubic_scan", "pe_dense_scan"])
+def test_outcome_series_match_per_snapshot_reference(request, scan_name):
+    # the series an outcome derives from its stacked snapshots keep, bit
+    # for bit, the values each snapshot gives on its own
+    scan = request.getfixturevalue(scan_name)
+    spec = CUBIC if scan_name == "cubic_scan" else PE
+    tab = request.getfixturevalue("table" if spec is CUBIC else "table_pe")
+    scanned = []
+    for case in scan.cases.values():
+        for o in case.outcomes.values():
+            flds = [fld for _, fld in o.snapshots]
+            grid = flds[0].grid
+            estimates = [ul_norm(fld, 1.0) for fld in flds]
+            scanned += [est.centers_sampled > 1 for est in estimates]
+            assert o.times.tobytes() == np.array(
+                [t for t, _ in o.snapshots]).tobytes()
+            assert o.sup_series.tobytes() == np.array(
+                [fld.sup for fld in flds]).tobytes()
+            assert o.l1ul_series.tobytes() == np.array(
+                [est.norm for est in estimates]).tobytes()
+            assert o.mass_series.tobytes() == np.array(
+                [_inner_mass_reference(spec, grid, fld.u)
+                 for fld in flds]).tobytes()
+            if o.side == "above":
+                assert o.one_sided_excess is None
+            else:
+                assert _bits(o.one_sided_excess) == _bits(
+                    max(_excess_per_snapshot(tab, spec, o)))
+    if scan_name == "pe_dense_scan":
+        # both window branches ran
+        assert any(scanned) and not all(scanned)
+
+
+@pytest.fixture(scope="module")
+def table_cubic8():
+    return build_singular(CUBIC, 8)
+
+
+def test_one_sided_excess_counts_the_state_where_a_run_ends(table_cubic8):
+    # the capped profile at cap 1e2 in N = 8 lies below u* and blows up
+    # before the horizon; the state it ends in exceeds u* by more than any
+    # sample before it, and the excess is the largest over every snapshot
+    scan = threshold_scan(CUBIC, table_cubic8, RadialBump(2.0, 2.0, 0.0),
+                          [0.0], horizon=2.0, caps=(1e2,), n_nodes=257)
+    o = scan.cases[0.0].finest
+    assert (o.classification, o.side) == ("BlowUp", "below")
+    assert o.times[-1] < 2.0
+    excess = _excess_per_snapshot(table_cubic8, CUBIC, o)
+    assert excess[-1] > 0.1 > max(excess[:-1])
+    assert o.one_sided_excess == excess[-1]
 
 
 # ---------------------------------------------------------------------------
