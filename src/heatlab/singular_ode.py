@@ -17,22 +17,23 @@ s).  The solver's dense output is mapped back to radii: at r it gives
 The singular profile is built by outward integration from a small patch
 radius where an asymptotic formula seeds the values; regular (finite-center)
 solutions are built by shooting from r = 0 and serve as an independent
-cross-check.  Both step scipy's public LSODA solver one step at a time
-and copy each step's Nordsieck data from the solver's work arrays, as
-scipy's own LSODA.dense_output reads them; no OdeSolution is built.  The
-dense output stacks those per-step polynomials once and evaluates any
-array of radii in one pass, with solve_ivp's values to the bit.
+cross-check.  Both drive the LSODA integrator that scipy's LSODA class
+wraps, one run per step, and copy each step's Nordsieck data from its
+work arrays, as scipy's LSODA.dense_output reads them; no OdeSolution
+is built.  The dense output stacks those per-step polynomials once and
+evaluates any array of radii in one pass, with solve_ivp's values to the bit.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import LSODA, cumulative_simpson
+from scipy.integrate import cumulative_simpson, ode
 from scipy.optimize import brentq
 
 from .errors import OutOfRange, PatchMismatch, StepUnderflow
@@ -181,7 +182,7 @@ class PohozaevTrace:
 def _rhs(spec: NonlinearitySpec, dim: int):
     """The radial equation in s = log r, v = r u'."""
     def rhs(s, y):
-        u, v = y
+        u, v = y.tolist()
         fu = float(spec.f(u)) if u > 0.0 else 0.0
         return [v, -(dim - 2.0) * v - math.exp(2.0 * s) * fu]
     return rhs
@@ -249,23 +250,33 @@ def _solve(spec, dim, r_start, R_max, u0, du0, rtol, atol, what,
     stop_at_zero, the first step on which u falls to zero or below ends
     the integration at the zero, which becomes the last edge.
 
-    Each step's Nordsieck data is copied from the solver's work arrays as
-    scipy's own LSODA.dense_output reads it, and the zero is found as
-    solve_ivp finds a terminal event of direction -1: brentq on that
-    step's dense output with xtol = rtol = 4 eps.  The values are
-    therefore solve_ivp's (dense_output=True) to the bit.
+    Each step is one itask = 5 run of the integrator in scipy's LSODA class
+    (after that class's checks); LSODA.dense_output's reading of the work
+    arrays gives its polynomial, and brentq on it with xtol = rtol = 4 eps
+    finds the zero as solve_ivp finds a terminal event of direction -1.
+    The values are therefore solve_ivp's (dense_output=True) to the bit.
     """
-    solver = LSODA(_rhs(spec, dim), math.log(r_start), [u0, r_start * du0],
-                   math.log(R_max), rtol=rtol, atol=atol)
-    work = solver._lsoda_solver._integrator
-    edges, ts, hs, yhs = [solver.t], [], [], []
+    eps = np.finfo(float).eps
+    if rtol < 100 * eps:
+        warnings.warn("At least one element of `rtol` is too small. Setting "
+                      f"`rtol = np.maximum(rtol, {100 * eps})`.", stacklevel=3)
+        rtol = 100 * eps
+    if atol < 0:
+        raise ValueError("atol must be >= 0")
+    t, t_end, u, v = math.log(r_start), math.log(R_max), u0, r_start * du0
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise OutOfRange(f"{what}: non-finite start state ({u:g}, {v:g})")
+    rhs, no_jac = _rhs(spec, dim), lambda: None
+    solver = ode(rhs).set_integrator("lsoda", rtol=rtol, atol=atol)
+    work, y = solver._integrator, solver.set_initial_value([u, v], t)._y
+    work.rwork[0], work.call_args[2] = t_end, 5   # one step, never past t_end
+    edges, steps = [t], []
     while True:
-        u_old = solver.y[0]
-        message = solver.step()
-        if solver.status == "failed":
-            r = math.exp(solver.t)
-            raise StepUnderflow(f"{what} stopped at r={r:.3e}: {message}",
-                                r=r, state=(solver.y[0], solver.y[1] / r))
+        y, t_new = work.run(rhs, no_jac, y, t, t_end, (), ())
+        if not work.success:
+            r, why = math.exp(t), work.messages.get(work.istate, work.istate)
+            raise StepUnderflow(f"{what} stopped at r={r:.3e}: {why}",
+                                r=r, state=(u, v / r))
         # LSODA.dense_output's reading of the work arrays: they hold the
         # Nordsieck array for the next step, and when the order is set to
         # drop, its last column is rescaled to the current step size
@@ -273,19 +284,17 @@ def _solve(spec, dim, r_start, R_max, u0, du0, rtol, atol, what,
         yh = work.rwork[20:22 + 2 * order].copy()
         if work.iwork[14] < order:
             yh[-2:] *= (h / work.rwork[10]) ** order
-        t = solver.t
-        vanished = stop_at_zero and u_old >= 0.0 and solver.y[0] <= 0.0
-        if vanished:
-            step = solver.dense_output()
-            t = brentq(lambda s: step(s)[0], solver.t_old, solver.t,
-                       xtol=4 * np.finfo(float).eps,
-                       rtol=4 * np.finfo(float).eps)
+        t_old, t, u_old, (u, v) = t, t_new, u, y.tolist()
         edges.append(t)
-        ts.append(solver.t)
-        hs.append(h)
-        yhs.append(yh)
-        if vanished or solver.status == "finished":
-            return _RadialDense(edges, ts, hs, yhs, r_start), vanished
+        vanished = stop_at_zero and u_old >= 0.0 and u <= 0.0
+        if vanished:
+            # LsodaDenseOutput's np.dot on the C-ordered (2, order+1) block
+            step, p = yh.reshape(-1, 2).T.copy(), np.arange(order + 1)
+            edges[-1] = brentq(lambda s: np.dot(step, ((s - t) / h) ** p)[0],
+                               t_old, t, xtol=4 * eps, rtol=4 * eps)
+        steps.append((t, h, yh))
+        if vanished or t >= t_end:
+            return _RadialDense(edges, *zip(*steps), r_start), vanished
 
 
 def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
@@ -318,6 +327,8 @@ def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
                             r=0.0, state=(alpha, 0.0))
     r_start = (min(1e-6, math.sqrt(0.01 * 2.0 * dim * alpha / f_a))
                if f_a > 0.0 else 1e-6)
+    if R_max <= r_start:
+        raise ValueError(f"R_max must exceed the start radius {r_start:g}")
     u0 = alpha - f_a * r_start ** 2 / (2.0 * dim)
     du0 = -f_a * r_start / dim
 

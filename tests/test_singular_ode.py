@@ -25,6 +25,7 @@ from heatlab.nonlinearity import (
 from heatlab.singular_ode import (
     _F0_along,
     _rhs,
+    _solve,
     asymptotic_ratio,
     build_singular,
     eval_F0,
@@ -324,19 +325,76 @@ def test_vanishing_shot_matches_solve_ivp_events(alpha, xi):
     assert np.array_equal(shot.du, np.concatenate([[0.0], v / r]))
 
 
-@pytest.mark.filterwarnings("ignore:At least one element of `rtol`",
-                            "ignore:.*Excess accuracy requested")
+@pytest.mark.parametrize("which", ["power_exp", "cutoff"])
+def test_regular_shot_to_R_max_matches_solve_ivp(which, request):
+    # the cross-check's own shot from 2 u*(r_patch), which reaches R_max:
+    # the same steps as solve_ivp's OdeSolution, and its 400 values to the
+    # bit
+    tab = request.getfixturevalue(f"table_{which}")
+    spec, dim = {"power_exp": POWER_EXP, "cutoff": CUTOFF}[which], tab.dim
+    alpha = 2.0 * tab.u[0]
+    shot = integrate_regular(spec, dim, alpha, tab.R_max,
+                             rtol=1e-8, atol=1e-10)
+    assert shot.termination == "reached_rmax"
+    f_a = float(spec.f(alpha))
+    r_start = min(1e-6, math.sqrt(0.01 * 2.0 * dim * alpha / f_a))
+    ref = lsoda_reference(spec, dim, r_start, tab.R_max,
+                          alpha - f_a * r_start ** 2 / (2.0 * dim),
+                          -f_a * r_start / dim, 1e-8, 1e-10).sol
+    steps, dense = ref.interpolants, shot.dense
+    assert np.array_equal(dense.edges, ref.ts)
+    assert np.array_equal(dense._t, [p.t for p in steps])
+    assert np.array_equal(dense._h, [p.h for p in steps])
+    for k, p in enumerate(steps):
+        order = p.yh.shape[1]
+        assert np.array_equal(dense._yh[k, :, :order], p.yh)
+        assert not np.any(dense._yh[k, :, order:])
+    r = np.geomspace(r_start, tab.R_max, 399)
+    u, v = ref(np.log(r))
+    assert np.array_equal(shot.r, np.concatenate([[0.0], r]))
+    assert np.array_equal(shot.u, np.concatenate([[alpha], u]))
+    assert np.array_equal(shot.du, np.concatenate([[0.0], v / r]))
+
+
 def test_collapsed_step_raises_step_underflow():
-    # LSODA gives up near the start at an unreachable tolerance (scipy
-    # raises rtol to 100 eps, atol stays 1e-40); the error carries the
-    # last radius and state the solver accepted
-    with pytest.raises(StepUnderflow) as info:
-        integrate_regular(CUBIC, 5, 1.0, 10.0, rtol=1e-30, atol=1e-40)
+    # LSODA gives up near the start at an unreachable tolerance: rtol is
+    # raised to 100 eps with scipy's warning, as scipy's LSODA class
+    # raises it (atol stays 1e-40), so the run fails for excess accuracy
+    # and never as illegal input; the error carries the last radius and
+    # state the solver accepted
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StepUnderflow) as info:
+            integrate_regular(CUBIC, 5, 1.0, 10.0, rtol=1e-30, atol=1e-40)
+    said = [str(w.message) for w in caught]
+    assert "At least one element of `rtol` is too small. Setting `rtol = " \
+           "np.maximum(rtol, 2.220446049250313e-14)`." in said
+    assert any("Excess accuracy requested" in m for m in said)
+    assert not any("Illegal input" in m for m in said)
     err = info.value
     assert 1e-6 <= err.r < 1e-5
     u, du = err.state
     assert math.isfinite(u) and math.isfinite(du)
     assert 0.99 < u < 1.0 and du < 0.0
+    assert err.r == 1.122258112810855e-06
+    assert (u, du) == (0.999999999999874, -2.244516225621485e-07)
+
+
+def test_integrator_inputs_are_checked():
+    # the checks scipy's LSODA class made: a negative atol is refused, and
+    # a non-finite start state is a typed error
+    with pytest.raises(ValueError, match="atol"):
+        integrate_regular(CUBIC, 5, 1.0, 10.0, atol=-1e-12)
+    with pytest.raises(OutOfRange, match="non-finite start"):
+        _solve(CUBIC, 5, 1e-6, 10.0, math.nan, 0.0, 1e-10, 1e-12, "shot")
+
+
+@pytest.mark.parametrize("R_max", [1e-6, 1e-7])
+def test_regular_shot_needs_R_max_beyond_its_start(R_max):
+    # the N = 5 cubic at alpha = 1 starts at r = 1e-6: an end at or below
+    # it is refused, not integrated inward or over an empty range
+    with pytest.raises(ValueError, match="start radius"):
+        integrate_regular(CUBIC, 5, 1.0, R_max)
 
 
 def test_overflowing_centre_height_is_step_underflow():
