@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse import csr_matrix
-from scipy.special import betainc, gamma as gamma_fn
+from scipy.special import gamma as gamma_fn
 
 from .errors import LinearSolveFailure, ReactionOverflow
 from .nonlinearity import NonlinearitySpec
@@ -402,18 +402,18 @@ class SemigroupOperator:
         column M, to the field at the quadrature nodes rho: Lagrange weights
         on the four nodes around a node's segment (cubic) or on its two ends
         (linear), and weight 1 on the extension value beyond the grid.
-        The weights of every row come at once; the rows beyond the grid are
-        overwritten after, and each row holds n entries."""
+        Weight c is the product of (rho - r_o) / (r_c - r_o) over o != c in
+        node order, for all rows at once; each row holds n entries."""
         r = self.grid.r
         M = len(r)
         n = 4 if self.interp == "cubic" else 2
         cols = np.clip(seg - n // 2 + 1, 0, M - n)[:, None] + np.arange(n)
-        xs = r[cols]
+        xs = [r[cols[:, j]] for j in range(n)]
+        d = [rho - x for x in xs]
         wts = np.empty((len(rho), n))
         for c in range(n):
-            o = np.arange(n) != c
-            wts[:, c] = np.prod((rho[:, None] - xs[:, o])
-                                / (xs[:, [c]] - xs[:, o]), axis=1)
+            wts[:, c] = reduce(np.multiply, [d[o] / (xs[c] - xs[o])
+                                             for o in range(n) if o != c])
         beyond = seg >= M - 1
         cols[beyond] = M
         wts[beyond] = np.eye(1, n)
@@ -423,7 +423,6 @@ class SemigroupOperator:
 
     def _assemble(self):
         t, dim, r = self.t, self.grid.dim, self.grid.r
-        M = len(r)
         rho, w, seg = self._quad_nodes()
         # [matrix | ext] = K P, where row i of K holds kernel times weight on
         # its band: the (sorted) quadrature nodes within reach of r_i
@@ -431,14 +430,14 @@ class SemigroupOperator:
         first = np.searchsorted(rho, r - reach, side="left")
         count = np.searchsorted(rho, r + reach, side="right") - first
         indptr = np.concatenate([[0], np.cumsum(count)])
-        row = np.repeat(np.arange(M), count)
         q = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], count)
+        r_row, rho_q = np.repeat(r, count), rho[q]
         log_k = (-0.5 * dim * math.log(4.0 * math.pi * t)
-                 - (r[row] - rho[q]) ** 2 / (4.0 * t)
-                 + _log_angular(dim, r[row] * rho[q] / (2.0 * t))
-                 + (dim - 1) * np.log(rho[q]))
+                 - (r_row - rho_q) ** 2 / (4.0 * t)
+                 + _log_angular(dim, r_row * rho_q / (2.0 * t))
+                 + ((dim - 1) * np.log(rho))[q])
         K = csr_matrix((np.exp(log_k) * w[q], q, indptr),
-                       shape=(M, len(rho)))
+                       shape=(len(r), len(rho)))
         return (K @ self._interp_matrix(rho, seg)).toarray()
 
     def apply(self, u: np.ndarray, u_ext: float) -> np.ndarray:
@@ -490,12 +489,26 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _N_CENTERS = 512          # equispaced window centres scanned in [0, R_outer]
 
 
+def _cap_share(dim: int, c: np.ndarray) -> np.ndarray:
+    """I_{1-c^2}((dim-1)/2, 1/2) for c = |cos theta|: twice the share of the
+    unit sphere in R^dim in a polar cap of angle theta <= pi/2.  It climbs
+    I(a+1) = I(a) - s^{2a} c / (a B(a, 1/2)), s^2 = (1-c)(1+c), from I(1) =
+    1 - c (odd dim) or I(1/2) = (2/pi) arccos c (even dim), clamped at 0."""
+    s2 = (1.0 - c) * (1.0 + c)
+    share = 1.0 - c if dim % 2 else 2.0 / math.pi * np.arccos(c)
+    term = (0.5 * s2 if dim % 2 else 2.0 / math.pi * np.sqrt(s2)) * c
+    for a in np.arange(1.0 if dim % 2 else 0.5, 0.5 * (dim - 1)):
+        share -= term
+        term *= s2 * ((a + 0.5) / (a + 1.0))
+    return np.maximum(share, 0.0)
+
+
 def _window_quadrature(grid: RadialGrid, zs: np.ndarray):
     """Shell quadrature of the unit balls centred at distance zs: 8
     Gauss-Legendre nodes on each segment between a centre's breakpoints
     (window ends, 1 - z when z < 1, grid nodes inside), weighted by the cap
-    area the ball holds.  Returns zs, the nodes, their weights and the
-    offset of each centre's block of nodes."""
+    area the ball holds: _cap_share, closed in |cos theta| (no betainc).
+    Returns zs, the nodes, their weights and each centre's block offset."""
     lo, hi = np.maximum(0.0, zs - 1.0), zs + 1.0
     inside = (grid.r > lo[:, None]) & (grid.r < hi[:, None])
     brk = np.sort(np.column_stack([lo, hi, np.where(zs < 1.0, 1.0 - zs, np.nan),
@@ -510,7 +523,7 @@ def _window_quadrature(grid: RadialGrid, zs: np.ndarray):
     rc, zc = rho[cut], z[cut]
     # the ball holds the polar cap of angle arccos(cos_t) of such a shell
     cos_t = np.clip((rc ** 2 + zc ** 2 - 1.0) / (2.0 * rc * zc), -1.0, 1.0)
-    cap = betainc((grid.dim - 1) / 2.0, 0.5, 1.0 - cos_t ** 2) * 0.5
+    cap = 0.5 * _cap_share(grid.dim, np.abs(cos_t))
     w[cut] *= np.where(cos_t >= 0.0, cap, 1.0 - cap)
     blocks = len(_GL_X) * np.cumsum(keep.sum(axis=1))
     return zs, rho.ravel(), w.ravel(), np.concatenate([[0], blocks[:-1]])

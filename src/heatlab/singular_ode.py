@@ -225,7 +225,13 @@ class _RadialDense:
         s = np.log(r).ravel()
         # the number of inner edges at or below s is the step
         step = np.searchsorted(self.edges[1:-1], s, side="right")
-        x = ((s - self._t[step]) / self._h[step])[:, None] ** self._powers
+        order = self._order[step]
+        xi = (s - self._t[step]) / self._h[step]
+        # xi ** k for 2 <= k < order; 1 in the padded columns (yh is 0 there)
+        x = np.ones((len(s), len(self._powers)))
+        x[:, 1] = xi
+        np.power(xi[:, None], self._powers, out=x,
+                 where=(self._powers >= 2) & (self._powers < order[:, None]))
         # scipy evaluates a step's radii with one np.dot: a BLAS gemm when
         # the step holds two or more of them, a gemv at the step's own
         # order when it holds one, and the two round the last bit
@@ -234,7 +240,6 @@ class _RadialDense:
         # so is everything built on u*.
         y = (self._yh[step] @ np.stack([x, x], axis=-1))[..., 0]
         lone = np.bincount(step, minlength=len(self._t))[step] == 1
-        order = self._order[step]
         for k in np.unique(order[lone]):
             i = np.flatnonzero(lone & (order == k))
             y[i] = (self._yh[step[i], :, :k] @ x[i, :k, None])[..., 0]
@@ -315,6 +320,8 @@ def integrate_regular(spec: NonlinearitySpec, dim: int, alpha: float,
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if alpha == 0.0:
+        if R_max <= 1e-6:
+            raise ValueError(f"R_max must exceed the start radius {1e-6:g}")
         r = np.linspace(0.0, R_max, 400)
         z = np.zeros_like(r)
         return ShootingSolution(0.0, r, z, z.copy(), "reached_rmax", R_max)

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
-from scipy.special import betainc
+from scipy.sparse import csr_matrix
 
 from heatlab import evolution
 from heatlab.errors import ReactionOverflow
@@ -344,6 +344,73 @@ def test_reach_limited_operators_are_bit_identical(monkeypatch, n_nodes):
             assert np.array_equal(op.full, ref.full), (t, interp)
 
 
+def _prod_interp_matrix(self, rho, seg):
+    """Reference P: each Lagrange weight as np.prod over a node's
+    (nodes x n-1) gathered differences."""
+    r = self.grid.r
+    M = len(r)
+    n = 4 if self.interp == "cubic" else 2
+    cols = np.clip(seg - n // 2 + 1, 0, M - n)[:, None] + np.arange(n)
+    xs = r[cols]
+    wts = np.empty((len(rho), n))
+    for c in range(n):
+        o = np.arange(n) != c
+        wts[:, c] = np.prod((rho[:, None] - xs[:, o])
+                            / (xs[:, [c]] - xs[:, o]), axis=1)
+    beyond = seg >= M - 1
+    cols[beyond] = M
+    wts[beyond] = np.eye(1, n)
+    return csr_matrix((wts.ravel(), cols.ravel(),
+                       n * np.arange(len(rho) + 1)), shape=(len(rho), M + 1))
+
+
+def _gather_assemble(self):
+    """Reference assembly: r and rho gathered, and log rho taken, once per
+    band entry."""
+    t, dim, r = self.t, self.grid.dim, self.grid.r
+    M = len(r)
+    rho, w, seg = self._quad_nodes()
+    reach = evolution._KERNEL_REACH * math.sqrt(4.0 * t)
+    first = np.searchsorted(rho, r - reach, side="left")
+    count = np.searchsorted(rho, r + reach, side="right") - first
+    indptr = np.concatenate([[0], np.cumsum(count)])
+    row = np.repeat(np.arange(M), count)
+    q = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], count)
+    log_k = (-0.5 * dim * math.log(4.0 * math.pi * t)
+             - (r[row] - rho[q]) ** 2 / (4.0 * t)
+             + _log_angular(dim, r[row] * rho[q] / (2.0 * t))
+             + (dim - 1) * np.log(rho[q]))
+    K = csr_matrix((np.exp(log_k) * w[q], q, indptr), shape=(M, len(rho)))
+    return (K @ self._interp_matrix(rho, seg)).toarray()
+
+
+_SANDWICH_DT = 0.01 / 64
+
+
+@pytest.mark.parametrize("dim, n_nodes, interp, bc, ts", [
+    # the sandwich's twelve: the one-slice step and its three Gauss-Legendre
+    # lags on the ladder grid (linear) and the residual grids (cubic)
+    *((5, n, interp, BoundaryCondition("dirichlet", 0.25),
+       [_SANDWICH_DT, *(0.5 * _SANDWICH_DT
+                        * (1.0 - np.polynomial.legendre.leggauss(3)[0]))])
+      for n, interp in ((64, "linear"), (65, "cubic"), (129, "cubic"))),
+    *((3, 64, interp, BoundaryCondition("neumann"), [1e-5, 1e-3, 1e-1])
+      for interp in ("linear", "cubic")),
+])
+def test_operators_match_prod_weight_reference(monkeypatch, dim, n_nodes,
+                                               interp, bc, ts):
+    grid = make_grid(dim, 8.0, n_nodes, bc=bc)
+    for t in ts:
+        op = evolution.SemigroupOperator(grid, t, interp)
+        with monkeypatch.context() as m:
+            m.setattr(evolution.SemigroupOperator, "_interp_matrix",
+                      _prod_interp_matrix)
+            m.setattr(evolution.SemigroupOperator, "_assemble",
+                      _gather_assemble)
+            ref = evolution.SemigroupOperator(grid, t, interp)
+        assert np.array_equal(op.full, ref.full), t
+
+
 def test_tiny_time_assembly_lays_nodes_near_the_grid_only():
     # unfiltered, make_grid(3, 8, 64) at t = 1e-12 takes 5.3e7 nodes
     op = evolution.SemigroupOperator(make_grid(3, 8.0, 64), 1e-12)
@@ -406,6 +473,36 @@ def test_ul_norm_monotone_profile_peaks_at_origin(grid3):
     assert est.center == pytest.approx(0.0, abs=1e-5)
 
 
+_POLAR_X, _POLAR_W = np.polynomial.legendre.leggauss(20)
+
+
+def _polar_cap_share(dim, cos_t):
+    """Reference share of the unit sphere in R^dim within the polar angle
+    arccos(cos_t): the integral of sin^(dim-2) over [0, arccos(cos_t)]
+    over that on [0, pi], each by a 20-point Gauss-Legendre rule."""
+    def integral(theta):
+        half = 0.5 * np.asarray(theta)[..., None]
+        return np.sum(half * _POLAR_W
+                      * np.sin(half * (1.0 + _POLAR_X)) ** (dim - 2), axis=-1)
+    return integral(np.arccos(cos_t)) / integral(math.pi)
+
+
+@pytest.mark.parametrize("dim", range(3, 11))
+def test_cap_share_matches_regularized_incomplete_beta(dim):
+    mpmath = pytest.importorskip("mpmath")
+    c = np.concatenate([[0.0, 1e-12, 1e-6, 1e-3, 1.0 - 1e-9, 1.0],
+                        np.random.default_rng(dim).random(200)])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.betainc(
+            mpmath.mpf(dim - 1) / 2, 0.5, 0, 1 - mpmath.mpf(x) ** 2,
+            regularized=True)) for x in c])
+    got = evolution._cap_share(dim, c)
+    assert np.all(got >= 0.0)
+    assert np.abs(got - ref).max() <= 4.4e-16
+    # the window reference below: the share of the cap is half of I
+    assert np.abs(2.0 * _polar_cap_share(dim, c) - ref).max() <= 1e-14
+
+
 def _window_integral(field, p, z):
     """Reference for one window: the integral of u^p over the unit ball
     centred at distance z, shell by shell, with its own breakpoints."""
@@ -423,9 +520,8 @@ def _window_integral(field, p, z):
         with np.errstate(divide="ignore", invalid="ignore"):
             cos_t = np.clip((rho ** 2 + z ** 2 - 1.0) / (2.0 * rho * z),
                             -1.0, 1.0)
-        frac = 0.5 * betainc((dim - 1) / 2.0, 0.5, 1.0 - cos_t ** 2)
-        cap = np.where(cos_t >= 0.0, frac, 1.0 - frac)
-        shell = shell * np.where(rho <= 1.0 - z, 1.0, cap)
+        shell = shell * np.where(rho <= 1.0 - z, 1.0,
+                                 _polar_cap_share(dim, cos_t))
     uv = np.interp(rho, r, u, right=u[-1])
     return float(np.sum(half * w * uv ** p * shell))
 

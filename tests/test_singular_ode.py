@@ -397,6 +397,17 @@ def test_regular_shot_needs_R_max_beyond_its_start(R_max):
         integrate_regular(CUBIC, 5, 1.0, R_max)
 
 
+@pytest.mark.parametrize("R_max", [1e-6, 1e-7, 0.0, -1.0])
+def test_zero_shot_needs_R_max_beyond_its_start(R_max):
+    # alpha = 0 is the zero solution, with no integration: it refuses the
+    # same ends as every alpha > 0, not lay radii 0, -0.0025, ...
+    with pytest.raises(ValueError, match="start radius"):
+        integrate_regular(CUBIC, 5, 0.0, R_max)
+    sol = integrate_regular(CUBIC, 5, 0.0, 2e-6)
+    assert sol.termination == "reached_rmax" and sol.r_end == 2e-6
+    assert not np.any(sol.u) and np.all(np.diff(sol.r) > 0.0)
+
+
 def test_overflowing_centre_height_is_step_underflow():
     # power-exp's f overflows from u = 26.6 on: no start radius exists
     with np.errstate(over="ignore"):
