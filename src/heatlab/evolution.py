@@ -507,7 +507,7 @@ def _window_quadrature(grid: RadialGrid, zs: np.ndarray):
     """Shell quadrature of the unit balls centred at distance zs: 8
     Gauss-Legendre nodes on each segment between a centre's breakpoints
     (window ends, 1 - z when z < 1, grid nodes inside), weighted by the cap
-    area the ball holds: _cap_share, closed in |cos theta| (no betainc).
+    area the ball holds (_cap_share: closed form in |cos theta|, no betainc).
     Returns zs, the nodes, their weights and each centre's block offset."""
     lo, hi = np.maximum(0.0, zs - 1.0), zs + 1.0
     inside = (grid.r > lo[:, None]) & (grid.r < hi[:, None])
