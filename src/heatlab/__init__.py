@@ -20,10 +20,8 @@ from .singular_ode import (
 from .evolution import (
     RadialField,
     RadialGrid,
-    apply_semigroup,
     field_from_table,
     make_grid,
-    step_imex,
     ul_norm,
 )
 from .iteration import (

@@ -8,11 +8,12 @@ stepper (implicit diffusion, explicit reaction).  ImexStack steps fields on
 several grids at once, each with its own dt and given reaction values: it
 builds the tridiagonal bands of one block-diagonal system from coefficients
 each grid computes once and hands them to LAPACK's gtsv directly, which
-solves in place.  step_imex is its one-block case, with f guarded by
-_reaction; the threshold runs share that one guard comparison.  Fields
-derived by a step share their read-only cap mask.  Each grid also keeps
-the S(t) operators built on it.  The module writes no files: the CLI's
-Artifacts writes the norm series and snapshots of a run.
+solves in place.  _within_reaction_guard is the one reaction guard:
+_reaction applies it to f itself, the threshold runs at each run's own
+dt.  Fields derived with copy_with share their read-only cap mask.  Each
+grid also keeps the S(t) operators that semigroup_operator built on it.
+The module writes no files: the CLI's Artifacts writes the norm series
+and snapshots of a run.
 """
 
 from __future__ import annotations
@@ -39,12 +40,9 @@ __all__ = [
     "transition_radius",
     "field_from_table",
     "sphere_area",
-    "apply_semigroup",
     "semigroup_operator",
     "ul_norm",
     "ImexStack",
-    "step_imex",
-    "stability_dt",
 ]
 
 
@@ -118,11 +116,6 @@ class RadialGrid:
         for a in (cond, c_sum):
             a.setflags(write=False)
         return self.cell_volumes, cond, c_sum
-
-    @cached_property
-    def imex_block(self) -> "ImexStack":
-        """This grid as the one block of an ImexStack (see step_imex)."""
-        return ImexStack((self,))
 
     @cached_property
     def origin_window(self) -> "_Windows":
@@ -463,11 +456,6 @@ def semigroup_operator(grid: RadialGrid, t: float,
     return op
 
 
-def apply_semigroup(field: RadialField, t: float) -> RadialField:
-    """Heat semigroup action S(t) on a radial field."""
-    return semigroup_operator(field.grid, t)(field)
-
-
 # ---------------------------------------------------------------------------
 # uniformly local norms
 # ---------------------------------------------------------------------------
@@ -641,12 +629,11 @@ def _reaction_values(spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
         return np.asarray(spec.f(u), dtype=float)
 
 
-def _reaction(spec: NonlinearitySpec, u: np.ndarray, dt) -> np.ndarray:
-    """f(u) for the reaction increment dt * f(u) (dt = 1 guards f itself);
-    ReactionOverflow when the largest value fails _within_reaction_guard.
-    """
+def _reaction(spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
+    """f(u), guarded as a step of dt = 1: ReactionOverflow when its largest
+    value fails _within_reaction_guard."""
     fu = _reaction_values(spec, u)
-    if not _within_reaction_guard(fu.max(), dt):
+    if not _within_reaction_guard(fu.max(), 1.0):
         raise ReactionOverflow(f"reaction overflow at u={np.max(u):.3e}")
     return fu
 
@@ -657,10 +644,10 @@ class ImexStack:
     Block k holds the nodal values of grids[k] in rows starts[k]:stops[k]
     of one stacked array and steps with its own dt.  The coupling entries
     between blocks are 0, so gtsv, which pivots on neither side of a zero
-    coupling, gives each block bit for bit its result alone: step_imex is
-    the one-block case.  The caller passes the reaction values, guarded:
-    non-finite values do cross a zero coupling (0 * inf = NaN), so a run
-    whose reaction fails the guard leaves the stack before the solve.
+    coupling, gives each block bit for bit its result alone.  The caller
+    passes the reaction values, guarded: non-finite values do cross a zero
+    coupling (0 * inf = NaN), so a run whose reaction fails the guard
+    leaves the stack before the solve.
     """
 
     def __init__(self, grids):
@@ -717,35 +704,9 @@ class ImexStack:
 
 def _stability_bound(spec: NonlinearitySpec, sup: float,
                      dt_max: float) -> float:
-    """0.5 * min(dt_max, 1/f'(sup)) from the scalar f', or 0 when f'(sup)
-    is not finite."""
+    """The explicit-reaction stability bound 0.5 * min(dt_max, 1/f'(sup))
+    from the scalar f', or 0 when f'(sup) is not finite."""
     fp = float(spec.fp(sup))
     if not math.isfinite(fp):
         return 0.0
     return 0.5 * min(dt_max, 1.0 / max(fp, 1e-300))
-
-
-def stability_dt(field: RadialField, spec: NonlinearitySpec,
-                 dt_max: float = 1e-2) -> float:
-    """Explicit-reaction stability bound 0.5 * min(dt_max, 1/f'(sup u));
-    ReactionOverflow when f'(sup u) is not finite."""
-    dt = _stability_bound(spec, field.sup, dt_max)
-    if dt == 0.0:
-        raise ReactionOverflow(f"f'({field.sup:g}) overflows")
-    return dt
-
-
-def step_imex(field: RadialField, spec: Optional[NonlinearitySpec],
-              dt: float) -> RadialField:
-    """One IMEX step: explicit reaction, then backward-Euler diffusion.
-
-    The implicit diffusion matrix is an M-matrix, so the step preserves
-    nonnegativity and nodewise ordering for any dt; dt must still satisfy
-    the reaction stability bound for accuracy.  It is ImexStack.step with
-    the field's grid as the one block, given the guarded reaction values
-    (ReactionOverflow, see _reaction).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    fu = None if spec is None else _reaction(spec, field.u, dt)
-    return field.copy_with(field.grid.imex_block.step(field.u, fu, (dt,)))

@@ -17,14 +17,16 @@ ImexStack solve, one tridiagonal gtsv with each run's block at its own
 dt.  So a scan costs as many iterations as its longest run, and each
 run's results are bit for bit those it gets alone.  While it steps, a
 run only copies its values at the sample times and where it ends; its
-sup, L^1_ul, reaction mass and excess series are computed once, when it
-has ended, from the stacked snapshots.
+sup, reaction mass and excess series are computed once, when it has
+ended, from the stacked snapshots.  Its L^1_ul series is computed from
+them on first read, which only `heatlab evolve` makes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,18 +99,25 @@ def initial_data(grid: RadialGrid, star: np.ndarray, bump: RadialBump,
 
 @dataclass
 class EvolutionOutcome:
-    """Classified evolution of one perturbed profile at one cap."""
+    """Classified evolution of one perturbed profile at one cap; its
+    snapshots are (t, field) pairs on one grid."""
 
     classification: str            # GlobalBounded | BlowUp | Undetermined
     cap: float
     t_detect: Optional[float]
     times: np.ndarray
     sup_series: np.ndarray
-    l1ul_series: np.ndarray
     mass_series: np.ndarray
     snapshots: list = dc_field(default_factory=list)
     side: str = "below"
     one_sided_excess: Optional[float] = None
+
+    @cached_property
+    def l1ul_series(self) -> np.ndarray:
+        """The L^1_ul norm (the p = 1 window integral) of each snapshot,
+        computed on first read."""
+        u = np.stack([fld.u for _, fld in self.snapshots])
+        return _ul_windows(self.snapshots[0][1].grid, u, 1.0)[0]
 
     @property
     def sup_final(self) -> float:
@@ -293,9 +302,8 @@ class _Run:
     def outcome(self) -> EvolutionOutcome:
         """The classified evolution once the run has ended, its series
         taken from the (snapshots x nodes) matrix of its values: the sup
-        norm, the L^1_ul norm (the p = 1 window integral), the inner
-        reaction mass and, below u*, the largest relative excess over u*
-        on r >= 0.1 of any snapshot."""
+        norm, the inner reaction mass and, below u*, the largest relative
+        excess over u* on r >= 0.1 of any snapshot."""
         classification = self.classification
         times = np.array([t for t, _ in self.snapshots])
         u = np.stack([fld.u for _, fld in self.snapshots])
@@ -314,8 +322,6 @@ class _Run:
         return EvolutionOutcome(classification=classification, cap=self.cap,
                                 t_detect=self.t_detect, times=times,
                                 sup_series=sups,
-                                l1ul_series=_ul_windows(
-                                    self.u0.grid, u, 1.0)[0],
                                 mass_series=self.inner_mass(u),
                                 snapshots=self.snapshots, side=self.side,
                                 one_sided_excess=excess)
@@ -428,9 +434,12 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     else is Undetermined.  A case's verdict is the shared per-cap verdict
     when all caps agree, else Undetermined with cap_stable=False; the
     report's `monotone` says whether the verdicts are monotone in the
-    amplitude.  An empty or repeating amplitude or cap list is a
-    ValueError.  All runs step in lockstep (see _evolve).
+    amplitude.  An empty or repeating amplitude or cap list, or a horizon
+    that is not finite and positive, is a ValueError.  All runs step in
+    lockstep (see _evolve).
     """
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
     amps = np.asarray(sorted(_distinct("amplitudes", A_grid)))
     caps = _distinct("caps", caps)
     runs = {a: [] for a in amps.tolist()}

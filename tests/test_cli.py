@@ -376,8 +376,10 @@ def _fake_case(cls, cap):
     t = np.array([0.0, 0.5])
     outcome = EvolutionOutcome(classification=cls, cap=cap, t_detect=None,
                                times=t, sup_series=np.array([3.0, 2.0]),
-                               l1ul_series=np.array([1.0, 0.9]),
                                mass_series=np.array([0.1, 0.05]))
+    # with no snapshots to compute it from, the fake sets the L^1_ul
+    # series that evolve writes
+    outcome.l1ul_series = np.array([1.0, 0.9])
     return CaseReport({cap: outcome}, cls, True, None)
 
 

@@ -18,14 +18,13 @@ from heatlab.evolution import (
     ImexStack,
     RadialField,
     _log_angular,
+    _reaction,
+    _stability_bound,
     _window_quadrature,
-    apply_semigroup,
     field_from_table,
     make_grid,
     semigroup_operator,
     sphere_area,
-    stability_dt,
-    step_imex,
     ul_norm,
 )
 from heatlab.iteration import LadderSeed, run_ladder
@@ -97,7 +96,7 @@ def test_copy_with_shares_a_read_only_cap_mask():
     assert not fld.cap_mask[1]
     nxt = fld.copy_with(np.full(g.n_nodes, 2.0))
     assert nxt.cap_mask is fld.cap_mask
-    assert step_imex(fld, None, 1e-3).cap_mask is fld.cap_mask
+    assert semigroup_operator(g, 1e-3)(fld).cap_mask is fld.cap_mask
 
 
 def test_field_from_table_caps_and_masks(table_cubic):
@@ -119,7 +118,7 @@ def test_field_from_table_caps_and_masks(table_cubic):
 @pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2])
 def test_constants_preserved(grid3, t):
     ones = RadialField(grid3, np.ones(grid3.n_nodes))
-    out = apply_semigroup(ones, t)
+    out = semigroup_operator(grid3, t)(ones)
     assert np.abs(out.u - 1.0).max() <= 1e-8
 
 
@@ -127,7 +126,7 @@ def test_gaussian_closed_form(grid3):
     # S(t) e^{-|x|^2} = (1+4t)^{-N/2} e^{-r^2/(1+4t)}
     t = 1e-2
     fld = RadialField(grid3, np.exp(-grid3.r ** 2))
-    out = apply_semigroup(fld, t)
+    out = semigroup_operator(grid3, t)(fld)
     exact = (1 + 4 * t) ** -1.5 * np.exp(-grid3.r ** 2 / (1 + 4 * t))
     assert np.abs(out.u - exact).max() <= 1e-7
 
@@ -139,7 +138,7 @@ def test_three_dimensional_image_kernel_oracle(grid3):
     t = 4e-3
     u0 = lambda rho: np.exp(-((rho - 1.5) ** 2))
     fld = RadialField(grid3, u0(grid3.r))
-    out = apply_semigroup(fld, t)
+    out = semigroup_operator(grid3, t)(fld)
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
 
     def oracle(r):
@@ -158,21 +157,22 @@ def test_three_dimensional_image_kernel_oracle(grid3):
 
 def test_semigroup_property(grid3):
     fld = RadialField(grid3, np.exp(-grid3.r ** 2))
-    two_steps = apply_semigroup(apply_semigroup(fld, 5e-3), 5e-3)
-    one_step = apply_semigroup(fld, 1e-2)
+    half = semigroup_operator(grid3, 5e-3)
+    two_steps = half(half(fld))
+    one_step = semigroup_operator(grid3, 1e-2)(fld)
     assert np.abs(two_steps.u - one_step.u).max() <= 1e-7
 
 
 def test_positivity_preserved(grid3):
     rng = np.random.default_rng(7)
     fld = RadialField(grid3, rng.uniform(0.0, 5.0, grid3.n_nodes))
-    out = apply_semigroup(fld, 1e-3)
+    out = semigroup_operator(grid3, 1e-3)(fld)
     assert np.all(out.u >= 0.0)
 
 
 def test_strong_continuity(grid3):
     fld = RadialField(grid3, np.exp(-grid3.r ** 2))
-    errs = [np.abs(apply_semigroup(fld, t).u - fld.u).max()
+    errs = [np.abs(semigroup_operator(grid3, t)(fld).u - fld.u).max()
             for t in (1e-2, 1e-3, 1e-4)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
@@ -199,7 +199,7 @@ def test_dirichlet_extension_feeds_boundary_value():
     bc = BoundaryCondition("dirichlet", 2.0)
     g = make_grid(3, 8.0, 257, bc=bc)
     fld = RadialField(g, np.full(g.n_nodes, 2.0))
-    out = apply_semigroup(fld, 1e-3)
+    out = semigroup_operator(g, 1e-3)(fld)
     assert np.abs(out.u - 2.0).max() <= 1e-8
 
 
@@ -544,8 +544,7 @@ def test_window_quadrature_matches_per_centre_reference(table_cubic):
     ladder = run_ladder(LadderSeed.from_above(env), u0, CUBIC, 0.01, k_max=3,
                         ladder_tol=0.0)
     tr = ladder.trajectories[3]
-    react = RadialField(g5, evolution._reaction(
-        CUBIC, tr.values[len(tr.times) // 2], 1.0))
+    react = RadialField(g5, _reaction(CUBIC, tr.values[len(tr.times) // 2]))
     g3 = make_grid(3, 10.0, 129)
     bump = RadialField(g3, 0.2 + np.exp(-(g3.r - 4.0) ** 2)
                        + 0.1 * np.sin(3.0 * g3.r) ** 2)
@@ -675,39 +674,40 @@ def test_ul_norm_validates_exponent(grid3):
 
 def test_pure_diffusion_matches_closed_form(grid3):
     t_final, n_steps = 1e-2, 200
-    cur = RadialField(grid3, np.exp(-grid3.r ** 2))
+    stack = ImexStack((grid3,))
+    u = np.exp(-grid3.r ** 2)
     for _ in range(n_steps):
-        cur = step_imex(cur, None, t_final / n_steps)
+        u = stack.step(u, None, (t_final / n_steps,))
     exact = (1 + 4 * t_final) ** -1.5 * np.exp(
         -grid3.r ** 2 / (1 + 4 * t_final))
-    assert np.abs(cur.u - exact).max() <= 1e-4
+    assert np.abs(u - exact).max() <= 1e-4
 
 
 def test_comparison_principle_randomized():
     rng = np.random.default_rng(42)
     g = make_grid(5, 8.0, 129)
+    stack = ImexStack((g,))
     for _ in range(100):
         lo = rng.uniform(0.0, 1.0, g.n_nodes)
         hi = lo + rng.uniform(0.0, 0.5, g.n_nodes)
-        out_lo = step_imex(RadialField(g, lo), CUBIC, 1e-3)
-        out_hi = step_imex(RadialField(g, hi), CUBIC, 1e-3)
-        assert np.all(out_lo.u <= out_hi.u + 1e-12)
+        out_lo = stack.step(lo, _reaction(CUBIC, lo), (1e-3,))
+        out_hi = stack.step(hi, _reaction(CUBIC, hi), (1e-3,))
+        assert np.all(out_lo <= out_hi + 1e-12)
 
 
 def test_step_preserves_nonnegativity():
     rng = np.random.default_rng(3)
     g = make_grid(3, 8.0, 129)
-    fld = RadialField(g, rng.uniform(0.0, 2.0, g.n_nodes))
-    out = step_imex(fld, power_exp(5.0, 2.0), 1e-4)
-    assert np.all(out.u >= 0.0)
+    u = rng.uniform(0.0, 2.0, g.n_nodes)
+    out = ImexStack((g,)).step(u, _reaction(power_exp(5.0, 2.0), u), (1e-4,))
+    assert np.all(out >= 0.0)
 
 
 def test_dirichlet_boundary_pinned():
     bc = BoundaryCondition("dirichlet", 0.25)
     g = make_grid(5, 8.0, 129, bc=bc)
-    fld = RadialField(g, np.full(g.n_nodes, 1.0))
-    out = step_imex(fld, None, 1e-3)
-    assert out.u[-1] == pytest.approx(0.25, abs=1e-12)
+    out = ImexStack((g,)).step(np.full(g.n_nodes, 1.0), None, (1e-3,))
+    assert out[-1] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_capped_singular_profile_near_stationary(table_cubic):
@@ -719,9 +719,9 @@ def test_capped_singular_profile_near_stationary(table_cubic):
         bc = BoundaryCondition("dirichlet", float(table_cubic.u_star(8.0)))
         g = make_grid(5, 8.0, n, bc=bc)
         fld = field_from_table(table_cubic, g, cap=100.0, spec=CUBIC)
-        nxt = step_imex(fld, CUBIC, dt)
+        nxt = ImexStack((g,)).step(fld.u, _reaction(CUBIC, fld.u), (dt,))
         interior = (g.r > 0.5) & (g.r < 7.0)
-        residuals.append(np.abs(nxt.u - fld.u)[interior].max() / dt)
+        residuals.append(np.abs(nxt - fld.u)[interior].max() / dt)
     assert residuals[0] / residuals[1] > 2.0
     assert residuals[1] < 0.05
 
@@ -745,27 +745,27 @@ def _banded_reference(grid, dt):
 @pytest.mark.parametrize("bc", [BoundaryCondition("neumann"),
                                 BoundaryCondition("dirichlet", 0.5)])
 def test_step_solve_matches_solve_banded(dim, n_nodes, bc):
-    # step_imex calls LAPACK gtsv on the bands directly; solve_banded
+    # a step calls LAPACK gtsv on the bands directly; solve_banded
     # dispatches (1, 1) bands to the same routine, so the bits agree, for
     # the heat flow and with the cubic reaction
     g = make_grid(dim, 8.0, n_nodes, bc=bc)
+    stack = ImexStack((g,))
     rng = np.random.default_rng(dim + n_nodes)
     u0 = 1.0 / (1.0 + g.r ** 2) + rng.uniform(0.0, 0.1, n_nodes)
     fld = RadialField(g, u0.copy())
     for spec, dt in itertools.product((None, CUBIC),
                                       np.geomspace(1e-8, 1e-1, 10)):
-        rhs = fld.u.copy()
-        if spec is not None:
-            rhs = rhs + dt * evolution._reaction(spec, fld.u, dt)
+        fu = None if spec is None else _reaction(spec, fld.u)
+        rhs = fld.u.copy() if fu is None else fld.u + dt * fu
         if bc.kind == "dirichlet":
             rhs[-1] = bc.value
-        lower, diag, upper = g.imex_block.bands(np.full(n_nodes, dt))
+        lower, diag, upper = stack.bands(np.full(n_nodes, dt))
         ab = _banded_reference(g, dt)
         assert lower.tobytes() == ab[2, :-1].tobytes()
         assert diag.tobytes() == ab[1].tobytes()
         assert upper.tobytes() == ab[0, 1:].tobytes()
         ref = solve_banded((1, 1), ab, rhs)
-        out = step_imex(fld, spec, dt).u
+        out = stack.step(fld.u, fu, (dt,))
         assert out.tobytes() == np.maximum(ref, 0.0).tobytes(), (spec, dt)
         assert fld.u.tobytes() == u0.tobytes()    # the input stays as it was
 
@@ -789,7 +789,8 @@ def unequal_blocks(table_cubic):
 
 @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 1, 0, 2)])
 @pytest.mark.parametrize("spec", [None, CUBIC])
-def test_stacked_step_is_step_imex_per_block(unequal_blocks, order, spec):
+def test_stacked_step_is_one_block_stack_per_block(unequal_blocks, order,
+                                                   spec):
     # gtsv with zero couplings between blocks gives each block exactly the
     # solve of the block alone, each at its own dt
     fields = [unequal_blocks[k] for k in order]
@@ -801,7 +802,9 @@ def test_stacked_step_is_step_imex_per_block(unequal_blocks, order, spec):
     out = stack.step(u, fu, dts)
     assert not np.shares_memory(out, u)
     for f, dt, a, b in zip(fields, dts, stack.starts, stack.stops):
-        assert out[a:b].tobytes() == step_imex(f, spec, dt).u.tobytes()
+        alone = ImexStack((f.grid,)).step(
+            f.u, None if spec is None else _reaction(spec, f.u), (dt,))
+        assert out[a:b].tobytes() == alone.tobytes()
     assert u.tobytes() == np.concatenate([f.u for f in fields]).tobytes()
 
 
@@ -820,18 +823,13 @@ def test_inf_block_poisons_its_neighbours(unequal_blocks):
 
 
 def test_reaction_overflow_raised():
-    g = make_grid(3, 8.0, 65)
-    fld = RadialField(g, np.full(g.n_nodes, 500.0))
     with pytest.raises(ReactionOverflow):
-        step_imex(fld, power_exp(5.0, 2.0), 1e-3)
+        _reaction(power_exp(5.0, 2.0), np.full(65, 500.0))
 
 
 def test_nan_reaction_fails_the_guard():
     # the guard is dt * max f <= REACTION_GUARD, which a NaN fails: one NaN
     # node is an overflow, not a silently poisoned step
-    g = make_grid(3, 8.0, 65)
-    fld = RadialField(g, np.ones(g.n_nodes))
-
     def f(u):
         out = u ** 3
         out[7] = np.nan
@@ -839,16 +837,13 @@ def test_nan_reaction_fails_the_guard():
 
     spec = custom(f, lambda u: 3.0 * u ** 2, lambda u: 6.0 * u)
     with pytest.raises(ReactionOverflow):
-        step_imex(fld, spec, 1e-3)
+        _reaction(spec, np.ones(65))
 
 
 def test_stability_dt_tracks_sup():
-    g = make_grid(3, 8.0, 65)
     spec = power_exp(5.0, 2.0)
-    small = RadialField(g, np.full(g.n_nodes, 1.0))
-    large = RadialField(g, np.full(g.n_nodes, 10.0))
-    dt_small = stability_dt(small, spec)
-    dt_large = stability_dt(large, spec)
+    dt_small = _stability_bound(spec, 1.0, 1e-2)
+    dt_large = _stability_bound(spec, 10.0, 1e-2)
     assert dt_large < dt_small <= 0.5 * 1e-2
 
 
@@ -856,15 +851,6 @@ def test_stability_dt_tracks_sup():
                                       (pure_power(3.0), 1e200)])
 def test_stability_dt_overflow_is_typed(spec, sup):
     # f'(sup) overflows double precision; Python float arithmetic would
-    # raise OverflowError, the bound must report ReactionOverflow instead
-    g = make_grid(3, 8.0, 65)
-    fld = RadialField(g, np.full(g.n_nodes, sup))
-    with np.errstate(over="ignore"), pytest.raises(ReactionOverflow):
-        stability_dt(fld, spec)
-
-
-def test_invalid_dt_rejected():
-    g = make_grid(3, 8.0, 65)
-    fld = RadialField(g, np.ones(g.n_nodes))
-    with pytest.raises(ValueError):
-        step_imex(fld, None, 0.0)
+    # raise OverflowError, the bound must be 0 instead
+    with np.errstate(over="ignore"):
+        assert _stability_bound(spec, sup, 1e-2) == 0.0

@@ -9,14 +9,13 @@ import pytest
 from heatlab.errors import ReactionOverflow, TimeMeshMismatch
 from heatlab.evolution import (
     BoundaryCondition,
+    ImexStack,
     RadialField,
-    apply_semigroup,
-    field_from_table,
     _reaction,
+    _stability_bound,
+    field_from_table,
     make_grid,
     semigroup_operator,
-    stability_dt,
-    step_imex,
 )
 from heatlab.iteration import (
     IDENTITY_TIME,
@@ -100,7 +99,7 @@ def test_reaction_free_step_reproduces_semigroup():
     u0 = RadialField(g, np.exp(-g.r ** 2))
     zero = Trajectory.constant(RadialField(g, np.zeros(g.n_nodes)), 0.01, 64)
     out = duhamel_map(zero, u0, CUBIC, 0.01, interp="cubic")
-    direct = apply_semigroup(u0, 0.01)
+    direct = semigroup_operator(g, 0.01)(u0)
     assert np.abs(out.values[-1] - direct.u).max() <= 1e-3
 
 
@@ -127,8 +126,8 @@ def _per_slice_duhamel(prev, u0, spec, t_obs, interp):
         b_ext = 0.0
         for q in range(N_TIME_QUAD):
             u_s = prev.interp(prev.times[j] + dt * (0.5 + 0.5 * gl_x[q]))
-            f_all = _reaction(spec, np.append(u_s, grid.exterior_value(u_s)),
-                              1.0)
+            f_all = _reaction(spec,
+                              np.append(u_s, grid.exterior_value(u_s)))
             w = 0.5 * dt * gl_w[q]
             if lag_ops[q] is None:
                 b += w * f_all[:-1]
@@ -321,6 +320,20 @@ def test_immediate_boundedness_window_validated(table_cubic):
         check_immediate_boundedness(ladder, CUBIC, (0.05, 0.01))
 
 
+def test_immediate_boundedness_window_end_is_relative():
+    # at exponential-class observation times (t_obs = 1e-16 here) an
+    # absolute slack on the window end admitted every later mesh time; the
+    # sup rises from 1 to 2 in time, so the window (0, 5e-17] reads 1.5
+    g = make_grid(5, 8.0, 65)
+    times = np.linspace(0.0, 1e-16, 5)
+    traj = Trajectory(g, times, np.repeat(1.0 + times[:, None] / 1e-16,
+                                          g.n_nodes, axis=1))
+    ladder = IterationLadder(LadderSeed("from_below"), 1e-16, [traj] * 5,
+                             [2.0] * 5, [0.0] * 4, 0.0, True)
+    rep = check_immediate_boundedness(ladder, CUBIC, (0.0, 5e-17))
+    assert rep["sup_iterate4"] == 1.5
+
+
 # ---------------------------------------------------------------------------
 # agreement with the time stepper
 # ---------------------------------------------------------------------------
@@ -338,11 +351,11 @@ def test_ladder_limit_matches_imex_evolution(table_cubic):
     assert ladder.ordering_violation_max <= 1e-3
     duh = ladder.final.final.u
 
-    cur, t = u0, 0.0
+    stack, cur, t = ImexStack((g,)), u0.u, 0.0
     while t < t_obs:
-        dt = min(stability_dt(cur, CUBIC, dt_max=1e-3), t_obs - t)
-        cur = step_imex(cur, CUBIC, dt)
+        dt = min(_stability_bound(CUBIC, cur.max(), 1e-3), t_obs - t)
+        cur = stack.step(cur, _reaction(CUBIC, cur), (dt,))
         t += dt
     window = (g.r >= 0.5) & (g.r <= 4.0)
-    rel = np.abs(duh[window] - cur.u[window]) / np.abs(cur.u[window])
+    rel = np.abs(duh[window] - cur[window]) / np.abs(cur[window])
     assert rel.max() <= 0.1

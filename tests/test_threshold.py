@@ -8,7 +8,7 @@ import pytest
 
 from heatlab.cli import Artifacts
 from heatlab.errors import OutOfRange
-from heatlab.evolution import sphere_area, ul_norm
+from heatlab.evolution import _ul_windows, sphere_area, ul_norm
 from heatlab.nonlinearity import power_exp, pure_power
 from heatlab.singular_ode import build_singular
 from heatlab.threshold import (
@@ -396,14 +396,15 @@ def test_one_sided_excess_counts_the_state_where_a_run_ends(table_cubic8):
 # scan assembly and reporting
 # ---------------------------------------------------------------------------
 
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a case grid was built")
+
+
 def test_repeated_cap_or_amplitude_is_rejected_before_any_grid(
         table, monkeypatch):
     # a repeated cap used to run once while the config listed it twice,
     # and a repeated amplitude ran its case twice
-    def no_grid(*args, **kwargs):
-        raise AssertionError("a case grid was built")
-
-    monkeypatch.setattr("heatlab.threshold.case_grid", no_grid)
+    monkeypatch.setattr("heatlab.threshold.case_grid", _no_grid)
     bump = RadialBump(2.0, 2.0, 0.0)
     with pytest.raises(ValueError, match="caps must not repeat"):
         threshold_scan(CUBIC, table, bump, [-1.0, 1.0], caps=(1e4, 1e4))
@@ -417,11 +418,45 @@ def test_repeated_cap_or_amplitude_is_rejected_before_any_grid(
         threshold_scan(CUBIC, table, bump, [0.0], caps=())
 
 
+@pytest.mark.parametrize("horizon", [-1.0, 0.0, float("nan"), float("inf")])
+def test_horizon_must_be_finite_and_positive(table, monkeypatch, horizon):
+    # a negative horizon ended every run at t = 0 as Undetermined, nan
+    # gave Undetermined and inf a BlowUp above u*; each is refused before
+    # any grid is built
+    monkeypatch.setattr("heatlab.threshold.case_grid", _no_grid)
+    with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+        threshold_scan(CUBIC, table, RadialBump(2.0, 2.0, 0.0), [-1.0, 1.0],
+                       horizon=horizon, caps=(1e4,))
+
+
+def test_scan_computes_l1ul_only_when_read(table, ustar2, monkeypatch):
+    # no scan reports L^1_ul (only `heatlab evolve` writes it): the
+    # verdicts, sup and mass series come without a window integral, and
+    # the first read computes the series from the stacked snapshots, once
+    def no_windows(*args, **kwargs):
+        raise AssertionError("the scan computed L^1_ul")
+
+    monkeypatch.setattr("heatlab.threshold._ul_windows", no_windows)
+    scan = threshold_scan(CUBIC, table, RadialBump(2.0, 2.0, 0.0),
+                          [-0.3 * ustar2, 0.3 * ustar2], caps=(1e4,),
+                          horizon=0.5)
+    assert scan.classifications() == ["GlobalBounded", "BlowUp"]
+    outcomes = [case.finest for case in scan.cases.values()]
+    for o in outcomes:
+        assert len(o.sup_series) == len(o.mass_series) == len(o.snapshots)
+    monkeypatch.undo()
+    for o in outcomes:
+        u = np.stack([fld.u for _, fld in o.snapshots])
+        first = o.l1ul_series
+        assert first.tobytes() == _ul_windows(
+            o.snapshots[0][1].grid, u, 1.0)[0].tobytes()
+        assert o.l1ul_series is first
+
+
 def _fake_outcome(cls, cap, t_detect=None):
     t = np.array([0.0, 0.5])
     return EvolutionOutcome(classification=cls, cap=cap, t_detect=t_detect,
                             times=t, sup_series=np.array([3.0, 2.0]),
-                            l1ul_series=np.array([1.0, 0.9]),
                             mass_series=np.array([0.1, 0.05]))
 
 
