@@ -309,13 +309,12 @@ def cmd_evolve(cfg: RunConfig, out: Artifacts) -> int:
     out.write_csv("norm_series.csv",
                   ("t", "sup_norm", "l1ul_norm", "f_mass_inner"),
                   zip(o.times, o.sup_series, o.l1ul_series, o.mass_series))
-    idx = np.linspace(0, len(o.snapshots) - 1,
-                      min(9, len(o.snapshots))).astype(int)
-    snaps = [o.snapshots[i] for i in idx]
-    # long format: one row (t, r, u) per node of each snapshot
+    idx = np.linspace(0, len(o.times) - 1,
+                      min(9, len(o.times))).astype(int)
+    # long format: one row (t, r, u) per node of each chosen snapshot row
     out.write_csv("snapshots.csv", ("t", "r", "u"),
-                  ((t, r, u) for t, fld in snaps
-                   for r, u in zip(fld.grid.r, fld.u)))
+                  ((o.times[k], r, u) for k in idx
+                   for r, u in zip(o.grid.r, o.values[k])))
     out.write_json("evolve.json", {
         "config": cfg.echo(),
         "classification": case.classification,

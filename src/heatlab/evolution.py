@@ -658,26 +658,34 @@ class ImexStack:
         self.bounds = list(zip(self.starts.tolist(), self.stops.tolist()))
         coefs = [g.diffusion_coefficients for g in grids]
         self.vol = np.concatenate([vol for vol, _, _ in coefs])
-        # face conductances with a 0 between one block's last node and the
-        # next block's first
-        self.cond = np.concatenate(
+        # the negated face conductances -cond, with a 0 between one block's
+        # last node and the next block's first: a step's fluxes take one
+        # pass, and dt * (-cond) is -dt * cond bit for bit, as negation is
+        # exact
+        self.neg_cond = -np.concatenate(
             [np.append(cond, 0.0) for _, cond, _ in coefs])[:-1]
         self.c_sum = np.concatenate([c_sum for _, _, c_sum in coefs])
         pinned = [k for k, g in enumerate(grids) if g.bc.kind == "dirichlet"]
-        # the Dirichlet rows: the last node of such a block
+        # the Dirichlet rows, the last node of such a block, and their
+        # entries in the sub-diagonal
         self.pinned = self.stops[pinned] - 1
+        self.pinned_lower = self.pinned - 1
         self.pinned_values = np.array([grids[k].bc.value for k in pinned])
 
     def bands(self, dt: np.ndarray):
         """Sub-, main and super-diagonal of I - dt*L for the per-node time
         steps dt, L the finite-volume radial Laplacian with metric weights
         r^{N-1}, reflecting at the origin; three fresh arrays, which the
-        solver may overwrite."""
-        flux = -dt[:-1] * self.cond
+        solver may overwrite.  Each entry takes the IEEE operations of
+        lower = -dt * cond / vol and diag = 1 + dt * c_sum / vol in their
+        order, on arrays built in place."""
+        flux = dt[:-1] * self.neg_cond
         lower = flux / self.vol[1:]
-        diag = 1.0 + dt * self.c_sum / self.vol
-        upper = flux / self.vol[:-1]
-        lower[self.pinned - 1] = 0.0
+        upper = np.divide(flux, self.vol[:-1], out=flux)
+        diag = dt * self.c_sum
+        diag /= self.vol
+        diag += 1.0
+        lower[self.pinned_lower] = 0.0
         diag[self.pinned] = 1.0
         return lower, diag, upper
 

@@ -8,24 +8,27 @@ threshold_scan is the one entry point.  Its initial data are the capped
 profile min(u*, cap) plus a signed bump A exp(-((r - r_c)/sigma)^2):
 at most u* for A <= 0, above the capped profile for A > 0.  A = 0 is
 the capped profile itself, the run of `heatlab evolve`.  A run is one
-(amplitude, cap) pair.  The runs of a scan advance in lockstep: an
-iteration takes every run's sup norm and largest reaction value from one
-f call on the stacked values, each active run does its scalar
-bookkeeping (stability dt, divergence test, horizon, sample clamp,
-reaction guard) and may end itself, and the rest step through one
-ImexStack solve, one tridiagonal gtsv with each run's block at its own
-dt.  So a scan costs as many iterations as its longest run, and each
-run's results are bit for bit those it gets alone.  While it steps, a
-run only copies its values at the sample times and where it ends; its
-sup, reaction mass and excess series are computed once, when it has
-ended, from the stacked snapshots.  Its L^1_ul series is computed from
-them on first read, which only `heatlab evolve` makes.
+(amplitude, cap) pair.  The runs of a scan advance in lockstep, in one
+loop under one np.errstate: an iteration takes every run's sup norm and
+largest reaction value from one f call on the stacked values, each
+active run does its bookkeeping on Python floats (stability dt,
+divergence test, horizon, sample clamp, reaction guard) and may end
+itself, and the rest step through one ImexStack solve, one tridiagonal
+gtsv with each run's block at its own dt.  So a scan costs as many
+iterations as its longest run, and each run's results are bit for bit
+those it gets alone.  No field or array view is built per run and step:
+a run copies its values only into the rows of one snapshot matrix
+preallocated for it, (N_SAMPLES + 2) x nodes, at the sample times and
+where it ends.  Its sup, reaction mass and excess series are computed
+once, when it has ended, from the rows filled, which its
+EvolutionOutcome keeps as one matrix.  Its L^1_ul series is computed
+from them on first read, which only `heatlab evolve` makes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -99,16 +102,19 @@ def initial_data(grid: RadialGrid, star: np.ndarray, bump: RadialBump,
 
 @dataclass
 class EvolutionOutcome:
-    """Classified evolution of one perturbed profile at one cap; its
-    snapshots are (t, field) pairs on one grid."""
+    """Classified evolution of one perturbed profile at one cap.  Its
+    snapshots are the rows of one (len(times), n_nodes) matrix of nodal
+    values on its grid: row 0 is u0, then one row per sample time reached
+    and the state where the run ended; at most N_SAMPLES + 2 rows."""
 
     classification: str            # GlobalBounded | BlowUp | Undetermined
     cap: float
     t_detect: Optional[float]
+    grid: RadialGrid
     times: np.ndarray
+    values: np.ndarray             # row k holds the nodal values at times[k]
     sup_series: np.ndarray
     mass_series: np.ndarray
-    snapshots: list = dc_field(default_factory=list)
     side: str = "below"
     one_sided_excess: Optional[float] = None
 
@@ -116,8 +122,7 @@ class EvolutionOutcome:
     def l1ul_series(self) -> np.ndarray:
         """The L^1_ul norm (the p = 1 window integral) of each snapshot,
         computed on first read."""
-        u = np.stack([fld.u for _, fld in self.snapshots])
-        return _ul_windows(self.snapshots[0][1].grid, u, 1.0)[0]
+        return _ul_windows(self.grid, self.values, 1.0)[0]
 
     @property
     def sup_final(self) -> float:
@@ -214,18 +219,24 @@ def _case_report(runs: list) -> CaseReport:
 
 class _Run:
     """One evolution of bumped data at one cap: its clock, its sample
-    schedule, its snapshots and its verdict.  _evolve steps it; between
-    steps the run only sees its own values.  While it steps, a run keeps
-    only copies of its values at the sample times and at its end; outcome()
-    derives every series from them at once."""
+    schedule, its snapshot matrix and its verdict.  _evolve steps it;
+    between steps the run only sees its own block of the stacked values.
+    Its clock and sample clamp are Python floats, and its values are
+    copied only into the rows of one matrix preallocated for the run: row
+    0 holds u0, then a row per sample time reached and the state where the
+    run ends.  outcome() derives every series from the rows filled."""
 
     def __init__(self, spec, u0: RadialField, side: str, star: np.ndarray,
                  horizon: float, cap: float):
         grid = u0.grid
-        self.spec, self.u0, self.side, self.star = spec, u0, side, star
-        self.horizon, self.cap = horizon, cap
-        self.samples = np.geomspace(horizon / 1e4, horizon,
-                                    N_SAMPLES).tolist()
+        self.spec, self.grid, self.side, self.star = spec, grid, side, star
+        # a Python float, so that the clock and every dt are too
+        self.horizon, self.cap = float(horizon), cap
+        self.dt_max = self.horizon / 50.0
+        # the sample times, closed by inf so that the schedule never runs
+        # out: past the last sample, no step is clamped or recorded
+        self.samples = np.geomspace(self.horizon / 1e4, self.horizon,
+                                    N_SAMPLES).tolist() + [math.inf]
         self.next_sample = 0
         self.t = 0.0
         self.classification = "Undetermined"
@@ -238,7 +249,10 @@ class _Run:
         n_inner = int(np.searchsorted(grid.r, r_star, side="right"))
         self.inner_volumes = grid.cell_volumes[:n_inner]
         self.area = sphere_area(grid.dim)
-        self.snapshots = [(0.0, u0)]
+        self.n_nodes = grid.n_nodes
+        self.values = np.empty((N_SAMPLES + 2, grid.n_nodes))
+        self.values[0] = u0.u
+        self.times = [0.0]
         self.mass0 = max(float(self.inner_mass(u0.u)), 1e-300)
 
     def inner_mass(self, u: np.ndarray) -> np.ndarray:
@@ -254,63 +268,65 @@ class _Run:
         np.minimum(fu, 1e200, out=fu)
         return self.area * np.sum(fu * self.inner_volumes, axis=-1)
 
-    def _snapshot(self, u: np.ndarray) -> None:
-        """Record values u, a block of the stacked array, as a field that
-        owns a copy of them."""
-        self.snapshots.append((float(self.t), self.u0.copy_with(u.copy())))
+    def _record(self, u: np.ndarray, a: int) -> None:
+        """Copy the run's values, u[a:a + n_nodes] of the stacked values u,
+        into the next row of its matrix, at its time t."""
+        self.values[len(self.times)] = u[a:a + self.n_nodes]
+        self.times.append(self.t)
 
-    def next_dt(self, u: np.ndarray, sup: float,
+    def next_dt(self, u: np.ndarray, a: int, sup: float,
                 f_max: float) -> Optional[float]:
-        """The step from values u with sup-norm sup and largest reaction
-        value f_max, or None when the run ends here: at the horizon, or
-        diverged or overflowing (BlowUp past the sup guard)."""
-        spec, t, horizon = self.spec, self.t, self.horizon
+        """The step from the run's values u[a:a + n_nodes] of the stacked
+        values u, with sup-norm sup and largest reaction value f_max, or
+        None when the run ends here: at the horizon, or diverged or
+        overflowing (BlowUp past the sup guard)."""
+        t = self.t
         # dt_stab is 0 when f'(sup) is not finite
-        dt_stab = (0.5 * horizon / 50.0 if spec is None
-                   else _stability_bound(spec, sup, horizon / 50.0))
+        dt_stab = (0.5 * self.dt_max if self.spec is None
+                   else _stability_bound(self.spec, sup, self.dt_max))
         diverged = (sup > SUP_GUARD
-                    and self.inner_mass(u) > MASS_GUARD * self.mass0
+                    and self.inner_mass(u[a:a + self.n_nodes])
+                    > MASS_GUARD * self.mass0
                     and dt_stab < DT_UNDERFLOW)
-        if t >= horizon and not diverged:
+        if t >= self.horizon and not diverged:
             return None
-        dt = min(dt_stab, horizon - t)
         samples, k = self.samples, self.next_sample
-        while k < len(samples) and samples[k] <= t:
+        while samples[k] <= t:
             k += 1
         self.next_sample = k
-        if k < len(samples):
-            dt = min(dt, samples[k] - t)
+        dt = min(dt_stab, self.horizon - t, samples[k] - t)
         if (diverged or dt_stab == 0.0
                 or not _within_reaction_guard(f_max, dt)):
             # a diverged run is past the sup guard, so BlowUp
             if sup > SUP_GUARD:
                 self.classification = "BlowUp"
-                self.t_detect = float(t)
-            self._snapshot(u)
+                self.t_detect = t
+            self._record(u, a)
             return None
         return dt
 
-    def advance(self, dt: float, u: np.ndarray) -> None:
-        """The step of dt reached values u; record them at a sample
-        time."""
+    def advance(self, dt: float, u: np.ndarray, a: int) -> None:
+        """The step of dt reached the stacked values u, the run's from
+        index a on; record them at a sample time."""
         self.t += dt
         k = self.next_sample
-        if k < len(self.samples) and self.t >= self.samples[k] * (1 - 1e-12):
-            self._snapshot(u)
+        if self.t >= self.samples[k] * (1 - 1e-12):
+            self._record(u, a)
             self.next_sample = k + 1
 
     def outcome(self) -> EvolutionOutcome:
         """The classified evolution once the run has ended, its series
-        taken from the (snapshots x nodes) matrix of its values: the sup
-        norm, the inner reaction mass and, below u*, the largest relative
-        excess over u* on r >= 0.1 of any snapshot."""
+        taken from the rows of its matrix: the sup norm, the inner
+        reaction mass and, below u*, the largest relative excess over u*
+        on r >= 0.1 of any row."""
         classification = self.classification
-        times = np.array([t for t, _ in self.snapshots])
-        u = np.stack([fld.u for _, fld in self.snapshots])
+        times = np.array(self.times)
+        # a copy: the outcome owns its rows and pins no spare ones
+        u = self.values[:len(times)].copy()
         sups = u.max(axis=1)
         excess = None
         if self.side == "below":
-            r, star = self.u0.grid.r, self.star
+            r, star = self.grid.r, self.star
             sel = (r >= 0.1) & np.isfinite(star)
             excess = float(((u[:, sel] - star[sel]) / star[sel]).max())
         if classification != "BlowUp" and self.t >= self.horizon:
@@ -320,48 +336,52 @@ class _Run:
                     and tail.max() <= PLATEAU_SLACK * tail[0]):
                 classification = "GlobalBounded"
         return EvolutionOutcome(classification=classification, cap=self.cap,
-                                t_detect=self.t_detect, times=times,
-                                sup_series=sups,
+                                t_detect=self.t_detect, grid=self.grid,
+                                times=times, values=u, sup_series=sups,
                                 mass_series=self.inner_mass(u),
-                                snapshots=self.snapshots, side=self.side,
-                                one_sided_excess=excess)
+                                side=self.side, one_sided_excess=excess)
 
 
 def _evolve(spec, runs: list) -> None:
     """Step every run to its end in lockstep.
 
-    An iteration takes one max per run over the stacked values and one f
-    call on them, with one max per run over the reaction values.  Each
-    active run then does its scalar bookkeeping (stability dt, divergence
-    test, horizon, sample clamp, reaction guard) and may end itself.  The
-    others advance through one ImexStack.step, one tridiagonal solve with
-    each block at its run's own dt, and a run at a sample time copies its
-    values; no series is computed in the loop.  A run that ends leaves the
-    stack, so each run sees exactly the steps it would take alone.
+    The loop runs under one np.errstate that lets f overflow to inf.  An
+    iteration takes one max per run over the stacked values and one f
+    call on them, with one max per run over the reaction values, all as
+    Python floats.  Each active run then does its scalar bookkeeping on
+    floats (stability dt, divergence test, horizon, sample clamp,
+    reaction guard) and may end itself.  The others advance through one
+    ImexStack.step, one tridiagonal solve with each block at its run's own
+    dt, and a run at a sample time copies its block into its matrix; no
+    field or array view is built per run and step, and no series is
+    computed in the loop.  A run that ends leaves the stack, so each run
+    sees exactly the steps it would take alone.
     """
     active = list(runs)
-    stack = ImexStack([run.u0.grid for run in active])
-    u = np.concatenate([run.u0.u for run in active])
-    for _ in range(MAX_STEPS):
-        sups = np.maximum.reduceat(u, stack.starts).tolist()
-        fu, f_maxes = None, [0.0] * len(active)
-        if spec is not None:
-            fu = _reaction_values(spec, u)
-            f_maxes = np.maximum.reduceat(fu, stack.starts).tolist()
-        dts = [run.next_dt(u[a:b], sup, f_max) for run, (a, b), sup, f_max
-               in zip(active, stack.bounds, sups, f_maxes)]
-        keep = [k for k, dt in enumerate(dts) if dt is not None]
-        if len(keep) < len(active):
-            if not keep:
-                return
-            rows = np.concatenate([np.arange(*stack.bounds[k]) for k in keep])
-            u = u[rows]
-            fu = None if fu is None else fu[rows]
-            active, dts = [active[k] for k in keep], [dts[k] for k in keep]
-            stack = ImexStack([run.u0.grid for run in active])
-        u = stack.step(u, fu, dts)
-        for run, dt, (a, b) in zip(active, dts, stack.bounds):
-            run.advance(dt, u[a:b])
+    stack = ImexStack([run.grid for run in active])
+    u = np.concatenate([run.values[0] for run in active])
+    fu, f_maxes = None, [0.0] * len(active)
+    with np.errstate(over="ignore"):
+        for _ in range(MAX_STEPS):
+            sups = np.maximum.reduceat(u, stack.starts).tolist()
+            if spec is not None:
+                fu = np.asarray(spec.f(u), dtype=float)
+                f_maxes = np.maximum.reduceat(fu, stack.starts).tolist()
+            dts = [run.next_dt(u, a, sup, f_max) for run, (a, _), sup, f_max
+                   in zip(active, stack.bounds, sups, f_maxes)]
+            if None in dts:
+                keep = [k for k, dt in enumerate(dts) if dt is not None]
+                if not keep:
+                    return
+                rows = np.concatenate([np.arange(*stack.bounds[k])
+                                       for k in keep])
+                u = u[rows]
+                fu = None if fu is None else fu[rows]
+                active, dts = [active[k] for k in keep], [dts[k] for k in keep]
+                stack = ImexStack([run.grid for run in active])
+            u = stack.step(u, fu, dts)
+            for run, dt, (a, _) in zip(active, dts, stack.bounds):
+                run.advance(dt, u, a)
 
 
 @dataclass
@@ -434,14 +454,19 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     else is Undetermined.  A case's verdict is the shared per-cap verdict
     when all caps agree, else Undetermined with cap_stable=False; the
     report's `monotone` says whether the verdicts are monotone in the
-    amplitude.  An empty or repeating amplitude or cap list, or a horizon
-    that is not finite and positive, is a ValueError.  All runs step in
-    lockstep (see _evolve).
+    amplitude.  An empty or repeating amplitude or cap list, a cap that
+    is NaN or not positive, or a horizon or R_outer that is not finite and
+    positive, is a ValueError raised before any grid is built.  All runs
+    step in lockstep (see _evolve).
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    if not (math.isfinite(R_outer) and R_outer > 0):
+        raise ValueError(f"R_outer must be finite and > 0, got {R_outer!r}")
     amps = np.asarray(sorted(_distinct("amplitudes", A_grid)))
     caps = _distinct("caps", caps)
+    if not all(cap > 0 for cap in caps):     # False for NaN too
+        raise ValueError(f"caps must be > 0 and not NaN, got {caps}")
     runs = {a: [] for a in amps.tolist()}
     # every amplitude shares the caps, so each cap's grid and u* on its
     # nodes are built once

@@ -10,7 +10,12 @@ import pytest
 
 from heatlab.cli import Artifacts, RunConfig, load_config, main
 from heatlab.evolution import RadialField, make_grid
-from heatlab.threshold import CaseReport, EvolutionOutcome, ScanReport
+from heatlab.threshold import (
+    CaseReport,
+    EvolutionOutcome,
+    ScanReport,
+    threshold_scan,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +300,35 @@ def test_evolve_truncated_profile_is_global(tmp_path):
     assert (out / "snapshots.csv").read_text().startswith("t,r,u\n")
 
 
+def test_evolve_snapshots_csv_holds_the_outcome_rows(tmp_path, monkeypatch):
+    # snapshots.csv holds min(9, rows) rows of the outcome's snapshot
+    # matrix, spread from the first to the last, one line per grid node
+    reports = []
+
+    def scan(*args, **kwargs):
+        reports.append(threshold_scan(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr("heatlab.cli.threshold_scan", scan)
+    out = tmp_path / "out"
+    assert main(_evolve_args(out)) == 0
+    o = reports[0].cases[0.0].finest
+    lines = (out / "snapshots.csv").read_text().splitlines()
+    assert lines[0] == "t,r,u"
+    body = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[1:]])
+    rows = len(o.times)
+    k = min(9, rows)
+    assert rows > 9 and body.shape == (k * o.grid.n_nodes, 3)
+    idx = np.linspace(0, rows - 1, k).astype(int)
+    assert idx[0] == 0 and idx[-1] == rows - 1
+    t, r, u = (body[:, j].reshape(k, o.grid.n_nodes) for j in range(3))
+    assert t.tobytes() == np.repeat(o.times[idx, None], o.grid.n_nodes,
+                                    axis=1).tobytes()
+    assert r.tobytes() == np.tile(o.grid.r, (k, 1)).tobytes()
+    assert u.tobytes() == o.values[idx].tobytes()
+
+
 def test_evolve_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(_evolve_args(a)) == 0
@@ -373,13 +407,13 @@ def test_scan_artifacts(tmp_path):
 
 
 def _fake_case(cls, cap):
-    t = np.array([0.0, 0.5])
+    grid = make_grid(3, 2.0, 9)
     outcome = EvolutionOutcome(classification=cls, cap=cap, t_detect=None,
-                               times=t, sup_series=np.array([3.0, 2.0]),
+                               grid=grid, times=np.array([0.0, 0.5]),
+                               values=np.repeat([[3.0], [2.0]], grid.n_nodes,
+                                                axis=1),
+                               sup_series=np.array([3.0, 2.0]),
                                mass_series=np.array([0.1, 0.05]))
-    # with no snapshots to compute it from, the fake sets the L^1_ul
-    # series that evolve writes
-    outcome.l1ul_series = np.array([1.0, 0.9])
     return CaseReport({cap: outcome}, cls, True, None)
 
 

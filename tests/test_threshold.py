@@ -8,10 +8,17 @@ import pytest
 
 from heatlab.cli import Artifacts
 from heatlab.errors import OutOfRange
-from heatlab.evolution import _ul_windows, sphere_area, ul_norm
+from heatlab.evolution import (
+    RadialField,
+    _ul_windows,
+    make_grid,
+    sphere_area,
+    ul_norm,
+)
 from heatlab.nonlinearity import power_exp, pure_power
 from heatlab.singular_ode import build_singular
 from heatlab.threshold import (
+    N_SAMPLES,
     SUP_GUARD,
     CaseReport,
     EvolutionOutcome,
@@ -176,11 +183,10 @@ def test_probe_tracks_mechanism(dichotomy_pair, table):
     # the largest alpha with u >= alpha u* on 0.3 <= r <= 1 ratchets upward
     # in a diverging run and keeps falling in a decaying one
     def alpha_series(outcome):
-        grid = outcome.snapshots[0][1].grid
-        sel = (grid.r >= 0.3) & (grid.r <= 1.0)
-        star = np.asarray(table.u_star(grid.r[sel], CUBIC))
-        return np.array([(fld.u[sel] / star).min()
-                         for _, fld in outcome.snapshots])
+        r = outcome.grid.r
+        sel = (r >= 0.3) & (r <= 1.0)
+        star = np.asarray(table.u_star(r[sel], CUBIC))
+        return (outcome.values[:, sel] / star).min(axis=1)
 
     below, above = dichotomy_pair
     al_above = alpha_series(above.finest)
@@ -203,14 +209,13 @@ def _bits(x):
 def _assert_same_outcome(a, b):
     assert (a.classification, a.cap, a.side) == \
         (b.classification, b.cap, b.side)
-    for name in ("times", "sup_series", "l1ul_series", "mass_series"):
+    assert a.grid.key() == b.grid.key()
+    for name in ("times", "values", "sup_series", "l1ul_series",
+                 "mass_series"):
+        assert getattr(a, name).shape == getattr(b, name).shape, name
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert _bits(a.t_detect) == _bits(b.t_detect)
     assert _bits(a.one_sided_excess) == _bits(b.one_sided_excess)
-    assert len(a.snapshots) == len(b.snapshots)
-    for (ta, fa), (tb, fb) in zip(a.snapshots, b.snapshots):
-        assert _bits(ta) == _bits(tb)
-        assert fa.u.tobytes() == fb.u.tobytes()
 
 
 def _scan(spec, tab, factors, caps):
@@ -256,17 +261,36 @@ def test_scan_outcomes_equal_runs_alone(request, spec, scan_name,
                                  caps=(cap,)).cases[a]
         _assert_same_outcome(scan.cases[a].outcomes[cap],
                              one_cap.outcomes[cap])
-    # every snapshot owns its values: none is a view that pins a whole
-    # stacked array, and none shares memory with another snapshot, its own
-    # run's or another's.  Sorted by start address, two overlapping
-    # buffers imply an overlapping neighbouring pair.
-    values = sorted((fld.u for case in scan.cases.values()
-                     for o in case.outcomes.values()
-                     for _, fld in o.snapshots),
+    # every outcome's snapshot matrix owns its values: none is a view that
+    # pins a run's whole preallocated matrix or the stacked array, and none
+    # shares memory with another outcome's.  Sorted by start address, two
+    # overlapping buffers imply an overlapping neighbouring pair.
+    values = sorted((o.values for case in scan.cases.values()
+                     for o in case.outcomes.values()),
                     key=lambda x: x.ctypes.data)
     assert all(x.flags.owndata for x in values)
     assert not any(np.shares_memory(x, y)
                    for x, y in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("spec,scan_name,table_name", [
+    (CUBIC, "cubic_scan", "table"), (PE, "pe_scan", "table_pe")],
+    ids=["cubic", "power_exp"])
+def test_snapshot_matrix_rows(request, spec, scan_name, table_name):
+    # one row per time: u0 bit for bit, a row per sample time reached and
+    # the state where the run ended, so at most N_SAMPLES + 2 rows
+    scan = request.getfixturevalue(scan_name)
+    tab = request.getfixturevalue(table_name)
+    for a, case in scan.cases.items():
+        for cap, o in case.outcomes.items():
+            rows = len(o.times)
+            assert o.values.shape == (rows, o.grid.n_nodes)
+            assert 2 <= rows <= N_SAMPLES + 2
+            assert o.times[0] == 0.0 and np.all(np.diff(o.times) >= 0.0)
+            star = np.concatenate([[np.inf],
+                                   tab.u_star(o.grid.r[1:], spec)])
+            u0 = initial_data(o.grid, star, RadialBump(2.0, 2.0, a), cap)
+            assert o.values[0].tobytes() == u0.u.tobytes()
 
 
 def test_cubic_scan_verdicts(cubic_scan):
@@ -326,11 +350,11 @@ def test_inner_mass_is_the_reference_formula(table):
 
 def _excess_per_snapshot(tab, spec, o):
     """The largest (u - u*)/u* on r >= 0.1 of each snapshot of outcome o."""
-    grid = o.snapshots[0][1].grid
-    star = np.concatenate([[np.inf], tab.u_star(grid.r[1:], spec)])
-    sel = grid.r >= 0.1
-    return [float(((fld.u[sel] - star[sel]) / star[sel]).max())
-            for _, fld in o.snapshots]
+    r = o.grid.r
+    star = np.concatenate([[np.inf], tab.u_star(r[1:], spec)])
+    sel = r >= 0.1
+    return [float(((u[sel] - star[sel]) / star[sel]).max())
+            for u in o.values]
 
 
 @pytest.fixture(scope="module")
@@ -342,20 +366,18 @@ def pe_dense_scan(table_pe):
 
 @pytest.mark.parametrize("scan_name", ["cubic_scan", "pe_dense_scan"])
 def test_outcome_series_match_per_snapshot_reference(request, scan_name):
-    # the series an outcome derives from its stacked snapshots keep, bit
-    # for bit, the values each snapshot gives on its own
+    # the series an outcome derives from its snapshot matrix keep, bit
+    # for bit, the values each row gives on its own as a field
     scan = request.getfixturevalue(scan_name)
     spec = CUBIC if scan_name == "cubic_scan" else PE
     tab = request.getfixturevalue("table" if spec is CUBIC else "table_pe")
     scanned = []
     for case in scan.cases.values():
         for o in case.outcomes.values():
-            flds = [fld for _, fld in o.snapshots]
-            grid = flds[0].grid
+            grid = o.grid
+            flds = [RadialField(grid, u) for u in o.values]
             estimates = [ul_norm(fld, 1.0) for fld in flds]
             scanned += [est.centers_sampled > 1 for est in estimates]
-            assert o.times.tobytes() == np.array(
-                [t for t, _ in o.snapshots]).tobytes()
             assert o.sup_series.tobytes() == np.array(
                 [fld.sup for fld in flds]).tobytes()
             assert o.l1ul_series.tobytes() == np.array(
@@ -429,10 +451,32 @@ def test_horizon_must_be_finite_and_positive(table, monkeypatch, horizon):
                        horizon=horizon, caps=(1e4,))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"caps": (float("nan"),)}, "caps must be > 0 and not NaN"),
+    ({"caps": (0.0,)}, "caps must be > 0 and not NaN"),
+    ({"caps": (1e4, -1.0)}, "caps must be > 0 and not NaN"),
+    ({"R_outer": float("nan")}, "R_outer must be finite and > 0"),
+    ({"R_outer": -1.0}, "R_outer must be finite and > 0"),
+    ({"R_outer": 0.0}, "R_outer must be finite and > 0"),
+    ({"R_outer": float("inf")}, "R_outer must be finite and > 0"),
+], ids=["cap-nan", "cap-0", "cap-negative", "R_outer-nan", "R_outer-negative",
+        "R_outer-0", "R_outer-inf"])
+def test_cap_and_outer_radius_are_checked_before_any_grid(
+        table, monkeypatch, kwargs, message):
+    # a NaN cap raised a bare IndexError in _cap_radius, a zero cap stepped
+    # all-zero data to GlobalBounded, and R_outer = nan or -1 failed inside
+    # the grid's construction; each is refused before any grid is built
+    monkeypatch.setattr("heatlab.threshold.case_grid", _no_grid)
+    kwargs = {"caps": (1e4,), **kwargs}
+    with pytest.raises(ValueError, match=message):
+        threshold_scan(CUBIC, table, RadialBump(2.0, 2.0, 0.0), [-1.0, 1.0],
+                       **kwargs)
+
+
 def test_scan_computes_l1ul_only_when_read(table, ustar2, monkeypatch):
     # no scan reports L^1_ul (only `heatlab evolve` writes it): the
     # verdicts, sup and mass series come without a window integral, and
-    # the first read computes the series from the stacked snapshots, once
+    # the first read computes the series from the snapshot matrix, once
     def no_windows(*args, **kwargs):
         raise AssertionError("the scan computed L^1_ul")
 
@@ -443,20 +487,22 @@ def test_scan_computes_l1ul_only_when_read(table, ustar2, monkeypatch):
     assert scan.classifications() == ["GlobalBounded", "BlowUp"]
     outcomes = [case.finest for case in scan.cases.values()]
     for o in outcomes:
-        assert len(o.sup_series) == len(o.mass_series) == len(o.snapshots)
+        assert len(o.sup_series) == len(o.mass_series) == len(o.values)
     monkeypatch.undo()
     for o in outcomes:
-        u = np.stack([fld.u for _, fld in o.snapshots])
         first = o.l1ul_series
         assert first.tobytes() == _ul_windows(
-            o.snapshots[0][1].grid, u, 1.0)[0].tobytes()
+            o.grid, o.values, 1.0)[0].tobytes()
         assert o.l1ul_series is first
 
 
 def _fake_outcome(cls, cap, t_detect=None):
-    t = np.array([0.0, 0.5])
+    grid = make_grid(3, 2.0, 9)
     return EvolutionOutcome(classification=cls, cap=cap, t_detect=t_detect,
-                            times=t, sup_series=np.array([3.0, 2.0]),
+                            grid=grid, times=np.array([0.0, 0.5]),
+                            values=np.repeat([[3.0], [2.0]], grid.n_nodes,
+                                             axis=1),
+                            sup_series=np.array([3.0, 2.0]),
                             mass_series=np.array([0.1, 0.05]))
 
 
