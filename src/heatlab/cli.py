@@ -320,6 +320,7 @@ def cmd_evolve(cfg: RunConfig, out: Artifacts) -> int:
         "classification": case.classification,
         "t_detect": case.t_detect,
         "sup_final": o.sup_final,
+        "nodes": o.grid.n_nodes,
     })
     out.commit()
     return _exit_code(report)
@@ -330,8 +331,7 @@ def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
     table = _build_table(cfg, spec)
     grid = case_grid(table, cfg.iterate_cap, cfg.R_outer, cfg.n_nodes)
     envelope = field_from_table(table, grid, cap=cfg.iterate_cap, spec=spec)
-    u0 = RadialField(grid, cfg.seed_factor * envelope.u,
-                     envelope.cap_mask.copy())
+    u0 = RadialField(grid, cfg.seed_factor * envelope.u, envelope.cap_mask)
     below = run_ladder("from_below", u0, spec, cfg.t_obs, k_max=cfg.k_max,
                        n_slices=cfg.n_slices, ladder_tol=0.0)
     above = run_ladder(LadderSeed.from_above(envelope), u0, spec, cfg.t_obs,
@@ -369,7 +369,8 @@ def cmd_scan(cfg: RunConfig, out: Artifacts) -> int:
                             caps=cfg.cap_list(), n_nodes=cfg.n_nodes,
                             R_outer=cfg.R_outer)
     out.write_csv("scan.csv", ("amplitude", "classification", "t_detect",
-                               "cap", "sup_final", "reaction_mass_final"),
+                               "cap", "sup_final", "reaction_mass_final",
+                               "nodes"),
                   report.rows())
     doc = report.to_dict()
     doc["config"]["run"] = cfg.echo()

@@ -33,7 +33,3 @@ class LinearSolveFailure(HeatLabError):
 class ReactionOverflow(HeatLabError):
     """The explicit reaction increment exceeded the overflow guard, or
     f' at the sup-norm is not finite."""
-
-
-class TimeMeshMismatch(HeatLabError):
-    """A stored trajectory does not cover the requested time interval."""

@@ -2,18 +2,19 @@
 
 Provides the grid/field containers, the action of the heat semigroup
 through the exact radially-reduced Gaussian kernel, uniformly local norms
-of a stack of fields at once from unit-ball window quadratures built once
-per grid (ul_norm is the one-field case), and an IMEX time
-stepper (implicit diffusion, explicit reaction).  ImexStack steps fields on
-several grids at once, each with its own dt and given reaction values: it
-builds the tridiagonal bands of one block-diagonal system from coefficients
-each grid computes once and hands them to LAPACK's gtsv directly, which
-solves in place.  _within_reaction_guard is the one reaction guard:
-_reaction applies it to f itself, the threshold runs at each run's own
-dt.  Fields derived with copy_with share their read-only cap mask.  Each
-grid also keeps the S(t) operators that semigroup_operator built on it.
-The module writes no files: the CLI's Artifacts writes the norm series
-and snapshots of a run.
+of a stack of rows at once from unit-ball window quadratures built once
+per grid (_ul_windows: ul_norm is its one-field case, and the threshold
+runs and the Picard ladders' boundedness record call it on their stacked
+rows), and an IMEX time stepper (implicit diffusion, explicit reaction).
+ImexStack steps fields on several grids at once, each with its own dt and
+given reaction values: it builds the tridiagonal bands of one
+block-diagonal system from coefficients each grid computes once and hands
+them to LAPACK's gtsv directly, which solves in place.
+_within_reaction_guard is the one reaction guard: _reaction applies it to
+f itself, the threshold runs at each run's own dt.  A field owns a copy of
+its cap mask.  Each grid also keeps the S(t) operators that
+semigroup_operator built on it.  The module writes no files: the CLI's
+Artifacts writes the norm series and snapshots of a run.
 """
 
 from __future__ import annotations
@@ -191,15 +192,9 @@ class RadialField:
         if not (u.min() >= 0.0 and u.max() < math.inf):
             raise ValueError("field values must be finite and >= 0")
         self.u = u
-        if self.cap_mask is None:
-            self.cap_mask = np.zeros(len(u), dtype=bool)
-        elif self.cap_mask.flags.writeable:     # the caller keeps its array
-            self.cap_mask = self.cap_mask.copy()
-        # read-only, so fields derived through copy_with can share it
-        self.cap_mask.setflags(write=False)
-
-    def copy_with(self, u: np.ndarray) -> "RadialField":
-        return RadialField(self.grid, u, self.cap_mask)
+        # the field owns its mask; the caller keeps its array
+        self.cap_mask = (np.zeros(len(u), dtype=bool) if self.cap_mask is None
+                         else np.array(self.cap_mask, dtype=bool))
 
     @property
     def sup(self) -> float:
@@ -443,7 +438,7 @@ class SemigroupOperator:
             raise ValueError("field lives on a different grid")
         out = self.apply(field.u, self.grid.exterior_value(field.u))
         # cubic interpolation can undershoot by strictly tiny amounts
-        return field.copy_with(np.maximum(out, 0.0))
+        return RadialField(self.grid, np.maximum(out, 0.0), field.cap_mask)
 
 
 def semigroup_operator(grid: RadialGrid, t: float,

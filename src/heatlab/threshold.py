@@ -408,13 +408,13 @@ class ScanReport:
     def rows(self):
         """scan.csv rows, one per (amplitude, cap): amplitude,
         classification, t_detect (nan if none), cap, sup and reaction
-        mass at the end."""
+        mass at the end, and the node count the run stepped."""
         for a in self.amplitudes:
             for cap in sorted(self.cases[a].outcomes):
                 o = self.cases[a].outcomes[cap]
                 yield (float(a), o.classification,
                        o.t_detect if o.t_detect is not None else float("nan"),
-                       float(cap), o.sup_final, o.mass_final)
+                       float(cap), o.sup_final, o.mass_final, o.grid.n_nodes)
 
     def to_dict(self) -> dict:
         """Summary for scan.json; its config is a copy the caller may
@@ -454,16 +454,22 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     else is Undetermined.  A case's verdict is the shared per-cap verdict
     when all caps agree, else Undetermined with cap_stable=False; the
     report's `monotone` says whether the verdicts are monotone in the
-    amplitude.  An empty or repeating amplitude or cap list, a cap that
-    is NaN or not positive, or a horizon or R_outer that is not finite and
-    positive, is a ValueError raised before any grid is built.  All runs
-    step in lockstep (see _evolve).
+    amplitude.  An empty or repeating amplitude or cap list, an amplitude
+    that is not finite, a cap that is NaN or not positive, a horizon or
+    R_outer that is not finite and positive, or n_nodes < 8, is a
+    ValueError raised before any grid is built.  case_grid may add nodes
+    for a cap; scan.csv records the count each run stepped.  All runs step
+    in lockstep (see _evolve).
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
     if not (math.isfinite(R_outer) and R_outer > 0):
         raise ValueError(f"R_outer must be finite and > 0, got {R_outer!r}")
+    if n_nodes < 8:                          # make_grid's own floor
+        raise ValueError(f"n_nodes must be >= 8, got {n_nodes!r}")
     amps = np.asarray(sorted(_distinct("amplitudes", A_grid)))
+    if not np.isfinite(amps).all():
+        raise ValueError(f"amplitudes must be finite, got {amps.tolist()}")
     caps = _distinct("caps", caps)
     if not all(cap > 0 for cap in caps):     # False for NaN too
         raise ValueError(f"caps must be > 0 and not NaN, got {caps}")

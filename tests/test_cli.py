@@ -329,6 +329,19 @@ def test_evolve_snapshots_csv_holds_the_outcome_rows(tmp_path, monkeypatch):
     assert u.tobytes() == o.values[idx].tobytes()
 
 
+def test_evolve_records_the_nodes_it_stepped(tmp_path):
+    # cap 5 needs more nodes than the 129 asked for: evolve.json records
+    # the 171 the run stepped, one snapshots.csv line per node and row
+    out = tmp_path / "out"
+    assert main(["evolve", "--family", "power-exp", "--p", "5", "--q", "2",
+                 "--dim", "3", "--cap", "5", "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "evolve.json").read_text())
+    assert doc["config"]["n_nodes"] == 129 and doc["nodes"] == 171
+    rows = len((out / "norm_series.csv").read_text().splitlines()) - 1
+    lines = (out / "snapshots.csv").read_text().splitlines()
+    assert len(lines) - 1 == doc["nodes"] * min(9, rows)
+
+
 def test_evolve_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(_evolve_args(a)) == 0
@@ -398,7 +411,7 @@ def test_scan_artifacts(tmp_path):
     assert rc == 0
     rows = (out / "scan.csv").read_text().strip().splitlines()
     assert rows[0] == ("amplitude,classification,t_detect,cap,"
-                      "sup_final,reaction_mass_final")
+                      "sup_final,reaction_mass_final,nodes")
     classes = [r.split(",")[1] for r in rows[1:]]
     assert classes == ["GlobalBounded", "BlowUp"]
     doc = json.loads((out / "scan.json").read_text())

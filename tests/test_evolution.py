@@ -86,17 +86,17 @@ def test_field_validation():
             RadialField(g, bad)
 
 
-def test_copy_with_shares_a_read_only_cap_mask():
+def test_field_owns_its_cap_mask():
     g = make_grid(3, 8.0, 65)
     mask = np.zeros(g.n_nodes, dtype=bool)
     mask[0] = True
     fld = RadialField(g, np.ones(g.n_nodes), mask)
-    assert fld.cap_mask is not mask and not fld.cap_mask.flags.writeable
     mask[1] = True                      # the caller's array stays its own
-    assert not fld.cap_mask[1]
-    nxt = fld.copy_with(np.full(g.n_nodes, 2.0))
-    assert nxt.cap_mask is fld.cap_mask
-    assert semigroup_operator(g, 1e-3)(fld).cap_mask is fld.cap_mask
+    assert fld.cap_mask[0] and not fld.cap_mask[1]
+    assert not RadialField(g, np.ones(g.n_nodes)).cap_mask.any()
+    # S(t) keeps the mask of the field it acts on
+    out = semigroup_operator(g, 1e-3)(fld)
+    assert np.array_equal(out.cap_mask, fld.cap_mask)
 
 
 def test_field_from_table_caps_and_masks(table_cubic):

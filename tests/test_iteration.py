@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from heatlab.errors import ReactionOverflow, TimeMeshMismatch
+from heatlab.errors import ReactionOverflow
 from heatlab.evolution import (
     BoundaryCondition,
     ImexStack,
@@ -16,6 +16,7 @@ from heatlab.evolution import (
     field_from_table,
     make_grid,
     semigroup_operator,
+    ul_norm,
 )
 from heatlab.iteration import (
     IDENTITY_TIME,
@@ -64,19 +65,21 @@ def test_constant_trajectory_interpolates_flat():
     traj = Trajectory.constant(fld, 0.5, 8)
     assert traj.n_slices == 8
     assert np.allclose(traj.interp(0.31), fld.u)
-    assert np.array_equal(traj.final.u, fld.u)
+    assert np.array_equal(traj.values[-1], fld.u)
 
 
 def test_time_mesh_mismatch():
+    # the map steps on the trajectory's own time mesh; initial data on
+    # another grid are refused, as S(t) refuses a field on another grid
     g = make_grid(5, 8.0, 16)
     u0 = RadialField(g, np.ones(g.n_nodes))
     traj = Trajectory.constant(u0, 0.5, 8)
-    with pytest.raises(TimeMeshMismatch):
-        duhamel_map(traj, u0, CUBIC, 0.25)
     other = make_grid(5, 8.0, 32)
-    with pytest.raises(TimeMeshMismatch):
-        duhamel_map(traj, RadialField(other, np.ones(other.n_nodes)),
-                    CUBIC, 0.5)
+    with pytest.raises(ValueError, match="different grid"):
+        duhamel_map(traj, RadialField(other, np.ones(other.n_nodes)), CUBIC)
+    # the time mesh is no argument: passing t_obs by position fails
+    with pytest.raises(TypeError):
+        duhamel_map(traj, u0, CUBIC, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +91,7 @@ def test_zero_data_zero_seed_is_fixed():
     g = make_grid(5, 8.0, 33)
     zero = RadialField(g, np.zeros(g.n_nodes))
     traj = Trajectory.constant(zero, 0.1, 16)
-    out = duhamel_map(traj, zero, CUBIC, 0.1)
+    out = duhamel_map(traj, zero, CUBIC)
     assert np.all(out.values == 0.0)
 
 
@@ -98,7 +101,7 @@ def test_reaction_free_step_reproduces_semigroup():
     g = make_grid(5, 8.0, 129)
     u0 = RadialField(g, np.exp(-g.r ** 2))
     zero = Trajectory.constant(RadialField(g, np.zeros(g.n_nodes)), 0.01, 64)
-    out = duhamel_map(zero, u0, CUBIC, 0.01, interp="cubic")
+    out = duhamel_map(zero, u0, CUBIC, interp="cubic")
     direct = semigroup_operator(g, 0.01)(u0)
     assert np.abs(out.values[-1] - direct.u).max() <= 1e-3
 
@@ -152,7 +155,7 @@ def test_duhamel_map_matches_per_slice_loop(bc, interp):
     u0 = RadialField(g, 1.5 * np.exp(-g.r ** 2) + 0.4)
     times = np.linspace(0.0, 0.01, 17)
     prev = Trajectory(g, times, rng.uniform(0.0, 2.0, (17, g.n_nodes)))
-    out = duhamel_map(prev, u0, CUBIC, 0.01, interp)
+    out = duhamel_map(prev, u0, CUBIC, interp=interp)
     ref = _per_slice_duhamel(prev, u0, CUBIC, 0.01, interp)
     assert np.abs(out.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -165,7 +168,7 @@ def test_duhamel_map_overflow_raises():
     prev = Trajectory.constant(u0, 0.01, 16)
     prev.values[9, 4] = 1e200
     with pytest.raises(ReactionOverflow):
-        duhamel_map(prev, u0, CUBIC, 0.01)
+        duhamel_map(prev, u0, CUBIC)
 
 
 def test_duhamel_map_is_monotone():
@@ -176,8 +179,8 @@ def test_duhamel_map_is_monotone():
     hi_f = RadialField(g, lo_f.u + rng.uniform(0.0, 0.5, g.n_nodes))
     lo = Trajectory.constant(lo_f, 0.01, 16)
     hi = Trajectory.constant(hi_f, 0.01, 16)
-    out_lo = duhamel_map(lo, lo_f, CUBIC, 0.01, interp="linear")
-    out_hi = duhamel_map(hi, hi_f, CUBIC, 0.01, interp="linear")
+    out_lo = duhamel_map(lo, lo_f, CUBIC, interp="linear")
+    out_hi = duhamel_map(hi, hi_f, CUBIC, interp="linear")
     assert np.all(out_lo.values <= out_hi.values)
 
 
@@ -239,7 +242,7 @@ def test_maximal_solution_gaps_decrease(table_cubic):
                         k_max=6, ladder_tol=0.0)
     # the record `heatlab iterate` writes as gaps_nonincreasing
     assert np.all(np.diff(ladder.cauchy_gaps) <= 1e-12)
-    assert np.all(ladder.final.final.u >= 0.0)
+    assert np.all(ladder.final.values[-1] >= 0.0)
 
 
 def test_ladder_report_serializes(table_cubic):
@@ -320,6 +323,54 @@ def test_immediate_boundedness_window_validated(table_cubic):
         check_immediate_boundedness(ladder, CUBIC, (0.05, 0.01))
 
 
+def _per_row_reaction_record(ladder, spec, window):
+    """Reference of the record's reaction norm: one RadialField and one
+    ul_norm per sampled mesh time of iterate 3, and the largest norm; also
+    the number of centres each row's norm scanned."""
+    tr3 = ladder.trajectories[min(3, ladder.k)]
+    t0, T = window
+    idx = np.flatnonzero((tr3.times > t0) & (tr3.times <= T * (1 + 1e-12)))
+    p = tr3.grid.dim / 2.0 + 0.1
+    ests = [ul_norm(RadialField(tr3.grid, _reaction(spec, tr3.values[j])), p)
+            for j in idx[:: max(1, len(idx) // 8)]]
+    return (max([0.0] + [e.norm for e in ests]),
+            [e.centers_sampled for e in ests])
+
+
+def test_immediate_boundedness_matches_per_row_norms(table_cubic):
+    # criterion 7's from-above ladder: every sampled reaction row rises
+    # towards the Dirichlet value, so each takes the 512-centre scan; the
+    # one stacked window call gives the per-row norms' maximum bit for bit
+    g = sandwich_grid(table_cubic)
+    envelope = field_from_table(table_cubic, g, cap=2.0, spec=CUBIC)
+    u0 = RadialField(g, 0.9 * envelope.u, envelope.cap_mask)
+    ladder = run_ladder(LadderSeed.from_above(envelope), u0, CUBIC, 0.01,
+                        k_max=6, ladder_tol=0.0)
+    rep = check_immediate_boundedness(ladder, CUBIC, (0.002, 0.01))
+    ref, sampled = _per_row_reaction_record(ladder, CUBIC, (0.002, 0.01))
+    assert 512 in sampled
+    assert rep["reaction_ul_iterate3"] == ref
+
+
+def test_immediate_boundedness_mixes_origin_and_scanned_rows():
+    # rows that are radially nonincreasing take the origin window, the
+    # others the 512-centre scan; in one stack the record still equals
+    # the per-row reference bit for bit
+    g = make_grid(5, 8.0, 65)
+    times = np.linspace(0.0, 0.01, 17)
+    falling = np.exp(-g.r ** 2)
+    bump = np.exp(-(g.r - 3.0) ** 2)
+    vals = np.array([(1.0 + t) * (bump if k % 3 else falling)
+                     for k, t in enumerate(times)])
+    traj = Trajectory(g, times, vals)
+    ladder = IterationLadder(LadderSeed("from_below"), 0.01, [traj] * 5,
+                             [2.0] * 5, [0.0] * 4, 0.0, True)
+    rep = check_immediate_boundedness(ladder, CUBIC, (0.0, 0.01))
+    ref, sampled = _per_row_reaction_record(ladder, CUBIC, (0.0, 0.01))
+    assert set(sampled) == {1, 512}
+    assert rep["reaction_ul_iterate3"] == ref
+
+
 def test_immediate_boundedness_window_end_is_relative():
     # at exponential-class observation times (t_obs = 1e-16 here) an
     # absolute slack on the window end admitted every later mesh time; the
@@ -349,7 +400,7 @@ def test_ladder_limit_matches_imex_evolution(table_cubic):
     ladder = run_ladder("from_below", u0, CUBIC, t_obs, k_max=8,
                         ladder_tol=0.0, interp="cubic")
     assert ladder.ordering_violation_max <= 1e-3
-    duh = ladder.final.final.u
+    duh = ladder.final.values[-1]
 
     stack, cur, t = ImexStack((g,)), u0.u, 0.0
     while t < t_obs:

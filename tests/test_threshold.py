@@ -459,18 +459,26 @@ def test_horizon_must_be_finite_and_positive(table, monkeypatch, horizon):
     ({"R_outer": -1.0}, "R_outer must be finite and > 0"),
     ({"R_outer": 0.0}, "R_outer must be finite and > 0"),
     ({"R_outer": float("inf")}, "R_outer must be finite and > 0"),
+    ({"A_grid": [float("inf")]}, "amplitudes must be finite"),
+    ({"A_grid": [-float("inf")]}, "amplitudes must be finite"),
+    ({"A_grid": [float("nan")]}, "amplitudes must be finite"),
+    ({"n_nodes": 0}, "n_nodes must be >= 8"),
+    ({"n_nodes": 5}, "n_nodes must be >= 8"),
 ], ids=["cap-nan", "cap-0", "cap-negative", "R_outer-nan", "R_outer-negative",
-        "R_outer-0", "R_outer-inf"])
+        "R_outer-0", "R_outer-inf", "amplitude-inf", "amplitude-minus-inf",
+        "amplitude-nan", "n_nodes-0", "n_nodes-5"])
 def test_cap_and_outer_radius_are_checked_before_any_grid(
         table, monkeypatch, kwargs, message):
     # a NaN cap raised a bare IndexError in _cap_radius, a zero cap stepped
     # all-zero data to GlobalBounded, and R_outer = nan or -1 failed inside
-    # the grid's construction; each is refused before any grid is built
+    # the grid's construction; an infinite amplitude gave a verdict (BlowUp
+    # for inf, GlobalBounded for -inf), a NaN one failed in RadialField, and
+    # fewer than 8 nodes ran on the nodes the cap needs; each is refused
+    # before any grid is built
     monkeypatch.setattr("heatlab.threshold.case_grid", _no_grid)
-    kwargs = {"caps": (1e4,), **kwargs}
+    kwargs = {"A_grid": [-1.0, 1.0], "caps": (1e4,), **kwargs}
     with pytest.raises(ValueError, match=message):
-        threshold_scan(CUBIC, table, RadialBump(2.0, 2.0, 0.0), [-1.0, 1.0],
-                       **kwargs)
+        threshold_scan(CUBIC, table, RadialBump(2.0, 2.0, 0.0), **kwargs)
 
 
 def test_scan_computes_l1ul_only_when_read(table, ustar2, monkeypatch):
@@ -539,12 +547,15 @@ def test_scan_report_serialization(tmp_path):
     out = Artifacts(tmp_path)
     # the header `heatlab scan` writes to scan.csv
     out.write_csv("scan.csv", ("amplitude", "classification", "t_detect",
-                               "cap", "sup_final", "reaction_mass_final"),
+                               "cap", "sup_final", "reaction_mass_final",
+                               "nodes"),
                   rep.rows())
     out.commit()
     lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert lines[0] == ("amplitude,classification,t_detect,cap,"
-                        "sup_final,reaction_mass_final")
+                        "sup_final,reaction_mass_final,nodes")
+    # the last column is the node count of the run's grid
+    assert [line.split(",")[-1] for line in lines[1:]] == ["9", "9"]
     assert len(lines) == 3
     assert "BlowUp" in lines[2]
     # no detection time is written as nan
