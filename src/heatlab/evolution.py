@@ -5,7 +5,10 @@ through the exact radially-reduced Gaussian kernel, uniformly local norms
 of a stack of rows at once from unit-ball window quadratures built once
 per grid (_ul_windows: ul_norm is its one-field case, and the threshold
 runs and the Picard ladders' boundedness record call it on their stacked
-rows), and an IMEX time stepper (implicit diffusion, explicit reaction).
+rows; a row nonincreasing up to its first rise r_k takes the origin window
+and scans only the centres z > r_k - 1, whose windows the grid keeps per
+first centre), and an IMEX time stepper (implicit diffusion, explicit
+reaction).
 ImexStack steps fields on several grids at once, each with its own dt and
 given reaction values: it builds the tridiagonal bands of one
 block-diagonal system from coefficients each grid computes once and hands
@@ -124,9 +127,18 @@ class RadialGrid:
         return _Windows(self, np.zeros(1))
 
     @cached_property
-    def window_scan(self) -> "_Windows":
-        """The unit balls at the ul_norm scan's centres."""
-        return _Windows(self, np.linspace(0.0, self.R_outer, _N_CENTERS))
+    def window_centres(self) -> np.ndarray:
+        """The ul_norm scan's equispaced window centres in [0, R_outer],
+        read-only."""
+        zs = np.linspace(0.0, self.R_outer, _N_CENTERS)
+        zs.setflags(write=False)
+        return zs
+
+    @cached_property
+    def window_scans(self) -> dict:
+        """The unit balls at each suffix of the window centres that a scan
+        needed, keyed by the suffix's first index; _window_scan fills it."""
+        return {}
 
     @cached_property
     def semigroup_operators(self) -> dict:
@@ -195,10 +207,6 @@ class RadialField:
         # the field owns its mask; the caller keeps its array
         self.cap_mask = (np.zeros(len(u), dtype=bool) if self.cap_mask is None
                          else np.array(self.cap_mask, dtype=bool))
-
-    @property
-    def sup(self) -> float:
-        return float(self.u.max())
 
 
 def _star_on_nodes(table, grid: RadialGrid,
@@ -333,7 +341,9 @@ class SemigroupOperator:
     interpolation ("cubic") maximizes accuracy; piecewise-linear ("linear")
     yields strictly nonnegative weights, hence a provably monotone discrete
     operator, at second-order accuracy. Beyond the outer radius the field
-    is extended by its boundary value.
+    is extended by its boundary value: on nodal values u extended by u_ext
+    it acts as matrix @ u + ext * u_ext, the product of full with the
+    extended values.
     """
 
     def __init__(self, grid: RadialGrid, t: float, interp: str = "cubic"):
@@ -427,18 +437,6 @@ class SemigroupOperator:
         K = csr_matrix((np.exp(log_k) * w[q], q, indptr),
                        shape=(len(r), len(rho)))
         return (K @ self._interp_matrix(rho, seg)).toarray()
-
-    def apply(self, u: np.ndarray, u_ext: float) -> np.ndarray:
-        """S(t) on nodal values u extended by the value u_ext beyond the
-        outer radius."""
-        return self.matrix @ u + self.ext * u_ext
-
-    def __call__(self, field: RadialField) -> RadialField:
-        if field.grid.key() != self.grid.key():
-            raise ValueError("field lives on a different grid")
-        out = self.apply(field.u, self.grid.exterior_value(field.u))
-        # cubic interpolation can undershoot by strictly tiny amounts
-        return RadialField(self.grid, np.maximum(out, 0.0), field.cap_mask)
 
 
 def semigroup_operator(grid: RadialGrid, t: float,
@@ -543,6 +541,16 @@ class _Windows:
         return np.add.reduceat(vals, self.start, axis=1)
 
 
+def _window_scan(grid: RadialGrid, first: int) -> _Windows:
+    """The unit balls at the window centres from index first on, built
+    once per grid."""
+    scan = grid.window_scans.get(first)
+    if scan is None:
+        scan = grid.window_scans[first] = _Windows(
+            grid, grid.window_centres[first:])
+    return scan
+
+
 # rows of the window scan integrated at once: a block's node values stay
 # within 2^17 entries (1 MB, one row of a case grid's scan) so they stay in
 # cache however many rows a stack holds; larger blocks run slower per row
@@ -551,32 +559,48 @@ _BLOCK_NODES = 2 ** 17
 
 def _ul_windows(grid: RadialGrid, u: np.ndarray, p: float):
     """ul_norm for each row of a stack u (rows x nodes): the largest window
-    integral of u^p, its centre and the number of centres scanned.
+    integral of u^p, its centre and the number of centres evaluated.
 
-    A row whose values do not rise by more than 1e-12 max(1, sup) between
-    neighbouring nodes is radially nonincreasing and takes the origin
-    window; these rows are integrated at once.  The other rows scan every
-    centre of the window scan, a block of rows at a time.
+    A row rises where its values grow by more than 1e-12 max(1, sup)
+    between neighbouring nodes; r_k is the left node of its first rise.
+    Up to r_k the row is nonincreasing, so no window inside B(0, r_k) can
+    beat the origin window (see ul_norm).  Each row takes the origin window
+    and scans only the centres z > r_k - 1: every centre when r_k < 1, none
+    when the row never rises.  The scanned rows share the windows of the
+    shortest suffix of centres among them and are integrated a block of
+    rows at a time; each row's largest window, its centre and the count
+    come from its own centres alone, ties going to the origin.
     """
     du = np.diff(u, axis=1)
     slope = du / np.diff(grid.r)
     tol = 1e-12 * np.maximum(1.0, u.max(axis=1))
-    monotone = np.all(du <= tol[:, None], axis=1)
-    value, center = np.empty(len(u)), np.zeros(len(u))
-    sampled = np.ones(len(u), dtype=int)
-    if monotone.any():
-        value[monotone] = grid.origin_window.integrals(
-            u[monotone], slope[monotone], p)[:, 0]
-    dense = np.flatnonzero(~monotone)
-    if len(dense):
-        scan = grid.window_scan
-        sampled[dense] = len(scan.zs)
+    rise = du > tol[:, None]
+    r_rise = np.where(rise.any(axis=1), grid.r[np.argmax(rise, axis=1)],
+                      np.inf)
+    zs = grid.window_centres
+    first = np.searchsorted(zs, r_rise - 1.0, side="right")
+    # the origin window is zs[0] when the whole scan runs
+    sampled = len(zs) - first + (first > 0)
+    value, center = np.zeros(len(u)), np.zeros(len(u))
+    origin = np.flatnonzero(first > 0)
+    if len(origin):
+        value[origin] = grid.origin_window.integrals(
+            u[origin], slope[origin], p)[:, 0]
+    scanned = np.flatnonzero(first < len(zs))
+    if len(scanned):
+        lo = int(first[scanned].min())
+        scan = _window_scan(grid, lo)
         block = max(1, _BLOCK_NODES // len(scan.cell))
-        for rows in np.array_split(dense, -(-len(dense) // block)):
+        for rows in np.array_split(scanned, -(-len(scanned) // block)):
             vals = scan.integrals(u[rows], slope[rows], p)
+            # the centres before a row's own first one are not its to take
+            before = np.arange(len(scan.zs)) < (first[rows] - lo)[:, None]
+            vals[before] = -np.inf
             k = np.argmax(vals, axis=1)
-            value[rows] = vals[np.arange(len(rows)), k]
-            center[rows] = scan.zs[k]
+            best = vals[np.arange(len(rows)), k]
+            wins = (first[rows] == 0) | (best > value[rows])
+            value[rows[wins]] = best[wins]
+            center[rows[wins]] = scan.zs[k[wins]]
     return value, center, sampled
 
 
@@ -585,17 +609,21 @@ def ul_norm(field: RadialField, p: float = 1.0) -> ULNormEstimate:
     |u|^p over a unit ball.
 
     For radial data the sup reduces to one scalar center coordinate z.
-    A radially nonincreasing field is its own symmetric-decreasing
+    Let r_k be where the field first rises (see _ul_windows); the field
+    ũ = u(min(r, r_k)) is radially nonincreasing and equals u on B(0, r_k).
+    A radially nonincreasing function is its own symmetric-decreasing
     rearrangement, and so is the indicator of the unit ball at the origin;
-    by the Hardy-Littlewood inequality
+    by the Hardy-Littlewood inequality every window inside B(0, r_k),
+    z + 1 <= r_k, gives
 
-        int_{B(z,1)} u^p = int u^p 1_{B(z,1)} <= int (u^p)* 1_{B(z,1)}*
-                         = int_{B(0,1)} u^p,
+        int_{B(z,1)} u^p = int ũ^p 1_{B(z,1)} <= int (ũ^p)* 1_{B(z,1)}*
+                         = int_{B(0,1)} ũ^p = int_{B(0,1)} u^p
 
-    so the window at the origin is a maximizer and the only center
-    evaluated; other fields are scanned over equispaced centers in
-    [0, R_outer].  Both window quadratures are built once per grid.  This
-    is the one-row case of _ul_windows.
+    when r_k >= 1.  So the origin window and the equispaced centres
+    z > r_k - 1 of [0, R_outer] are evaluated: the origin alone for a
+    nonincreasing field, every centre when r_k < 1.  The window
+    quadratures are built once per grid.  This is the one-row case of
+    _ul_windows.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")

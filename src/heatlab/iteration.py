@@ -59,7 +59,8 @@ class Trajectory:
         if t[0] != 0.0 or len(t) < 2:
             raise ValueError("time mesh must start at 0")
         dt = np.diff(t)
-        if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-12):
+        if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-12,
+                                              atol=0.0):
             raise ValueError("time mesh must be uniform and increasing")
         if v.shape != (len(t), self.grid.n_nodes):
             raise ValueError("trajectory values have the wrong shape")
@@ -72,12 +73,6 @@ class Trajectory:
     @property
     def n_slices(self) -> int:
         return len(self.times) - 1
-
-    def interp(self, s: float) -> np.ndarray:
-        """Linear-in-time interpolant of the nodal values."""
-        j = min(int(s / (self.times[1] - self.times[0])), self.n_slices - 1)
-        lam = (s - self.times[j]) / (self.times[j + 1] - self.times[j])
-        return (1.0 - lam) * self.values[j] + lam * self.values[j + 1]
 
     @classmethod
     def constant(cls, field: RadialField, t_obs: float,
@@ -268,7 +263,10 @@ def check_immediate_boundedness(ladder: IterationLadder,
     which varies slowly compared to the mesh, is sampled at every
     len(idx) // 8-th mesh time: one reaction call and one _ul_windows call
     on the stacked rows, each norm value^(1/p) on Python floats, as
-    ULNormEstimate.norm takes it."""
+    ULNormEstimate.norm takes it.  A reaction row that is nonincreasing up
+    to its first rise r_k, as a sandwich row is up to its climb towards the
+    Dirichlet value, takes the origin window and scans only the window
+    centres z > r_k - 1."""
     t0, T = window
     if not 0.0 <= t0 < T:
         raise ValueError("need 0 <= t0 < T")

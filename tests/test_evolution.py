@@ -95,14 +95,14 @@ def test_field_owns_its_cap_mask():
     assert fld.cap_mask[0] and not fld.cap_mask[1]
     assert not RadialField(g, np.ones(g.n_nodes)).cap_mask.any()
     # S(t) keeps the mask of the field it acts on
-    out = semigroup_operator(g, 1e-3)(fld)
+    out = _act(semigroup_operator(g, 1e-3), fld)
     assert np.array_equal(out.cap_mask, fld.cap_mask)
 
 
 def test_field_from_table_caps_and_masks(table_cubic):
     g = make_grid(5, 8.0, 129)
     fld = field_from_table(table_cubic, g, cap=100.0, spec=CUBIC)
-    assert fld.sup == 100.0
+    assert fld.u.max() == 100.0
     assert fld.cap_mask[0]
     # sqrt(2)/r > 100 below r = sqrt(2)/100
     expect = g.r < math.sqrt(2.0) / 100.0
@@ -115,10 +115,19 @@ def test_field_from_table_caps_and_masks(table_cubic):
 # heat semigroup
 # ---------------------------------------------------------------------------
 
+def _act(op, fld):
+    """S(t) on a field: the operator's matrix on the nodal values plus its
+    ext column times the field's exterior value, clipped at 0 (cubic
+    interpolation can undershoot by tiny amounts), with the field's cap
+    mask."""
+    out = op.matrix @ fld.u + op.ext * op.grid.exterior_value(fld.u)
+    return RadialField(op.grid, np.maximum(out, 0.0), fld.cap_mask)
+
+
 @pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2])
 def test_constants_preserved(grid3, t):
     ones = RadialField(grid3, np.ones(grid3.n_nodes))
-    out = semigroup_operator(grid3, t)(ones)
+    out = _act(semigroup_operator(grid3, t), ones)
     assert np.abs(out.u - 1.0).max() <= 1e-8
 
 
@@ -126,7 +135,7 @@ def test_gaussian_closed_form(grid3):
     # S(t) e^{-|x|^2} = (1+4t)^{-N/2} e^{-r^2/(1+4t)}
     t = 1e-2
     fld = RadialField(grid3, np.exp(-grid3.r ** 2))
-    out = semigroup_operator(grid3, t)(fld)
+    out = _act(semigroup_operator(grid3, t), fld)
     exact = (1 + 4 * t) ** -1.5 * np.exp(-grid3.r ** 2 / (1 + 4 * t))
     assert np.abs(out.u - exact).max() <= 1e-7
 
@@ -138,7 +147,7 @@ def test_three_dimensional_image_kernel_oracle(grid3):
     t = 4e-3
     u0 = lambda rho: np.exp(-((rho - 1.5) ** 2))
     fld = RadialField(grid3, u0(grid3.r))
-    out = semigroup_operator(grid3, t)(fld)
+    out = _act(semigroup_operator(grid3, t), fld)
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
 
     def oracle(r):
@@ -158,21 +167,21 @@ def test_three_dimensional_image_kernel_oracle(grid3):
 def test_semigroup_property(grid3):
     fld = RadialField(grid3, np.exp(-grid3.r ** 2))
     half = semigroup_operator(grid3, 5e-3)
-    two_steps = half(half(fld))
-    one_step = semigroup_operator(grid3, 1e-2)(fld)
+    two_steps = _act(half, _act(half, fld))
+    one_step = _act(semigroup_operator(grid3, 1e-2), fld)
     assert np.abs(two_steps.u - one_step.u).max() <= 1e-7
 
 
 def test_positivity_preserved(grid3):
     rng = np.random.default_rng(7)
     fld = RadialField(grid3, rng.uniform(0.0, 5.0, grid3.n_nodes))
-    out = semigroup_operator(grid3, 1e-3)(fld)
+    out = _act(semigroup_operator(grid3, 1e-3), fld)
     assert np.all(out.u >= 0.0)
 
 
 def test_strong_continuity(grid3):
     fld = RadialField(grid3, np.exp(-grid3.r ** 2))
-    errs = [np.abs(semigroup_operator(grid3, t)(fld).u - fld.u).max()
+    errs = [np.abs(_act(semigroup_operator(grid3, t), fld).u - fld.u).max()
             for t in (1e-2, 1e-3, 1e-4)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
@@ -199,7 +208,7 @@ def test_dirichlet_extension_feeds_boundary_value():
     bc = BoundaryCondition("dirichlet", 2.0)
     g = make_grid(3, 8.0, 257, bc=bc)
     fld = RadialField(g, np.full(g.n_nodes, 2.0))
-    out = semigroup_operator(g, 1e-3)(fld)
+    out = _act(semigroup_operator(g, 1e-3), fld)
     assert np.abs(out.u - 2.0).max() <= 1e-8
 
 
@@ -548,8 +557,10 @@ def test_window_quadrature_matches_per_centre_reference(table_cubic):
     g3 = make_grid(3, 10.0, 129)
     bump = RadialField(g3, 0.2 + np.exp(-(g3.r - 4.0) ** 2)
                        + 0.1 * np.sin(3.0 * g3.r) ** 2)
-    cases = [(react, 2.6), (bump, 1.0), (bump, 5.0)]
-    for fld, p in cases:
+    # the reaction row first rises at r = 7.6: the origin and the 90
+    # centres z > 6.6; the bump rises from the origin
+    cases = [(react, 2.6, 91), (bump, 1.0, 512), (bump, 5.0, 512)]
+    for fld, p, n_sampled in cases:
         grid = fld.grid
         assert not np.all(np.diff(fld.u) <= 0.0)
         zs = np.linspace(0.0, grid.R_outer, evolution._N_CENTERS)
@@ -562,7 +573,7 @@ def test_window_quadrature_matches_per_centre_reference(table_cubic):
         got = _window_values(fld, p, zs)
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
         est = ul_norm(fld, p)
-        assert est.centers_sampled == len(zs)
+        assert est.centers_sampled == n_sampled
         assert est.center == zs[np.argmax(ref)]
         assert est.value == pytest.approx(ref.max(), rel=1e-13)
         # every grid node as a centre
@@ -610,27 +621,103 @@ def test_windows_interpolate_as_np_interp_bit_for_bit(grid3, monkeypatch):
             assert vals.tobytes() == want.tobytes()
 
 
+def _first_rise(grid, u):
+    """Left node of the first interval over which u rises by more than
+    1e-12 max(1, sup), inf when there is none."""
+    tol = 1e-12 * max(1.0, float(u.max()))
+    for i in range(len(u) - 1):
+        if u[i + 1] - u[i] > tol:
+            return float(grid.r[i])
+    return math.inf
+
+
+def _own_centres(grid, u):
+    """The window centres a row takes: the origin and every scan centre
+    z > r_k - 1, r_k its first rise."""
+    zs = np.linspace(0.0, grid.R_outer, evolution._N_CENTERS)
+    return np.unique(np.append(zs[zs > _first_rise(grid, u) - 1.0], 0.0))
+
+
+def test_ul_norm_scans_the_centres_past_the_first_rise(table_cubic):
+    # rows nonincreasing up to a first rise r_k >= 1: the reaction rows of
+    # criterion 7's from-above ladder, which climb towards the Dirichlet
+    # value from r = 7.6 or 7.8, and a row rising only near R_outer whose
+    # largest window is there; each gives the full 512-centre scan's value
+    # and centre bit for bit from the origin and the centres z > r_k - 1
+    g5 = make_grid(5, 8.0, 64, bc=BoundaryCondition(
+        "dirichlet", float(table_cubic.u_star(8.0))))
+    env = field_from_table(table_cubic, g5, cap=2.0, spec=CUBIC)
+    u0 = RadialField(g5, 0.9 * env.u, env.cap_mask)
+    ladder = run_ladder(LadderSeed.from_above(env), u0, CUBIC, 0.01,
+                        k_max=3, ladder_tol=0.0)
+    rows = [_reaction(CUBIC, v) for v in ladder.trajectories[3].values[1:]]
+    g3 = make_grid(3, 10.0, 129)
+    far = RadialField(g3, np.exp(-g3.r) + np.exp(-4.0 * (g3.r - 9.0) ** 2))
+    cases = [(RadialField(g5, row), 2.6) for row in rows]
+    cases += [(far, 1.0), (far, 2.6)]
+    rises, centres = set(), set()
+    for fld, p in cases:
+        zs = np.linspace(0.0, fld.grid.R_outer, evolution._N_CENTERS)
+        r_k = _first_rise(fld.grid, fld.u)
+        assert 1.0 <= r_k < math.inf
+        ref = _window_values(fld, p, zs)
+        est = ul_norm(fld, p)
+        assert est.value == ref.max()
+        assert est.center == zs[np.argmax(ref)]
+        assert est.centers_sampled == 1 + np.count_nonzero(zs > r_k - 1.0)
+        rises.add(r_k)
+        centres.add(est.center)
+    assert sorted(rises) == pytest.approx([7.46479, 7.6, 7.8], abs=1e-5)
+    # the sandwich rows peak at the origin, the far row near R_outer
+    assert 0.0 in centres and max(centres) > 8.0
+
+
+def test_ul_norm_of_a_row_rising_below_one_scans_every_centre():
+    # first rise at r = 0.5 < 1: no window lies inside B(0, r_k) apart
+    # from ones the origin window already beats, so all 512 centres run
+    g = make_grid(3, 10.0, 129)
+    fld = RadialField(g, 1.0 + np.abs(g.r - 0.5))
+    assert 0.4 < _first_rise(g, fld.u) < 1.0
+    zs = np.linspace(0.0, g.R_outer, evolution._N_CENTERS)
+    for p in (1.0, 2.6):
+        ref = _window_values(fld, p, zs)
+        est = ul_norm(fld, p)
+        assert est.centers_sampled == 512
+        assert est.value == ref.max()
+        assert est.center == zs[np.argmax(ref)]
+    assert set(g.window_scans) == {0}
+
+
 def test_ul_norm_of_a_stack_is_each_row_alone(grid3, monkeypatch):
-    # nonincreasing and rising rows mixed, the scan in blocks of two rows:
-    # each row's largest window, its centre and the centres scanned are
-    # those of the row's own quadrature sum, bit for bit
+    # nonincreasing rows, rows rising from the origin and rows first
+    # rising far out mixed, so the stack holds centre sets of several
+    # lengths, the scan in blocks of two rows: each row's largest window,
+    # its centre and the centres scanned are those of the row's own
+    # quadrature sum over its own centres, bit for bit
     monkeypatch.setattr(evolution, "_BLOCK_NODES",
-                        2 * len(grid3.window_scan.cell))
+                        2 * len(evolution._window_scan(grid3, 0).cell))
     r = grid3.r
     rows = [1.0 / (1.0 + r ** 2), np.exp(-(r - 3.0) ** 2),
             np.full(len(r), 2.0), 1e-6 * np.exp(-(r - 7.0) ** 2),
-            0.2 + np.sin(r) ** 2, np.exp(-r)]
+            0.2 + np.sin(r) ** 2, np.exp(-r),
+            np.exp(-r) + np.exp(-4.0 * (r - 7.5) ** 2),
+            1.0 / (1.0 + r) + 0.05 * np.exp(-(r - 8.0) ** 2),
+            # flat to r = 5: windows at z < 4 tie with the origin's but for
+            # rounding, and some of them round above it
+            np.where(r <= 5.0, 1.0, 0.5 + 0.01 * (r - 5.0))]
     u = np.stack(rows)
-    scan_zs = np.linspace(0.0, grid3.R_outer, evolution._N_CENTERS)
+    lengths = set()
     for p in (1.0, 5.0):
         value, center, sampled = evolution._ul_windows(grid3, u, p)
         for k, row in enumerate(rows):
             fld = RadialField(grid3, row)
-            zs = scan_zs if np.any(np.diff(row) > 0.0) else np.zeros(1)
+            zs = _own_centres(grid3, row)
             vals = _window_values(fld, p, zs)
             assert value[k].tobytes() == vals.max().tobytes()
             assert center[k] == zs[np.argmax(vals)]
             assert sampled[k] == len(zs)
+            lengths.add(len(zs))
+    assert len(lengths) >= 4 and {1, 512} <= lengths
 
 
 def test_ul_norm_of_monotone_field_builds_only_the_origin_window():
@@ -638,7 +725,23 @@ def test_ul_norm_of_monotone_field_builds_only_the_origin_window():
     est = ul_norm(RadialField(g, 1.0 / (1.0 + g.r ** 2)), 1.0)
     assert est.centers_sampled == 1
     assert "origin_window" in vars(g)
-    assert "window_scan" not in vars(g)
+    assert "window_scans" not in vars(g)
+
+
+def test_window_scans_live_on_the_grid_per_first_centre():
+    # a row first rising at r_k builds the windows of the centres
+    # z > r_k - 1 once, keyed by the first one's index, and reuses them
+    g = make_grid(3, 10.0, 129)
+    row = np.exp(-g.r) + np.exp(-4.0 * (g.r - 9.0) ** 2)
+    first = int(np.count_nonzero(
+        g.window_centres <= _first_rise(g, row) - 1.0))
+    ul_norm(RadialField(g, row), 1.0)
+    scan = g.window_scans[first]
+    assert set(g.window_scans) == {first}
+    assert np.array_equal(scan.zs, g.window_centres[first:])
+    ul_norm(RadialField(g, 2.0 * row), 2.6)
+    assert g.window_scans[first] is scan and len(g.window_scans) == 1
+    assert evolution._window_scan(g, first) is scan
 
 
 def test_ul_norm_l1_of_capped_singular_is_cap_stable(table_cubic):

@@ -379,7 +379,7 @@ def test_outcome_series_match_per_snapshot_reference(request, scan_name):
             estimates = [ul_norm(fld, 1.0) for fld in flds]
             scanned += [est.centers_sampled > 1 for est in estimates]
             assert o.sup_series.tobytes() == np.array(
-                [fld.sup for fld in flds]).tobytes()
+                [float(fld.u.max()) for fld in flds]).tobytes()
             assert o.l1ul_series.tobytes() == np.array(
                 [est.norm for est in estimates]).tobytes()
             assert o.mass_series.tobytes() == np.array(
