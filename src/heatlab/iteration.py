@@ -59,8 +59,11 @@ class Trajectory:
         if t[0] != 0.0 or len(t) < 2:
             raise ValueError("time mesh must start at 0")
         dt = np.diff(t)
-        if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-12,
-                                              atol=0.0):
+        # the steps agree to 1e-12 of the mesh's end, at any time scale: a
+        # mesh rounded to doubles, such as np.linspace's, is off by a few
+        # ulps of its end, however many steps it has
+        if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=0.0,
+                                              atol=1e-12 * t[-1]):
             raise ValueError("time mesh must be uniform and increasing")
         if v.shape != (len(t), self.grid.n_nodes):
             raise ValueError("trajectory values have the wrong shape")

@@ -66,9 +66,12 @@ def test_time_mesh_steps_are_compared_relatively():
     with pytest.raises(ValueError, match="uniform"):
         Trajectory(g, np.array([0.0, 1e-10, 3e-10, 7e-10]),
                    np.zeros((4, g.n_nodes)))
-    # a uniform mesh at such times is accepted
-    times = np.linspace(0.0, 7e-10, 8)
-    assert Trajectory(g, times, np.zeros((8, g.n_nodes))).n_slices == 7
+    # uniform meshes at such times and of many steps are accepted: their
+    # steps differ by the rounding of the times
+    for t_obs, n in ((7e-10, 7), (1e-16, 20000), (1.0, 20000)):
+        times = np.linspace(0.0, t_obs, n + 1)
+        values = np.zeros((n + 1, g.n_nodes))
+        assert Trajectory(g, times, values).n_slices == n
 
 
 def _interp(traj, s):
