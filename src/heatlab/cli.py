@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import HeatLabError
 from .evolution import RadialField, field_from_table
-from .iteration import LadderSeed, run_ladder
+from .iteration import N_SLICES, LadderSeed, run_ladder
 from .nonlinearity import (
     NonlinearitySpec,
     check_admissibility,
@@ -73,7 +73,7 @@ class RunConfig:
     # experiment
     t_obs: float = 0.01
     k_max: int = 6
-    n_slices: int = 64
+    n_slices: int = N_SLICES
     iterate_cap: float = 2.0
     seed_factor: float = 0.9
     bump_r_c: float = 2.0
@@ -164,7 +164,11 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def _coerce(name: str, raw: str):
     kind = _FIELD_TYPES[name]
     if kind == "bool":
-        return str(raw).strip().lower() in ("1", "true", "yes", "on")
+        word = str(raw).strip().lower()
+        if word not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"{name} must be true/false, yes/no, on/off "
+                             f"or 1/0, got '{raw}'")
+        return configparser.ConfigParser.BOOLEAN_STATES[word]
     if kind == "int":
         return int(raw)
     if kind == "float":
@@ -181,9 +185,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
         read = parser.read(path)
         if not read:
             raise ValueError(f"cannot read config file '{path}'")
-        for section, keys in _SECTION_KEYS.items():
-            if not parser.has_section(section):
-                continue
+        for section in parser.sections():
+            keys = _SECTION_KEYS.get(section)
+            if keys is None:
+                raise ValueError(f"unknown section [{section}]")
             for key, raw in parser.items(section):
                 if key not in keys:
                     raise ValueError(

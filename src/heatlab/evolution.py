@@ -732,12 +732,3 @@ class ImexStack:
             raise LinearSolveFailure("non-finite diffusion solve")
         return np.maximum(u_new, 0.0, out=u_new)
 
-
-def _stability_bound(spec: NonlinearitySpec, sup: float,
-                     dt_max: float) -> float:
-    """The explicit-reaction stability bound 0.5 * min(dt_max, 1/f'(sup))
-    from the scalar f', or 0 when f'(sup) is not finite."""
-    fp = float(spec.fp(sup))
-    if not math.isfinite(fp):
-        return 0.0
-    return 0.5 * min(dt_max, 1.0 / max(fp, 1e-300))

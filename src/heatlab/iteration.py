@@ -16,6 +16,7 @@ one window call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Union
 
 import numpy as np
@@ -42,53 +43,48 @@ __all__ = [
 IDENTITY_TIME = 1e-6      # below this, S(t) is taken as the identity
 ORDER_TOL = 1e-6          # largest ordering violation of an ordered ladder
 N_TIME_QUAD = 3           # Gauss-Legendre nodes per time slice
+N_SLICES = 64             # time slices of a ladder's mesh by default
 _TIME_GL_X, _TIME_GL_W = np.polynomial.legendre.leggauss(N_TIME_QUAD)
 
 
 @dataclass
 class Trajectory:
-    """Nodal field values on every slice of a uniform time mesh."""
+    """Nodal field values on the uniform time mesh of [0, t_obs]: row j
+    holds the field at times[j] = j t_obs / n_slices, where n_slices =
+    len(values) - 1 and times = np.linspace(0, t_obs, n_slices + 1)."""
 
     grid: RadialGrid
-    times: np.ndarray          # shape (n_slices+1,), uniform, starts at 0
+    t_obs: float
     values: np.ndarray         # shape (n_slices+1, n_nodes)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t_obs = float(self.t_obs)
+        if not 0.0 < t_obs < np.inf:        # False for nan too
+            raise ValueError(f"t_obs must be finite and > 0, got {t_obs!r}")
         v = np.asarray(self.values, dtype=float)
-        if t[0] != 0.0 or len(t) < 2:
-            raise ValueError("time mesh must start at 0")
-        dt = np.diff(t)
-        # the steps agree to 1e-12 of the mesh's end, at any time scale: a
-        # mesh rounded to doubles, such as np.linspace's, is off by a few
-        # ulps of its end, however many steps it has
-        if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=0.0,
-                                              atol=1e-12 * t[-1]):
-            raise ValueError("time mesh must be uniform and increasing")
-        if v.shape != (len(t), self.grid.n_nodes):
+        if v.ndim != 2 or len(v) < 2 or v.shape[1] != self.grid.n_nodes:
             raise ValueError("trajectory values have the wrong shape")
-        self.times, self.values = t, v
-
-    @property
-    def t_obs(self) -> float:
-        return float(self.times[-1])
+        self.t_obs, self.values = t_obs, v
 
     @property
     def n_slices(self) -> int:
-        return len(self.times) - 1
+        return len(self.values) - 1
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_obs, self.n_slices + 1)
 
     @classmethod
     def constant(cls, field: RadialField, t_obs: float,
                  n_slices: int) -> "Trajectory":
-        times = np.linspace(0.0, t_obs, n_slices + 1)
         vals = np.broadcast_to(field.u, (n_slices + 1, len(field.u))).copy()
-        return cls(field.grid, times, vals)
+        return cls(field.grid, t_obs, vals)
 
 
 def duhamel_map(prev: Trajectory, u0: RadialField, spec: NonlinearitySpec,
                 *, interp: str = "linear") -> Trajectory:
-    """One Picard step on a full trajectory, on prev's own time mesh
-    (dt = prev.t_obs / n_slices); u0 on another grid is a ValueError.
+    """One Picard step on a full trajectory, on prev's own time mesh (its
+    t_obs and n_slices); u0 on another grid is a ValueError.
 
     The time integral uses composite Gauss-Legendre with N_TIME_QUAD nodes
     on each mesh slice.  The reactions at every (slice, node) pair come
@@ -139,7 +135,7 @@ def duhamel_map(prev: Trajectory, u0: RadialField, spec: NonlinearitySpec,
     for j in range(n):
         y = step_op.matrix @ y + src[j]
         values[j + 1] = y
-    return Trajectory(grid, prev.times.copy(), np.maximum(values, 0.0))
+    return Trajectory(grid, prev.t_obs, np.maximum(values, 0.0))
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ class IterationLadder:
 
 def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
                spec: NonlinearitySpec, t_obs: float, k_max: int = 8,
-               n_slices: int = 64, ladder_tol: float = 1e-8,
+               n_slices: int = N_SLICES, ladder_tol: float = 1e-8,
                interp: str = "linear") -> IterationLadder:
     """Run a monotone Picard ladder up to k_max iterates or convergence.
 
@@ -202,11 +198,12 @@ def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
     nonincreasing from above) on every node and mesh time.  A broken
     chain still runs to the end: its largest violation is recorded as
     ordering_violation_max, which `ordered` compares with ORDER_TOL.
+    A t_obs that is not finite and > 0 is Trajectory's ValueError.
     """
     if isinstance(seed, str):
         seed = LadderSeed(seed)
-    if t_obs <= 0 or k_max < 1:
-        raise ValueError("t_obs must be positive and k_max >= 1")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     grid = u0.grid
     if seed.kind == "from_below":
         base = RadialField(grid, np.zeros(grid.n_nodes))
@@ -240,8 +237,9 @@ def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
 
 def fixed_point_residual(envelope: RadialField, spec: NonlinearitySpec,
                          t_obs: float) -> float:
-    """Sup-norm defect of one Duhamel application (64 slices, cubic) to the
-    constant-in-time envelope, over the uncapped nodes with 0.3 <= r <= 6.
+    """Sup-norm defect of one Duhamel application (N_SLICES slices, cubic
+    interpolation) to the constant-in-time envelope, over the uncapped
+    nodes with 0.3 <= r <= 6.
 
     The window keeps clear of the capped zone near the origin (where the
     capped profile is genuinely non-stationary) and of the outer boundary
@@ -249,7 +247,7 @@ def fixed_point_residual(envelope: RadialField, spec: NonlinearitySpec,
     discretization error that contracts under grid refinement.
     """
     grid = envelope.grid
-    traj = Trajectory.constant(envelope, t_obs, 64)
+    traj = Trajectory.constant(envelope, t_obs, N_SLICES)
     out = duhamel_map(traj, envelope, spec, interp="cubic")
     mask = (grid.r >= 0.3) & (grid.r <= 6.0) & ~envelope.cap_mask
     if not np.any(mask):

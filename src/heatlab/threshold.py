@@ -11,18 +11,19 @@ the capped profile itself, the run of `heatlab evolve`.  A run is one
 (amplitude, cap) pair.  The runs of a scan advance in lockstep, in one
 loop under one np.errstate: an iteration takes every run's sup norm and
 largest reaction value from one f call on the stacked values, each
-active run does its bookkeeping on Python floats (stability dt,
-divergence test, horizon, sample clamp, reaction guard) and may end
-itself, and the rest step through one ImexStack solve, one tridiagonal
-gtsv with each run's block at its own dt.  So a scan costs as many
-iterations as its longest run, and each run's results are bit for bit
-those it gets alone.  No field or array view is built per run and step:
-a run copies its values only into the rows of one snapshot matrix
-preallocated for it, (N_SAMPLES + 2) x nodes, at the sample times and
-where it ends.  Its sup, reaction mass and excess series are computed
-once, when it has ended, from the rows filled, which its
-EvolutionOutcome keeps as one matrix.  Its L^1_ul series is computed
-from them on first read, which only `heatlab evolve` makes.
+active run does its bookkeeping on Python floats (_stability_bound's
+dt, the heat flow's too, divergence test, horizon, sample clamp, which
+only advance moves on, reaction guard) and may end itself, and the rest
+step through one ImexStack solve, one tridiagonal gtsv with each run's
+block at its own dt.  So a scan costs as many iterations as its longest
+run, and each run's results are bit for bit those it gets alone.  No
+field or array view is built per run and step: a run copies its values
+only into the rows of one snapshot matrix preallocated for it,
+(N_SAMPLES + 2) x nodes, at the sample times and where it ends.  Its
+sup, reaction mass and excess series are computed once, when it has
+ended, from the rows filled, which its EvolutionOutcome keeps as one
+matrix.  Its L^1_ul series is computed from them on first read, which
+only `heatlab evolve` makes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .evolution import (
     RadialField,
     RadialGrid,
     _reaction_values,
-    _stability_bound,
     _star_on_nodes,
     _ul_windows,
     _within_reaction_guard,
@@ -217,6 +217,16 @@ def _case_report(runs: list) -> CaseReport:
                       t_detect=max(detects) if detects else None)
 
 
+def _stability_bound(spec: Optional[NonlinearitySpec], sup: float,
+                     dt_max: float) -> float:
+    """The step bound 0.5 * min(dt_max, 1/f'(sup)) of every threshold run,
+    or 0 when f'(sup) is not finite; the heat flow (spec None) has f' = 0."""
+    fp = 0.0 if spec is None else float(spec.fp(sup))
+    if not math.isfinite(fp):
+        return 0.0
+    return 0.5 * min(dt_max, 1.0 / max(fp, 1e-300))
+
+
 class _Run:
     """One evolution of bumped data at one cap: its clock, its sample
     schedule, its snapshot matrix and its verdict.  _evolve steps it;
@@ -281,20 +291,16 @@ class _Run:
         None when the run ends here: at the horizon, or diverged or
         overflowing (BlowUp past the sup guard)."""
         t = self.t
-        # dt_stab is 0 when f'(sup) is not finite
-        dt_stab = (0.5 * self.dt_max if self.spec is None
-                   else _stability_bound(self.spec, sup, self.dt_max))
+        dt_stab = _stability_bound(self.spec, sup, self.dt_max)
         diverged = (sup > SUP_GUARD
                     and self.inner_mass(u[a:a + self.n_nodes])
                     > MASS_GUARD * self.mass0
                     and dt_stab < DT_UNDERFLOW)
         if t >= self.horizon and not diverged:
             return None
-        samples, k = self.samples, self.next_sample
-        while samples[k] <= t:
-            k += 1
-        self.next_sample = k
-        dt = min(dt_stab, self.horizon - t, samples[k] - t)
+        # the next sample time is ahead of t: advance passes each it reaches
+        dt = min(dt_stab, self.horizon - t,
+                 self.samples[self.next_sample] - t)
         if (diverged or dt_stab == 0.0
                 or not _within_reaction_guard(f_max, dt)):
             # a diverged run is past the sup guard, so BlowUp
@@ -309,10 +315,9 @@ class _Run:
         """The step of dt reached the stacked values u, the run's from
         index a on; record them at a sample time."""
         self.t += dt
-        k = self.next_sample
-        if self.t >= self.samples[k] * (1 - 1e-12):
+        if self.t >= self.samples[self.next_sample] * (1 - 1e-12):
             self._record(u, a)
-            self.next_sample = k + 1
+            self.next_sample += 1
 
     def outcome(self) -> EvolutionOutcome:
         """The classified evolution once the run has ended, its series
@@ -349,8 +354,8 @@ def _evolve(spec, runs: list) -> None:
     iteration takes one max per run over the stacked values and one f
     call on them, with one max per run over the reaction values, all as
     Python floats.  Each active run then does its scalar bookkeeping on
-    floats (stability dt, divergence test, horizon, sample clamp,
-    reaction guard) and may end itself.  The others advance through one
+    floats (_stability_bound's dt, divergence test, horizon, sample
+    clamp, reaction guard) and may end itself.  The others advance through one
     ImexStack.step, one tridiagonal solve with each block at its run's own
     dt, and a run at a sample time copies its block into its matrix; no
     field or array view is built per run and step, and no series is

@@ -73,10 +73,14 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 
 def test_config_file_unknown_key(tmp_path):
+    # a misspelled key or section is refused, not skipped: [solvr] would
+    # otherwise run at the default cap
     path = tmp_path / "bad.ini"
-    path.write_text("[solver]\nwarp_speed = 9\n")
-    with pytest.raises(ValueError, match="warp_speed"):
-        load_config(path)
+    for text, match in (("[solver]\nwarp_speed = 9\n", "warp_speed"),
+                        ("[solvr]\ncap = 5\n", r"unknown section \[solvr\]")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_config(path)
 
 
 def test_missing_config_file():
@@ -145,6 +149,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     (["iterate", "--t-obs", "nan"], "t_obs must be finite, got nan"),
     (["evolve", "--horizon", "nan"], "horizon must be finite, got nan"),
     (["evolve", "--horizon", "inf"], "horizon must be finite, got inf"),
+    # a boolean that is no boolean word would read as False
+    (["evolve", "--config", "bad_bool.ini"],
+     "pure_heat must be true/false, yes/no, on/off or 1/0, got 'ture'"),
+    (["scan", "--config", "two_bool.ini"],
+     "pure_heat must be true/false, yes/no, on/off or 1/0, got '2'"),
 ])
 def test_bad_run_option_is_config_error(tmp_path, monkeypatch, capsys, argv,
                                         message):
@@ -153,6 +162,8 @@ def test_bad_run_option_is_config_error(tmp_path, monkeypatch, capsys, argv,
         "[experiment]\nseed_factor = -1\n")
     (tmp_path / "far_outer.ini").write_text(
         "[domain]\nR_max = 4\nR_outer = 8\n")
+    (tmp_path / "bad_bool.ini").write_text("[experiment]\npure_heat = ture\n")
+    (tmp_path / "two_bool.ini").write_text("[experiment]\npure_heat = 2\n")
     rc = main([*argv, "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err

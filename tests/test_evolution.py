@@ -19,7 +19,6 @@ from heatlab.evolution import (
     RadialField,
     _log_angular,
     _reaction,
-    _stability_bound,
     _window_quadrature,
     field_from_table,
     make_grid,
@@ -30,7 +29,7 @@ from heatlab.evolution import (
 from heatlab.iteration import LadderSeed, run_ladder
 from heatlab.nonlinearity import custom, power_exp, pure_power
 from heatlab.singular_ode import build_singular
-from heatlab.threshold import case_grid
+from heatlab.threshold import _stability_bound, case_grid
 
 CUBIC = pure_power(3.0)
 
@@ -948,6 +947,9 @@ def test_stability_dt_tracks_sup():
     dt_small = _stability_bound(spec, 1.0, 1e-2)
     dt_large = _stability_bound(spec, 10.0, 1e-2)
     assert dt_large < dt_small <= 0.5 * 1e-2
+    # the heat flow (no spec) has f' = 0: exactly half of dt_max at any sup
+    for sup in (0.0, 1.0, 1e200):
+        assert _stability_bound(None, sup, 1e-2) == 0.5 * 1e-2
 
 
 @pytest.mark.parametrize("spec,sup", [(power_exp(5.0, 2.0), 30.0),

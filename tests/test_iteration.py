@@ -12,7 +12,6 @@ from heatlab.evolution import (
     ImexStack,
     RadialField,
     _reaction,
-    _stability_bound,
     field_from_table,
     make_grid,
     semigroup_operator,
@@ -31,6 +30,7 @@ from heatlab.iteration import (
 )
 from heatlab.nonlinearity import pure_power
 from heatlab.singular_ode import build_singular
+from heatlab.threshold import _stability_bound
 
 CUBIC = pure_power(3.0)
 
@@ -49,29 +49,33 @@ def sandwich_grid(table, n_nodes=64, R=8.0):
 # trajectory container
 # ---------------------------------------------------------------------------
 
-def test_trajectory_validation():
-    g = make_grid(5, 8.0, 16)
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 0.1, 0.3]), np.zeros((3, g.n_nodes)))
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.1, 0.2]), np.zeros((2, g.n_nodes)))
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 0.1]), np.zeros((2, 3)))
+G16 = make_grid(5, 8.0, 16)
 
 
-def test_time_mesh_steps_are_compared_relatively():
-    # steps of 1e-10, 2e-10 and 4e-10 are far from uniform, though each
-    # is below an absolute tolerance of 1e-8
-    g = make_grid(5, 8.0, 16)
-    with pytest.raises(ValueError, match="uniform"):
-        Trajectory(g, np.array([0.0, 1e-10, 3e-10, 7e-10]),
-                   np.zeros((4, g.n_nodes)))
-    # uniform meshes at such times and of many steps are accepted: their
-    # steps differ by the rounding of the times
-    for t_obs, n in ((7e-10, 7), (1e-16, 20000), (1.0, 20000)):
-        times = np.linspace(0.0, t_obs, n + 1)
-        values = np.zeros((n + 1, g.n_nodes))
-        assert Trajectory(g, times, values).n_slices == n
+@pytest.mark.parametrize("t_obs, shape, error", [
+    (math.nan, (5, G16.n_nodes), "t_obs"),
+    (math.inf, (5, G16.n_nodes), "t_obs"),
+    (0.0, (5, G16.n_nodes), "t_obs"),
+    (-1.0, (5, G16.n_nodes), "t_obs"),
+    (0.01, (1, G16.n_nodes), "shape"),       # one row is no slice
+    (0.01, (5, 3), "shape"),
+    (0.01, (G16.n_nodes,), "shape"),
+    (0.01, (2, 5, G16.n_nodes), "shape"),
+    # the mesh is uniform by construction at every time scale and size
+    (7e-10, (8, G16.n_nodes), None),
+    (1e-16, (20001, G16.n_nodes), None),
+    (1.0, (20001, G16.n_nodes), None),
+])
+def test_trajectory_validation(t_obs, shape, error):
+    values = np.zeros(shape)
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            Trajectory(G16, t_obs, values)
+        return
+    traj = Trajectory(G16, t_obs, values)
+    n = shape[0] - 1
+    assert (traj.t_obs, traj.n_slices) == (t_obs, n)
+    assert traj.times.tobytes() == np.linspace(0.0, t_obs, n + 1).tobytes()
 
 
 def _interp(traj, s):
@@ -182,8 +186,7 @@ def test_duhamel_map_matches_per_slice_loop(bc, interp):
     rng = np.random.default_rng(5)
     g = make_grid(5, 8.0, 33, bc=bc)
     u0 = RadialField(g, 1.5 * np.exp(-g.r ** 2) + 0.4)
-    times = np.linspace(0.0, 0.01, 17)
-    prev = Trajectory(g, times, rng.uniform(0.0, 2.0, (17, g.n_nodes)))
+    prev = Trajectory(g, 0.01, rng.uniform(0.0, 2.0, (17, g.n_nodes)))
     out = duhamel_map(prev, u0, CUBIC, interp=interp)
     ref = _per_slice_duhamel(prev, u0, CUBIC, 0.01, interp)
     assert np.abs(out.values - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -389,12 +392,11 @@ def test_immediate_boundedness_mixes_origin_and_scanned_rows():
     # stack the record still equals
     # the per-row reference bit for bit
     g = make_grid(5, 8.0, 65)
-    times = np.linspace(0.0, 0.01, 17)
     falling = np.exp(-g.r ** 2)
     bump = np.exp(-(g.r - 3.0) ** 2)
     vals = np.array([(1.0 + t) * (bump if k % 3 else falling)
-                     for k, t in enumerate(times)])
-    traj = Trajectory(g, times, vals)
+                     for k, t in enumerate(np.linspace(0.0, 0.01, 17))])
+    traj = Trajectory(g, 0.01, vals)
     ladder = IterationLadder(LadderSeed("from_below"), 0.01, [traj] * 5,
                              [2.0] * 5, [0.0] * 4, 0.0, True)
     rep = check_immediate_boundedness(ladder, CUBIC, (0.0, 0.01))
@@ -408,8 +410,7 @@ def test_immediate_boundedness_window_end_is_relative():
     # absolute slack on the window end admitted every later mesh time; the
     # sup rises from 1 to 2 in time, so the window (0, 5e-17] reads 1.5
     g = make_grid(5, 8.0, 65)
-    times = np.linspace(0.0, 1e-16, 5)
-    traj = Trajectory(g, times, np.repeat(1.0 + times[:, None] / 1e-16,
+    traj = Trajectory(g, 1e-16, np.repeat(np.linspace(1.0, 2.0, 5)[:, None],
                                           g.n_nodes, axis=1))
     ladder = IterationLadder(LadderSeed("from_below"), 1e-16, [traj] * 5,
                              [2.0] * 5, [0.0] * 4, 0.0, True)
