@@ -185,6 +185,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
         read = parser.read(path)
         if not read:
             raise ValueError(f"cannot read config file '{path}'")
+        if parser.defaults():       # its keys would reach every section
+            raise ValueError("unknown section [DEFAULT]")
         for section in parser.sections():
             keys = _SECTION_KEYS.get(section)
             if keys is None:

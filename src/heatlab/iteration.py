@@ -49,9 +49,8 @@ _TIME_GL_X, _TIME_GL_W = np.polynomial.legendre.leggauss(N_TIME_QUAD)
 
 @dataclass
 class Trajectory:
-    """Nodal field values on the uniform time mesh of [0, t_obs]: row j
-    holds the field at times[j] = j t_obs / n_slices, where n_slices =
-    len(values) - 1 and times = np.linspace(0, t_obs, n_slices + 1)."""
+    """Nodal field values, row j at times[j] of the uniform time mesh
+    np.linspace(0, t_obs, n_slices + 1), n_slices = len(values) - 1."""
 
     grid: RadialGrid
     t_obs: float

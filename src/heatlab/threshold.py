@@ -12,18 +12,17 @@ the capped profile itself, the run of `heatlab evolve`.  A run is one
 loop under one np.errstate: an iteration takes every run's sup norm and
 largest reaction value from one f call on the stacked values, each
 active run does its bookkeeping on Python floats (_stability_bound's
-dt, the heat flow's too, divergence test, horizon, sample clamp, which
-only advance moves on, reaction guard) and may end itself, and the rest
-step through one ImexStack solve, one tridiagonal gtsv with each run's
-block at its own dt.  So a scan costs as many iterations as its longest
-run, and each run's results are bit for bit those it gets alone.  No
-field or array view is built per run and step: a run copies its values
-only into the rows of one snapshot matrix preallocated for it,
-(N_SAMPLES + 2) x nodes, at the sample times and where it ends.  Its
-sup, reaction mass and excess series are computed once, when it has
-ended, from the rows filled, which its EvolutionOutcome keeps as one
-matrix.  Its L^1_ul series is computed from them on first read, which
-only `heatlab evolve` makes.
+dt for every run, divergence test, horizon, sample clamp, reaction guard)
+and may end itself, and the rest step through one ImexStack solve, one
+tridiagonal gtsv with each run's block at its own dt.  So a scan costs
+as many iterations as its longest run, and each run's results are bit
+for bit those it gets alone.  No field or array view is built per run
+and step: a run copies its values only into the rows of one snapshot
+matrix preallocated for it, (N_SAMPLES + 2) x nodes, at the sample times
+and where it ends.  Its sup, reaction mass and excess series are
+computed once, when it has ended, from the rows filled, which its
+EvolutionOutcome keeps as one matrix.  Its L^1_ul series is computed
+from them on first read, which only `heatlab evolve` makes.
 """
 
 from __future__ import annotations

@@ -73,11 +73,13 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 
 def test_config_file_unknown_key(tmp_path):
-    # a misspelled key or section is refused, not skipped: [solvr] would
-    # otherwise run at the default cap
+    # a misspelled key or section is refused, not skipped: [solvr] or
+    # [DEFAULT] would otherwise run at the default cap
     path = tmp_path / "bad.ini"
     for text, match in (("[solver]\nwarp_speed = 9\n", "warp_speed"),
-                        ("[solvr]\ncap = 5\n", r"unknown section \[solvr\]")):
+                        ("[solvr]\ncap = 5\n", r"unknown section \[solvr\]"),
+                        ("[DEFAULT]\ncap = 5\n",
+                         r"unknown section \[DEFAULT\]")):
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             load_config(path)
