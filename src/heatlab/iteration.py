@@ -4,9 +4,10 @@ equation.
 An iterate is a full trajectory on a uniform time mesh; one ladder step
 (duhamel_map) maps trajectory k to trajectory k+1, on its time mesh, through
 
-    u_{k+1}(t) = S(t) u_0 + int_0^t S(t-s) f(u_k(s)) ds.
+    u_{k+1}(t) = S(t) u_0 + int_0^t S(t-s) f(u_k(s)) ds,
 
-Seeding from zero gives a nondecreasing chain (minimal solution), seeding
+the integral by Simpson's rule on each mesh slice, so that a step needs
+S(t) only at one slice and at half a slice.  Seeding from zero gives a nondecreasing chain (minimal solution), seeding
 from a supersolution envelope a nonincreasing one (maximal solution); the
 two chains sandwich every integral solution with the same data.
 check_immediate_boundedness integrates a ladder's sampled reaction rows in
@@ -40,11 +41,9 @@ __all__ = [
     "check_immediate_boundedness",
 ]
 
-IDENTITY_TIME = 1e-6      # below this, S(t) is taken as the identity
+IDENTITY_TIME = 1e-6      # below this, the lag S(dt/2) is the identity
 ORDER_TOL = 1e-6          # largest ordering violation of an ordered ladder
-N_TIME_QUAD = 3           # Gauss-Legendre nodes per time slice
 N_SLICES = 64             # time slices of a ladder's mesh by default
-_TIME_GL_X, _TIME_GL_W = np.polynomial.legendre.leggauss(N_TIME_QUAD)
 
 
 @dataclass
@@ -85,17 +84,17 @@ def duhamel_map(prev: Trajectory, u0: RadialField, spec: NonlinearitySpec,
     """One Picard step on a full trajectory, on prev's own time mesh (its
     t_obs and n_slices); u0 on another grid is a ValueError.
 
-    The time integral uses composite Gauss-Legendre with N_TIME_QUAD nodes
-    on each mesh slice.  The reactions at every (slice, node) pair come
-    from the linear-in-time interpolant of prev in one reaction call, and
-    each node's lag factor S(dt (1 - x_q)/2) acts on all slices at once
-    as one matrix product.  Only the slice recursion is sequential: the
-    homogeneous part S(t_j) u0 plus the accumulated Duhamel integral
-    advances by one application of the one-slice operator per slice, so
-    a step costs N_TIME_QUAD matrix products and n_slices matrix-vector
-    products.  The default linear field interpolation makes every weight
-    nonnegative, so the map is monotone: ordered inputs give ordered
-    outputs.
+    The time integral uses Simpson's rule on each mesh slice.  The
+    reactions at the slice ends (prev's rows) and midpoints (the mean of
+    neighbouring rows) come from one reaction call, and the lag factors
+    S(dt) and S(dt/2) act on all slices at once as one matrix product
+    each (S(0) is the identity).  Only the slice recursion is sequential:
+    the homogeneous part S(t_j) u0 plus the accumulated Duhamel integral
+    advances by one application of the same S(dt) per slice, so a step
+    builds two operators and costs two matrix products and n_slices
+    matrix-vector products.  The weights are positive and the default
+    linear field interpolation makes every S(t) nonnegative, so the map
+    is monotone: ordered inputs give ordered outputs.
     """
     grid = prev.grid
     if u0.grid.key() != grid.key():
@@ -104,28 +103,25 @@ def duhamel_map(prev: Trajectory, u0: RadialField, spec: NonlinearitySpec,
     dt = prev.t_obs / n
     M = grid.n_nodes
 
-    # prev at s = t_j + lam_q dt for every node q and slice j, with its
-    # exterior value as column M: shape (N_TIME_QUAD, n, M + 1)
-    lam = (0.5 + 0.5 * _TIME_GL_X)[:, None, None]
-    u_s = np.empty((N_TIME_QUAD, n, M + 1))
-    u_s[..., :M] = (1.0 - lam) * prev.values[:-1] + lam * prev.values[1:]
-    u_s[..., M] = grid.exterior_value(u_s[..., :M])
+    # prev at the mesh times (rows 0..n) and the slice midpoints (rows
+    # n+1..2n), with its exterior value as column M: shape (2n + 1, M + 1)
+    u_s = np.empty((2 * n + 1, M + 1))
+    u_s[:n + 1, :M] = prev.values
+    u_s[n + 1:, :M] = 0.5 * (prev.values[:-1] + prev.values[1:])
+    u_s[:, M] = grid.exterior_value(u_s[:, :M])
     f_s = _reaction(spec, u_s)
+    f_start, f_end, f_mid = f_s[:n], f_s[1:n + 1], f_s[n + 1:]
 
-    # slice sources b_j = sum_q w_q S(dt (1 - x_q)/2) f(u(s_jq)), with
-    # [matrix | ext] acting on the extended reaction values
-    w = 0.5 * dt * _TIME_GL_W
-    b = np.zeros((n, M))
-    for q, tau in enumerate(dt * (0.5 - 0.5 * _TIME_GL_X)):
-        if tau < IDENTITY_TIME:             # S(tau) taken as the identity
-            b += w[q] * f_s[q, :, :M]
-        else:
-            b += w[q] * (f_s[q] @ semigroup_operator(grid, tau, interp).full.T)
-    b_ext = w @ f_s[:, :, M]
+    # slice sources b_j = dt/6 [S(dt) f_j + 4 S(dt/2) f_{j+1/2} + f_{j+1}],
+    # with [matrix | ext] acting on the extended reaction values
+    step_op = semigroup_operator(grid, dt, interp)
+    mid = (f_mid[:, :M] if 0.5 * dt < IDENTITY_TIME    # S(dt/2) taken as 1
+           else f_mid @ semigroup_operator(grid, 0.5 * dt, interp).full.T)
+    b = dt / 6.0 * (f_start @ step_op.full.T + 4.0 * mid + f_end[:, :M])
+    b_ext = dt / 6.0 * (f_start[:, M] + 4.0 * f_mid[:, M] + f_end[:, M])
 
     # y_j = S(t_j) u0 + Duhamel integral to t_j; the exterior value of the
     # integral before slice j is the running sum of the earlier b_ext
-    step_op = semigroup_operator(grid, dt, interp)
     ext_before = grid.exterior_value(u0.u) + np.concatenate(
         [[0.0], np.cumsum(b_ext[:-1])])
     src = b + ext_before[:, None] * step_op.ext
@@ -156,12 +152,15 @@ class LadderSeed:
 @dataclass
 class IterationLadder:
     seed: LadderSeed
-    t_obs: float
     trajectories: List[Trajectory]
     sup_norm_per_iterate: List[float]
     cauchy_gaps: List[float]
     ordering_violation_max: float
     converged: bool
+
+    @property
+    def t_obs(self) -> float:
+        return self.trajectories[0].t_obs
 
     @property
     def k(self) -> int:
@@ -229,7 +228,7 @@ def run_ladder(seed: Union[LadderSeed, str], u0: RadialField,
         if gaps[-1] <= ladder_tol:
             converged = True
             break
-    return IterationLadder(seed=seed, t_obs=t_obs, trajectories=trajectories,
+    return IterationLadder(seed=seed, trajectories=trajectories,
                            sup_norm_per_iterate=sups, cauchy_gaps=gaps,
                            ordering_violation_max=worst, converged=converged)
 

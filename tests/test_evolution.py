@@ -337,7 +337,8 @@ def _unfiltered_quad_nodes(self):
 @pytest.mark.parametrize("n_nodes", [64, 65, 129])
 def test_reach_limited_operators_are_bit_identical(monkeypatch, n_nodes):
     # the sandwich grids (criteria 7 and 8; 129 nodes is 65 refined) at the
-    # one-slice step 0.01/64 and the three Gauss-Legendre lags inside it
+    # one-slice step 0.01/64 and the three Gauss-Legendre lags inside it,
+    # the middle one Simpson's half-slice lag
     bc = BoundaryCondition("dirichlet", 0.25)
     grid = make_grid(5, 8.0, n_nodes, bc=bc)
     dt = 0.01 / 64
@@ -396,8 +397,9 @@ _SANDWICH_DT = 0.01 / 64
 
 
 @pytest.mark.parametrize("dim, n_nodes, interp, bc, ts", [
-    # the sandwich's twelve: the one-slice step and its three Gauss-Legendre
-    # lags on the ladder grid (linear) and the residual grids (cubic)
+    # the sandwich's six, the one-slice step and its half (the middle
+    # Gauss-Legendre lag), and two more lags inside the slice, on the
+    # ladder grid (linear) and the residual grids (cubic)
     *((5, n, interp, BoundaryCondition("dirichlet", 0.25),
        [_SANDWICH_DT, *(0.5 * _SANDWICH_DT
                         * (1.0 - np.polynomial.legendre.leggauss(3)[0]))])
