@@ -7,11 +7,11 @@ An iterate is a full trajectory on a uniform time mesh; one ladder step
     u_{k+1}(t) = S(t) u_0 + int_0^t S(t-s) f(u_k(s)) ds,
 
 the integral by Simpson's rule on each mesh slice, so that a step needs
-S(t) only at one slice and at half a slice.  Seeding from zero gives a nondecreasing chain (minimal solution), seeding
-from a supersolution envelope a nonincreasing one (maximal solution); the
-two chains sandwich every integral solution with the same data.
-check_immediate_boundedness integrates a ladder's sampled reaction rows in
-one window call.
+S(t) only at one slice and at half a slice.  Seeding from zero gives a
+nondecreasing chain (minimal solution), seeding from a supersolution
+envelope a nonincreasing one (maximal solution); the two chains sandwich
+every integral solution with the same data.  check_immediate_boundedness
+integrates a ladder's sampled reaction rows in one window call.
 """
 
 from __future__ import annotations

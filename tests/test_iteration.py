@@ -462,6 +462,8 @@ def test_immediate_boundedness_window_end_is_relative():
                              [2.0] * 5, [0.0] * 4, 0.0, True)
     rep = check_immediate_boundedness(ladder, CUBIC, (0.0, 5e-17))
     assert rep["sup_iterate4"] == 1.5
+    # the ladder's t_obs, which ladder_*.json records, is its trajectories'
+    assert ladder.to_dict()["t_obs"] == 1e-16
 
 
 # ---------------------------------------------------------------------------
