@@ -2,13 +2,12 @@
 
 Provides the grid/field containers, the action of the heat semigroup
 through the exact radially-reduced Gaussian kernel, uniformly local norms
-of a stack of rows at once from unit-ball window quadratures built once
-per grid (_ul_windows: ul_norm is its one-field case, and the threshold
-runs and the Picard ladders' boundedness record call it on their stacked
-rows; a row nonincreasing up to its first rise r_k takes the origin window
-and scans only the centres z > r_k - 1, whose windows the grid keeps per
-first centre), and an IMEX time stepper (implicit diffusion, explicit
-reaction).
+of a stack of rows at once from unit-ball window quadratures (_ul_windows:
+ul_norm is its one-field case, and the threshold outcomes and the Picard
+ladders' boundedness record call it on their stacked rows; a row
+nonincreasing up to its first rise r_k takes the origin window and scans
+only the centres z > r_k - 1), and an IMEX time stepper (implicit
+diffusion, explicit reaction).
 ImexStack steps fields on several grids at once, each with its own dt and
 given reaction values: it builds the tridiagonal bands of one
 block-diagonal system from coefficients each grid computes once and hands
@@ -120,25 +119,6 @@ class RadialGrid:
         for a in (cond, c_sum):
             a.setflags(write=False)
         return self.cell_volumes, cond, c_sum
-
-    @cached_property
-    def origin_window(self) -> "_Windows":
-        """The unit ball at the origin (see ul_norm)."""
-        return _Windows(self, np.zeros(1))
-
-    @cached_property
-    def window_centres(self) -> np.ndarray:
-        """The ul_norm scan's equispaced window centres in [0, R_outer],
-        read-only."""
-        zs = np.linspace(0.0, self.R_outer, _N_CENTERS)
-        zs.setflags(write=False)
-        return zs
-
-    @cached_property
-    def window_scans(self) -> dict:
-        """The unit balls at each suffix of the window centres that a scan
-        needed, keyed by the suffix's first index; _window_scan fills it."""
-        return {}
 
     @cached_property
     def semigroup_operators(self) -> dict:
@@ -541,16 +521,6 @@ class _Windows:
         return np.add.reduceat(vals, self.start, axis=1)
 
 
-def _window_scan(grid: RadialGrid, first: int) -> _Windows:
-    """The unit balls at the window centres from index first on, built
-    once per grid."""
-    scan = grid.window_scans.get(first)
-    if scan is None:
-        scan = grid.window_scans[first] = _Windows(
-            grid, grid.window_centres[first:])
-    return scan
-
-
 # rows of the window scan integrated at once: a block's node values stay
 # within 2^17 entries (1 MB, one row of a case grid's scan) so they stay in
 # cache however many rows a stack holds; larger blocks run slower per row
@@ -566,10 +536,10 @@ def _ul_windows(grid: RadialGrid, u: np.ndarray, p: float):
     Up to r_k the row is nonincreasing, so no window inside B(0, r_k) can
     beat the origin window (see ul_norm).  Each row takes the origin window
     and scans only the centres z > r_k - 1: every centre when r_k < 1, none
-    when the row never rises.  The scanned rows share the windows of the
-    shortest suffix of centres among them and are integrated a block of
-    rows at a time; each row's largest window, its centre and the count
-    come from its own centres alone, ties going to the origin.
+    when the row never rises.  The rows that rise share the windows of the
+    origin and the shortest suffix of centres among them and are integrated
+    a block of rows at a time; each row's largest window, its centre and
+    the count come from its own centres alone, ties going to the origin.
     """
     du = np.diff(u, axis=1)
     slope = du / np.diff(grid.r)
@@ -577,30 +547,30 @@ def _ul_windows(grid: RadialGrid, u: np.ndarray, p: float):
     rise = du > tol[:, None]
     r_rise = np.where(rise.any(axis=1), grid.r[np.argmax(rise, axis=1)],
                       np.inf)
-    zs = grid.window_centres
+    zs = np.linspace(0.0, grid.R_outer, _N_CENTERS)
     first = np.searchsorted(zs, r_rise - 1.0, side="right")
     # the origin window is zs[0] when the whole scan runs
     sampled = len(zs) - first + (first > 0)
     value, center = np.zeros(len(u)), np.zeros(len(u))
-    origin = np.flatnonzero(first > 0)
-    if len(origin):
-        value[origin] = grid.origin_window.integrals(
-            u[origin], slope[origin], p)[:, 0]
+    flat = np.flatnonzero(first == len(zs))
+    if len(flat):
+        value[flat] = _Windows(grid, zs[:1]).integrals(
+            u[flat], slope[flat], p)[:, 0]
     scanned = np.flatnonzero(first < len(zs))
     if len(scanned):
-        lo = int(first[scanned].min())
-        scan = _window_scan(grid, lo)
+        lo = max(1, int(first[scanned].min()))
+        scan = _Windows(grid, np.concatenate([zs[:1], zs[lo:]]))
         block = max(1, _BLOCK_NODES // len(scan.cell))
         for rows in np.array_split(scanned, -(-len(scanned) // block)):
             vals = scan.integrals(u[rows], slope[rows], p)
-            # the centres before a row's own first one are not its to take
-            before = np.arange(len(scan.zs)) < (first[rows] - lo)[:, None]
+            # the centres before a row's own first one are not its to take;
+            # window 0 is the origin, every row's
+            before = np.arange(len(scan.zs)) < (first[rows] - lo + 1)[:, None]
+            before[:, 0] = False
             vals[before] = -np.inf
             k = np.argmax(vals, axis=1)
-            best = vals[np.arange(len(rows)), k]
-            wins = (first[rows] == 0) | (best > value[rows])
-            value[rows[wins]] = best[wins]
-            center[rows[wins]] = scan.zs[k[wins]]
+            value[rows] = vals[np.arange(len(rows)), k]
+            center[rows] = scan.zs[k]
     return value, center, sampled
 
 
@@ -621,9 +591,8 @@ def ul_norm(field: RadialField, p: float = 1.0) -> ULNormEstimate:
 
     when r_k >= 1.  So the origin window and the equispaced centres
     z > r_k - 1 of [0, R_outer] are evaluated: the origin alone for a
-    nonincreasing field, every centre when r_k < 1.  The window
-    quadratures are built once per grid.  This is the one-row case of
-    _ul_windows.
+    nonincreasing field, every centre when r_k < 1.  This is the one-row
+    case of _ul_windows.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")

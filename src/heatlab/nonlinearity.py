@@ -529,6 +529,8 @@ class LogFTable:
             g_lo, g_hi = float(g(2.0 ** lo)), math.inf
             if not g_lo <= level:
                 return 2.0 ** lo
+            if float(g(2.0 ** hi)) <= level:
+                return 2.0 ** hi
             while not g_hi - g_lo <= TABLE_PIECE / 16.0:
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
@@ -654,16 +656,13 @@ class LogFTable:
 
     def _piece_for(self, t: np.ndarray):
         """Lay the pieces m and m + 1 of every target t, where m is the
-        piece with log F(u_m) >= t > log F(u_{m+1}).  From m = floor(-t /
-        TABLE_PIECE) it jumps by the gap counted in pieces (log F falls by
-        about one unit per unit of g) until the pieces known to lie below
-        and above the target bracket it, then bisects the bracket."""
+        piece with log F(u_m) >= t > log F(u_{m+1}): from m = floor(-t /
+        TABLE_PIECE) (log F falls by about one unit per unit of g),
+        stepped over log F at the anchors."""
         m = np.floor(-t / TABLE_PIECE)
-        lo, hi = np.full(t.shape, -np.inf), np.full(t.shape, np.inf)
         while True:
-            here = _each(self._at_anchor, m)
-            above = _each(lambda k: self._at_anchor(k + 1), m)
-            down, up = here < t, above >= t
+            down = _each(self._at_anchor, m) < t
+            up = _each(lambda k: self._at_anchor(k + 1), m) >= t
             if not (down.any() or up.any()):
                 return
             if any(self.anchor(int(k)) <= 2.0 ** LOG2_U_MIN
@@ -672,15 +671,7 @@ class LogFTable:
             if any(self.anchor(int(k) + 1) >= 2.0 ** LOG2_U_MAX
                    for k in m[up]):
                 raise OutOfRange("no preimage found at large u")
-            # the piece lies in [lo, hi - 1]
-            hi, lo = np.where(down, m, hi), np.where(up, m + 1.0, lo)
-            gap = np.where(down, t - here, above - t) / TABLE_PIECE
-            jump = m + (up.astype(float) - down) * np.maximum(np.floor(gap),
-                                                              1.0)
-            with np.errstate(invalid="ignore"):     # inf - inf unbracketed
-                mid = np.floor(0.5 * (lo + hi - 1.0))
-            jump = np.where((jump < lo) | (jump >= hi), mid, jump)
-            m = np.where(down | up, jump, m)
+            m += up.astype(float) - down
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
         """u with log F(u) = t for a 1-d array t.  The lookup entry of

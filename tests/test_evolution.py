@@ -686,7 +686,6 @@ def test_ul_norm_of_a_row_rising_below_one_scans_every_centre():
         assert est.centers_sampled == 512
         assert est.value == ref.max()
         assert est.center == zs[np.argmax(ref)]
-    assert set(g.window_scans) == {0}
 
 
 def test_ul_norm_of_a_stack_is_each_row_alone(grid3, monkeypatch):
@@ -695,8 +694,9 @@ def test_ul_norm_of_a_stack_is_each_row_alone(grid3, monkeypatch):
     # lengths, the scan in blocks of two rows: each row's largest window,
     # its centre and the centres scanned are those of the row's own
     # quadrature sum over its own centres, bit for bit
+    zs = np.linspace(0.0, grid3.R_outer, evolution._N_CENTERS)
     monkeypatch.setattr(evolution, "_BLOCK_NODES",
-                        2 * len(evolution._window_scan(grid3, 0).cell))
+                        2 * len(evolution._Windows(grid3, zs).cell))
     r = grid3.r
     rows = [1.0 / (1.0 + r ** 2), np.exp(-(r - 3.0) ** 2),
             np.full(len(r), 2.0), 1e-6 * np.exp(-(r - 7.0) ** 2),
@@ -721,28 +721,43 @@ def test_ul_norm_of_a_stack_is_each_row_alone(grid3, monkeypatch):
     assert len(lengths) >= 4 and {1, 512} <= lengths
 
 
-def test_ul_norm_of_monotone_field_builds_only_the_origin_window():
+def _window_builds(monkeypatch):
+    """The centres of every window quadrature built from here on."""
+    built = []
+
+    def spy(grid, zs):
+        built.append(np.array(zs))
+        return _window_quadrature(grid, zs)
+
+    monkeypatch.setattr(evolution, "_window_quadrature", spy)
+    return built
+
+
+def test_ul_norm_of_monotone_field_builds_only_the_origin_window(
+        monkeypatch):
     g = make_grid(3, 10.0, 129)
+    built = _window_builds(monkeypatch)
     est = ul_norm(RadialField(g, 1.0 / (1.0 + g.r ** 2)), 1.0)
     assert est.centers_sampled == 1
-    assert "origin_window" in vars(g)
-    assert "window_scans" not in vars(g)
+    assert [c.tolist() for c in built] == [[0.0]]
 
 
-def test_window_scans_live_on_the_grid_per_first_centre():
-    # a row first rising at r_k builds the windows of the centres
-    # z > r_k - 1 once, keyed by the first one's index, and reuses them
+def test_rising_rows_share_one_window_build(monkeypatch):
+    # rows that never rise take the origin window alone; the rows that
+    # rise share one build over the origin and the centres z > r_k - 1 of
+    # the earliest first rise r_k among them, each call building afresh
     g = make_grid(3, 10.0, 129)
-    row = np.exp(-g.r) + np.exp(-4.0 * (g.r - 9.0) ** 2)
-    first = int(np.count_nonzero(
-        g.window_centres <= _first_rise(g, row) - 1.0))
-    ul_norm(RadialField(g, row), 1.0)
-    scan = g.window_scans[first]
-    assert set(g.window_scans) == {first}
-    assert np.array_equal(scan.zs, g.window_centres[first:])
-    ul_norm(RadialField(g, 2.0 * row), 2.6)
-    assert g.window_scans[first] is scan and len(g.window_scans) == 1
-    assert evolution._window_scan(g, first) is scan
+    zs = np.linspace(0.0, g.R_outer, evolution._N_CENTERS)
+    late = np.exp(-g.r) + np.exp(-4.0 * (g.r - 9.0) ** 2)
+    early = np.exp(-g.r) + np.exp(-4.0 * (g.r - 6.0) ** 2)
+    first = int(np.count_nonzero(zs <= _first_rise(g, early) - 1.0))
+    assert 1 < first < int(np.count_nonzero(zs <= _first_rise(g, late) - 1.0))
+    u = np.stack([1.0 / (1.0 + g.r ** 2), late, early])
+    built = _window_builds(monkeypatch)
+    for _ in range(2):
+        evolution._ul_windows(g, u, 1.0)
+    want = [[0.0], [0.0, *zs[first:]]] * 2
+    assert [c.tolist() for c in built] == want
 
 
 def test_ul_norm_l1_of_capped_singular_is_cap_stable(table_cubic):

@@ -390,6 +390,19 @@ def test_log_F_beyond_the_table_is_out_of_range():
         eval_F_inverse_log(spec, -1e17)
 
 
+def test_inverse_below_log_F_at_the_top_is_out_of_range():
+    # the cubic's g(2^600) = 1247.7 lies below every level from m = 156 on:
+    # those anchors are the top 2^LOG2_U_MAX itself, so a target below
+    # log F(2^600) = -832.4 has no preimage (it was searched for forever)
+    spec = pure_power(3.0)
+    assert spec.log_F_table.anchor(200) == 2.0 ** nonlinearity.LOG2_U_MAX
+    with pytest.raises(OutOfRange):
+        eval_F_inverse_log(spec, -835.0)
+    # above it, F = u^-2 / 2 inverts in closed form
+    assert eval_F_inverse_log(spec, -830.0) == pytest.approx(
+        math.exp(0.5 * (830.0 - math.log(2.0))), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # scalar limit diagnostics
 # ---------------------------------------------------------------------------

@@ -143,6 +143,24 @@ def test_asymptotic_ratio_tends_to_one(table_power_exp):
     assert dev_fine < dev
 
 
+@pytest.mark.parametrize("family, r_patch, pieces", [
+    ("power_exp", 1e-3, 8), ("power_exp", 1e-4, 10),
+    ("cutoff_exp", 1e-3, 6), ("cutoff_exp", 1e-4, 7),
+])
+def test_singular_pipeline_lays_few_log_F_pieces(family, r_patch, pieces):
+    # what `heatlab singular` asks of F and F^-1 on a fresh spec lays this
+    # many pieces of its log F table: F^-1 steps one piece at a time from
+    # its first guess and lays no piece off that path
+    spec = {"power_exp": lambda: power_exp(5.0, 2.0),
+            "cutoff_exp": lambda: cutoff_exp(20.0)}[family]()
+    table = build_singular(spec, 3, r_patch=r_patch)
+    verify_flux_identity(table, spec)
+    trace_pohozaev(table, spec)
+    asymptotic_ratio(table, spec)
+    check_admissibility(spec, 3)
+    assert len(spec.log_F_table.pieces) == pieces
+
+
 def test_stationary_residual_small(table_power_exp, table_cutoff):
     assert ode_residual(table_power_exp, POWER_EXP, 3, 0.5, 5.0) <= 1e-6
     assert ode_residual(table_cutoff, CUTOFF, 3, 0.5, 5.0) <= 1e-6
