@@ -226,14 +226,14 @@ def field_from_table(table, grid: RadialGrid, cap: float = 1e6,
 #        = 2 pi^{N/2} (2/a)^nu e^{-a} I_nu(a).
 #
 # _log_angular evaluates log B from one of two series in a, switching at
-# _A_SERIES = 40:
+# the a_switch that _angular_series derives for N:
 #
-# * a < 40: the power series of I_nu (DLMF 10.25.2).  Its (a/2)^nu cancels
-#   against (2/a)^nu, so with x = a^2/4 and B(0) = omega_{N-1},
+# * a < a_switch: the power series of I_nu (DLMF 10.25.2).  Its (a/2)^nu
+#   cancels against (2/a)^nu, so with x = a^2/4 and B(0) = omega_{N-1},
 #       log B(a) = log omega_{N-1} - a + log sum_k x^k / (k! (nu+1)_k),
 #   a sum of positive terms whose first is 1: a = 0 (the origin row) gives
 #   log omega_{N-1} exactly.
-# * a >= 40: the Hankel expansion of I_nu (DLMF 10.40.1), dropping its
+# * a >= a_switch: the Hankel expansion of I_nu (DLMF 10.40.1), dropping its
 #   e^{-2a} part,
 #       log B(a) = (N-1)/2 log(2 pi / a)
 #                  + log1p(sum_{k>=1} (-1)^k a_k(nu) a^{-k}),
@@ -241,26 +241,99 @@ def field_from_table(table, grid: RadialGrid, cap: float = 1e6,
 #   for odd N (nu half an odd integer) and is an asymptotic series for
 #   even N.
 #
-# Both sums run to the first term below 2^-54 of the sum at a = 40, where
-# each is longest: 51-53 power-series terms and at most 13 Hankel
-# terms for N = 3..10.  The counts follow from nu and the switch point.
+# For odd N the terminating form is exact but for the e^{-2a} part, so
+# a_switch is the smallest a where that part, e^{-2a} sum_k a_k(nu) a^{-k},
+# is at most 2^-54 of the kept sum: 18.72 (N = 3), 18.77 (N = 5), 19.03
+# (N = 9), 19.77 (N = 15).  For even N, a_switch = _A_SERIES = 40.  Both
+# sums run to the first term below 2^-54 of the sum at a_switch, where each
+# is longest: 32-34 power-series terms for odd N = 3..15, 50-52 for even
+# N = 4..14, and at most 13 Hankel terms for N = 3..10.
+#
+# The Gaussian factor bounds the band of every row: a row's kernel mass
+# beyond X kernel widths sqrt(4t) from r_i is at most Q(N/2, X^2), the
+# regularized upper incomplete gamma function, which is the mass the
+# origin row keeps beyond X (the chi_N tail; | |x + y| - |x| | <= |y|).
+# _kernel_reach is the smallest X with Q(N/2, X^2) <= 2^-60, from the closed
+# forms of Q at integer and half-integer N/2: 6.60 (N = 3), 6.86 (N = 5),
+# 7.19 (N = 8), 7.56 (N = 12), 9.35 (N = 40).
 
-_A_SERIES = 40.0
-# kernel widths sqrt(4t) beyond which the Gaussian factor is below e^{-81}:
-# the extension region ends there, and so does each row's band
-_KERNEL_REACH = 9.0
+_A_SERIES = 40.0            # a_switch for even N
 # Gauss-Legendre rule on each kernel sub-segment
 _SEGMENT_GL_X, _SEGMENT_GL_W = np.polynomial.legendre.leggauss(6)
 
 
+def _smallest(holds) -> float:
+    """The smallest double x > 0 with holds(x), for a holds that is false
+    below some point and true above it: doubling from 1, then bisecting
+    until the bracket is two adjacent doubles."""
+    lo, hi = 0.0, 1.0
+    while not holds(hi):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+def _chi_tail(dim: int, x: float) -> float:
+    """Q(dim/2, x), the regularized upper incomplete gamma function:
+    e^{-x} sum_{k < dim/2} x^k / k! for even dim, and erfc(sqrt x) + e^{-x}
+    sum_{k < (dim-1)/2} x^{k+1/2} / Gamma(k + 3/2) for odd dim."""
+    if dim % 2 == 0:
+        term = total = math.exp(-x)
+        for k in range(1, dim // 2):
+            term *= x / k
+            total += term
+        return total
+    total = math.erfc(math.sqrt(x))
+    term = 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
+    for k in range(1, dim // 2 + 1):
+        total += term
+        term *= x / (k + 0.5)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _kernel_reach(dim: int) -> float:
+    """Kernel widths sqrt(4t) within which each row's band lies and beyond
+    the outer radius to which the extension region runs: the smallest X
+    with Q(dim/2, X^2) <= 2^-60."""
+    return _smallest(lambda X: _chi_tail(dim, X * X) <= 2.0 ** -60)
+
+
 @lru_cache(maxsize=None)
 def _angular_series(dim: int):
-    """Coefficients of _log_angular's two sums, highest order first: the
-    power series in x = a^2/4 from k = 0, and the Hankel series in 1/a
-    from k = 1 (empty when it is 1 alone)."""
+    """Coefficients of _log_angular's two sums, highest order first, and
+    the switch point a_switch between them: the power series in x = a^2/4
+    from k = 0, and the Hankel series in 1/a from k = 1 (empty when it is 1
+    alone)."""
     nu = 0.5 * (dim - 2)
     tol = 2.0 ** -54
-    x = 0.25 * _A_SERIES ** 2
+    hankel = []
+    coef = 1.0
+    k = 0
+    while True:
+        coef *= -(4.0 * nu ** 2 - (2 * k + 1) ** 2) / (8.0 * (k + 1))
+        k += 1
+        # odd N: every term up to the last nonzero one, where it terminates
+        if coef == 0.0 or (dim % 2 == 0
+                           and abs(coef) <= tol * _A_SERIES ** k):
+            break
+        hankel.append(coef)
+    a_switch = _A_SERIES
+    if dim % 2:
+        def exact_enough(a):
+            kept = dropped = 1.0
+            for j, c in enumerate(hankel, 1):
+                kept += c * a ** -j
+                dropped += abs(c) * a ** -j
+            return math.exp(-2.0 * a) * dropped <= tol * kept
+        a_switch = _smallest(exact_enough)
+    x = 0.25 * a_switch ** 2
     power = [1.0]
     term = total = 1.0
     k = 0
@@ -270,19 +343,10 @@ def _angular_series(dim: int):
         term *= x / ((k + 1) * (nu + k + 1))
         total += term
         k += 1
-    hankel = []
-    coef = 1.0
-    k = 0
-    while True:
-        coef *= -(4.0 * nu ** 2 - (2 * k + 1) ** 2) / (8.0 * (k + 1))
-        k += 1
-        if abs(coef) <= tol * _A_SERIES ** k:
-            break
-        hankel.append(coef)
     coefs = np.array(power[::-1]), np.array(hankel[::-1])
     for c in coefs:                        # shared by every caller
         c.setflags(write=False)
-    return coefs
+    return (*coefs, a_switch)
 
 
 def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -297,9 +361,9 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _log_angular(dim: int, a: np.ndarray) -> np.ndarray:
     """log B(a), vectorized."""
     a = np.asarray(a, dtype=float)
-    power, hankel = _angular_series(dim)
+    power, hankel, a_switch = _angular_series(dim)
     out = np.empty_like(a)
-    small = a < _A_SERIES
+    small = a < a_switch
     a_s = a[small]
     out[small] = (math.log(sphere_area(dim)) - a_s
                   + np.log(_horner(power, 0.25 * a_s * a_s)))
@@ -327,8 +391,8 @@ class SemigroupOperator:
     """
 
     def __init__(self, grid: RadialGrid, t: float, interp: str = "cubic"):
-        if t <= 0:
-            raise ValueError("t must be positive")
+        if not 0.0 < t < math.inf:          # False for nan too
+            raise ValueError(f"t must be finite and > 0, got {t!r}")
         if interp not in ("cubic", "linear"):
             raise ValueError(f"unknown interpolation {interp!r}")
         self.grid = grid
@@ -343,13 +407,14 @@ class SemigroupOperator:
         """Gauss-Legendre nodes, weights and the segment of each node.  The
         segments are the grid intervals and the extension region, each cut
         into sub-segments at most 0.45 kernel widths wide.  Only the
-        sub-segments within _KERNEL_REACH widths of a grid node are laid:
-        the kernel gives every node beyond that zero weight.  In a grid
-        interval those are the first and the last few; the extension region
-        ends _KERNEL_REACH widths beyond the outer radius and is laid
+        sub-segments within _kernel_reach(N) widths of a grid node are laid
+        (6.60 for N = 3, 6.86 for N = 5, 7.19 for N = 8): each row's band
+        gives every node beyond that zero weight.  In a grid interval those
+        are the first and the last few; the extension region ends
+        _kernel_reach(N) widths beyond the outer radius and is laid
         whole."""
         width = math.sqrt(4.0 * self.t)
-        reach = _KERNEL_REACH * width
+        reach = _kernel_reach(self.grid.dim) * width
         R = self.grid.R_outer
         R_ext = R + reach
         n_ext = max(4, int(math.ceil((R_ext - R) / (0.45 * width))))
@@ -404,7 +469,7 @@ class SemigroupOperator:
         rho, w, seg = self._quad_nodes()
         # [matrix | ext] = K P, where row i of K holds kernel times weight on
         # its band: the (sorted) quadrature nodes within reach of r_i
-        reach = _KERNEL_REACH * math.sqrt(4.0 * t)
+        reach = _kernel_reach(dim) * math.sqrt(4.0 * t)
         first = np.searchsorted(rho, r - reach, side="left")
         count = np.searchsorted(rho, r + reach, side="right") - first
         indptr = np.concatenate([[0], np.cumsum(count)])

@@ -654,12 +654,38 @@ class LogFTable:
         _, g_n, log_fF = self.piece(m)
         return float(log_fF[0] - g_n[0])
 
+    def _first_guess(self, t: np.ndarray) -> np.ndarray:
+        """The piece _piece_for starts from for each target t: m =
+        floor(-t / TABLE_PIECE), as if log F fell by one unit per unit of
+        g, or, where the spec's exact tail holds at that piece's anchor
+        u_m, the piece of the g at which the tangent of log F against g at
+        u_m, of slope -1 / (f F g'), meets t.  pure_power's log F is
+        linear in g, so there the tangent lands on the target's piece up to
+        the anchors' slack."""
+        m = np.floor(-t / TABLE_PIECE)
+        tail = self.spec.tail
+        if tail.log_exact_tail is None:
+            return m
+        u = _each(self.anchor, m)
+        holds = ((u >= tail.tail_start) & (u > 2.0 ** LOG2_U_MIN)
+                 & (u < 2.0 ** LOG2_U_MAX))
+        if not holds.any():
+            return m
+        u = u[holds]
+        log_F = np.array([tail.log_exact_tail(x) for x in u.tolist()])
+        with np.errstate(all="ignore"):
+            g = np.asarray(self.spec.g(u), dtype=float)
+            g_t = g + ((log_F - t[holds]) * self.spec.gp(u)
+                       * np.exp(g + log_F))
+        m[holds] = np.where(np.isfinite(g_t), np.floor(g_t / TABLE_PIECE),
+                            m[holds])
+        return m
+
     def _piece_for(self, t: np.ndarray):
         """Lay the pieces m and m + 1 of every target t, where m is the
-        piece with log F(u_m) >= t > log F(u_{m+1}): from m = floor(-t /
-        TABLE_PIECE) (log F falls by about one unit per unit of g),
+        piece with log F(u_m) >= t > log F(u_{m+1}): from _first_guess,
         stepped over log F at the anchors."""
-        m = np.floor(-t / TABLE_PIECE)
+        m = self._first_guess(t)
         while True:
             down = _each(self._at_anchor, m) < t
             up = _each(lambda k: self._at_anchor(k + 1), m) >= t

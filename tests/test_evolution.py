@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse import csr_matrix
+from scipy.special import gammaincc
 
 from heatlab import evolution
 from heatlab.errors import ReactionOverflow
@@ -203,6 +204,16 @@ def test_operator_cache_lives_on_the_grid():
     assert set(fine.semigroup_operators) == {(0.01, "cubic")}
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_operator_refuses_a_time_that_is_not_finite_and_positive(t):
+    g = make_grid(3, 4.0, 16)
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        evolution.SemigroupOperator(g, t)
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        semigroup_operator(g, t)
+    assert g.semigroup_operators == {}
+
+
 def test_dirichlet_extension_feeds_boundary_value():
     bc = BoundaryCondition("dirichlet", 2.0)
     g = make_grid(3, 8.0, 257, bc=bc)
@@ -259,6 +270,17 @@ _ANGULAR_REF = {
         -84.98424947529179553, -116.0691482228442873, -3100.219428743119619],
 }
 
+# the same, for odd N, 0.01 either side of the switch to the terminating
+# Hankel form (_angular_series' a_switch) and at a = 25
+_ANGULAR_ODD_A = {3: [18.705, 18.725, 25.0], 5: [18.758, 18.778, 25.0],
+                  7: [18.864, 18.884, 25.0], 9: [19.02, 19.04, 25.0]}
+_ANGULAR_ODD_REF = {
+    3: [-1.090913801390763946, -1.091982462993937822, -1.380998758458855266],
+    5: [-2.242270732831414076, -2.244342044870892782, -2.802819511437965661],
+    7: [-3.461362921466051419, -3.464364631043162748, -4.265389923590632496],
+    9: [-4.753659548450627259, -4.757516505461219999, -5.768566532563251273],
+}
+
 
 @pytest.mark.parametrize("dim", range(3, 11))
 def test_angular_factor_matches_quadrature(dim):
@@ -275,11 +297,96 @@ def test_angular_factor_matches_quadrature(dim):
                       epsabs=0.0, epsrel=1e-13, limit=200)
         ref = math.log(evolution.sphere_area(dim - 1) * val)
         assert abs(log_b - ref) <= 1e-12, (a, log_b - ref)
-    # both series, on either side of the switch at 40 and out to 1e300
-    got = _log_angular(dim, np.array(_ANGULAR_A))
-    ref = np.array(_ANGULAR_REF[dim])
+    # both series, on either side of the switch (40 for even N, near 19
+    # for odd N) and out to 1e300
+    a_vals = _ANGULAR_A + _ANGULAR_ODD_A.get(dim, [])
+    if dim in _ANGULAR_ODD_A:
+        a_switch = evolution._angular_series(dim)[2]
+        assert a_vals[-3] < a_switch < a_vals[-2]
+    got = _log_angular(dim, np.array(a_vals))
+    ref = np.array(_ANGULAR_REF[dim] + _ANGULAR_ODD_REF.get(dim, []))
     err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
-    assert err.max() <= 1e-12, (_ANGULAR_A[int(err.argmax())], err.max())
+    assert err.max() <= 1e-12, (a_vals[int(err.argmax())], err.max())
+
+
+@pytest.mark.parametrize("dim, switch, n_power", [
+    (3, 18.72, 34), (4, 40.0, 52), (5, 18.77, 33), (8, 40.0, 52),
+    (9, 19.03, 33), (15, 19.77, 32)])
+def test_odd_dimensions_switch_to_the_exact_hankel_form(dim, switch,
+                                                        n_power):
+    power, hankel, a_switch = evolution._angular_series(dim)
+    assert len(power) == n_power
+    assert abs(a_switch - switch) < 0.01
+    if dim % 2 == 0:
+        assert a_switch == 40.0
+        return
+
+    # the form keeps e^a sum_k (-1)^k a_k a^{-k} of I_nu and drops
+    # e^{-a} sum_k a_k a^{-k}: from a_switch on, at most 2^-54 of the kept
+    def dropped_share(a):
+        k = np.arange(len(hankel), 0, -1)
+        kept = 1.0 + np.sum(hankel * a ** -k)
+        dropped = 1.0 + np.sum(np.abs(hankel) * a ** -k)
+        return math.exp(-2.0 * a) * dropped / kept
+
+    assert dropped_share(a_switch) <= 2.0 ** -54
+    assert dropped_share(np.nextafter(a_switch, 0.0)) > 2.0 ** -54
+
+
+@pytest.mark.parametrize("dim, reach", [
+    (3, 6.60), (4, 6.74), (5, 6.86), (8, 7.19), (12, 7.56), (40, 9.35)])
+def test_kernel_reach_bounds_the_chi_tail(dim, reach):
+    X = evolution._kernel_reach(dim)
+    assert abs(X - reach) < 0.005
+    # the smallest X whose chi_N tail Q(N/2, X^2) is at most 2^-60
+    assert evolution._chi_tail(dim, X * X) <= 2.0 ** -60
+    assert evolution._chi_tail(dim, np.nextafter(X, 0.0) ** 2) > 2.0 ** -60
+    for x in (0.5, 3.0, X * X, 150.0):
+        assert evolution._chi_tail(dim, x) == pytest.approx(
+            gammaincc(0.5 * dim, x), rel=1e-13)
+
+
+def _band_mass(op, rho, w, lo_widths, hi_widths):
+    """Each row's kernel mass over the quadrature nodes rho, w whose
+    distance to r_i is above lo_widths and at most hi_widths kernel
+    widths."""
+    t, dim, r = op.t, op.grid.dim, op.grid.r
+    width = math.sqrt(4.0 * t)
+    mass = np.empty(len(r))
+    for i, ri in enumerate(r):
+        d = np.abs(rho - ri)
+        q = (d > lo_widths * width) & (d <= hi_widths * width)
+        log_k = (-0.5 * dim * math.log(4.0 * math.pi * t)
+                 - (ri - rho[q]) ** 2 / (4.0 * t)
+                 + _log_angular(dim, ri * rho[q] / (2.0 * t))
+                 + (dim - 1) * np.log(rho[q]))
+        mass[i] = np.sum(np.exp(log_k) * w[q])
+    return mass
+
+
+_SANDWICH_DT = 0.01 / 64
+
+
+@pytest.mark.parametrize("dim, n_nodes, bc, ts", [
+    # the sandwich grids at the one-slice step and its half
+    *((5, n, BoundaryCondition("dirichlet", 0.25),
+       [_SANDWICH_DT, 0.5 * _SANDWICH_DT]) for n in (64, 65, 129)),
+    *((dim, 64, BoundaryCondition("neumann"), [1e-12, 1e-3, 1e-1])
+      for dim in (3, 8, 12)),
+])
+def test_kernel_reach_drops_below_double_precision(monkeypatch, dim, n_nodes,
+                                                   bc, ts):
+    grid = make_grid(dim, 8.0, n_nodes, bc=bc)
+    reach = evolution._kernel_reach(dim)
+    for t in ts:
+        # the nodes laid within nine widths, as before the reach was derived
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "_kernel_reach", lambda dim: 9.0)
+            rho, w, _ = evolution.SemigroupOperator(grid, t)._quad_nodes()
+        op = evolution.SemigroupOperator(grid, t)
+        kept = _band_mass(op, rho, w, -1.0, reach)
+        lost = _band_mass(op, rho, w, reach, 9.0)
+        assert np.all(lost <= 2.0 ** -59 * kept), (t, (lost / kept).max())
 
 
 @pytest.mark.parametrize("t", [1e-5, 1e-3, 1e-1])
@@ -287,9 +394,9 @@ def test_quad_nodes_match_segment_loop(t):
     op = evolution.SemigroupOperator(make_grid(5, 4.0, 24), t)
     rho, w, seg = op._quad_nodes()
     # reference: each segment cut by np.linspace, one sub-segment at a time,
-    # kept when a grid node lies within _KERNEL_REACH widths of it
+    # kept when a grid node lies within _kernel_reach(N) widths of it
     width = math.sqrt(4.0 * t)
-    reach = evolution._KERNEL_REACH * width
+    reach = evolution._kernel_reach(op.grid.dim) * width
     R = op.grid.R_outer
     R_ext = R + reach
     n_ext = max(4, int(math.ceil((R_ext - R) / (0.45 * width))))
@@ -319,7 +426,7 @@ def _unfiltered_quad_nodes(self):
     region, as laid before the reach limit."""
     width = math.sqrt(4.0 * self.t)
     R = self.grid.R_outer
-    R_ext = R + evolution._KERNEL_REACH * width
+    R_ext = R + evolution._kernel_reach(self.grid.dim) * width
     n_ext = max(4, int(math.ceil((R_ext - R) / (0.45 * width))))
     edges = np.concatenate([self.grid.r,
                             np.linspace(R, R_ext, n_ext + 1)[1:]])
@@ -379,7 +486,7 @@ def _gather_assemble(self):
     t, dim, r = self.t, self.grid.dim, self.grid.r
     M = len(r)
     rho, w, seg = self._quad_nodes()
-    reach = evolution._KERNEL_REACH * math.sqrt(4.0 * t)
+    reach = evolution._kernel_reach(dim) * math.sqrt(4.0 * t)
     first = np.searchsorted(rho, r - reach, side="left")
     count = np.searchsorted(rho, r + reach, side="right") - first
     indptr = np.concatenate([[0], np.cumsum(count)])
@@ -391,9 +498,6 @@ def _gather_assemble(self):
              + (dim - 1) * np.log(rho[q]))
     K = csr_matrix((np.exp(log_k) * w[q], q, indptr), shape=(M, len(rho)))
     return (K @ self._interp_matrix(rho, seg)).toarray()
-
-
-_SANDWICH_DT = 0.01 / 64
 
 
 @pytest.mark.parametrize("dim, n_nodes, interp, bc, ts", [

@@ -541,3 +541,22 @@ def test_admissibility_report_serializes():
     names = {c["condition"] for c in doc["conditions"]}
     assert names == {"A1", "A2", "A3", "A4"}
 
+
+def test_inverse_seeds_its_piece_from_the_exact_tail(monkeypatch):
+    # the cubic's log F = -log 2 - (2/3) g falls 2/3 of a unit per unit of
+    # g, so floor(-t / TABLE_PIECE) starts 49 pieces low at log y = -800
+    # (and laid 51 pieces); the exact tail's tangent lands on the root's
+    # piece, and the root keeps its bits
+    spec = pure_power(3.0)
+    assert eval_F_inverse_log(spec, -800.0) == 3.6921366253923445e+173
+    assert len(spec.log_F_table.pieces) <= 11
+    # the first guess changes which pieces are laid, never a root
+    targets = np.array([-830.0, -300.0, -100.0, -20.0, -5.0, 3.0])
+    for make in (lambda: pure_power(3.0), lambda: pure_power(7.0),
+                 lambda: cutoff_exp(20.0)):
+        seeded = [eval_F_inverse_log(make(), t) for t in targets]
+        with monkeypatch.context() as m:
+            m.setattr(nonlinearity.LogFTable, "_first_guess",
+                      lambda self, t: np.floor(-t / nonlinearity.TABLE_PIECE))
+            stepped = [eval_F_inverse_log(make(), t) for t in targets]
+        assert seeded == stepped
