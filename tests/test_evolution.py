@@ -214,6 +214,35 @@ def test_operator_refuses_a_time_that_is_not_finite_and_positive(t):
     assert g.semigroup_operators == {}
 
 
+@pytest.mark.parametrize("t", [1e-30, 1e-40])
+def test_operator_refuses_a_time_below_the_grid_floor(t):
+    # at the floor the kernel width sqrt(4t) is two double spacings at
+    # 2 R_outer.  Below it the extension edges round together (a division
+    # by zero from about 1e-30 on this grid) and, from about 1e-40, a grid
+    # interval's sub-segment count overflows an int64
+    g = make_grid(3, 8.0, 65)
+    floor = float(np.spacing(16.0)) ** 2
+    with pytest.raises(ValueError, match=f"floor {floor!r}"):
+        evolution.SemigroupOperator(g, t)
+    with pytest.raises(ValueError, match=f"floor {floor!r}"):
+        semigroup_operator(g, t)
+    assert g.semigroup_operators == {}
+
+
+def test_operator_builds_down_to_the_grid_floor():
+    g = make_grid(3, 8.0, 65)
+    floor = float(np.spacing(16.0)) ** 2
+    with pytest.raises(ValueError, match="floor"):
+        evolution.SemigroupOperator(g, np.nextafter(floor, 0.0))
+    for t in (floor, 1e-28):
+        with np.errstate(all="raise"):
+            op = evolution.SemigroupOperator(g, t)
+        assert np.all(np.isfinite(op.full)), t
+    # the floor follows the outer radius: four times higher at twice it
+    with pytest.raises(ValueError, match=f"floor {4.0 * floor!r}"):
+        evolution.SemigroupOperator(make_grid(3, 16.0, 65), 2.0 * floor)
+
+
 def test_dirichlet_extension_feeds_boundary_value():
     bc = BoundaryCondition("dirichlet", 2.0)
     g = make_grid(3, 8.0, 257, bc=bc)
@@ -399,14 +428,18 @@ def test_quad_nodes_match_segment_loop(t):
     reach = evolution._kernel_reach(op.grid.dim) * width
     R = op.grid.R_outer
     R_ext = R + reach
-    n_ext = max(4, int(math.ceil((R_ext - R) / (0.45 * width))))
+    n_ext = max(4, int(math.ceil((R_ext - R)
+                                 / (evolution._SEGMENT_WIDTH * width))))
     edges = np.concatenate([op.grid.r, np.linspace(R, R_ext, n_ext + 1)[1:]])
-    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
     ref = []
     dropped = 0
     for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        sub = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / (0.45 * width)))
-                          + 1)
+        if hi - lo <= evolution._NARROW_WIDTH * width:
+            sub, (gl_x, gl_w) = [lo, hi], evolution._NARROW_GL
+        else:
+            sub = np.linspace(lo, hi, math.ceil(
+                (hi - lo) / (evolution._SEGMENT_WIDTH * width)) + 1)
+            gl_x, gl_w = evolution._SEGMENT_GL
         for a, b in zip(sub[:-1], sub[1:]):
             if not np.any((op.grid.r >= a - reach) & (op.grid.r <= b + reach)):
                 dropped += 1
@@ -421,24 +454,52 @@ def test_quad_nodes_match_segment_loop(t):
     assert (dropped > 0) == (t == 1e-5)
 
 
+@pytest.mark.parametrize("dim, n_nodes, bc, t", [
+    # the criterion-8 residual grid at the one-slice step
+    (5, 129, BoundaryCondition("dirichlet", 0.25), _SANDWICH_DT),
+    (5, 257, BoundaryCondition("neumann"), 1e-4),
+    (8, 64, BoundaryCondition("neumann"), 1e-5),
+])
+def test_segment_rules_match_a_fine_reference(monkeypatch, dim, n_nodes, bc,
+                                              t):
+    # the 6-node rule on sub-segments of at most 0.45 widths, which the two
+    # rules replaced, was off by 3.2e-11, 1.7e-9 and 5.3e-12 here
+    grid = make_grid(dim, 8.0, n_nodes, bc=bc)
+    op = evolution.SemigroupOperator(grid, t)
+    # reference: 14 nodes on sub-segments at most 0.1 widths long
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "_NARROW_WIDTH", 0.0)
+        m.setattr(evolution, "_SEGMENT_WIDTH", 0.1)
+        m.setattr(evolution, "_SEGMENT_GL",
+                  np.polynomial.legendre.leggauss(14))
+        ref = evolution.SemigroupOperator(grid, t)
+    assert np.abs(op.full - ref.full).max() <= 1e-12
+
+
 def _unfiltered_quad_nodes(self):
     """Every sub-segment of every grid interval and of the extension
     region, as laid before the reach limit."""
     width = math.sqrt(4.0 * self.t)
     R = self.grid.R_outer
     R_ext = R + evolution._kernel_reach(self.grid.dim) * width
-    n_ext = max(4, int(math.ceil((R_ext - R) / (0.45 * width))))
+    n_ext = max(4, int(math.ceil((R_ext - R)
+                                 / (evolution._SEGMENT_WIDTH * width))))
     edges = np.concatenate([self.grid.r,
                             np.linspace(R, R_ext, n_ext + 1)[1:]])
-    lo, hi = edges[:-1], edges[1:]
-    nsub = np.maximum(1, np.ceil((hi - lo) / (0.45 * width)).astype(int))
-    seg = np.repeat(np.arange(len(lo)), nsub)
-    k = np.arange(len(seg)) - np.repeat(np.cumsum(nsub) - nsub, nsub)
-    half = (0.5 * (hi - lo) / nsub)[seg, None]
-    mid = lo[seg, None] + (2 * k + 1)[:, None] * half
-    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
-    return ((mid + half * gl_x).ravel(), (half * gl_w).ravel(),
-            np.repeat(seg, len(gl_x)))
+    rho, w, seg = [], [], []
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if hi - lo <= evolution._NARROW_WIDTH * width:
+            nsub, (gl_x, gl_w) = 1, evolution._NARROW_GL
+        else:
+            nsub = math.ceil((hi - lo) / (evolution._SEGMENT_WIDTH * width))
+            gl_x, gl_w = evolution._SEGMENT_GL
+        half = 0.5 * ((hi - lo) / nsub)
+        for k in range(nsub):
+            mid = lo + (2 * k + 1) * half
+            rho.append(mid + half * gl_x)
+            w.append(half * gl_w)
+            seg.append(np.full(len(gl_x), j))
+    return tuple(map(np.concatenate, (rho, w, seg)))
 
 
 @pytest.mark.parametrize("n_nodes", [64, 65, 129])
