@@ -9,9 +9,11 @@ nonincreasing up to its first rise r_k takes the origin window and scans
 only the centres z > r_k - 1), and an IMEX time stepper (implicit
 diffusion, explicit reaction).
 ImexStack steps fields on several grids at once, each with its own dt and
-given reaction values: it builds the tridiagonal bands of one
-block-diagonal system from coefficients each grid computes once and hands
-them to LAPACK's gtsv directly, which solves in place.
+given reaction values: it builds, without divisions, the two bands of one
+block-diagonal symmetric system, the volume-weighted
+(V + dt K) u_new = V u_half, from coefficients each grid computes once and
+hands them to LAPACK's ptsv directly, which factors it as L D L^T without
+pivoting and solves in place.
 _within_reaction_guard is the one reaction guard: _reaction applies it to
 f itself, the threshold runs at each run's own dt.  A field owns a copy of
 its cap mask.  Each grid also keeps the S(t) operators that
@@ -27,7 +29,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 from scipy.sparse import csr_matrix
 from scipy.special import gamma as gamma_fn
 
@@ -736,12 +738,15 @@ class ImexStack:
     """IMEX steps of fields on several grids as one block-diagonal solve.
 
     Block k holds the nodal values of grids[k] in rows starts[k]:stops[k]
-    of one stacked array and steps with its own dt.  The coupling entries
-    between blocks are 0, so gtsv, which pivots on neither side of a zero
-    coupling, gives each block bit for bit its result alone.  The caller
-    passes the reaction values, guarded: non-finite values do cross a zero
-    coupling (0 * inf = NaN), so a run whose reaction fails the guard
-    leaves the stack before the solve.
+    of one stacked array and steps with its own dt.  The diffusion solve is
+    the volume-weighted system (V + dt*K) u_new = V u_half, V the cell
+    volumes and K the symmetric conductance matrix, which is positive
+    definite for every dt >= 0; LAPACK's ptsv factors it as L D L^T without
+    pivoting.  The coupling entries between blocks are 0, so each block
+    gets bit for bit its result alone.  The caller passes the reaction
+    values, guarded: non-finite values do cross a zero coupling
+    (0 * inf = NaN), so a run whose reaction fails the guard leaves the
+    stack before the solve.
     """
 
     def __init__(self, grids):
@@ -753,35 +758,31 @@ class ImexStack:
         coefs = [g.diffusion_coefficients for g in grids]
         self.vol = np.concatenate([vol for vol, _, _ in coefs])
         # the negated face conductances -cond, with a 0 between one block's
-        # last node and the next block's first: a step's fluxes take one
-        # pass, and dt * (-cond) is -dt * cond bit for bit, as negation is
-        # exact
+        # last node and the next block's first; dt * (-cond) is -dt * cond
+        # bit for bit, as negation is exact
         self.neg_cond = -np.concatenate(
             [np.append(cond, 0.0) for _, cond, _ in coefs])[:-1]
         self.c_sum = np.concatenate([c_sum for _, _, c_sum in coefs])
         pinned = [k for k, g in enumerate(grids) if g.bc.kind == "dirichlet"]
         # the Dirichlet rows, the last node of such a block, and their
-        # entries in the sub-diagonal
+        # entries in the off-diagonal
         self.pinned = self.stops[pinned] - 1
         self.pinned_lower = self.pinned - 1
         self.pinned_values = np.array([grids[k].bc.value for k in pinned])
 
     def bands(self, dt: np.ndarray):
-        """Sub-, main and super-diagonal of I - dt*L for the per-node time
-        steps dt, L the finite-volume radial Laplacian with metric weights
-        r^{N-1}, reflecting at the origin; three fresh arrays, which the
-        solver may overwrite.  Each entry takes the IEEE operations of
-        lower = -dt * cond / vol and diag = 1 + dt * c_sum / vol in their
-        order, on arrays built in place."""
-        flux = dt[:-1] * self.neg_cond
-        lower = flux / self.vol[1:]
-        upper = np.divide(flux, self.vol[:-1], out=flux)
+        """Main and off-diagonal of V + dt*K for the per-node time steps
+        dt: diag = vol + dt * c_sum and off = -dt * cond, K the
+        finite-volume radial Laplacian's conductances with metric weights
+        r^{N-1}, reflecting at the origin.  A Dirichlet row is the identity
+        row, its off-diagonal entry 0.  Two fresh arrays, which the solver
+        may overwrite."""
+        off = dt[:-1] * self.neg_cond
         diag = dt * self.c_sum
-        diag /= self.vol
-        diag += 1.0
-        lower[self.pinned_lower] = 0.0
+        diag += self.vol
+        off[self.pinned_lower] = 0.0
         diag[self.pinned] = 1.0
-        return lower, diag, upper
+        return diag, off
 
     def step(self, u: np.ndarray, fu: Optional[np.ndarray],
              dts) -> np.ndarray:
@@ -790,16 +791,21 @@ class ImexStack:
         flow), then backward-Euler diffusion; a fresh array.
         """
         dt = np.asarray(dts, dtype=float).repeat(self.sizes)
-        u_half = u + dt * fu if fu is not None else u.copy()
-        u_half[self.pinned] = self.pinned_values
-        # the tridiagonal LAPACK solver that solve_banded((1, 1), ...)
-        # calls, without its wrapper and input checks; every input is a
-        # fresh array
-        *_, u_new, info = dgtsv(*self.bands(dt), u_half, overwrite_dl=1,
-                                overwrite_d=1, overwrite_du=1, overwrite_b=1)
-        if info != 0:   # singular matrix: should not happen
-            raise LinearSolveFailure(f"tridiagonal solve failed (info={info})")
+        u_half = u + dt * fu if fu is not None else u
+        rhs = u_half * self.vol
+        # a pinned value's flux into the row before it moves to that row's
+        # right-hand side, which keeps the matrix symmetric
+        lower = self.pinned_lower
+        rhs[lower] -= dt[lower] * self.neg_cond[lower] * self.pinned_values
+        rhs[self.pinned] = self.pinned_values
+        # the LAPACK solver that solveh_banded calls on two-row bands,
+        # without its wrapper and input checks; every input is a fresh array
+        *_, u_new, info = dptsv(*self.bands(dt), rhs, overwrite_d=1,
+                                overwrite_e=1, overwrite_b=1)
+        if info != 0:   # not positive definite: should not happen
+            raise LinearSolveFailure(
+                f"tridiagonal solve failed: matrix not positive definite "
+                f"(info={info})")
         if not np.isfinite(u_new).all():
             raise LinearSolveFailure("non-finite diffusion solve")
         return np.maximum(u_new, 0.0, out=u_new)
-

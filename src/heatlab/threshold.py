@@ -14,10 +14,10 @@ largest reaction value from one f call on the stacked values, each
 active run does its bookkeeping on Python floats (_stability_bound's
 dt for every run, divergence test, horizon, sample clamp, reaction guard)
 and may end itself, and the rest step through one ImexStack solve, one
-tridiagonal gtsv with each run's block at its own dt.  So a scan costs
-as many iterations as its longest run, and each run's results are bit
-for bit those it gets alone.  No field or array view is built per run
-and step: a run copies its values only into the rows of one snapshot
+symmetric tridiagonal ptsv with each run's block at its own dt.  So a
+scan costs as many iterations as its longest run, and each run's results
+are bit for bit those it gets alone.  No field or array view is built
+per run and step: a run copies its values only into the rows of one snapshot
 matrix preallocated for it, (N_SAMPLES + 2) x nodes, at the sample times
 and where it ends.  Its sup, reaction mass and excess series are
 computed once, when it has ended, from the rows filled, which its
@@ -354,12 +354,12 @@ def _evolve(spec, runs: list) -> None:
     call on them, with one max per run over the reaction values, all as
     Python floats.  Each active run then does its scalar bookkeeping on
     floats (_stability_bound's dt, divergence test, horizon, sample
-    clamp, reaction guard) and may end itself.  The others advance through one
-    ImexStack.step, one tridiagonal solve with each block at its run's own
-    dt, and a run at a sample time copies its block into its matrix; no
-    field or array view is built per run and step, and no series is
-    computed in the loop.  A run that ends leaves the stack, so each run
-    sees exactly the steps it would take alone.
+    clamp, reaction guard) and may end itself.  The others advance through
+    one ImexStack.step, one symmetric tridiagonal ptsv solve with each
+    block at its run's own dt, and a run at a sample time copies its block
+    into its matrix; no field or array view is built per run and step, and
+    no series is computed in the loop.  A run that ends leaves the stack,
+    so each run sees exactly the steps it would take alone.
     """
     active = list(runs)
     stack = ImexStack([run.grid for run in active])

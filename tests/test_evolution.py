@@ -7,17 +7,18 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 from scipy.sparse import csr_matrix
 from scipy.special import gammaincc
 
 from heatlab import evolution
-from heatlab.errors import ReactionOverflow
+from heatlab.errors import HeatLabError, LinearSolveFailure, ReactionOverflow
 from heatlab.evolution import (
     BoundaryCondition,
     ImexStack,
     RadialField,
+    RadialGrid,
     _log_angular,
     _reaction,
     _window_quadrature,
@@ -1011,15 +1012,15 @@ def test_capped_singular_profile_near_stationary(table_cubic):
 
 
 def _banded_reference(grid, dt):
-    """I - dt*L in solve_banded's (1, 1) layout, built straight from the
-    grid's diffusion coefficients."""
+    """V + dt*K in solveh_banded's upper two-row layout, built straight
+    from the grid's diffusion coefficients; a Dirichlet row is the identity
+    row."""
     vol, cond, c_sum = grid.diffusion_coefficients
-    ab = np.zeros((3, grid.n_nodes))
-    ab[0, 1:] = -dt * cond / vol[:-1]
-    ab[1] = 1.0 + dt * c_sum / vol
-    ab[2, :-1] = -dt * cond / vol[1:]
+    ab = np.zeros((2, grid.n_nodes))
+    ab[0, 1:] = -dt * cond
+    ab[1] = vol + dt * c_sum
     if grid.bc.kind == "dirichlet":
-        ab[2, -2] = 0.0
+        ab[0, -1] = 0.0
         ab[1, -1] = 1.0
     return ab
 
@@ -1029,10 +1030,11 @@ def _banded_reference(grid, dt):
 @pytest.mark.parametrize("bc", [BoundaryCondition("neumann"),
                                 BoundaryCondition("dirichlet", 0.5)])
 def test_step_solve_matches_solve_banded(dim, n_nodes, bc):
-    # a step calls LAPACK gtsv on the bands directly; solve_banded
-    # dispatches (1, 1) bands to the same routine, so the bits agree, for
-    # the heat flow and with the cubic reaction
+    # a step calls LAPACK ptsv on the volume-weighted bands directly;
+    # solveh_banded dispatches two-row bands to the same routine, so the
+    # bits agree, for the heat flow and with the cubic reaction
     g = make_grid(dim, 8.0, n_nodes, bc=bc)
+    vol, cond, _ = g.diffusion_coefficients
     stack = ImexStack((g,))
     rng = np.random.default_rng(dim + n_nodes)
     u0 = 1.0 / (1.0 + g.r ** 2) + rng.uniform(0.0, 0.1, n_nodes)
@@ -1040,18 +1042,35 @@ def test_step_solve_matches_solve_banded(dim, n_nodes, bc):
     for spec, dt in itertools.product((None, CUBIC),
                                       np.geomspace(1e-8, 1e-1, 10)):
         fu = None if spec is None else _reaction(spec, fld.u)
-        rhs = fld.u.copy() if fu is None else fld.u + dt * fu
+        rhs = vol * (fld.u if fu is None else fld.u + dt * fu)
         if bc.kind == "dirichlet":
+            # the pinned value's flux moves to the row before it
+            rhs[-2] += dt * cond[-1] * bc.value
             rhs[-1] = bc.value
-        lower, diag, upper = stack.bands(np.full(n_nodes, dt))
+        diag, off = stack.bands(np.full(n_nodes, dt))
         ab = _banded_reference(g, dt)
-        assert lower.tobytes() == ab[2, :-1].tobytes()
         assert diag.tobytes() == ab[1].tobytes()
-        assert upper.tobytes() == ab[0, 1:].tobytes()
-        ref = solve_banded((1, 1), ab, rhs)
+        assert off.tobytes() == ab[0, 1:].tobytes()
+        ref = solveh_banded(ab, rhs)
         out = stack.step(fld.u, fu, (dt,))
         assert out.tobytes() == np.maximum(ref, 0.0).tobytes(), (spec, dt)
         assert fld.u.tobytes() == u0.tobytes()    # the input stays as it was
+
+
+@pytest.mark.parametrize("spec,dim,cap", [(CUBIC, 5, 1e5),
+                                         (power_exp(5.0, 2.0), 3, 5.0)])
+def test_neumann_heat_flow_keeps_constants(spec, dim, cap):
+    # K annihilates constants, so (V + dt*K) c = V c up to rounding, from
+    # the smallest dt a threshold run takes to dt = 0.04, on case grids
+    # whose first node sits at 1.4e-6 and 2.9e-9; the rounding of the
+    # summed conductances near the origin takes the pe grid to 1.35e-14
+    g = case_grid(build_singular(spec, dim), cap, 8.0, 129)
+    g = RadialGrid(r=g.r, dim=dim, bc=BoundaryCondition("neumann"))
+    stack = ImexStack((g,))
+    for c in (1.0, 0.3, 1e5):
+        for dt in np.geomspace(1e-26, 0.04, 200):
+            out = stack.step(np.full(g.n_nodes, c), None, (dt,))
+            assert np.abs(out / c - 1.0).max() <= 2e-14, (c, dt)
 
 
 @pytest.fixture(scope="module")
@@ -1075,7 +1094,7 @@ def unequal_blocks(table_cubic):
 @pytest.mark.parametrize("spec", [None, CUBIC])
 def test_stacked_step_is_one_block_stack_per_block(unequal_blocks, order,
                                                    spec):
-    # gtsv with zero couplings between blocks gives each block exactly the
+    # ptsv with zero couplings between blocks gives each block exactly the
     # solve of the block alone, each at its own dt
     fields = [unequal_blocks[k] for k in order]
     assert [f.grid.n_nodes for f in unequal_blocks] == [129, 178, 65, 100]
@@ -1098,12 +1117,24 @@ def test_inf_block_poisons_its_neighbours(unequal_blocks):
     fields = unequal_blocks[:3]
     stack = ImexStack([f.grid for f in fields])
     dts = np.repeat([1e-9, 1e-6, 1e-3], stack.sizes)
-    rhs = np.concatenate([f.u for f in fields])
+    rhs = stack.vol * np.concatenate([f.u for f in fields])
     rhs[stack.starts[1] + 5] = np.inf
-    *_, x, info = dgtsv(*stack.bands(dts), rhs)
+    *_, x, info = dptsv(*stack.bands(dts), rhs)
     assert info == 0
     for a, b in zip(stack.starts, stack.stops):
         assert np.isnan(x[a:b]).any()
+
+
+@pytest.mark.parametrize("where", ["values", "reaction"])
+def test_inf_right_hand_side_is_a_linear_solve_failure(where):
+    # an inf in the values or in the reaction values solves to NaN, which
+    # the step raises as a typed error, not as a silently poisoned field
+    g = make_grid(3, 8.0, 65)
+    u, fu = np.ones(g.n_nodes), np.ones(g.n_nodes)
+    (u if where == "values" else fu)[7] = np.inf
+    with pytest.raises(LinearSolveFailure) as err:
+        ImexStack((g,)).step(u, fu, (1e-3,))
+    assert isinstance(err.value, HeatLabError)
 
 
 def test_reaction_overflow_raised():
