@@ -368,7 +368,7 @@ def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
 def cmd_scan(cfg: RunConfig, out: Artifacts) -> int:
     spec = cfg.spec()
     table = _build_table(cfg, spec)
-    u_ref = float(table.u_star(cfg.bump_r_c))
+    u_ref = table.u_star(cfg.bump_r_c)
     A_grid = [fa * u_ref for fa in cfg.amplitude_factors()]
     bump = RadialBump(cfg.bump_r_c, cfg.bump_sigma, 0.0)
     report = threshold_scan(None if cfg.pure_heat else spec, table, bump,

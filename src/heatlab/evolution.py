@@ -197,7 +197,7 @@ def _star_on_nodes(table, grid: RadialGrid,
     (spec defaults to the table's own)."""
     star = np.empty(grid.n_nodes)
     star[0] = np.inf
-    star[1:] = np.asarray(table.u_star(grid.r[1:], spec))
+    star[1:] = table.u_star(grid.r[1:], spec)
     return star
 
 

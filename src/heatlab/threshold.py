@@ -155,7 +155,7 @@ def _cap_radius(table, cap: float) -> float:
     """
     lo, hi = 1e-12, float(table.r[-1])
     ladder = np.geomspace(lo, hi, 32)
-    u = np.asarray(table.u_star(ladder))
+    u = table.u_star(ladder)
     if u[-1] >= cap:
         return hi
     if u[0] < cap:
@@ -164,7 +164,7 @@ def _cap_radius(table, cap: float) -> float:
             f"resolvable radius: u*({lo:g}) = {u[0]:.6g}; choose a cap "
             f"below {u[0]:.6g}")
     j = np.flatnonzero(u >= cap)[-1]
-    return float(brentq(lambda r: float(table.u_star(r)) - cap,
+    return float(brentq(lambda r: table.u_star(r) - cap,
                         ladder[j], ladder[j + 1], xtol=1e-300))
 
 
@@ -186,7 +186,7 @@ def case_grid(table, cap: float, R_outer: float,
     n_geo_req = math.ceil(1.0 + math.log(
         transition_radius(R_outer) / (r1_frac * R_outer)) / math.log(1.3))
     n_nodes = max(n_nodes, math.ceil(n_geo_req / GEOMETRIC_SHARE) + 2)
-    bc = BoundaryCondition("dirichlet", float(table.u_star(R_outer)))
+    bc = BoundaryCondition("dirichlet", table.u_star(R_outer))
     return make_grid(table.dim, R_outer, n_nodes, r1_frac=r1_frac, bc=bc)
 
 

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_simpson, solve_ivp
 
 from heatlab.cli import Artifacts
 from heatlab.errors import OutOfRange, StepUnderflow
@@ -174,6 +174,21 @@ def test_u_star_beyond_R_max_is_out_of_range():
         tab.u_star(8.0)
     with pytest.raises(OutOfRange):
         tab.du_star(np.array([1.0, 8.0]))
+
+
+def test_u_star_keeps_the_shape_of_r(table_cubic):
+    # a float r gives a float; an array, one of any size, keeps its shape,
+    # on the dense output and on the patch formula below it alike
+    assert isinstance(table_cubic.u_star(1.0), float)
+    assert isinstance(table_cubic.du_star(np.float64(1.0)), float)
+    one = table_cubic.u_star(np.array([1.0]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    r = np.array([[1e-9, 1.0], [2.0, 4.0]])
+    for r_in in (np.array([[1.0]]), r, r[:, :1]):
+        u, du = table_cubic.u_star(r_in), table_cubic.du_star(r_in)
+        assert u.shape == du.shape == r_in.shape
+        assert np.allclose(u, math.sqrt(2.0) / r_in, rtol=1e-9)
+        assert np.allclose(du, -math.sqrt(2.0) / r_in ** 2, rtol=1e-8)
 
 
 def test_invalid_patch_radius_rejected():
@@ -469,6 +484,39 @@ def test_flux_identity_cubic_closed_form(table_cubic):
 def test_flux_identity_exponential_families(table_power_exp, table_cutoff):
     assert verify_flux_identity(table_power_exp, POWER_EXP) <= 1e-4
     assert verify_flux_identity(table_cutoff, CUTOFF) <= 1e-4
+
+
+def fine_flux_residual(table, spec):
+    """verify_flux_identity's residual with (dense.t_min, r_patch) taken by
+    64-point Gauss-Legendre on each of 64 equal panels in log r."""
+    dim, t_min, panels = table.dim, table.dense.t_min, 64
+    x, w = np.polynomial.legendre.leggauss(64)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    s = t_min * x
+    patch = np.dot(t_min * w, spec.f(patch_seed(spec, dim, s)[0])
+                   * s ** (dim - 1))
+    width = math.log(table.r_patch / t_min) / panels
+    r = t_min * np.exp(width * (np.arange(panels)[:, None] + x)).ravel()
+    inner = np.dot(width * np.tile(w, panels) * r,
+                   spec.f(table.dense(r)[0]) * r ** (dim - 1))
+    lhs = -table.r ** (dim - 1) * table.du
+    rhs = patch + inner + cumulative_simpson(
+        spec.f(table.u) * table.r ** (dim - 1), x=table.r, initial=0.0)
+    return float((np.abs(lhs - rhs) / np.abs(lhs)).max())
+
+
+@pytest.mark.parametrize("family, dim", [
+    ("power_exp", 3), ("power_exp", 8), ("cutoff_exp", 3), ("cubic", 5),
+])
+def test_flux_identity_inner_range_is_converged(family, dim):
+    # (t_min, r_patch) carries nearly all of the flux at r_patch, so its
+    # quadrature error enters the residual at full weight; cutoff-exp's
+    # C^2 join at u = 1 lies in that range
+    spec = {"power_exp": POWER_EXP, "cutoff_exp": CUTOFF,
+            "cubic": CUBIC}[family]
+    table = build_singular(spec, dim)
+    assert verify_flux_identity(table, spec) == pytest.approx(
+        fine_flux_residual(table, spec), abs=1e-12)
 
 
 def test_pohozaev_energy_decreases(table_power_exp, table_cutoff,
