@@ -742,7 +742,10 @@ class ImexStack:
     the volume-weighted system (V + dt*K) u_new = V u_half, V the cell
     volumes and K the symmetric conductance matrix, which is positive
     definite for every dt >= 0; LAPACK's ptsv factors it as L D L^T without
-    pivoting.  The coupling entries between blocks are 0, so each block
+    pivoting.  Its dt-free parts (volumes, conductances, summed
+    conductances) are built once per stack with each Dirichlet row folded
+    in as the identity row, so the bands of a step are two multiplies and
+    an add.  The coupling entries between blocks are 0, so each block
     gets bit for bit its result alone.  The caller passes the reaction
     values, guarded: non-finite values do cross a zero coupling
     (0 * inf = NaN), so a run whose reaction fails the guard leaves the
@@ -764,25 +767,30 @@ class ImexStack:
             [np.append(cond, 0.0) for _, cond, _ in coefs])[:-1]
         self.c_sum = np.concatenate([c_sum for _, _, c_sum in coefs])
         pinned = [k for k, g in enumerate(grids) if g.bc.kind == "dirichlet"]
-        # the Dirichlet rows, the last node of such a block, and their
-        # entries in the off-diagonal
+        # the Dirichlet rows, the last node of such a block, the entries
+        # before them in the off-diagonal and the conductances there
         self.pinned = self.stops[pinned] - 1
         self.pinned_lower = self.pinned - 1
+        self.pinned_neg_cond = self.neg_cond[self.pinned_lower]
         self.pinned_values = np.array([grids[k].bc.value for k in pinned])
+        # a Dirichlet row folded into the dt-free parts: for every finite
+        # dt >= 0 the bands then give it diag dt * 0 + 1 = 1 and
+        # off-diagonal dt * 0 = 0, the identity row; its volume-weighted
+        # right-hand side is replaced by the pinned value
+        self.neg_cond[self.pinned_lower] = 0.0
+        self.c_sum[self.pinned] = 0.0
+        self.vol[self.pinned] = 1.0
 
     def bands(self, dt: np.ndarray):
         """Main and off-diagonal of V + dt*K for the per-node time steps
-        dt: diag = vol + dt * c_sum and off = -dt * cond, K the
+        dt >= 0: diag = vol + dt * c_sum and off = -dt * cond, K the
         finite-volume radial Laplacian's conductances with metric weights
         r^{N-1}, reflecting at the origin.  A Dirichlet row is the identity
-        row, its off-diagonal entry 0.  Two fresh arrays, which the solver
-        may overwrite."""
-        off = dt[:-1] * self.neg_cond
+        row, its off-diagonal entry 0, from the dt-free parts.  Two fresh
+        arrays, which the solver may overwrite."""
         diag = dt * self.c_sum
         diag += self.vol
-        off[self.pinned_lower] = 0.0
-        diag[self.pinned] = 1.0
-        return diag, off
+        return diag, dt[:-1] * self.neg_cond
 
     def step(self, u: np.ndarray, fu: Optional[np.ndarray],
              dts) -> np.ndarray:
@@ -791,12 +799,17 @@ class ImexStack:
         flow), then backward-Euler diffusion; a fresh array.
         """
         dt = np.asarray(dts, dtype=float).repeat(self.sizes)
-        u_half = u + dt * fu if fu is not None else u
-        rhs = u_half * self.vol
+        if fu is None:
+            rhs = u * self.vol
+        else:
+            # (u + dt * fu) * vol in place: the sum is commutative
+            rhs = dt * fu
+            rhs += u
+            rhs *= self.vol
         # a pinned value's flux into the row before it moves to that row's
         # right-hand side, which keeps the matrix symmetric
         lower = self.pinned_lower
-        rhs[lower] -= dt[lower] * self.neg_cond[lower] * self.pinned_values
+        rhs[lower] -= dt[lower] * self.pinned_neg_cond * self.pinned_values
         rhs[self.pinned] = self.pinned_values
         # the LAPACK solver that solveh_banded calls on two-row bands,
         # without its wrapper and input checks; every input is a fresh array

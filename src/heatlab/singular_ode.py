@@ -127,15 +127,19 @@ class SingularSolutionTable:
                                              compare=False)
 
     def _evaluate(self, r, spec, k: int):
-        """Column k (0: u*, 1: u*') at radii up to R_max: the solver's
+        """Column k (0: u*, 1: u*') at radii in (0, R_max]: the solver's
         dense output on [dense.t_min, R_max], the patch formula below.  A
-        float r gives a float, an array an array of its shape."""
+        float r gives a float, an array an array of its shape; a radius
+        outside (0, R_max], or NaN, is OutOfRange."""
         spec = spec if spec is not None else self.spec
         r = np.asarray(r, dtype=float)
         scalar, r = r.ndim == 0, np.atleast_1d(r)
         if np.any(r > self.R_max):
             raise OutOfRange(f"u* is built on (0, {self.R_max:g}], "
                              f"asked at r = {r.max():g}")
+        if not np.all(r > 0.0):                 # False for NaN too
+            raise OutOfRange(f"u* is built on (0, {self.R_max:g}], "
+                             f"asked at r = {r[~(r > 0.0)][0]:g}")
         out = np.empty_like(r)
         covered = r >= self.dense.t_min
         out[covered] = self.dense(r[covered])[k]
@@ -202,9 +206,10 @@ class _RadialDense:
 
     The arrays are stacked once, zero-padded to the highest order, so any
     array of radii costs one searchsorted, one power and a few stacked
-    matrix products.  A radius on an inner edge takes the later of the
-    two steps meeting there (as scipy's OdeSolution does for LSODA), and
-    radii beyond either end use the end step.
+    matrix products; one radius costs only the product of its step.  A
+    radius on an inner edge takes the later of the two steps meeting there
+    (as scipy's OdeSolution does for LSODA), and radii beyond either end
+    use the end step.
     """
 
     def __init__(self, edges, t, h, yh, t_min: float):
@@ -240,11 +245,16 @@ class _RadialDense:
         # differently.  matmul hands each stacked product of the same shape
         # to the same routine, so the values are scipy's to the bit, and
         # so is everything built on u*.
-        y = (self._yh[step] @ np.stack([x, x], axis=-1))[..., 0]
-        lone = np.bincount(step, minlength=len(self._t))[step] == 1
-        for k in np.unique(order[lone]):
-            i = np.flatnonzero(lone & (order == k))
-            y[i] = (self._yh[step[i], :, :k] @ x[i, :k, None])[..., 0]
+        if len(s) == 1:
+            # a lone radius: only the product of a step holding one radius
+            k = order[0]
+            y = (self._yh[step, :, :k] @ x[:, :k, None])[..., 0]
+        else:
+            y = (self._yh[step] @ np.stack([x, x], axis=-1))[..., 0]
+            lone = np.bincount(step, minlength=len(self._t))[step] == 1
+            for k in np.unique(order[lone]):
+                i = np.flatnonzero(lone & (order == k))
+                y[i] = (self._yh[step[i], :, :k] @ x[i, :k, None])[..., 0]
         u, v = y.T.reshape((2,) + r.shape)
         return np.array([u, v / r])
 

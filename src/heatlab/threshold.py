@@ -10,16 +10,19 @@ at most u* for A <= 0, above the capped profile for A > 0.  A = 0 is
 the capped profile itself, the run of `heatlab evolve`.  A run is one
 (amplitude, cap) pair.  The runs of a scan advance in lockstep, in one
 loop under one np.errstate: an iteration takes every run's sup norm and
-largest reaction value from one f call on the stacked values, each
-active run does its bookkeeping on Python floats (_stability_bound's
-dt for every run, divergence test, horizon, sample clamp, reaction guard)
-and may end itself, and the rest step through one ImexStack solve, one
-symmetric tridiagonal ptsv with each run's block at its own dt.  So a
-scan costs as many iterations as its longest run, and each run's results
-are bit for bit those it gets alone.  No field or array view is built
-per run and step: a run copies its values only into the rows of one snapshot
-matrix preallocated for it, (N_SAMPLES + 2) x nodes, at the sample times
-and where it ends.  Its sup, reaction mass and excess series are
+largest reaction value from one f call on the stacked values, and each
+active run makes one call.  That call applies the step the run took last
+(its clock and sample record), does its bookkeeping on Python floats
+(_stability_bound's dt, divergence test, horizon, sample clamp, reaction
+guard) and may end the run.  The divergence test checks the sup and dt
+guards before the inner reaction mass, which it takes from the
+iteration's reaction values while no node passes 1e60.  The rest step
+through one ImexStack solve, one symmetric tridiagonal ptsv with each
+run's block at its own dt.  So a scan costs as many iterations as its
+longest run, and each run's results are bit for bit those it gets alone.
+No field or array view is built per run and step: a run copies its
+values only into the rows of one snapshot matrix preallocated for it,
+(N_SAMPLES + 2) x nodes, at the sample times and where it ends.  Its sup, reaction mass and excess series are
 computed once, when it has ended, from the rows filled, which its
 EvolutionOutcome keeps as one matrix.  Its L^1_ul series is computed
 from them on first read, which only `heatlab evolve` makes.
@@ -247,7 +250,8 @@ class _Run:
         self.samples = np.geomspace(self.horizon / 1e4, self.horizon,
                                     N_SAMPLES).tolist() + [math.inf]
         self.next_sample = 0
-        self.t = 0.0
+        # the clock and the step last taken, which next_dt applies
+        self.t, self.dt = 0.0, 0.0
         self.classification = "Undetermined"
         self.t_detect = None
         # floor at R/8: on cap-resolving grids the ten innermost cells
@@ -270,8 +274,12 @@ class _Run:
         gives a scalar."""
         if self.spec is None:
             return np.zeros(u.shape[:-1])
-        fu = _reaction_values(
-            self.spec, np.minimum(u[..., :len(self.inner_volumes)], 1e60))
+        return self._mass(_reaction_values(
+            self.spec, np.minimum(u[..., :len(self.inner_volumes)], 1e60)))
+
+    def _mass(self, fu: np.ndarray) -> np.ndarray:
+        """inner_mass from the reaction values fu on the inner nodes, which
+        it overwrites."""
         # for f >= 0 this is nan_to_num(fu, posinf=1e200) capped at 1e200
         fu[np.isnan(fu)] = 0.0
         np.minimum(fu, 1e200, out=fu)
@@ -283,21 +291,38 @@ class _Run:
         self.values[len(self.times)] = u[a:a + self.n_nodes]
         self.times.append(self.t)
 
-    def next_dt(self, u: np.ndarray, a: int, sup: float,
-                f_max: float) -> Optional[float]:
-        """The step from the run's values u[a:a + n_nodes] of the stacked
-        values u, with sup-norm sup and largest reaction value f_max, or
-        None when the run ends here: at the horizon, or diverged or
-        overflowing (BlowUp past the sup guard)."""
+    def _reach(self, u: np.ndarray, a: int) -> None:
+        """The step of self.dt reached the stacked values u, the run's from
+        index a on: advance the clock and record them at a sample time."""
+        self.t += self.dt
+        if self.t >= self.samples[self.next_sample] * (1 - 1e-12):
+            self._record(u, a)
+            self.next_sample += 1
+
+    def next_dt(self, u: np.ndarray, fu: Optional[np.ndarray], a: int,
+                sup: float, f_max: float) -> Optional[float]:
+        """The run's next step, from its values u[a:a + n_nodes] of the
+        stacked values u, which the step it took last reached (the first
+        call has none), with reaction values fu = f(u) (None for the heat
+        flow), sup-norm sup and largest reaction value f_max; or None when
+        the run ends here: at the horizon, or diverged or overflowing
+        (BlowUp past the sup guard)."""
+        if self.dt:
+            self._reach(u, a)
         t = self.t
         dt_stab = _stability_bound(self.spec, sup, self.dt_max)
-        diverged = (sup > SUP_GUARD
-                    and self.inner_mass(u[a:a + self.n_nodes])
-                    > MASS_GUARD * self.mass0
-                    and dt_stab < DT_UNDERFLOW)
+        # the scalar conditions first: the mass is the costly one
+        diverged = sup > SUP_GUARD and dt_stab < DT_UNDERFLOW
+        if diverged:
+            # where no node passes 1e60, fu is f(min(u, 1e60)) already
+            inner = slice(a, a + len(self.inner_volumes))
+            mass = (self._mass(fu[inner].copy())
+                    if fu is not None and sup <= 1e60
+                    else self.inner_mass(u[inner]))
+            diverged = mass > MASS_GUARD * self.mass0
         if t >= self.horizon and not diverged:
             return None
-        # the next sample time is ahead of t: advance passes each it reaches
+        # the next sample time is ahead of t: _reach passes each it reaches
         dt = min(dt_stab, self.horizon - t,
                  self.samples[self.next_sample] - t)
         if (diverged or dt_stab == 0.0
@@ -308,15 +333,8 @@ class _Run:
                 self.t_detect = t
             self._record(u, a)
             return None
+        self.dt = dt
         return dt
-
-    def advance(self, dt: float, u: np.ndarray, a: int) -> None:
-        """The step of dt reached the stacked values u, the run's from
-        index a on; record them at a sample time."""
-        self.t += dt
-        if self.t >= self.samples[self.next_sample] * (1 - 1e-12):
-            self._record(u, a)
-            self.next_sample += 1
 
     def outcome(self) -> EvolutionOutcome:
         """The classified evolution once the run has ended, its series
@@ -352,14 +370,17 @@ def _evolve(spec, runs: list) -> None:
     The loop runs under one np.errstate that lets f overflow to inf.  An
     iteration takes one max per run over the stacked values and one f
     call on them, with one max per run over the reaction values, all as
-    Python floats.  Each active run then does its scalar bookkeeping on
-    floats (_stability_bound's dt, divergence test, horizon, sample
-    clamp, reaction guard) and may end itself.  The others advance through
-    one ImexStack.step, one symmetric tridiagonal ptsv solve with each
-    block at its run's own dt, and a run at a sample time copies its block
-    into its matrix; no field or array view is built per run and step, and
-    no series is computed in the loop.  A run that ends leaves the stack,
-    so each run sees exactly the steps it would take alone.
+    Python floats.  Each active run then makes one next_dt call: it applies
+    the step it took last (clock, sample record) and does its scalar
+    bookkeeping on floats (_stability_bound's dt, divergence test, horizon,
+    sample clamp, reaction guard), and may end itself.  The divergence
+    test takes the inner reaction mass only past the sup and dt guards,
+    from this iteration's reaction values where no node passes 1e60.  The
+    others advance through one ImexStack.step, one symmetric tridiagonal
+    ptsv solve with each block at its run's own dt; no field or array view
+    is built per run and step, and no series is computed in the loop.  A
+    run that ends leaves the stack, so each run sees exactly the steps it
+    would take alone.
     """
     active = list(runs)
     stack = ImexStack([run.grid for run in active])
@@ -371,7 +392,8 @@ def _evolve(spec, runs: list) -> None:
             if spec is not None:
                 fu = np.asarray(spec.f(u), dtype=float)
                 f_maxes = np.maximum.reduceat(fu, stack.starts).tolist()
-            dts = [run.next_dt(u, a, sup, f_max) for run, (a, _), sup, f_max
+            dts = [run.next_dt(u, fu, a, sup, f_max)
+                   for run, (a, _), sup, f_max
                    in zip(active, stack.bounds, sups, f_maxes)]
             if None in dts:
                 keep = [k for k, dt in enumerate(dts) if dt is not None]
@@ -384,8 +406,9 @@ def _evolve(spec, runs: list) -> None:
                 active, dts = [active[k] for k in keep], [dts[k] for k in keep]
                 stack = ImexStack([run.grid for run in active])
             u = stack.step(u, fu, dts)
-            for run, dt, (a, _) in zip(active, dts, stack.bounds):
-                run.advance(dt, u, a)
+    # past MAX_STEPS the runs left stay Undetermined, each at its last step
+    for run, (a, _) in zip(active, stack.bounds):
+        run._reach(u, a)
 
 
 @dataclass

@@ -1090,6 +1090,25 @@ def unequal_blocks(table_cubic):
     return blocks
 
 
+def test_folded_bands_pin_the_dirichlet_rows(unequal_blocks):
+    # the Dirichlet rows are folded into the dt-free parts once per stack:
+    # at every dt each gives diag 1 and off-diagonal 0, every block the
+    # bands of its grid alone, and the coupling between blocks is 0
+    grids = [f.grid for f in unequal_blocks]
+    assert [g.bc.kind for g in grids] == ["dirichlet"] * 2 + ["neumann"] * 2
+    stack = ImexStack(grids)
+    for dt in np.geomspace(1e-26, 0.04, 7):
+        dts = dt * np.array([1.0, 3.0, 0.5, 7.0])
+        diag, off = stack.bands(dts.repeat(stack.sizes))
+        assert np.all(diag[stack.pinned] == 1.0)
+        assert np.all(off[stack.pinned_lower] == 0.0)
+        assert np.all(off[stack.stops[:-1] - 1] == 0.0)
+        for g, step, a, b in zip(grids, dts, stack.starts, stack.stops):
+            ab = _banded_reference(g, step)
+            assert diag[a:b].tobytes() == ab[1].tobytes()
+            assert off[a:b - 1].tobytes() == ab[0, 1:].tobytes()
+
+
 @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 1, 0, 2)])
 @pytest.mark.parametrize("spec", [None, CUBIC])
 def test_stacked_step_is_one_block_stack_per_block(unequal_blocks, order,

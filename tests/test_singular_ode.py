@@ -191,6 +191,41 @@ def test_u_star_keeps_the_shape_of_r(table_cubic):
         assert np.allclose(du, -math.sqrt(2.0) / r_in ** 2, rtol=1e-8)
 
 
+@pytest.mark.parametrize("which", ["power_exp", "cubic"])
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+def test_u_star_below_its_domain_is_out_of_range(which, r, request):
+    # a radius r <= 0 or NaN names itself, with no warning on the way, for
+    # a float and inside an array
+    tab = request.getfixturevalue(f"table_{which}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ask in (tab.u_star, tab.du_star):
+            for r_in in (r, np.array([1.0, r])):
+                with pytest.raises(OutOfRange,
+                                   match=rf"asked at r = {r:g}$"):
+                    ask(r_in)
+
+
+@pytest.mark.parametrize("which", ["power_exp", "cutoff", "cubic"])
+def test_one_radius_is_its_lone_step_bit_for_bit(which, request):
+    # the midpoint of every dense step, each alone in its step: in one
+    # array they take the lone-step products of a stacked call, and a
+    # float or a one-element array takes the one-radius path, with the
+    # same bits, at every Nordsieck order the output holds
+    tab = request.getfixturevalue(f"table_{which}")
+    edges = tab.dense.edges
+    radii = np.exp(0.5 * (edges[:-1] + edges[1:]))
+    step = np.searchsorted(edges[1:-1], np.log(radii), side="right")
+    assert np.array_equal(step, np.arange(len(radii)))
+    assert set(tab.dense._order[step]) == set(tab.dense._order)
+    for ask in (tab.u_star, tab.du_star):
+        stacked = ask(radii)
+        alone = np.array([ask(float(x)) for x in radii])
+        one = np.concatenate([ask(np.array([x])) for x in radii])
+        assert alone.tobytes() == stacked.tobytes()
+        assert one.tobytes() == stacked.tobytes()
+
+
 def test_invalid_patch_radius_rejected():
     with pytest.raises(ValueError):
         build_singular(CUBIC, 5, r_patch=20.0, R_max=10.0)

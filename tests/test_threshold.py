@@ -18,12 +18,14 @@ from heatlab.evolution import (
 from heatlab.nonlinearity import power_exp, pure_power
 from heatlab.singular_ode import build_singular
 from heatlab.threshold import (
+    MASS_GUARD,
     N_SAMPLES,
     SUP_GUARD,
     CaseReport,
     EvolutionOutcome,
     RadialBump,
     ScanReport,
+    _cap_radius,
     _Run,
     case_grid,
     initial_data,
@@ -116,6 +118,13 @@ def test_case_grid_resolves_capped_zone(table):
         r1 = g.r[1]
         assert float(table.u_star(r1, CUBIC)) > cap
         assert g.bc.kind == "dirichlet"
+
+
+def test_cap_radius_keeps_its_bits(table):
+    # where the cubic's profile sqrt(2)/r crosses each cap, to the bit
+    assert [_cap_radius(table, cap) for cap in (1e2, 1e4, 1e5)] == [
+        0.014142135623787985, 0.00014142135623819213,
+        1.4142135623825377e-05]
 
 
 def test_case_grid_rejects_unreachable_cap(table_pe):
@@ -346,6 +355,45 @@ def test_inner_mass_is_the_reference_formula(table):
             assert [_bits(run.inner_mass(u)) for u in fields] == want
             stacked = run.inner_mass(np.stack(fields))
         assert [_bits(m) for m in stacked] == want
+
+
+def test_divergence_test_decides_as_the_reference(table):
+    # past the sup and dt guards the divergence test takes the inner mass:
+    # from the iteration's reaction values while no node passes 1e60, from
+    # the values as inner_mass takes them past it.  Either way a run ends
+    # BlowUp exactly when the reference mass passes MASS_GUARD * mass0;
+    # its block sits behind another in the stack
+    grid = case_grid(table, 1e4, 8.0, 129)
+    star = np.concatenate([[np.inf], table.u_star(grid.r[1:], CUBIC)])
+    u0 = initial_data(grid, star, RadialBump(2.0, 2.0, 0.1), 1e4)
+    n_inner = int(np.sum(grid.r <= max(grid.r[10], grid.R_outer / 8.0)))
+    # the cubic up to 1e60 and 0 above: only f(min(u, 1e60)) reads it right
+    cut = SimpleNamespace(
+        f=lambda u: np.where(u > 1e60, 0.0, np.minimum(u, 1e60) ** 3),
+        fp=lambda u: 3.0 * u * u)
+    inner, outer = slice(0, n_inner), slice(n_inner + 5, n_inner + 6)
+    cases = [(inner, 1e9, True), (outer, 1e9, False),
+             (inner, 1e70, True), (outer, 1e70, False)]
+    ahead = np.ones(37)
+    for spec in (CUBIC, cut):
+        for where, level, blows_up in cases:
+            u = u0.u.copy()
+            u[where] = level
+            run = _Run(spec, u0, "above", star, 2.0, 1e4)
+            stacked = np.concatenate([ahead, u])
+            with np.errstate(over="ignore"):
+                fu = np.asarray(spec.f(stacked), dtype=float)
+            a = len(ahead)
+            want = (_inner_mass_reference(spec, grid, u)
+                    > MASS_GUARD * run.mass0)
+            assert want is blows_up
+            if level > 1e60 and where is inner and spec is cut:
+                # the reaction values alone would miss this divergence
+                mass = run._mass(fu[a:a + n_inner].copy())
+                assert not mass > MASS_GUARD * run.mass0
+            dt = run.next_dt(stacked, fu, a, float(u.max()), 0.0)
+            assert (dt is None) is want
+            assert (run.classification == "BlowUp") is want
 
 
 def _excess_per_snapshot(tab, spec, o):
