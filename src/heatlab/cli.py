@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import HeatLabError
-from .evolution import RadialField, field_from_table
+from .evolution import RadialField, field_from_table, semigroup_time_floor
 from .iteration import N_SLICES, LadderSeed, run_ladder
 from .nonlinearity import (
     NonlinearitySpec,
@@ -337,7 +337,7 @@ def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
     spec = cfg.spec()
     table = _build_table(cfg, spec)
     grid = case_grid(table, cfg.iterate_cap, cfg.R_outer, cfg.n_nodes)
-    envelope = field_from_table(table, grid, cap=cfg.iterate_cap, spec=spec)
+    envelope = field_from_table(table, grid, cap=cfg.iterate_cap)
     u0 = RadialField(grid, cfg.seed_factor * envelope.u, envelope.cap_mask)
     below = run_ladder("from_below", u0, spec, cfg.t_obs, k_max=cfg.k_max,
                        n_slices=cfg.n_slices, ladder_tol=0.0)
@@ -470,6 +470,14 @@ def main(argv=None) -> int:
                 raise ValueError("R_outer must be <= R_max")
             if args.command == "scan" and cfg.bump_r_c > cfg.R_max:
                 raise ValueError("bump_r_c must be <= R_max")
+            if args.command == "iterate":
+                # the ladders build S(t) at the slice t_obs / n_slices
+                dt = cfg.t_obs / cfg.n_slices
+                floor = semigroup_time_floor(cfg.R_outer)
+                if dt < floor:
+                    raise ValueError(
+                        f"the slice t_obs / n_slices = {dt:g} is below "
+                        f"S(t)'s floor {floor:g} at R_outer = {cfg.R_outer:g}")
             if cfg.family == "pure-power":     # these runs start from u*
                 pure_power_profile_coefficient(cfg.p, cfg.dim)
     except (ValueError, configparser.Error) as exc:

@@ -43,6 +43,7 @@ __all__ = [
     "ULNormEstimate",
     "make_grid",
     "transition_radius",
+    "semigroup_time_floor",
     "field_from_table",
     "sphere_area",
     "semigroup_operator",
@@ -392,6 +393,15 @@ def _log_angular(dim: int, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def semigroup_time_floor(R_outer: float) -> float:
+    """The least t that S(t) is built for on a grid of outer radius
+    R_outer: there the kernel width sqrt(4t) is two double spacings at
+    2 R_outer.  Below it the extension region's sub-segments, each about a
+    width long, round to shared edges, and a grid interval's sub-segment
+    count can overflow an int64."""
+    return float(np.spacing(2.0 * R_outer)) ** 2
+
+
 class SemigroupOperator:
     """Dense matrix action of S(t) on nodal values of one grid.
 
@@ -409,11 +419,7 @@ class SemigroupOperator:
     def __init__(self, grid: RadialGrid, t: float, interp: str = "cubic"):
         if not 0.0 < t < math.inf:          # False for nan too
             raise ValueError(f"t must be finite and > 0, got {t!r}")
-        # at the floor the kernel width sqrt(4t) is two double spacings at
-        # 2 R_outer.  Below it the extension region's sub-segments, each
-        # about a width long, round to shared edges, and a grid interval's
-        # sub-segment count can overflow an int64
-        floor = float(np.spacing(2.0 * grid.R_outer)) ** 2
+        floor = semigroup_time_floor(grid.R_outer)
         if t < floor:
             raise ValueError(
                 f"t = {t!r} is below this grid's floor {floor!r}, where the "

@@ -103,11 +103,11 @@ class SingularSolutionTable:
     """Singular profile u* on (0, R_max] with its sample on [r_patch, R_max].
 
     The solver's dense output ``dense`` represents u* and u*' on its whole
-    range [dense.t_min, R_max], and the optional ``spec`` gives the patch
-    formula below that.  The table ``r``, ``u``, ``du`` in dimension ``dim``
-    is the dense output sampled on [r_patch, R_max]: the rows of
-    singular_table.csv and the nodes of the flux, Pohozaev and
-    asymptotic-ratio checks.
+    range [dense.t_min, R_max], and the nonlinearity ``spec`` it was built
+    for gives the patch formula below that.  The table ``r``, ``u``,
+    ``du`` in dimension ``dim`` is the dense output sampled on
+    [r_patch, R_max]: the rows of singular_table.csv and the nodes of the
+    flux, Pohozaev and asymptotic-ratio checks.
     ``tolerances`` holds the solver tolerances and the re-seed mismatch,
     ``cross_check`` the record of the regular shot; both are written to
     singular_verification.json.
@@ -121,10 +121,9 @@ class SingularSolutionTable:
     R_max: float
     patch_method: str
     dense: Callable = field(repr=False, compare=False)
+    spec: NonlinearitySpec = field(repr=False, compare=False)
     tolerances: dict = field(default_factory=dict)
     cross_check: dict = field(default_factory=dict)
-    spec: Optional[NonlinearitySpec] = field(default=None, repr=False,
-                                             compare=False)
 
     def _evaluate(self, r, spec, k: int):
         """Column k (0: u*, 1: u*') at radii in (0, R_max]: the solver's
@@ -144,8 +143,6 @@ class SingularSolutionTable:
         covered = r >= self.dense.t_min
         out[covered] = self.dense(r[covered])[k]
         if not np.all(covered):
-            if spec is None:
-                raise ValueError("need the nonlinearity to evaluate the patch")
             out[~covered] = patch_seed(spec, self.dim, r[~covered])[k]
         return float(out[0]) if scalar else out
 
@@ -186,11 +183,17 @@ class PohozaevTrace:
 
 
 def _rhs(spec: NonlinearitySpec, dim: int):
-    """The radial equation in s = log r, v = r u'."""
+    """The radial equation in s = log r, v = r u'.  Past s = 354.9 (r about
+    1e154) exp(2s) is taken as inf, numpy's IEEE value, as the built-in
+    evaluators take f where it overflows."""
     def rhs(s, y):
         u, v = y.tolist()
         fu = float(spec.f(u)) if u > 0.0 else 0.0
-        return [v, -(dim - 2.0) * v - math.exp(2.0 * s) * fu]
+        try:
+            scale = math.exp(2.0 * s)
+        except OverflowError:
+            scale = math.inf
+        return [v, -(dim - 2.0) * v - scale * fu]
     return rhs
 
 
@@ -434,7 +437,7 @@ def build_singular(spec: NonlinearitySpec, dim: int,
         return table
     mask = (reg.r >= max(10.0 * r_patch, 0.05 * R_max)) & (reg.u > 0)
     if np.any(mask):
-        ustar = table.u_star(reg.r[mask], spec)
+        ustar = table.u_star(reg.r[mask])
         max_ratio = float((reg.u[mask] / ustar).max())
         below = bool(max_ratio <= 1.05)
     else:

@@ -156,6 +156,12 @@ def test_config_error_exit_code(tmp_path, capsys):
      "pure_heat must be true/false, yes/no, on/off or 1/0, got 'ture'"),
     (["scan", "--config", "two_bool.ini"],
      "pure_heat must be true/false, yes/no, on/off or 1/0, got '2'"),
+    # the ladders' slice t_obs / n_slices = 1.5625e-42 lies below S(t)'s
+    # floor spacing(16)^2 = 1.26e-29 at R_outer = 8
+    (["iterate", "--family", "pure-power", "--p", "3", "--dim", "5",
+      "--t-obs", "1e-40"],
+     "the slice t_obs / n_slices = 1.5625e-42 is below S(t)'s floor "
+     "1.26218e-29 at R_outer = 8"),
 ])
 def test_bad_run_option_is_config_error(tmp_path, monkeypatch, capsys, argv,
                                         message):
@@ -248,6 +254,23 @@ def test_singular_non_finite_seed_exit_code(tmp_path, capsys):
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "OutOfRange" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", [
+    ["--family", "pure-power", "--p", "3", "--dim", "5"],
+    ["--family", "power-exp", "--p", "5", "--q", "2", "--dim", "3"],
+])
+@pytest.mark.parametrize("R_max", ["1e200", "1e300"])
+def test_singular_far_outer_radius_is_a_typed_error(tmp_path, capsys, family,
+                                                    R_max):
+    # past r = 1e154 e^(2 log r) overflows a float: the radial equation
+    # takes it as inf, and the build ends in a typed error, not a traceback
+    rc = main(["singular", *family, "--R-max", R_max,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert (capsys.readouterr().err
+            == "StepUnderflow: singular profile lost positivity\n")
 
 
 def test_singular_pure_power_artifacts(tmp_path):
@@ -398,6 +421,14 @@ def test_iterate_artifacts(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     summary = json.loads((out / "iterate_summary.json").read_text())
     assert summary["cross_chain_violation_max"] <= 1e-8
+
+
+def test_iterate_slice_above_the_floor_runs(tmp_path):
+    # t_obs = 1e-25 takes slices of 1.6e-27, above S(t)'s floor 1.26e-29
+    rc = main(["iterate", "--family", "pure-power", "--p", "3", "--dim", "5",
+               "--t-obs", "1e-25", "--n-nodes", "64",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
 
 
 def test_iterate_broken_ordering_keeps_artifacts(tmp_path, capsys):

@@ -242,6 +242,8 @@ def test_operator_builds_down_to_the_grid_floor():
     # the floor follows the outer radius: four times higher at twice it
     with pytest.raises(ValueError, match=f"floor {4.0 * floor!r}"):
         evolution.SemigroupOperator(make_grid(3, 16.0, 65), 2.0 * floor)
+    assert evolution.semigroup_time_floor(8.0) == floor
+    assert evolution.semigroup_time_floor(16.0) == 4.0 * floor
 
 
 def test_dirichlet_extension_feeds_boundary_value():
