@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import HeatLabError
-from .evolution import RadialField, field_from_table, semigroup_time_floor
+from .evolution import RadialField, semigroup_time_floor
 from .iteration import N_SLICES, LadderSeed, run_ladder
 from .nonlinearity import (
     NonlinearitySpec,
@@ -43,7 +43,7 @@ from .singular_ode import (
     trace_pohozaev,
     verify_flux_identity,
 )
-from .threshold import RadialBump, _distinct, case_grid, threshold_scan
+from .threshold import Case, RadialBump, _distinct, threshold_scan
 
 __all__ = ["RunConfig", "load_config", "main",
            "cmd_check", "cmd_singular", "cmd_evolve", "cmd_iterate",
@@ -336,9 +336,10 @@ def cmd_evolve(cfg: RunConfig, out: Artifacts) -> int:
 def cmd_iterate(cfg: RunConfig, out: Artifacts) -> int:
     spec = cfg.spec()
     table = _build_table(cfg, spec)
-    grid = case_grid(table, cfg.iterate_cap, cfg.R_outer, cfg.n_nodes)
-    envelope = field_from_table(table, grid, cap=cfg.iterate_cap)
-    u0 = RadialField(grid, cfg.seed_factor * envelope.u, envelope.cap_mask)
+    envelope = Case.build(table, cfg.iterate_cap, cfg.R_outer,
+                          cfg.n_nodes).envelope
+    u0 = RadialField(envelope.grid, cfg.seed_factor * envelope.u,
+                     envelope.cap_mask)
     below = run_ladder("from_below", u0, spec, cfg.t_obs, k_max=cfg.k_max,
                        n_slices=cfg.n_slices, ladder_tol=0.0)
     above = run_ladder(LadderSeed.from_above(envelope), u0, spec, cfg.t_obs,

@@ -405,7 +405,9 @@ def build_singular(spec: NonlinearitySpec, dim: int,
     r = np.geomspace(r_patch, R_max, n_points)
     u, du = dense(r)
     if np.any(u <= 0.0):
-        raise StepUnderflow("singular profile lost positivity", r=r[u <= 0][0])
+        bad = r[u <= 0][0]
+        raise StepUnderflow(f"singular profile lost positivity at r={bad:.3e}",
+                            r=bad)
 
     dense2 = _integrate_singular(spec, dim, r_patch / 2.0, R_max, rtol, atol)
     window = r >= 2.0 * r_patch

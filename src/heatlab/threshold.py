@@ -7,9 +7,10 @@ confirm that the sign of the perturbation alone decides the outcome.
 threshold_scan is the one entry point.  Its initial data are the capped
 profile min(u*, cap) plus a signed bump A exp(-((r - r_c)/sigma)^2):
 at most u* for A <= 0, above the capped profile for A > 0.  A = 0 is
-the capped profile itself, the run of `heatlab evolve`.  A run is one
-(amplitude, cap) pair.  The runs of a scan advance in lockstep, in one
-loop under one np.errstate: an iteration takes every run's sup norm and
+the capped profile itself, the run of `heatlab evolve`.  Each cap's Case
+builds it once, and Case.data adds the bumps.  A run is one (amplitude,
+cap) pair.  The runs of a scan advance in lockstep, in one loop under one
+np.errstate: an iteration takes every run's sup norm and
 largest reaction value from one f call on the stacked values, and each
 active run makes one call.  That call applies the step the run took last
 (its clock and sample record), does its bookkeeping on Python floats
@@ -31,7 +32,7 @@ from them on first read, which only `heatlab evolve` makes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -57,10 +58,10 @@ from .nonlinearity import NonlinearitySpec
 
 __all__ = [
     "RadialBump",
+    "Case",
     "EvolutionOutcome",
     "CaseReport",
     "ScanReport",
-    "initial_data",
     "threshold_scan",
 ]
 
@@ -86,20 +87,6 @@ class RadialBump:
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         return self.amplitude * np.exp(-((r - self.r_c) / self.sigma) ** 2)
-
-
-def initial_data(grid: RadialGrid, star: np.ndarray, bump: RadialBump,
-                 cap: float) -> RadialField:
-    """The capped profile min(u*, cap) plus the bump, floored at 0 and
-    capped again, so near the origin the data sit below u* on either side.
-    ``star`` is u* on the grid nodes, as _star_on_nodes gives it.
-
-    The sum needs no one-sided clip: m + b rounds to at most m <= u* for
-    a bump b <= 0 and to at least m for b >= 0, m = min(u*, cap).
-    """
-    u = np.maximum(np.minimum(star, cap) + bump.profile(grid.r), 0.0)
-    mask = (star > cap) | (u > cap)
-    return RadialField(grid, np.minimum(u, cap), mask)
 
 
 @dataclass
@@ -149,48 +136,65 @@ class CaseReport:
         return self.outcomes[max(self.outcomes)]
 
 
-def _cap_radius(table, cap: float) -> float:
-    """Radius where the singular profile crosses the cap, bracketed on one
-    batched u* ladder and found by brentq to full relative precision.
+@dataclass(frozen=True, eq=False)
+class Case:
+    """The capped singular data of one (table, cap), built once by
+    Case.build for every amplitude at that cap.  A Case is one cap, while
+    ScanReport.cases and CaseReport are keyed by amplitude."""
 
-    Raises OutOfRange when the profile stays below the cap down to
-    r = 1e-12 (slowly growing u*, such as the exponential class).
-    """
-    lo, hi = 1e-12, float(table.r[-1])
-    ladder = np.geomspace(lo, hi, 32)
-    u = table.u_star(ladder)
-    if u[-1] >= cap:
-        return hi
-    if u[0] < cap:
-        raise OutOfRange(
-            f"cap {cap:g} is above the singular profile at the smallest "
-            f"resolvable radius: u*({lo:g}) = {u[0]:.6g}; choose a cap "
-            f"below {u[0]:.6g}")
-    j = np.flatnonzero(u >= cap)[-1]
-    return float(brentq(lambda r: table.u_star(r) - cap,
-                        ladder[j], ladder[j + 1], xtol=1e-300))
+    cap: float
+    r_cap: float                   # where u* crosses the cap
+    grid: RadialGrid               # resolves the capped core
+    star: np.ndarray               # u* on the nodes: read-only, inf at 0
+    envelope: RadialField          # min(u*, cap), the clipped nodes marked
 
+    @classmethod
+    def build(cls, table, cap: float, R_outer: float,
+              n_nodes: int) -> "Case":
+        """The case of one cap, on a grid in the table's dimension whose
+        first node resolves the capped zone of u*.  The capped spike has
+        height*width ~ cap * r_cap, order one, so resolved it is genuinely
+        subcritical; unresolved, the cap acts like a wide supercritical
+        plateau and diverges for any data.  OutOfRange when u* stays below
+        the cap down to r = 1e-12 (slowly growing u*, such as the
+        exponential class).
+        """
+        lo, hi = 1e-12, float(table.r[-1])
+        ladder = np.geomspace(lo, hi, 32)
+        u = table.u_star(ladder)
+        if u[-1] >= cap:
+            r_cap = hi
+        elif u[0] < cap:
+            raise OutOfRange(
+                f"cap {cap:g} is above the singular profile at the smallest "
+                f"resolvable radius: u*({lo:g}) = {u[0]:.6g}; choose a cap "
+                f"below {u[0]:.6g}")
+        else:
+            j = np.flatnonzero(u >= cap)[-1]
+            r_cap = float(brentq(lambda r: table.u_star(r) - cap,
+                                 ladder[j], ladder[j + 1], xtol=1e-300))
+        r1_frac = min(1e-3, 0.1 * r_cap / R_outer)
+        # the capped core sits exactly at the marginal height*width
+        # balance: past a node ratio of 1.3 in the geometric section,
+        # truncation error tips the race and the core diverges spuriously
+        span = transition_radius(R_outer) / (r1_frac * R_outer)
+        n_geo_req = math.ceil(1.0 + math.log(span) / math.log(1.3))
+        n_nodes = max(n_nodes, math.ceil(n_geo_req / GEOMETRIC_SHARE) + 2)
+        bc = BoundaryCondition("dirichlet", table.u_star(R_outer))
+        grid = make_grid(table.dim, R_outer, n_nodes, r1_frac=r1_frac, bc=bc)
+        star = _star_on_nodes(table, grid)
+        star.setflags(write=False)
+        return cls(cap, r_cap, grid, star,
+                   RadialField(grid, np.minimum(star, cap), star > cap))
 
-def case_grid(table, cap: float, R_outer: float,
-              n_nodes: int) -> RadialGrid:
-    """Grid in the table's dimension whose first node resolves the capped
-    zone of the profile.
-
-    The capped spike has height*width ~ cap * r_cap which stays order one,
-    so once the first node sits inside the capped zone the spike is
-    genuinely subcritical; an unresolved cap on a coarse grid acts like a
-    wide supercritical plateau and diverges for any data.
-    """
-    r_cap = _cap_radius(table, cap)
-    r1_frac = min(1e-3, 0.1 * r_cap / R_outer)
-    # the capped core sits exactly at the marginal height*width balance,
-    # so the geometric section must stay fine enough (node ratio <= 1.3)
-    # or truncation error tips the race and the core diverges spuriously
-    n_geo_req = math.ceil(1.0 + math.log(
-        transition_radius(R_outer) / (r1_frac * R_outer)) / math.log(1.3))
-    n_nodes = max(n_nodes, math.ceil(n_geo_req / GEOMETRIC_SHARE) + 2)
-    bc = BoundaryCondition("dirichlet", table.u_star(R_outer))
-    return make_grid(table.dim, R_outer, n_nodes, r1_frac=r1_frac, bc=bc)
+    def data(self, bump: RadialBump) -> RadialField:
+        """The envelope plus the bump, floored at 0 and capped again, so
+        near the origin the data sit below u* on either side.  The sum
+        needs no one-sided clip: m + b rounds to at most m <= u* for a
+        bump b <= 0 and to at least m for b >= 0, m = min(u*, cap)."""
+        u = np.maximum(self.envelope.u + bump.profile(self.grid.r), 0.0)
+        mask = self.envelope.cap_mask | (u > self.cap)
+        return RadialField(self.grid, np.minimum(u, self.cap), mask)
 
 
 def _distinct(name: str, values: Sequence[float], shown=None) -> list:
@@ -230,7 +234,7 @@ def _stability_bound(spec: Optional[NonlinearitySpec], sup: float,
 
 
 class _Run:
-    """One evolution of bumped data at one cap: its clock, its sample
+    """One evolution of a Case's data plus one bump: its clock, its sample
     schedule, its snapshot matrix and its verdict.  _evolve steps it;
     between steps the run only sees its own block of the stacked values.
     Its clock and sample clamp are Python floats, and its values are
@@ -238,12 +242,12 @@ class _Run:
     0 holds u0, then a row per sample time reached and the state where the
     run ends.  outcome() derives every series from the rows filled."""
 
-    def __init__(self, spec, u0: RadialField, side: str, star: np.ndarray,
-                 horizon: float, cap: float):
-        grid = u0.grid
-        self.spec, self.grid, self.side, self.star = spec, grid, side, star
+    def __init__(self, spec, case: Case, bump: RadialBump, horizon: float):
+        grid = case.grid
+        self.spec, self.grid, self.star = spec, grid, case.star
+        self.side = "above" if bump.amplitude > 0 else "below"
         # a Python float, so that the clock and every dt are too
-        self.horizon, self.cap = float(horizon), cap
+        self.horizon, self.cap = float(horizon), case.cap
         self.dt_max = self.horizon / 50.0
         # the sample times, closed by inf so that the schedule never runs
         # out: past the last sample, no step is clamped or recorded
@@ -264,9 +268,9 @@ class _Run:
         self.area = sphere_area(grid.dim)
         self.n_nodes = grid.n_nodes
         self.values = np.empty((N_SAMPLES + 2, grid.n_nodes))
-        self.values[0] = u0.u
+        self.values[0] = case.data(bump).u
         self.times = [0.0]
-        self.mass0 = max(float(self.inner_mass(u0.u)), 1e-300)
+        self.mass0 = max(float(self.inner_mass(self.values[0])), 1e-300)
 
     def inner_mass(self, u: np.ndarray) -> np.ndarray:
         """Reaction mass of f(u) over the ball of radius r_star for each
@@ -478,15 +482,16 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     with the sup-norm beyond SUP_GUARD alone; below it such a run ends
     Undetermined.  GlobalBounded requires reaching the horizon with the
     sup-norm non-increasing (within slack) over the final half.  Anything
-    else is Undetermined.  A case's verdict is the shared per-cap verdict
-    when all caps agree, else Undetermined with cap_stable=False; the
-    report's `monotone` says whether the verdicts are monotone in the
-    amplitude.  An empty or repeating amplitude or cap list, an amplitude
-    that is not finite, a cap that is NaN or not positive, a horizon or
-    R_outer that is not finite and positive, or n_nodes < 8, is a
-    ValueError raised before any grid is built.  case_grid may add nodes
-    for a cap; scan.csv records the count each run stepped.  All runs step
-    in lockstep (see _evolve).
+    else is Undetermined.  An amplitude's verdict (its CaseReport) is the
+    shared per-cap verdict when all caps agree, else Undetermined with
+    cap_stable=False; the report's `monotone` says whether the verdicts
+    are monotone in the amplitude.  An empty or repeating amplitude or cap
+    list, an amplitude that is not finite, a cap that is NaN or not
+    positive, a horizon or R_outer that is not finite and positive, or
+    n_nodes < 8, is a ValueError raised before any grid is built.  Each
+    cap's Case is built once for every amplitude; its grid may add nodes
+    for the cap, and scan.csv records the count each run stepped.  All
+    runs step in lockstep (see _evolve).
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
@@ -500,20 +505,12 @@ def threshold_scan(spec: Optional[NonlinearitySpec], table,
     caps = _distinct("caps", caps)
     if not all(cap > 0 for cap in caps):     # False for NaN too
         raise ValueError(f"caps must be > 0 and not NaN, got {caps}")
-    runs = {a: [] for a in amps.tolist()}
-    # every amplitude shares the caps, so each cap's grid and u* on its
-    # nodes are built once
-    for cap in caps:
-        grid = case_grid(table, cap, R_outer, n_nodes)
-        star = _star_on_nodes(table, grid)
-        star.setflags(write=False)
-        for a, case in runs.items():
-            u0 = initial_data(grid, star, RadialBump(
-                bump_shape.r_c, bump_shape.sigma, a), cap)
-            case.append(_Run(spec, u0, "above" if a > 0 else "below",
-                             star, horizon, cap))
-    _evolve(spec, [run for case in runs.values() for run in case])
-    cases = {a: _case_report(case) for a, case in runs.items()}
+    # every amplitude shares the caps, so each cap's Case is built once
+    per_cap = [Case.build(table, cap, R_outer, n_nodes) for cap in caps]
+    runs = {a: [_Run(spec, case, replace(bump_shape, amplitude=a), horizon)
+                for case in per_cap] for a in amps.tolist()}
+    _evolve(spec, [run for amp_runs in runs.values() for run in amp_runs])
+    cases = {a: _case_report(amp_runs) for a, amp_runs in runs.items()}
     return ScanReport(amplitudes=amps, cases=cases, config={
         "r_c": bump_shape.r_c, "sigma": bump_shape.sigma,
         "horizon": horizon, "caps": caps,

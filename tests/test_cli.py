@@ -264,13 +264,15 @@ def test_singular_non_finite_seed_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("R_max", ["1e200", "1e300"])
 def test_singular_far_outer_radius_is_a_typed_error(tmp_path, capsys, family,
                                                     R_max):
-    # past r = 1e154 e^(2 log r) overflows a float: the radial equation
-    # takes it as inf, and the build ends in a typed error, not a traceback
+    # past r = 1e154 e^(2 log r) overflows a float, taken as inf: the build
+    # ends in a typed error naming the radius, not a traceback
     rc = main(["singular", *family, "--R-max", R_max,
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
-    assert (capsys.readouterr().err
-            == "StepUnderflow: singular profile lost positivity\n")
+    r = {"pure-power": {"1e200": "3.112e+14", "1e300": "4.066e+14"},
+         "power-exp": {"1e200": "8.952e+29", "1e300": "6.160e+29"}}
+    assert (capsys.readouterr().err == "StepUnderflow: singular profile "
+            f"lost positivity at r={r[family[1]][R_max]}\n")
 
 
 def test_singular_pure_power_artifacts(tmp_path):

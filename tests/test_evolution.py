@@ -31,7 +31,7 @@ from heatlab.evolution import (
 from heatlab.iteration import LadderSeed, run_ladder
 from heatlab.nonlinearity import custom, power_exp, pure_power
 from heatlab.singular_ode import build_singular
-from heatlab.threshold import _stability_bound, case_grid
+from heatlab.threshold import Case, _stability_bound
 
 CUBIC = pure_power(3.0)
 
@@ -1066,7 +1066,7 @@ def test_neumann_heat_flow_keeps_constants(spec, dim, cap):
     # the smallest dt a threshold run takes to dt = 0.04, on case grids
     # whose first node sits at 1.4e-6 and 2.9e-9; the rounding of the
     # summed conductances near the origin takes the pe grid to 1.35e-14
-    g = case_grid(build_singular(spec, dim), cap, 8.0, 129)
+    g = Case.build(build_singular(spec, dim), cap, 8.0, 129).grid
     g = RadialGrid(r=g.r, dim=dim, bc=BoundaryCondition("neumann"))
     stack = ImexStack((g,))
     for c in (1.0, 0.3, 1e5):
@@ -1081,10 +1081,8 @@ def unequal_blocks(table_cubic):
     1e4 and 1e8 (Dirichlet, 129 and 178 nodes) carrying the capped
     profile, and two Neumann grids carrying a random decaying field."""
     rng = np.random.default_rng(18)
-    blocks = []
-    for cap in (1e4, 1e8):
-        g = case_grid(table_cubic, cap, 8.0, 129)
-        blocks.append(field_from_table(table_cubic, g, cap=cap, spec=CUBIC))
+    blocks = [Case.build(table_cubic, cap, 8.0, 129).envelope
+              for cap in (1e4, 1e8)]
     for dim, n in ((3, 65), (5, 100)):
         g = make_grid(dim, 8.0, n)
         blocks.append(RadialField(g, 1.0 / (1.0 + g.r ** 2)

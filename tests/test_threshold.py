@@ -11,6 +11,7 @@ from heatlab.errors import OutOfRange
 from heatlab.evolution import (
     RadialField,
     _ul_windows,
+    field_from_table,
     make_grid,
     sphere_area,
     ul_norm,
@@ -21,14 +22,12 @@ from heatlab.threshold import (
     MASS_GUARD,
     N_SAMPLES,
     SUP_GUARD,
+    Case,
     CaseReport,
     EvolutionOutcome,
     RadialBump,
     ScanReport,
-    _cap_radius,
     _Run,
-    case_grid,
-    initial_data,
     threshold_scan,
 )
 
@@ -81,27 +80,15 @@ def test_perturbation_validation():
 
 
 def test_initial_data_one_sided(table, ustar2, dichotomy_pair, capped_case):
-    # exact ordering, with no slack: initial_data has no one-sided clip, so
+    # exact ordering, with no slack: Case.data has no one-sided clip, so
     # the rounding of min(u*, cap) + bump alone must keep each side
-    g = case_grid(table, 1e4, 8.0, 129)
-    star = np.asarray(table.u_star(g.r[1:], CUBIC))
-    on_nodes = np.concatenate([[np.inf], star])
-
-    below = initial_data(g, on_nodes, RadialBump(2.0, 2.0, -0.3 * ustar2),
-                         1e4)
+    case = Case.build(table, 1e4, 8.0, 129)
+    below = case.data(RadialBump(2.0, 2.0, -0.3 * ustar2))
     assert np.all(below.u >= 0.0)
-    assert np.all(below.u[1:] <= star)
+    assert np.all(below.u[1:] <= case.star[1:])
 
-    above = initial_data(g, on_nodes, RadialBump(2.0, 2.0, +0.3 * ustar2),
-                         1e4)
-    assert np.all(above.u[1:] >= np.minimum(star, 1e4))
-
-    # a zero bump is the capped profile itself, clipped at the origin
-    capped = initial_data(g, on_nodes, RadialBump(2.0, 2.0, 0.0), 1e4)
-    assert capped.cap_mask[0]
-    assert np.all(capped.u <= 1e4)
-    assert np.array_equal(capped.u, np.minimum(
-        np.concatenate([[np.inf], star]), 1e4))
+    above = case.data(RadialBump(2.0, 2.0, +0.3 * ustar2))
+    assert np.all(above.u >= case.envelope.u)
 
     # the side of a run follows the sign of its amplitude; A = 0 is below
     below_case, above_case = dichotomy_pair
@@ -110,27 +97,41 @@ def test_initial_data_one_sided(table, ustar2, dichotomy_pair, capped_case):
     assert {o.side for o in capped_case.outcomes.values()} == {"below"}
 
 
+@pytest.mark.parametrize("name,cap", [("table", 1e4), ("table_pe", 4.0)])
+def test_case_envelope_is_the_capped_field(request, name, cap):
+    # u* on the nodes is read-only and inf at the origin; a zero bump is the
+    # envelope, field_from_table's field, bit for bit: iterate and evolve's
+    # A = 0 run start alike
+    tab = request.getfixturevalue(name)
+    case = Case.build(tab, cap, 8.0, 129)
+    assert case.star[0] == np.inf and not case.star.flags.writeable
+    assert case.star[1:].tobytes() == tab.u_star(case.grid.r[1:]).tobytes()
+    for field in (field_from_table(tab, case.grid, cap),
+                  case.data(RadialBump(2.0, 2.0, 0.0))):
+        assert field.u.tobytes() == case.envelope.u.tobytes()
+        assert np.array_equal(field.cap_mask, case.envelope.cap_mask)
+
+
 def test_case_grid_resolves_capped_zone(table):
     # the first positive node must sit inside the region where the profile
     # exceeds the cap, otherwise the cap acts as a wide reacting plateau
     for cap in (1e4, 1e5):
-        g = case_grid(table, cap, 8.0, 129)
-        r1 = g.r[1]
-        assert float(table.u_star(r1, CUBIC)) > cap
+        g = Case.build(table, cap, 8.0, 129).grid
+        assert float(table.u_star(g.r[1], CUBIC)) > cap
         assert g.bc.kind == "dirichlet"
 
 
 def test_cap_radius_keeps_its_bits(table):
     # where the cubic's profile sqrt(2)/r crosses each cap, to the bit
-    assert [_cap_radius(table, cap) for cap in (1e2, 1e4, 1e5)] == [
-        0.014142135623787985, 0.00014142135623819213,
-        1.4142135623825377e-05]
+    r_caps = [Case.build(table, c, 8.0, 129).r_cap for c in (1e2, 1e4, 1e5)]
+    assert r_caps == [0.014142135623787985, 0.00014142135623819213,
+                      1.4142135623825377e-05]
 
 
 def test_case_grid_rejects_unreachable_cap(table_pe):
     # u* of power_exp grows like sqrt(2 log 1/r): 6.6 at r = 1e-12
     with pytest.raises(OutOfRange, match=r"cap 10000 .* u\*\(1e-12\) = 6\.6"):
-        case_grid(table_pe, 1e4, 8.0, 129)
+        Case.build(table_pe, 1e4, 8.0, 129)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +283,9 @@ def test_scan_outcomes_equal_runs_alone(request, spec, scan_name,
                    for x, y in zip(values, values[1:]))
 
 
-@pytest.mark.parametrize("spec,scan_name,table_name", [
-    (CUBIC, "cubic_scan", "table"), (PE, "pe_scan", "table_pe")],
-    ids=["cubic", "power_exp"])
-def test_snapshot_matrix_rows(request, spec, scan_name, table_name):
+@pytest.mark.parametrize("scan_name,table_name", [("cubic_scan", "table"),
+    ("pe_scan", "table_pe")], ids=["cubic", "power_exp"])
+def test_snapshot_matrix_rows(request, scan_name, table_name):
     # one row per time: u0 bit for bit, a row per sample time reached and
     # the state where the run ended, so at most N_SAMPLES + 2 rows
     scan = request.getfixturevalue(scan_name)
@@ -296,9 +296,7 @@ def test_snapshot_matrix_rows(request, spec, scan_name, table_name):
             assert o.values.shape == (rows, o.grid.n_nodes)
             assert 2 <= rows <= N_SAMPLES + 2
             assert o.times[0] == 0.0 and np.all(np.diff(o.times) >= 0.0)
-            star = np.concatenate([[np.inf],
-                                   tab.u_star(o.grid.r[1:], spec)])
-            u0 = initial_data(o.grid, star, RadialBump(2.0, 2.0, a), cap)
+            u0 = Case.build(tab, cap, 8.0, 129).data(RadialBump(2.0, 2.0, a))
             assert o.values[0].tobytes() == u0.u.tobytes()
 
 
@@ -338,9 +336,9 @@ def _inner_mass_reference(spec, grid, u):
 def test_inner_mass_is_the_reference_formula(table):
     # the reaction mass keeps the bits of the reference formula, for one
     # row of values and for each row of a stack
-    grid = case_grid(table, 1e4, 8.0, 129)
-    star = np.concatenate([[np.inf], table.u_star(grid.r[1:], CUBIC)])
-    u0 = initial_data(grid, star, RadialBump(2.0, 2.0, 0.1), 1e4)
+    case = Case.build(table, 1e4, 8.0, 129)
+    grid, bump = case.grid, RadialBump(2.0, 2.0, 0.1)
+    u0 = case.data(bump)
     r_star = max(grid.r[10], grid.R_outer / 8.0)
     assert r_star in grid.r                 # the node at r_star counts
 
@@ -349,7 +347,7 @@ def test_inner_mass_is_the_reference_formula(table):
         u > 1e3, np.nan, np.where(u > 100.0, np.inf, u ** 3)))
     fields = [u0.u, 1e3 * u0.u, np.full(grid.n_nodes, 1e70), 0.0 * u0.u]
     for spec in (CUBIC, PE, ragged, None):
-        run = _Run(spec, u0, "above", star, 2.0, 1e4)
+        run = _Run(spec, case, bump, 2.0)
         want = [_bits(_inner_mass_reference(spec, grid, u)) for u in fields]
         with np.errstate(invalid="ignore"):
             assert [_bits(run.inner_mass(u)) for u in fields] == want
@@ -363,9 +361,9 @@ def test_divergence_test_decides_as_the_reference(table):
     # the values as inner_mass takes them past it.  Either way a run ends
     # BlowUp exactly when the reference mass passes MASS_GUARD * mass0;
     # its block sits behind another in the stack
-    grid = case_grid(table, 1e4, 8.0, 129)
-    star = np.concatenate([[np.inf], table.u_star(grid.r[1:], CUBIC)])
-    u0 = initial_data(grid, star, RadialBump(2.0, 2.0, 0.1), 1e4)
+    case = Case.build(table, 1e4, 8.0, 129)
+    grid, bump = case.grid, RadialBump(2.0, 2.0, 0.1)
+    u0 = case.data(bump)
     n_inner = int(np.sum(grid.r <= max(grid.r[10], grid.R_outer / 8.0)))
     # the cubic up to 1e60 and 0 above: only f(min(u, 1e60)) reads it right
     cut = SimpleNamespace(
@@ -379,7 +377,7 @@ def test_divergence_test_decides_as_the_reference(table):
         for where, level, blows_up in cases:
             u = u0.u.copy()
             u[where] = level
-            run = _Run(spec, u0, "above", star, 2.0, 1e4)
+            run = _Run(spec, case, bump, 2.0)
             stacked = np.concatenate([ahead, u])
             with np.errstate(over="ignore"):
                 fu = np.asarray(spec.f(stacked), dtype=float)
@@ -474,7 +472,7 @@ def test_repeated_cap_or_amplitude_is_rejected_before_any_grid(
         table, monkeypatch):
     # a repeated cap used to run once while the config listed it twice,
     # and a repeated amplitude ran its case twice
-    monkeypatch.setattr("heatlab.threshold.case_grid", _no_grid)
+    monkeypatch.setattr("heatlab.threshold.Case.build", _no_grid)
     bump = RadialBump(2.0, 2.0, 0.0)
     with pytest.raises(ValueError, match="caps must not repeat"):
         threshold_scan(CUBIC, table, bump, [-1.0, 1.0], caps=(1e4, 1e4))
@@ -493,7 +491,7 @@ def test_horizon_must_be_finite_and_positive(table, monkeypatch, horizon):
     # a negative horizon ended every run at t = 0 as Undetermined, nan
     # gave Undetermined and inf a BlowUp above u*; each is refused before
     # any grid is built
-    monkeypatch.setattr("heatlab.threshold.case_grid", _no_grid)
+    monkeypatch.setattr("heatlab.threshold.Case.build", _no_grid)
     with pytest.raises(ValueError, match="horizon must be finite and > 0"):
         threshold_scan(CUBIC, table, RadialBump(2.0, 2.0, 0.0), [-1.0, 1.0],
                        horizon=horizon, caps=(1e4,))
@@ -517,13 +515,13 @@ def test_horizon_must_be_finite_and_positive(table, monkeypatch, horizon):
         "amplitude-nan", "n_nodes-0", "n_nodes-5"])
 def test_cap_and_outer_radius_are_checked_before_any_grid(
         table, monkeypatch, kwargs, message):
-    # a NaN cap raised a bare IndexError in _cap_radius, a zero cap stepped
+    # a NaN cap raised a bare IndexError in Case.build, a zero cap stepped
     # all-zero data to GlobalBounded, and R_outer = nan or -1 failed inside
     # the grid's construction; an infinite amplitude gave a verdict (BlowUp
     # for inf, GlobalBounded for -inf), a NaN one failed in RadialField, and
     # fewer than 8 nodes ran on the nodes the cap needs; each is refused
     # before any grid is built
-    monkeypatch.setattr("heatlab.threshold.case_grid", _no_grid)
+    monkeypatch.setattr("heatlab.threshold.Case.build", _no_grid)
     kwargs = {"A_grid": [-1.0, 1.0], "caps": (1e4,), **kwargs}
     with pytest.raises(ValueError, match=message):
         threshold_scan(CUBIC, table, RadialBump(2.0, 2.0, 0.0), **kwargs)
