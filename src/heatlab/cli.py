@@ -124,6 +124,9 @@ class RunConfig:
                 raise ValueError(f"{key} must be positive")
         if self.r_patch >= self.R_max:
             raise ValueError("r_patch must be < R_max")
+        if self.R_max < 2.0 * self.r_patch:
+            raise ValueError("R_max must be >= 2 r_patch, where the re-seed "
+                             "check starts")
         if self.seed_factor < 0:
             raise ValueError("seed_factor must be >= 0")
         if self.n_nodes < 8:
@@ -256,8 +259,8 @@ def cmd_check(cfg: RunConfig, out: Artifacts) -> int:
 
 
 def _build_table(cfg: RunConfig, spec: NonlinearitySpec):
-    """u* of the command's one spec, so that the profile and every check
-    on it share one log F table."""
+    """u* of the command's one spec; every check on u* reads that spec
+    from the table, so the profile and its checks share one log F table."""
     return build_singular(spec, cfg.dim, r_patch=cfg.r_patch,
                           R_max=cfg.R_max, patch_tol=cfg.patch_tol)
 
@@ -280,11 +283,11 @@ def cmd_singular(cfg: RunConfig, out: Artifacts) -> int:
     out.write_csv("singular_table.csv", ("r", "u_star", "du_star"),
                   zip(table.r, table.u, table.du))
     out.write_csv("asymptotic_ratio.csv", ("r", "ratio"),
-                  asymptotic_ratio(table, spec))
-    trace = trace_pohozaev(table, spec)
+                  asymptotic_ratio(table))
+    trace = trace_pohozaev(table)
     out.write_json("singular_verification.json", {
         "config": cfg.echo(),
-        "flux_identity_max_rel_residual": verify_flux_identity(table, spec),
+        "flux_identity_max_rel_residual": verify_flux_identity(table),
         "pohozaev_max_fd_slope": trace.max_fd_slope,
         "patch_method": table.patch_method,
         "tolerances": table.tolerances,

@@ -70,6 +70,15 @@ def pure_power_profile_coefficient(p: float, dim: int) -> float:
     return base ** (1.0 / (p - 1.0))
 
 
+def _power(r, e: float):
+    """r ** e; a float power that overflows is taken as inf, numpy's IEEE
+    value, so a float r keeps the float bits where it is finite."""
+    try:
+        return r ** e
+    except OverflowError:
+        return math.inf
+
+
 def patch_seed(spec: NonlinearitySpec, dim: int, r):
     """Seed values (u, u') of the singular profile at small radii r (a
     float gives floats, an array gives arrays).
@@ -88,9 +97,7 @@ def patch_seed(spec: NonlinearitySpec, dim: int, r):
         p = spec.params["p"]
         m = 2.0 / (p - 1.0)
         L = pure_power_profile_coefficient(p, dim)
-        u = L * r ** (-m)
-        du = -m * L * r ** (-m - 1.0)
-        return u, du
+        return L * _power(r, -m), -m * L * _power(r, -m - 1.0)
     log_v0 = 2.0 * np.log(r) - math.log(2.0 * dim - 4.0)
     u0 = eval_F_inverse_log(spec, log_v0)
     w = -2.0 * spec.gpp(u0) / spec.gp(u0) ** 2 / (dim - 2.0)
@@ -107,7 +114,7 @@ class SingularSolutionTable:
     for gives the patch formula below that.  The table ``r``, ``u``,
     ``du`` in dimension ``dim`` is the dense output sampled on
     [r_patch, R_max]: the rows of singular_table.csv and the nodes of the
-    flux, Pohozaev and asymptotic-ratio checks.
+    flux, Pohozaev and asymptotic-ratio checks, which read only the table.
     ``tolerances`` holds the solver tolerances and the re-seed mismatch,
     ``cross_check`` the record of the regular shot; both are written to
     singular_verification.json.
@@ -127,9 +134,11 @@ class SingularSolutionTable:
 
     def _evaluate(self, r, spec, k: int):
         """Column k (0: u*, 1: u*') at radii in (0, R_max]: the solver's
-        dense output on [dense.t_min, R_max], the patch formula below.  A
-        float r gives a float, an array an array of its shape; a radius
-        outside (0, R_max], or NaN, is OutOfRange."""
+        dense output on [dense.t_min, R_max], the patch formula below (no
+        other code chooses).  A float r gives a float, an array an array of
+        its shape; a radius outside (0, R_max], or NaN, is OutOfRange.
+        patch_seed gives both columns, and overflow in the one not asked
+        for is silenced; the one asked for keeps numpy's IEEE value."""
         spec = spec if spec is not None else self.spec
         r = np.asarray(r, dtype=float)
         scalar, r = r.ndim == 0, np.atleast_1d(r)
@@ -143,7 +152,8 @@ class SingularSolutionTable:
         covered = r >= self.dense.t_min
         out[covered] = self.dense(r[covered])[k]
         if not np.all(covered):
-            out[~covered] = patch_seed(spec, self.dim, r[~covered])[k]
+            with np.errstate(over="ignore"):
+                out[~covered] = patch_seed(spec, self.dim, r[~covered])[k]
         return float(out[0]) if scalar else out
 
     def u_star(self, r, spec: Optional[NonlinearitySpec] = None):
@@ -377,6 +387,9 @@ def _integrate_singular(spec, dim, r_patch, R_max, rtol, atol):
     [log r_inner, log R_max] (module docstring); the result is its dense
     output called at radii, with t_min = r_inner."""
     r_inner = r_patch / 1024.0
+    if r_inner == 0.0:
+        raise OutOfRange(f"the patch seed at r_patch = {r_patch:g} is not "
+                         f"defined: r_patch/1024 rounds to 0")
     with np.errstate(over="ignore"):    # f(u0) overflows: OutOfRange below
         u0, du0 = patch_seed(spec, dim, r_inner)
     if not (math.isfinite(u0) and math.isfinite(du0)):
@@ -401,6 +414,9 @@ def build_singular(spec: NonlinearitySpec, dim: int,
     """
     if not (0.0 < r_patch < R_max):
         raise ValueError("need 0 < r_patch < R_max")
+    if R_max < 2.0 * r_patch:
+        raise ValueError("need R_max >= 2 r_patch: the re-seed check "
+                         "compares on [2 r_patch, R_max]")
     dense = _integrate_singular(spec, dim, r_patch, R_max, rtol, atol)
     r = np.geomspace(r_patch, R_max, n_points)
     u, du = dense(r)
@@ -490,15 +506,15 @@ def _flux_integrand(spec: NonlinearitySpec, u, r, dim: int) -> np.ndarray:
 _FLUX_PANELS = 4
 
 
-def verify_flux_identity(table: SingularSolutionTable,
-                         spec: NonlinearitySpec) -> float:
-    """Max relative residual of -r^(N-1) u*' = integral_0^r f(u*) s^(N-1).
+def verify_flux_identity(table: SingularSolutionTable) -> float:
+    """Max relative residual of -r^(N-1) u*' = integral_0^r f(u*) s^(N-1),
+    with f the table's own spec in the table's dimension.
 
     The contribution of (0, r_patch) takes the fixed 64-point
-    Gauss-Legendre rule on five panels: one in r on (0, dense.t_min), on
-    the patch formula (one batched patch_seed; a small fraction of the
-    flux at table radii), and four equal ones in s = log r on
-    (dense.t_min, r_patch), with dr = r ds, on 256 radii of the solver's
+    Gauss-Legendre rule on five panels, with u* from one table.u_star call
+    on all 320 nodes: one in r on (0, dense.t_min), on the patch formula
+    (a small fraction of the flux at table radii), and four equal ones in
+    s = log r on (dense.t_min, r_patch), with dr = r ds, on the solver's
     dense output.  That range carries nearly all of the flux at r_patch,
     and its four panels agree with 64 to within 3e-13 of that flux.  The
     rest is composite Simpson in r over the table, which bounds the
@@ -508,20 +524,16 @@ def verify_flux_identity(table: SingularSolutionTable,
     there dominates the residual (power-exp in N = 3 at r_patch = 1e-150
     reads 2.1e-2; the cubic in N = 8 reads 7.0e-7).
     """
-    dim = table.dim
-    t_min = table.dense.t_min
+    spec, dim, t_min = table.spec, table.dim, table.dense.t_min
     lhs = -table.r ** (dim - 1) * table.du
     gl_x, gl_w = _flux_rule()
-    s = t_min * gl_x
-    with np.errstate(over="ignore"):    # its u' overflows with f; unused
-        u_s = patch_seed(spec, dim, s)[0]
     width = math.log(table.r_patch / t_min) / _FLUX_PANELS
     rin = t_min * np.exp(width * (np.arange(_FLUX_PANELS)[:, None]
                                   + gl_x)).ravel()
-    nodes = np.concatenate([s, rin])
+    nodes = np.concatenate([t_min * gl_x, rin])
     weights = np.concatenate([t_min * gl_w,
                               width * np.tile(gl_w, _FLUX_PANELS) * rin])
-    u = np.concatenate([u_s, table.dense(rin)[0]])
+    u = table.u_star(nodes)
     patch_part = float(np.dot(weights, _flux_integrand(spec, u, nodes, dim)))
     integrand = _flux_integrand(spec, table.u, table.r, dim)
     rhs = patch_part + cumulative_simpson(integrand, x=table.r, initial=0.0)
@@ -543,27 +555,25 @@ def _F0_along(spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
     return F0 if v is u else F0[::-1]
 
 
-def trace_pohozaev(table: SingularSolutionTable,
-                   spec: NonlinearitySpec) -> PohozaevTrace:
+def trace_pohozaev(table: SingularSolutionTable) -> PohozaevTrace:
     """Weighted radial energy whose derivative is -(N-2)/2 r^(N-1) Q(u*);
     non-increasing whenever the fourth admissibility condition holds.
-    The antiderivative of f is accumulated along the monotone table."""
+    The table's f is integrated from 0 along the monotone table."""
     dim = table.dim
     r, u, du = table.r, table.u, table.du
-    F0 = _F0_along(spec, u)
+    F0 = _F0_along(table.spec, u)
     P = (0.5 * r ** dim * du ** 2 + r ** dim * F0
          + 0.5 * (dim - 2.0) * r ** (dim - 1) * u * du)
     return PohozaevTrace(r=r, P=P)
 
 
-def asymptotic_ratio(table: SingularSolutionTable,
-                     spec: NonlinearitySpec) -> np.ndarray:
-    """Series (r, F(u*(r)) (2N-4)/r^2) at up to 40 table nodes of its
-    smallest decade; tends to 1 as r -> 0 for the exponential class."""
+def asymptotic_ratio(table: SingularSolutionTable) -> np.ndarray:
+    """Series (r, F(u*(r)) (2N-4)/r^2), F of table.spec, at up to 40 nodes
+    of its smallest decade; tends to 1 as r -> 0 for the exponential class."""
     idx = np.where(table.r <= 10.0 * table.r[0])[0]
     if len(idx) > 40:
         idx = idx[np.linspace(0, len(idx) - 1, 40).astype(int)]
     r = table.r[idx]
-    ratio = np.exp(eval_F_log(spec, table.u[idx])
+    ratio = np.exp(eval_F_log(table.spec, table.u[idx])
                    + math.log(2.0 * table.dim - 4.0) - 2.0 * np.log(r))
     return np.column_stack([r, ratio])

@@ -78,7 +78,7 @@ def test_criterion_02_asymptotic_ratio_tightens():
     devs = []
     for r_patch in (1e-3, 1e-4):
         table = build_singular(POWER_EXP, 3, r_patch=r_patch)
-        ratio = asymptotic_ratio(table, POWER_EXP)[:, 1]
+        ratio = asymptotic_ratio(table)[:, 1]
         devs.append(float(np.abs(ratio - 1.0).max()))
     in_band = devs[0] <= 0.05 and devs[1] <= 0.05
     _report(2, in_band and devs[1] < devs[0], 30.0,
@@ -115,8 +115,8 @@ def test_criterion_04_admissibility_suite():
 def test_criterion_05_flux_identity(power_exp_table, cutoff_table):
     t0 = time.perf_counter()
     res = {
-        "power_exp": verify_flux_identity(power_exp_table, POWER_EXP),
-        "cutoff": verify_flux_identity(cutoff_table, CUTOFF),
+        "power_exp": verify_flux_identity(power_exp_table),
+        "cutoff": verify_flux_identity(cutoff_table),
     }
     worst = max(res.values())
     _report(5, worst <= 1e-4, 10.0, time.perf_counter() - t0,
@@ -125,11 +125,11 @@ def test_criterion_05_flux_identity(power_exp_table, cutoff_table):
 
 def test_criterion_06_pohozaev(power_exp_table):
     t0 = time.perf_counter()
-    slope = trace_pohozaev(power_exp_table, POWER_EXP).max_fd_slope
+    slope = trace_pohozaev(power_exp_table).max_fd_slope
     p_s = sobolev_exponent(5)
     crit_table = build_singular(pure_power(p_s), 5, n_points=150,
                                 rtol=1e-12, atol=1e-14)
-    trace = trace_pohozaev(crit_table, pure_power(p_s))
+    trace = trace_pohozaev(crit_table)
     spread = float(np.abs(trace.P - trace.P[-1]).max())
     _report(6, slope <= 1e-10 and spread <= 1e-7,
             5.0, time.perf_counter() - t0,

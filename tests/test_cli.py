@@ -162,6 +162,9 @@ def test_config_error_exit_code(tmp_path, capsys):
       "--t-obs", "1e-40"],
      "the slice t_obs / n_slices = 1.5625e-42 is below S(t)'s floor "
      "1.26218e-29 at R_outer = 8"),
+    # the re-seed check compares u* on [2 r_patch, R_max]
+    (["singular", "--family", "pure-power", "--p", "3", "--dim", "5",
+      "--R-max", "1.5e-3"], "R_max must be >= 2 r_patch"),
 ])
 def test_bad_run_option_is_config_error(tmp_path, monkeypatch, capsys, argv,
                                         message):
@@ -234,7 +237,7 @@ def test_singular_power_exp_small_patch_radius(tmp_path):
     assert rc == 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_overflowing_regular_shot_is_recorded(tmp_path):
     # at r_patch = 1e-60 the shot's centre height 2 u*(r_patch) lies where
     # power-exp's f overflows: the profile is built, the shot is noted
@@ -247,13 +250,35 @@ def test_singular_overflowing_regular_shot_is_recorded(tmp_path):
     assert doc["cross_check"]["note"] == "regular integration underflowed"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_non_finite_seed_exit_code(tmp_path, capsys):
     rc = main(["singular", "--family", "power-exp", "--p", "5", "--q", "2",
                "--dim", "3", "--r-patch", "1e-300",
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "OutOfRange" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family, r_patch", [
+    # u*' of the seed overflows a float power at r_patch/1024
+    (["--family", "pure-power", "--p", "3", "--dim", "5"], "1e-152"),
+    (["--family", "pure-power", "--p", "3", "--dim", "5"], "1e-200"),
+    # r_patch/1024 rounds to 0
+    (["--family", "pure-power", "--p", "3", "--dim", "5"], "5e-324"),
+    (["--family", "power-exp", "--p", "5", "--q", "2", "--dim", "3"],
+     "5e-324"),
+    (["--family", "cutoff-exp", "--a", "20", "--dim", "3"], "5e-324"),
+])
+def test_singular_tiny_patch_radius_is_a_typed_error(tmp_path, capsys,
+                                                     family, r_patch):
+    rc = main(["singular", *family, "--r-patch", r_patch,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("OutOfRange: the patch seed at r_patch = "
+                               f"{float(r_patch):g} ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

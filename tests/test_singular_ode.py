@@ -115,8 +115,8 @@ def test_gelfand_profile_matches_closed_form(dim):
     assert np.abs(np.asarray(tab.u_star(r)) / want - 1.0).max() <= 1e-10
     du = np.asarray(tab.du_star(r))
     assert np.abs(-0.5 * du * r - 1.0).max() <= 1e-9
-    assert verify_flux_identity(tab, GELFAND) <= 1e-8
-    ratio = asymptotic_ratio(tab, GELFAND)[:, 1]
+    assert verify_flux_identity(tab) <= 1e-8
+    ratio = asymptotic_ratio(tab)[:, 1]
     assert np.abs(ratio - 1.0).max() <= 1e-9
 
 
@@ -133,13 +133,13 @@ def test_regular_solution_stays_under_singular(table_power_exp, table_cutoff,
 
 
 def test_asymptotic_ratio_tends_to_one(table_power_exp):
-    series = asymptotic_ratio(table_power_exp, POWER_EXP)
+    series = asymptotic_ratio(table_power_exp)
     assert np.all(series[:, 1] > 0.95)
     assert np.all(series[:, 1] < 1.05)
     # refinement tightens the worst deviation
     finer = build_singular(POWER_EXP, 3, r_patch=1e-4)
     dev = np.abs(series[:, 1] - 1.0).max()
-    dev_fine = np.abs(asymptotic_ratio(finer, POWER_EXP)[:, 1] - 1.0).max()
+    dev_fine = np.abs(asymptotic_ratio(finer)[:, 1] - 1.0).max()
     assert dev_fine < dev
 
 
@@ -154,9 +154,9 @@ def test_singular_pipeline_lays_few_log_F_pieces(family, r_patch, pieces):
     spec = {"power_exp": lambda: power_exp(5.0, 2.0),
             "cutoff_exp": lambda: cutoff_exp(20.0)}[family]()
     table = build_singular(spec, 3, r_patch=r_patch)
-    verify_flux_identity(table, spec)
-    trace_pohozaev(table, spec)
-    asymptotic_ratio(table, spec)
+    verify_flux_identity(table)
+    trace_pohozaev(table)
+    asymptotic_ratio(table)
     check_admissibility(spec, 3)
     assert len(spec.log_F_table.pieces) == pieces
 
@@ -229,6 +229,10 @@ def test_one_radius_is_its_lone_step_bit_for_bit(which, request):
 def test_invalid_patch_radius_rejected():
     with pytest.raises(ValueError):
         build_singular(CUBIC, 5, r_patch=20.0, R_max=10.0)
+    # the re-seed check compares on [2 r_patch, R_max]: an empty window is
+    # refused before integrating
+    with pytest.raises(ValueError, match="need R_max >= 2 r_patch"):
+        build_singular(CUBIC, 5, R_max=1.5e-3)
 
 
 def test_patch_seed_derivative_consistent():
@@ -491,6 +495,21 @@ def test_non_finite_patch_seed_is_out_of_range():
             build_singular(POWER_EXP, 3, r_patch=1e-300)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_u_star_below_the_patch_warns_only_of_its_own_column(
+        table_cubic, table_power_exp):
+    # patch_seed gives both columns, and here only the other one overflows:
+    # u*' of the cubic at r = 1e-160, f(u*) of power-exp at r = 1e-200
+    assert table_cubic.u_star(1e-160) == pytest.approx(
+        math.sqrt(2.0) * 1e160, rel=1e-15)
+    assert np.all(np.isfinite(table_cubic.u_star(np.array([1e-160, 1e-3]))))
+    assert math.isfinite(table_power_exp.u_star(1e-200))
+    assert np.all(np.isfinite(table_power_exp.u_star(
+        np.array([1e-200, 1e-3]))))
+    # the column asked for keeps numpy's IEEE value where it overflows
+    assert table_cubic.du_star(1e-160) == -math.inf
+
+
 def test_tiny_patch_radius_has_a_finite_flux_residual():
     # at r_patch = 1e-150 power-exp's f overflows at the smallest patch
     # nodes of the flux check, and the regular shot's centre height
@@ -499,7 +518,7 @@ def test_tiny_patch_radius_has_a_finite_flux_residual():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = build_singular(POWER_EXP, 3, r_patch=1e-150)
-        residual = verify_flux_identity(table, POWER_EXP)
+        residual = verify_flux_identity(table)
     assert math.isfinite(residual)
     assert table.cross_check["note"] == "regular integration underflowed"
 
@@ -513,12 +532,12 @@ def test_flux_identity_cubic_closed_form(table_cubic):
     # -r^4 (u*)' = sqrt(2) r^2 and int_0^r 2 sqrt(2) s ds = sqrt(2) r^2
     lhs = -table_cubic.r ** 4 * table_cubic.du
     assert np.allclose(lhs, math.sqrt(2.0) * table_cubic.r ** 2, rtol=1e-7)
-    assert verify_flux_identity(table_cubic, CUBIC) <= 1e-8
+    assert verify_flux_identity(table_cubic) <= 1e-8
 
 
 def test_flux_identity_exponential_families(table_power_exp, table_cutoff):
-    assert verify_flux_identity(table_power_exp, POWER_EXP) <= 1e-4
-    assert verify_flux_identity(table_cutoff, CUTOFF) <= 1e-4
+    assert verify_flux_identity(table_power_exp) <= 1e-4
+    assert verify_flux_identity(table_cutoff) <= 1e-4
 
 
 def fine_flux_residual(table, spec):
@@ -550,21 +569,20 @@ def test_flux_identity_inner_range_is_converged(family, dim):
     spec = {"power_exp": POWER_EXP, "cutoff_exp": CUTOFF,
             "cubic": CUBIC}[family]
     table = build_singular(spec, dim)
-    assert verify_flux_identity(table, spec) == pytest.approx(
+    assert verify_flux_identity(table) == pytest.approx(
         fine_flux_residual(table, spec), abs=1e-12)
 
 
 def test_pohozaev_energy_decreases(table_power_exp, table_cutoff,
                                    table_cubic):
-    for tab, spec in ((table_power_exp, POWER_EXP),
-                      (table_cutoff, CUTOFF), (table_cubic, CUBIC)):
-        trace = trace_pohozaev(tab, spec)
+    for tab in (table_power_exp, table_cutoff, table_cubic):
+        trace = trace_pohozaev(tab)
         assert trace.max_fd_slope <= 1e-10
 
 
 def test_pohozaev_slope_matches_deficit_for_cubic(table_cubic):
     # dP/dr = -(N-2)/2 r^4 Q(u*) = -1 identically for p=3, N=5
-    trace = trace_pohozaev(table_cubic, CUBIC)
+    trace = trace_pohozaev(table_cubic)
     slopes = trace.fd_slopes()
     assert np.allclose(slopes, -1.0, atol=1e-4)
     assert np.allclose(trace.P, -trace.r, atol=1e-5)
@@ -576,7 +594,7 @@ def test_pohozaev_constant_at_critical_exponent():
     p_s = sobolev_exponent(5)
     tab = build_singular(pure_power(p_s), 5, n_points=150,
                          rtol=1e-12, atol=1e-14)
-    trace = trace_pohozaev(tab, pure_power(p_s))
+    trace = trace_pohozaev(tab)
     assert np.allclose(trace.P, -243.0 / 160.0, atol=1e-7)
     assert np.abs(trace.fd_slopes()).max() <= 1e-10
 
@@ -585,7 +603,7 @@ def test_pohozaev_vanishes_at_shrinking_patch():
     vals = []
     for rp in (1e-2, 1e-3, 1e-4):
         tab = build_singular(POWER_EXP, 3, r_patch=rp)
-        vals.append(abs(trace_pohozaev(tab, POWER_EXP).P[0]))
+        vals.append(abs(trace_pohozaev(tab).P[0]))
     assert vals[1] < vals[0] / 4
     assert vals[2] < vals[1] / 4
 
